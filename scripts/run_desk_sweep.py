@@ -16,21 +16,10 @@ import json
 import sys
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from weyl_order import Weight, build_poset, covers_of
-from weyl_order.cli import SweepConfig, run_sweep_item, sweep_items
-
-
-@dataclass(frozen=True)
-class DeskConfig:
-    families: tuple[str, ...]
-    max_coord: int
-    max_k: int
-    jobs: int
-    out_dir: Path
+from weyl_order import Weight, build_poset
+from weyl_order.cli import SweepConfig, run_sweep
 
 
 def cover_histogram(max_coord: int) -> dict:
@@ -39,13 +28,11 @@ def cover_histogram(max_coord: int) -> dict:
     witnesses = Counter()
     edges = 0
     for coords in itertools.product(range(max_coord + 1), repeat=2):
-        poset = build_poset(Weight(coords), 2)
-        for c in range(len(poset.classes)):
-            for e in covers_of(poset, c):
-                edges += 1
-                counts[e.kind.value] += 1
-                if e.witness is not None:
-                    witnesses[e.witness.describe()] += 1
+        for e in build_poset(Weight(coords), 2).cover_edges:
+            edges += 1
+            counts[e.kind.value] += 1
+            if e.witness is not None:
+                witnesses[e.witness.describe()] += 1
     return {"edges": edges, "kinds": dict(counts),
             "witnesses": dict(witnesses.most_common())}
 
@@ -58,19 +45,11 @@ def main(argv=None) -> int:
     ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--out-dir", type=Path, default=Path("sweep_out"))
     args = ap.parse_args(argv)
-    cfg = DeskConfig(families=tuple(args.families.split(",")),
-                     max_coord=args.max_coord, max_k=args.max_k,
-                     jobs=args.jobs, out_dir=args.out_dir)
+    cfg = SweepConfig(families=tuple(args.families.split(",")),
+                      max_coord=args.max_coord, max_k=args.max_k)
 
-    items = sweep_items(SweepConfig(families=cfg.families,
-                                    max_coord=cfg.max_coord,
-                                    max_k=cfg.max_k))
     t0 = time.perf_counter()
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(run_sweep_item, items))
-    else:
-        results = [run_sweep_item(it) for it in items]
+    results = run_sweep(cfg, args.jobs)
     sweep_dt = time.perf_counter() - t0
 
     violations = [v for r in results for v in r["violations"]]
@@ -87,15 +66,17 @@ def main(argv=None) -> int:
     for kind, count in sorted(hist["kinds"].items()):
         print(f"  {kind}: {count}")
 
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    payload = {"config": {**asdict(cfg), "out_dir": str(cfg.out_dir)},
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    payload = {"config": {"families": cfg.families, "max_coord": cfg.max_coord,
+                          "max_k": cfg.max_k, "jobs": args.jobs,
+                          "out_dir": str(args.out_dir)},
                "verify_seconds": round(sweep_dt, 3),
                "num_checks": len(results),
                "num_violations": len(violations),
                "num_skipped": skipped,
                "cover_histogram": hist,
                "cover_seconds": round(hist_dt, 3)}
-    out = cfg.out_dir / "desk_sweep.json"
+    out = args.out_dir / "desk_sweep.json"
     out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out}")
     return 1 if violations else 0

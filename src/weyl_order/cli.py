@@ -5,15 +5,16 @@ and top), covers (classified cover edges), dim (dimension product of one
 tuple), size (fiber and class counts), verify (the default desk sweep).
 
 Exit codes: 0 success, 1 verify found violations, 2 argument or parse
-problems, 3 enumeration guard exceeded.  The tuple budget can also be set
-through the WEYL_ORDER_GUARD environment variable; an explicit --guard
-wins over it.
+problems, 3 enumeration guard exceeded.  The tuple budget of poset,
+covers and verify can also be set through the WEYL_ORDER_GUARD
+environment variable; an explicit --guard wins over it.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -24,8 +25,7 @@ from pathlib import Path
 from .dimensions import (tensor_dim, verify_coroot_inequalities_k2,
                          verify_max_dim, verify_monotone_k2, weyl_dim)
 from .posets import (DEFAULT_GUARD, GuardExceeded, build_poset, count_tuples,
-                     covers_of, maximal_element, minimal_element,
-                     poset_size_k2)
+                     maximal_element, minimal_element, poset_size_k2)
 from .roots import (FAMILIES, base_rank, coroot_table_report,
                     expected_table_report, iota, root_system)
 from .tuples import WeightTuple
@@ -47,10 +47,22 @@ def _slug(lam: Weight) -> str:
     return "-".join(str(c) for c in lam.omega)
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{value} is not positive")
+    return value
+
+
 def _guard_from(args) -> int:
     if args.guard is not None:
         return args.guard
-    return int(os.environ.get("WEYL_ORDER_GUARD", DEFAULT_GUARD))
+    raw = os.environ.get("WEYL_ORDER_GUARD", str(DEFAULT_GUARD))
+    try:
+        return positive_int(raw)
+    except ValueError:
+        raise ValueError("WEYL_ORDER_GUARD must be a positive integer, "
+                         f"got {raw!r}") from None
 
 
 def _write_json(path: Path, payload: dict):
@@ -96,8 +108,11 @@ def sweep_items(cfg: SweepConfig) -> list[tuple]:
     return items
 
 
-def run_sweep_item(item: tuple) -> dict:
-    """Execute one verify check; never raises, reports instead."""
+def run_sweep_item(item: tuple, poset) -> dict:
+    """Execute one verify check; never raises, reports instead.
+
+    poset() returns the fiber's shared poset or raises GuardExceeded.
+    """
     kind, fam, rank, lam_omega, k, guard, corrupt = item
     name = f"{kind}:{fam}{rank}"
     if lam_omega is not None:
@@ -125,38 +140,65 @@ def run_sweep_item(item: tuple) -> dict:
         lam = Weight(tuple(lam_omega))
         rs = root_system(fam, rank)
         if kind == "size_k2":
-            enumerated = len(build_poset(lam, 2, guard))
+            enumerated = len(poset())
             formula = poset_size_k2(lam)
             if enumerated != formula:
                 fail(f"class count {enumerated} != closed form {formula}")
         elif kind == "extremes":
-            poset = build_poset(lam, k, guard)
-            if poset.class_of(minimal_element(lam, k)) != poset.bottom_index:
+            fiber = poset()
+            if fiber.class_of(minimal_element(lam, k)) != fiber.bottom_index:
                 fail("closed-form bottom misses the unique minimal class")
-            if poset.class_of(maximal_element(lam, k)) != poset.top_index:
+            if fiber.class_of(maximal_element(lam, k)) != fiber.top_index:
                 fail("closed-form top misses the unique maximal class")
-            if not poset.transitive_ok():
+            if not fiber.transitive_ok():
                 fail("strict order is not transitive")
-        elif kind == "monotone_k2":
-            rep = verify_monotone_k2(lam, rs, guard)
-            for v in rep.violations:
-                fail(str(v))
-        elif kind == "ledger_k2":
-            rep = verify_coroot_inequalities_k2(lam, rs, guard)
-            for v in rep.violations:
-                fail(str(v))
-        elif kind == "max_dim":
-            rep = verify_max_dim(lam, k, rs, guard)
-            for v in rep.violations:
-                fail(str(v))
         else:
-            fail(f"unknown check kind {kind!r}")
+            verifier = {"monotone_k2": verify_monotone_k2,
+                        "ledger_k2": verify_coroot_inequalities_k2,
+                        "max_dim": verify_max_dim}.get(kind)
+            if verifier is None:
+                fail(f"unknown check kind {kind!r}")
+            else:
+                for v in verifier(poset(), rs).violations:
+                    fail(str(v))
     except GuardExceeded as e:
         out["skipped"] = True
         out["note"] = str(e)
     except Exception as e:  # a crashed check is a failed check, not a crash
         fail(f"unexpected error: {type(e).__name__}: {e}")
     return out
+
+
+def run_fiber(items: list[tuple]) -> list[dict]:
+    """Run the checks of one fiber (same lambda, k and guard) on one poset.
+
+    The poset is built on first use.  Over the guard, each check's call
+    raises GuardExceeded again, before any tuple is enumerated.
+    """
+    _, _, _, lam_omega, k, guard, _ = items[0]
+    poset = functools.cache(lambda: build_poset(Weight(lam_omega), k, guard))
+    return [run_sweep_item(it, poset) for it in items]
+
+
+def pool_size(jobs: int, cpus: int | None, tasks: int) -> int:
+    """Worker count: never more than asked for, CPUs present, or tasks."""
+    return max(1, min(jobs, cpus or 1, tasks))
+
+
+def run_sweep(cfg: SweepConfig, jobs: int = 1) -> list[dict]:
+    """Run the worklist fiber by fiber; rows come back in worklist order."""
+    items = sweep_items(cfg)
+    groups: dict[tuple, list[tuple]] = {}
+    for it in items:
+        groups.setdefault(it[3:6], []).append(it)  # (lambda, k, guard)
+    workers = pool_size(jobs, os.cpu_count(), len(groups))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(run_fiber, groups.values()))
+    else:
+        done = [run_fiber(g) for g in groups.values()]
+    rows = {fiber: iter(r) for fiber, r in zip(groups, done)}
+    return [next(rows[it[3:6]]) for it in items]
 
 
 def cmd_verify(args) -> int:
@@ -167,12 +209,7 @@ def cmd_verify(args) -> int:
         if fam not in FAMILIES:
             print(f"unknown family {fam!r}", file=sys.stderr)
             return 2
-    items = sweep_items(cfg)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run_sweep_item, items))
-    else:
-        results = [run_sweep_item(it) for it in items]
+    results = run_sweep(cfg, args.jobs)
 
     violations = [v for r in results for v in r["violations"]]
     skipped = [r["item"] for r in results if r["skipped"]]
@@ -232,15 +269,14 @@ def cmd_covers(args) -> int:
     lam = parse_weight(args.lam)
     poset = build_poset(lam, args.k, _guard_from(args))
     records = []
-    for c in range(len(poset.classes)):
-        for edge in covers_of(poset, c):
-            rec = {"low": str(poset.classes[edge.low].rep),
-                   "high": str(poset.classes[edge.high].rep),
-                   "kind": edge.kind.value,
-                   "witness": edge.witness.describe() if edge.witness else None}
-            records.append(rec)
-            print(f"{rec['low']} -> {rec['high']} [{rec['kind']}]"
-                  + (f" ({rec['witness']})" if rec["witness"] else ""))
+    for edge in poset.cover_edges:
+        rec = {"low": str(poset.classes[edge.low].rep),
+               "high": str(poset.classes[edge.high].rep),
+               "kind": edge.kind.value,
+               "witness": edge.witness.describe() if edge.witness else None}
+        records.append(rec)
+        print(f"{rec['low']} -> {rec['high']} [{rec['kind']}]"
+              + (f" ({rec['witness']})" if rec["witness"] else ""))
     if args.json:
         _write_json(Path(args.out_dir) / f"covers_lam{_slug(lam)}_k{args.k}.json",
                     {"lambda": list(lam.omega), "k": args.k, "covers": records})
@@ -273,28 +309,29 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="weyl-order", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, need_lam=True):
-        if need_lam:
-            p.add_argument("--lambda", dest="lam", required=True,
-                           help="dominant weight, comma separated, e.g. 2,1")
-            p.add_argument("--k", type=int, default=2)
+    def common(p, guard=False, json_out=False):
+        p.add_argument("--lambda", dest="lam", required=True,
+                       help="dominant weight, comma separated, e.g. 2,1")
+        p.add_argument("--k", type=int, default=2)
         p.add_argument("--out-dir", default=".")
-        p.add_argument("--guard", type=int, default=None,
-                       help=f"tuple enumeration budget (default {DEFAULT_GUARD})")
-        p.add_argument("--json", action="store_true",
-                       help="also write a JSON artifact")
+        if guard:
+            p.add_argument("--guard", type=positive_int, default=None,
+                           help=f"tuple enumeration budget (default {DEFAULT_GUARD})")
+        if json_out:
+            p.add_argument("--json", action="store_true",
+                           help="also write a JSON artifact")
 
     p = sub.add_parser("poset", help="build a quotient poset and export it")
-    common(p)
+    common(p, guard=True)
     p.add_argument("--dot", action="store_true", help="also write Graphviz")
     p.set_defaults(func=cmd_poset)
 
     p = sub.add_parser("max", help="closed-form bottom and top tuples")
-    common(p)
+    common(p, json_out=True)
     p.set_defaults(func=cmd_max)
 
     p = sub.add_parser("covers", help="classified cover edges")
-    common(p)
+    common(p, guard=True, json_out=True)
     p.set_defaults(func=cmd_covers)
 
     p = sub.add_parser("dim", help="dimension product of one tuple")
@@ -302,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tuple", required=True,
                    help="parts separated by '/', e.g. 2,1/0,0")
     p.add_argument("--out-dir", default=".")
-    p.add_argument("--guard", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_dim)
 
@@ -316,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-k", type=int, default=3)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out-dir", default=".")
-    p.add_argument("--guard", type=int, default=None)
+    p.add_argument("--guard", type=positive_int, default=None)
     p.add_argument("--selftest-corrupt", action="store_true",
                    help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)

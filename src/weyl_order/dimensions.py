@@ -19,11 +19,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .posets import build_poset, maximal_element, DEFAULT_GUARD
+from .posets import TuplePoset, maximal_element
 from .roots import (Coroot, EmbeddedWeight, RootSystem, iota, pairing,
                     rho_value)
-from .tuples import OrderVerdict, WeightTuple
-from .weights import Weight
+from .tuples import WeightTuple
 
 
 def bracket(w: EmbeddedWeight, h: Coroot) -> int:
@@ -39,7 +38,8 @@ def weyl_dim(w: EmbeddedWeight) -> int:
     for h in w.system.coroots:
         num *= bracket(w, h)
         den *= rho_value(h)
-    assert num % den == 0, "product formula must divide exactly"
+    if num % den:
+        raise ArithmeticError(f"product formula for {w} does not divide exactly")
     return num // den
 
 
@@ -219,49 +219,42 @@ class DimensionReport:
         return rows
 
 
-def verify_monotone_k2(lam: Weight, rs: RootSystem,
-                       guard: int = DEFAULT_GUARD) -> DimensionReport:
+def verify_monotone_k2(poset: TuplePoset, rs: RootSystem) -> DimensionReport:
     """Strictly smaller class in the window order means strictly smaller dim.
 
     Also confirms every member of a class shares the representative's
     dimension product (the parts only get reordered within a class).
     """
-    report = DimensionReport("monotone_k2", rs.name, lam.omega, 2)
-    poset = build_poset(lam, 2, guard)
+    report = DimensionReport("monotone_k2", rs.name, poset.lam.omega, poset.k)
     dims = [tensor_dim(rs, cls.rep) for cls in poset.classes]
     for c, cls in enumerate(poset.classes):
         for member in cls.members:
             if tensor_dim(rs, member) != dims[c]:
                 report.violations.append(
                     {"item": f"class {c} member {member}", "kind": "class_dim"})
-    m = len(poset.classes)
-    for a in range(m):
-        for b in range(m):
-            if a == b:
-                continue
-            if poset.verdict(a, b) is OrderVerdict.LESS:
-                ok = dims[a] < dims[b]
-                report.details.append(
-                    {"item": f"{poset.classes[a].rep} < {poset.classes[b].rep}",
-                     "low_dim": dims[a], "high_dim": dims[b], "ok": ok})
-                if not ok:
-                    report.violations.append(
-                        {"item": f"dim({poset.classes[a].rep}) = {dims[a]} !< "
-                                 f"dim({poset.classes[b].rep}) = {dims[b]}",
-                         "kind": "monotone"})
+    for a, b in poset.strict_pairs():
+        ok = dims[a] < dims[b]
+        report.details.append(
+            {"item": f"{poset.classes[a].rep} < {poset.classes[b].rep}",
+             "low_dim": dims[a], "high_dim": dims[b], "ok": ok})
+        if not ok:
+            report.violations.append(
+                {"item": f"dim({poset.classes[a].rep}) = {dims[a]} !< "
+                         f"dim({poset.classes[b].rep}) = {dims[b]}",
+                 "kind": "monotone"})
     return report
 
 
-def verify_coroot_inequalities_k2(lam: Weight, rs: RootSystem,
-                                  guard: int = DEFAULT_GUARD) -> DimensionReport:
+def verify_coroot_inequalities_k2(poset: TuplePoset,
+                                  rs: RootSystem) -> DimensionReport:
     """Ledger rows across every cover edge of the k = 2 quotient.
 
     Guaranteed rows must not lose; the grand bracket product must equal
     the dimension product times the squared rho product for every
     representative.
     """
-    report = DimensionReport("coroot_ledger_k2", rs.name, lam.omega, 2)
-    poset = build_poset(lam, 2, guard)
+    report = DimensionReport("coroot_ledger_k2", rs.name, poset.lam.omega,
+                             poset.k)
     for cls in poset.classes:
         lhs, rhs = grand_product_identity(rs, cls.rep)
         if lhs != rhs:
@@ -281,13 +274,11 @@ def verify_coroot_inequalities_k2(lam: Weight, rs: RootSystem,
     return report
 
 
-def verify_max_dim(lam: Weight, k: int, rs: RootSystem,
-                   guard: int = DEFAULT_GUARD) -> DimensionReport:
+def verify_max_dim(poset: TuplePoset, rs: RootSystem) -> DimensionReport:
     """The top class holds the strict dimension maximum of the whole fiber."""
-    report = DimensionReport("max_dim", rs.name, lam.omega, k)
-    poset = build_poset(lam, k, guard)
+    report = DimensionReport("max_dim", rs.name, poset.lam.omega, poset.k)
     top = poset.top_index
-    if poset.class_of(maximal_element(lam, k)) != top:
+    if poset.class_of(maximal_element(poset.lam, poset.k)) != top:
         report.violations.append(
             {"item": "closed-form top representative lands off the top class",
              "kind": "top_class"})

@@ -145,31 +145,36 @@ class TuplePoset:
                     above[b] |= 1 << a
         return below, above
 
+    def strict_pairs(self):
+        """Each (a, b) with class a below class b, in (a, b) order; a < b."""
+        _, above = self._strict_masks
+        for a, mask in enumerate(above):
+            while mask:
+                low = mask & -mask
+                yield a, low.bit_length() - 1
+                mask ^= low
+
     @cached_property
     def hasse_edges(self) -> tuple[tuple[int, int], ...]:
         """(low, high) pairs with nothing strictly between."""
         below, above = self._strict_masks
-        edges = []
-        for a in range(len(self.classes)):
-            mask = above[a]
-            while mask:
-                b = (mask & -mask).bit_length() - 1
-                mask &= mask - 1
-                if above[a] & below[b] == 0:
-                    edges.append((a, b))
-        return tuple(sorted(edges))
+        return tuple((a, b) for a, b in self.strict_pairs()
+                     if above[a] & below[b] == 0)
+
+    @cached_property
+    def cover_edges(self) -> tuple[CoverEdge, ...]:
+        """The Hasse edges, each classified once (only k = 2 classifies)."""
+        if self.k != 2:
+            return tuple(CoverEdge(a, b, CoverKind.UNCLASSIFIED)
+                         for a, b in self.hasse_edges)
+        reps = [cls.rep for cls in self.classes]
+        return tuple(CoverEdge(a, b, *classify_cover(reps[a], reps[b]))
+                     for a, b in self.hasse_edges)
 
     def transitive_ok(self) -> bool:
         """Strict order must be transitive: above-sets closed under going up."""
-        below, above = self._strict_masks
-        for a in range(len(self.classes)):
-            mask = above[a]
-            while mask:
-                b = (mask & -mask).bit_length() - 1
-                mask &= mask - 1
-                if above[b] & ~above[a]:
-                    return False
-        return True
+        _, above = self._strict_masks
+        return all(above[b] & ~above[a] == 0 for a, b in self.strict_pairs())
 
     @cached_property
     def bottom_index(self) -> int:
@@ -195,7 +200,6 @@ class TuplePoset:
         raise ValueError(f"{x} does not belong to this poset")
 
     def to_json(self) -> dict:
-        kinds = _edge_kinds(self)
         return {
             "lambda": list(self.lam.omega),
             "k": self.k,
@@ -206,19 +210,18 @@ class TuplePoset:
                  "stats": list(cls.stat_vector)}
                 for cls in self.classes
             ],
-            "hasse": [[a, b, kinds[(a, b)].value] for a, b in self.hasse_edges],
+            "hasse": [[e.low, e.high, e.kind.value] for e in self.cover_edges],
         }
 
     def to_dot(self) -> str:
         styles = {CoverKind.TYPE_I: "solid",
                   CoverKind.TYPE_II: "dashed",
                   CoverKind.UNCLASSIFIED: "dotted"}
-        kinds = _edge_kinds(self)
         lines = ["digraph tuple_poset {", "  rankdir=BT;"]
         for c, cls in enumerate(self.classes):
             lines.append(f'  n{c} [label="{cls.rep}"];')
-        for a, b in self.hasse_edges:
-            lines.append(f"  n{a} -> n{b} [style={styles[kinds[(a, b)]]}];")
+        for e in self.cover_edges:
+            lines.append(f"  n{e.low} -> n{e.high} [style={styles[e.kind]}];")
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -375,27 +378,6 @@ def classify_cover(low: WeightTuple, high: WeightTuple) -> tuple[CoverKind, Cove
     return CoverKind.UNCLASSIFIED, None
 
 
-def _edge_kinds(poset: TuplePoset) -> dict[tuple[int, int], CoverKind]:
-    out = {}
-    for a, b in poset.hasse_edges:
-        if poset.k == 2:
-            kind, _ = classify_cover(poset.classes[a].rep, poset.classes[b].rep)
-        else:
-            kind = CoverKind.UNCLASSIFIED
-        out[(a, b)] = kind
-    return out
-
-
 def covers_of(poset: TuplePoset, index: int) -> list[CoverEdge]:
     """Classified cover edges going up from one class."""
-    edges = []
-    for a, b in poset.hasse_edges:
-        if a != index:
-            continue
-        if poset.k == 2:
-            kind, witness = classify_cover(poset.classes[a].rep,
-                                           poset.classes[b].rep)
-        else:
-            kind, witness = CoverKind.UNCLASSIFIED, None
-        edges.append(CoverEdge(low=a, high=b, kind=kind, witness=witness))
-    return edges
+    return [e for e in poset.cover_edges if e.low == index]

@@ -20,7 +20,7 @@ The validated list used everywhere else is the generated one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .weights import Weight
 
@@ -81,16 +81,15 @@ class RootSystem:
     def name(self) -> str:
         return f"{self.family}{self.rank}"
 
+    @cached_property
+    def _coroot_index(self) -> dict:
+        return {h.coeffs: h for h in self.coroots}
+
     def coroot_by_coeffs(self, coeffs: tuple[int, ...]) -> Coroot | None:
-        return _coroot_index(self).get(tuple(coeffs))
+        return self._coroot_index.get(tuple(coeffs))
 
     def __str__(self) -> str:
         return self.name
-
-
-@lru_cache(maxsize=None)
-def _coroot_index(rs: RootSystem) -> dict:
-    return {h.coeffs: h for h in rs.coroots}
 
 
 def _check_family_rank(family: str, rank: int):

@@ -218,5 +218,6 @@ def dominant_representative(w: Weight) -> tuple[Weight, Permutation]:
     """
     sigma = sorting_permutation(w.eps_padded())
     rep = act(sigma, w)
-    assert rep.is_dominant
+    if not rep.is_dominant:
+        raise ArithmeticError(f"sorting {w} gave the non-dominant {rep}")
     return rep, sigma

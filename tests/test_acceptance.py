@@ -168,7 +168,7 @@ def test_criterion_5_unique_dimension_maximum(criterion_log):
                 rs = root_system(name)
                 n = 2 if names is SYSTEMS_RANK2 else 3
                 for coords in itertools.product(range(4), repeat=n):
-                    report = verify_max_dim(Weight(coords), 3, rs)
+                    report = verify_max_dim(build_poset(Weight(coords), 3), rs)
                     assert report.ok, (name, coords, report.violations[:3])
 
 

@@ -1,8 +1,10 @@
 import json
+from collections import Counter
 
 import pytest
 
 from weyl_order import cli
+from weyl_order.cli import SweepConfig, sweep_items
 
 
 def run(capsys, *argv):
@@ -93,6 +95,41 @@ class TestVerify:
         assert code == 2
         assert "unknown family" in err
 
+    def test_sweep_builds_each_fiber_once(self, monkeypatch):
+        built = Counter()
+        real = cli.build_poset
+
+        def counting(lam, k, guard):
+            built[(lam.omega, k)] += 1
+            return real(lam, k, guard)
+        monkeypatch.setattr(cli, "build_poset", counting)
+        cfg = SweepConfig(max_coord=2, max_k=3)
+        items = sweep_items(cfg)
+        assert len(cli.run_sweep(cfg)) == len(items)
+        fibers = {(it[3], it[4]) for it in items if it[3] is not None}
+        assert set(built) == fibers
+        assert set(built.values()) == {1}
+
+    def test_grouped_rows_match_items_run_alone(self):
+        # reference route: each item in a group of its own, on a fresh poset
+        cfg = SweepConfig(families=("A", "C"), max_coord=2, max_k=3,
+                          guard=3, corrupt=True)
+        items = sweep_items(cfg)
+        alone = [cli.run_fiber([it])[0] for it in items]
+        grouped = cli.run_sweep(cfg)
+        assert grouped == alone
+        assert any(r["skipped"] for r in alone)
+        assert any(r["violations"] for r in alone)
+
+    def test_pool_size_is_bounded(self):
+        huge = 10**12
+        assert cli.pool_size(huge, 2, huge) == 2
+        assert cli.pool_size(huge, huge, 3) == 3
+        assert cli.pool_size(4, huge, huge) == 4
+        assert cli.pool_size(huge, None, huge) == 1
+        assert cli.pool_size(0, 8, 8) == 1
+        assert cli.pool_size(8, 8, 0) == 1
+
     def test_guarded_items_are_skipped_not_failed(self, tmp_path, capsys):
         code, out, _ = run(capsys, *self.ARGS, "--guard", "3",
                            "--out-dir", str(tmp_path))
@@ -128,6 +165,33 @@ class TestFailureModes:
         code, *_ = run(capsys, "poset", "--lambda", "4,4", "--k", "2",
                        "--guard", "1000", "--out-dir", str(tmp_path))
         assert code == 0
+
+    @pytest.mark.parametrize("value", ["0", "-5", "abc"])
+    def test_bad_guard_flag(self, tmp_path, capsys, value):
+        code, _, err = run(capsys, "poset", "--lambda", "2,1",
+                           "--guard", value, "--out-dir", str(tmp_path))
+        assert code == 2
+        assert "--guard" in err
+
+    @pytest.mark.parametrize("value", ["0", "abc"])
+    def test_bad_guard_env_var(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("WEYL_ORDER_GUARD", value)
+        code, _, err = run(capsys, "poset", "--lambda", "2,1",
+                           "--out-dir", str(tmp_path))
+        assert code == 2
+        assert "WEYL_ORDER_GUARD" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("poset", "--lambda", "2,1", "--json"),
+        ("size", "--lambda", "2,1", "--json"),
+        ("size", "--lambda", "2,1", "--guard", "5"),
+        ("max", "--lambda", "2,1", "--guard", "5"),
+        ("dim", "--type", "C2", "--tuple", "2,1/0,0", "--guard", "5"),
+    ])
+    def test_flags_nothing_reads_are_gone(self, tmp_path, capsys, argv):
+        code, _, err = run(capsys, *argv, "--out-dir", str(tmp_path))
+        assert code == 2
+        assert "unrecognized arguments" in err
 
     def test_argparse_error_becomes_exit_2(self, capsys):
         assert cli.main(["poset"]) == 2  # --lambda is required

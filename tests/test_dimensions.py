@@ -63,6 +63,14 @@ class TestWeylDim:
         with pytest.raises(ValueError):
             weyl_dim(EmbeddedWeight(root_system("A2"), (1, -1)))
 
+    def test_inexact_division_raises(self, monkeypatch):
+        # a broken shift makes the quotient inexact; that is an error, not
+        # an assert that python -O would strip
+        import weyl_order.dimensions as dimensions
+        monkeypatch.setattr(dimensions, "rho_value", lambda h: 2)
+        with pytest.raises(ArithmeticError):
+            weyl_dim(iota(Weight((1, 0)), root_system("A2")))
+
     def test_embedding_rank_mismatch(self):
         with pytest.raises(ValueError):
             iota(Weight((1, 0, 0)), root_system("A2"))
@@ -259,12 +267,12 @@ class TestRebalanceGain:
 
 class TestVerifiers:
     def test_monotone_on_running_fiber(self):
-        report = verify_monotone_k2(Weight((2, 1)), root_system("C2"))
+        report = verify_monotone_k2(build_poset(Weight((2, 1)), 2), root_system("C2"))
         assert report.ok
         assert report.details and not report.violations
 
     def test_coroot_inequalities(self):
-        report = verify_coroot_inequalities_k2(Weight((2, 1)),
+        report = verify_coroot_inequalities_k2(build_poset(Weight((2, 1)), 2),
                                                root_system("C2"))
         assert report.ok
         labels = {d["label"] for d in report.details if "label" in d}
@@ -272,17 +280,17 @@ class TestVerifiers:
 
     def test_max_dim_tiny_a1(self):
         # dims along the (3), k = 3 chain are 4, 6, 8: strict to the top
-        report = verify_max_dim(Weight((3,)), 3, root_system("A1"))
+        report = verify_max_dim(build_poset(Weight((3,)), 3), root_system("A1"))
         assert report.ok
         dims = sorted(d["dim"] for d in report.details)
         assert dims == [4, 6, 8]
 
     def test_max_dim_c3_smoke(self):
-        report = verify_max_dim(Weight((1, 1, 1)), 2, root_system("C3"))
+        report = verify_max_dim(build_poset(Weight((1, 1, 1)), 2), root_system("C3"))
         assert report.ok
 
     def test_report_serialization(self):
-        report = verify_monotone_k2(Weight((2, 1)), root_system("C2"))
+        report = verify_monotone_k2(build_poset(Weight((2, 1)), 2), root_system("C2"))
         payload = report.to_json()
         assert payload["ok"] is True
         assert payload["check"] == "monotone_k2"

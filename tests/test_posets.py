@@ -312,6 +312,32 @@ class TestConcatenation:
         assert compare(low, high) is OrderVerdict.LESS
 
 
+class TestSharedOrder:
+    def test_strict_pairs_match_pairwise_verdicts(self):
+        for coords, k in [((2, 1), 2), ((3, 3), 2), ((2, 2), 3), ((1, 1, 1), 3)]:
+            poset = build_poset(Weight(coords), k)
+            m = len(poset)
+            want = [(a, b) for a in range(m) for b in range(m)
+                    if poset.verdict(a, b) is OrderVerdict.LESS]
+            assert list(poset.strict_pairs()) == want
+
+    def test_each_cover_is_classified_once(self, monkeypatch):
+        import weyl_order.posets as posets
+        calls = []
+        real = posets.classify_cover
+
+        def counting(low, high):
+            calls.append((low, high))
+            return real(low, high)
+        monkeypatch.setattr(posets, "classify_cover", counting)
+        poset = build_poset(Weight((3, 2)), 2)
+        for c in range(len(poset)):
+            covers_of(poset, c)
+        poset.to_json()
+        poset.to_dot()
+        assert len(calls) == len(poset.hasse_edges) == len(set(calls)) > 0
+
+
 class TestExports:
     def test_to_json_shape(self):
         poset = build_poset(Weight((2, 1)), 2)

@@ -139,6 +139,11 @@ class TestRootSystemObject:
         assert C2.coroot_by_coeffs((1, 2)) is C2.coroots[3]
         assert C2.coroot_by_coeffs((2, 1)) is None
 
+    def test_coroot_lookup_stays_within_its_system(self):
+        # both spellings build equal systems; each lookup answers from its own
+        for rs in (root_system("C", 2), root_system("C2")):
+            assert rs.coroot_by_coeffs((1, 2)) is rs.coroots[3]
+
     def test_base_rank(self):
         assert base_rank(root_system("A3")) == 3
         assert base_rank(root_system("C3")) == 3

@@ -166,6 +166,12 @@ class TestDominantRepresentative:
         again, _ = dominant_representative(rep)
         assert again == rep
 
+    def test_non_dominant_result_raises(self, monkeypatch):
+        import weyl_order.weights as weights_mod
+        monkeypatch.setattr(weights_mod, "act", lambda sigma, w: w)
+        with pytest.raises(ArithmeticError):
+            dominant_representative(Weight((2, -1)))
+
 
 def test_sorting_permutation_is_stable():
     p = sorting_permutation((1, 1, 0))
