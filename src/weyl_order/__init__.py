@@ -7,15 +7,15 @@ order.  Everything runs on plain integers.
 """
 
 from .weights import (Weight, Permutation, act, dominant_representative,
-                      epsilon_to_omega, omega_to_epsilon, sorting_permutation)
+                      sorting_permutation)
 from .tuples import (OrderVerdict, WeightTuple, canonical_form, compare,
                      compare_prec, coroot_stat_vector, pi_project, sk_permute,
                      stat_labels, windows)
 from .roots import (Coroot, EmbeddedWeight, RootSystem, base_rank,
                     cartan_matrix, closed_form_coroot_table,
                     coroot_table_report, expected_table_report,
-                    generated_positive_coroots, iota, pairing,
-                    positive_coroots, rho, rho_value, root_system)
+                    generated_positive_coroots, iota, pairing, rho,
+                    rho_value, root_system)
 from .posets import (CoverEdge, CoverKind, CoverWitness, DEFAULT_GUARD,
                      EquivClass, GuardExceeded, TuplePoset, build_poset,
                      classify_cover, count_tuples, covers_of,
@@ -32,14 +32,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Weight", "Permutation", "act", "dominant_representative",
-    "epsilon_to_omega", "omega_to_epsilon", "sorting_permutation",
+    "sorting_permutation",
     "OrderVerdict", "WeightTuple", "canonical_form", "compare",
     "compare_prec", "coroot_stat_vector", "pi_project", "sk_permute",
     "stat_labels", "windows",
     "Coroot", "EmbeddedWeight", "RootSystem", "base_rank", "cartan_matrix",
     "closed_form_coroot_table", "coroot_table_report",
     "expected_table_report", "generated_positive_coroots", "iota", "pairing",
-    "positive_coroots", "rho", "rho_value", "root_system",
+    "rho", "rho_value", "root_system",
     "CoverEdge", "CoverKind", "CoverWitness", "DEFAULT_GUARD", "EquivClass",
     "GuardExceeded", "TuplePoset", "build_poset", "classify_cover",
     "count_tuples", "covers_of", "enumerate_tuples", "maximal_element",

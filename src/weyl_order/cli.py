@@ -309,11 +309,12 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="weyl-order", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, guard=False, json_out=False):
+    def common(p, guard=False, json_out=False, out_dir=True):
         p.add_argument("--lambda", dest="lam", required=True,
                        help="dominant weight, comma separated, e.g. 2,1")
-        p.add_argument("--k", type=int, default=2)
-        p.add_argument("--out-dir", default=".")
+        p.add_argument("--k", type=positive_int, default=2)
+        if out_dir:
+            p.add_argument("--out-dir", default=".")
         if guard:
             p.add_argument("--guard", type=positive_int, default=None,
                            help=f"tuple enumeration budget (default {DEFAULT_GUARD})")
@@ -343,14 +344,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dim)
 
     p = sub.add_parser("size", help="fiber size and class count")
-    common(p)
+    common(p, out_dir=False)
     p.set_defaults(func=cmd_size)
 
     p = sub.add_parser("verify", help="run the default desk sweep")
     p.add_argument("--families", default="A,C,B,D")
     p.add_argument("--max-coord", type=int, default=3)
     p.add_argument("--max-k", type=int, default=3)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--out-dir", default=".")
     p.add_argument("--guard", type=positive_int, default=None)
     p.add_argument("--selftest-corrupt", action="store_true",

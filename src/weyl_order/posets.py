@@ -233,8 +233,9 @@ def build_poset(lam: Weight, k: int, guard: int = DEFAULT_GUARD) -> TuplePoset:
     classes = []
     for sv in sorted(by_stats):
         members = tuple(sorted(by_stats[sv], key=_tuple_sort_key))
-        rep = max((canonical_form(m) for m in members), key=_tuple_sort_key)
-        classes.append(EquivClass(rep=rep, stat_vector=sv, members=members))
+        # a class is closed under reordering parts, so its largest member
+        # is sorted and is the largest canonical form
+        classes.append(EquivClass(rep=members[-1], stat_vector=sv, members=members))
     return TuplePoset(lam=lam, k=k, classes=tuple(classes))
 
 
@@ -310,41 +311,41 @@ def _sorting_coset(values: tuple[int, ...]) -> list[Permutation]:
     return sorted(coset, key=lambda p: p.images)
 
 
-def _omega_star(w: Weight, i: int) -> int:
-    return w.omega[i - 1]
-
-
 def _fundamental_chunk_witness(lam1: Weight, lam2: Weight, mu1: Weight, mu2: Weight,
                                sigma: Permutation) -> CoverWitness | None:
-    """First-kind test for the oriented pair: a chunk sigma-conjugate to a
-    fundamental weight moves from part 1 to part 2, staying positive on both
-    sides of the move in the sorted frame."""
-    n = lam1.rank
-    for i in range(1, n + 1):
-        drop = act(sigma, lam1 - mu1)
-        keep = act(sigma, mu1 - lam2)
-        if _omega_star(drop, i) <= 0 or _omega_star(keep, i) <= 0:
-            continue
-        for reading, rho in (("inverse", sigma.inverse()), ("forward", sigma)):
-            if mu1 == lam1 - act(rho, Weight.fundamental(i, n)):
-                return CoverWitness(sigma=sigma, orientation=(mu1, mu2),
-                                    index=i, reading=reading)
+    """First-kind test for the oriented pair: the chunk lam1 - mu1 moving
+    from part 1 to part 2 is rho * omega_i for rho = sigma^-1 ("inverse") or
+    sigma ("forward"), positive at i on both sides in the sorted frame.  Its
+    padded epsilon vector takes two values a step apart; i counts the raised
+    slots, and each reading raises a known slot set."""
+    chunk = lam1 - mu1
+    padded = chunk.eps_padded()
+    top = max(padded)
+    if set(padded) != {top, top - 1}:
+        return None
+    raised = {p for p, b in enumerate(padded) if b == top}
+    i = len(raised)
+    drop, keep = act(sigma, chunk), act(sigma, mu1 - lam2)
+    if drop.omega[i - 1] <= 0 or keep.omega[i - 1] <= 0:
+        return None
+    for reading, slots in (("inverse", {p for p in range(sigma.degree) if sigma(p) < i}),
+                           ("forward", {sigma(t) for t in range(i)})):
+        if raised == slots:
+            return CoverWitness(sigma=sigma, orientation=(mu1, mu2),
+                                index=i, reading=reading)
     return None
 
 
 def _coordinate_mix_witness(lam1: Weight, lam2: Weight, mu1: Weight, mu2: Weight,
                             sigma: Permutation) -> CoverWitness | None:
     """Second-kind test: in the sorted frame, mu1 picks each fundamental
-    coordinate from one of the two lower parts."""
-    n = lam1.rank
-    s1, s2 = act(sigma, lam1), act(sigma, lam2)
-    inv = sigma.inverse()
-    for mix in itertools.product((1, 2), repeat=n):
-        mixed = Weight(tuple((s1 if src == 1 else s2).omega[i]
-                             for i, src in enumerate(mix)))
-        if mu1 == act(inv, mixed):
-            return CoverWitness(sigma=sigma, orientation=(mu1, mu2), mix=mix)
-    return None
+    coordinate from one of the two lower parts, part 1 wherever it fits
+    (the first such mix in (1, 2)-product order)."""
+    s1, s2, m = act(sigma, lam1).omega, act(sigma, lam2).omega, act(sigma, mu1).omega
+    mix = tuple(1 if c == a else 2 if c == b else 0 for c, a, b in zip(m, s1, s2))
+    if 0 in mix:
+        return None
+    return CoverWitness(sigma=sigma, orientation=(mu1, mu2), mix=mix)
 
 
 def classify_cover(low: WeightTuple, high: WeightTuple) -> tuple[CoverKind, CoverWitness | None]:

@@ -241,10 +241,6 @@ def root_system(family: str, rank: int | None = None) -> RootSystem:
     return RootSystem(family, rank, tuple(Coroot(c) for c in coeffs))
 
 
-def positive_coroots(rs: RootSystem) -> tuple[Coroot, ...]:
-    return rs.coroots
-
-
 # -- embedding of the rank-n base lattice ---------------------------------
 
 def base_rank(rs: RootSystem) -> int:

@@ -180,14 +180,6 @@ class Permutation:
         return "".join(cycles) or "id"
 
 
-def omega_to_epsilon(w: Weight) -> tuple[int, ...]:
-    return w.eps()
-
-
-def epsilon_to_omega(coords: Iterable[int]) -> Weight:
-    return Weight.from_eps(coords)
-
-
 def act(perm: Permutation, w: Weight) -> Weight:
     """Permute epsilon coordinates; degree n acts plainly, n+1 padded."""
     if perm.degree == w.rank:

@@ -173,6 +173,20 @@ class TestFailureModes:
         assert code == 2
         assert "--guard" in err
 
+    @pytest.mark.parametrize("argv,flag", [
+        (("max", "--lambda", "2,1", "--k", "0"), "--k"),
+        (("poset", "--lambda", "2,1", "--k", "-1"), "--k"),
+        (("covers", "--lambda", "2,1", "--k", "two"), "--k"),
+        (("size", "--lambda", "2,1", "--k", "0"), "--k"),
+        (("verify", "--jobs", "-4"), "--jobs"),
+        (("verify", "--jobs", "0"), "--jobs"),
+    ])
+    def test_bad_count_flag(self, tmp_path, capsys, monkeypatch, argv, flag):
+        monkeypatch.chdir(tmp_path)  # a call that slipped through writes here
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert flag in err
+
     @pytest.mark.parametrize("value", ["0", "abc"])
     def test_bad_guard_env_var(self, tmp_path, capsys, monkeypatch, value):
         monkeypatch.setenv("WEYL_ORDER_GUARD", value)
@@ -187,6 +201,7 @@ class TestFailureModes:
         ("size", "--lambda", "2,1", "--guard", "5"),
         ("max", "--lambda", "2,1", "--guard", "5"),
         ("dim", "--type", "C2", "--tuple", "2,1/0,0", "--guard", "5"),
+        ("size", "--lambda", "2,1"),
     ])
     def test_flags_nothing_reads_are_gone(self, tmp_path, capsys, argv):
         code, _, err = run(capsys, *argv, "--out-dir", str(tmp_path))

@@ -22,7 +22,9 @@ from weyl_order import (
     minimal_element,
     poset_size_k2,
 )
-from weyl_order.posets import compositions
+from weyl_order.posets import _tuple_sort_key, compositions
+
+from cover_oracle import classify_cover_by_search
 
 
 def T(*rows):
@@ -143,6 +145,12 @@ class TestBuildPoset:
         for a, b in itertools.combinations(range(len(poset.classes)), 2):
             assert compare(poset.classes[a].rep, poset.classes[b].rep) \
                 is not OrderVerdict.EQUIV
+        # the representative is the largest canonical form of a member
+        for coords in [(2, 2), (2, 1, 1)]:
+            for k in (2, 3, 4):
+                for cls in build_poset(Weight(coords), k).classes:
+                    assert cls.rep == max((canonical_form(m) for m in cls.members),
+                                          key=_tuple_sort_key)
 
     def test_classes_partition_the_fiber(self):
         lam = Weight((2, 1))
@@ -270,6 +278,38 @@ class TestCoverClassification:
                     rho_ = w.sigma.inverse() if w.reading == "inverse" else w.sigma
                     chunk = act(rho_, Weight.fundamental(w.index, 2))
                     assert w.orientation[0] == lam1 - chunk
+
+    @staticmethod
+    def fields(result):
+        kind, w = result
+        if w is None:
+            return kind, None
+        return kind, w.sigma, w.orientation, w.index, w.reading, w.mix
+
+    def test_direct_route_matches_search_on_strict_pairs(self):
+        checked = 0
+        for coords in [(1, 1, 1, 1), (2, 1, 0, 1), (1, 1, 1, 1, 1),
+                       (2, 0, 2, 0, 1), (1, 1, 1, 1, 1, 1), (2, 2, 2, 2)]:
+            poset = build_poset(Weight(coords), 2)
+            for a, b in poset.strict_pairs():
+                low, high = poset.classes[a].rep, poset.classes[b].rep
+                assert self.fields(classify_cover(low, high)) == \
+                    self.fields(classify_cover_by_search(low, high))
+                checked += 1
+        assert checked == 460
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_direct_route_matches_search_on_random_splittings(self, data):
+        rank = data.draw(st.integers(1, 6))
+        lam = data.draw(st.tuples(*[st.integers(0, 3)] * rank))
+
+        def splitting():
+            first = tuple(data.draw(st.integers(0, m)) for m in lam)
+            return T(first, tuple(m - c for m, c in zip(lam, first)))
+        low, high = splitting(), splitting()
+        assert self.fields(classify_cover(low, high)) == \
+            self.fields(classify_cover_by_search(low, high))
 
     def test_k3_falls_through(self):
         poset = build_poset(Weight((1, 1)), 3)

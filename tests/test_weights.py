@@ -7,8 +7,6 @@ from weyl_order import (
     Permutation,
     act,
     dominant_representative,
-    epsilon_to_omega,
-    omega_to_epsilon,
     sorting_permutation,
 )
 
@@ -76,7 +74,6 @@ class TestWeightBasics:
     @given(weights)
     def test_eps_round_trip(self, w):
         assert Weight.from_eps(w.eps()) == w
-        assert epsilon_to_omega(omega_to_epsilon(w)) == w
 
 
 class TestPermutation:
