@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .tuples import OrderVerdict, WeightTuple, _verdict_from_vectors, canonical_form
-from .weights import Permutation, Weight, act, sorting_permutation
+from .weights import Permutation, Weight, act
 
 
 class GuardExceeded(RuntimeError):
@@ -130,19 +130,38 @@ class TuplePoset:
 
     @cached_property
     def _strict_masks(self) -> tuple[list[int], list[int]]:
-        """(below, above): below[c] has bit d set when class d < class c."""
+        """(below, above): below[c] has bit d set when class d < class c.
+
+        Built from rank masks, one stat coordinate at a time: sorting the
+        classes by that coordinate and walking its groups of equal values
+        gives, for each class c, the mask of classes whose value is <= c's
+        (the running OR through c's group) and the mask of those whose
+        value is >= c's (the complement of the running OR before it).  ANDing
+        these over all coordinates leaves le[c], the classes <= c, and
+        ge[c], the classes >= c.  Distinct classes have distinct stat
+        vectors, so removing c's own bit gives the strict masks.
+
+        Classes are indexed in lex order of stat vectors, a linear
+        extension of the order: every bit of below[c] is < c and every
+        bit of above[c] is > c.
+        """
         m = len(self.classes)
-        below = [0] * m
-        above = [0] * m
-        for a in range(m):
-            for b in range(a + 1, m):
-                v = self.verdict(a, b)
-                if v is OrderVerdict.LESS:
-                    below[b] |= 1 << a
-                    above[a] |= 1 << b
-                elif v is OrderVerdict.GREATER:
-                    below[a] |= 1 << b
-                    above[b] |= 1 << a
+        full = (1 << m) - 1
+        le = [full] * m
+        ge = [full] * m
+        for column in zip(*(cls.stat_vector for cls in self.classes)):
+            value = column.__getitem__
+            seen = 0  # classes met so far, walking this coordinate upwards
+            for _, group in itertools.groupby(sorted(range(m), key=value), key=value):
+                group = list(group)
+                at_least = full ^ seen
+                for c in group:
+                    seen |= 1 << c
+                for c in group:
+                    le[c] &= seen
+                    ge[c] &= at_least
+        below = [mask ^ (1 << c) for c, mask in enumerate(le)]
+        above = [mask ^ (1 << c) for c, mask in enumerate(ge)]
         return below, above
 
     def strict_pairs(self):
@@ -156,10 +175,28 @@ class TuplePoset:
 
     @cached_property
     def hasse_edges(self) -> tuple[tuple[int, int], ...]:
-        """(low, high) pairs with nothing strictly between."""
-        below, above = self._strict_masks
-        return tuple((a, b) for a, b in self.strict_pairs()
-                     if above[a] & below[b] == 0)
+        """(low, high) pairs with nothing strictly between, in (a, b) order.
+
+        A cover walk: for each a, pop the lowest class b left in rest =
+        above[a], emit (a, b), and drop above[b] from rest.  It relies on
+        index order being a linear extension (see _strict_masks).  A class
+        strictly between a and b has a smaller index than b, so it was
+        either popped first, and then b lies above it and was dropped, or
+        dropped itself as lying above an earlier pop, and then so was b.
+        Hence every popped b is a cover; a cover is never above another
+        class of above[a], so it is never dropped.  The cost is a few mask
+        operations per cover, not one per strict pair.
+        """
+        _, above = self._strict_masks
+        edges = []
+        for a, rest in enumerate(above):
+            while rest:
+                low = rest & -rest
+                b = low.bit_length() - 1
+                edges.append((a, b))
+                rest ^= low
+                rest &= ~above[b]
+        return tuple(edges)
 
     @cached_property
     def cover_edges(self) -> tuple[CoverEdge, ...]:
@@ -192,12 +229,15 @@ class TuplePoset:
             raise ValueError(f"expected a unique maximal class, found {maxs}")
         return maxs[0]
 
+    @cached_property
+    def _index_of(self) -> dict[tuple[int, ...], int]:
+        return {cls.stat_vector: c for c, cls in enumerate(self.classes)}
+
     def class_of(self, x: WeightTuple) -> int:
-        sv = x.stat_vector
-        for c, cls in enumerate(self.classes):
-            if cls.stat_vector == sv:
-                return c
-        raise ValueError(f"{x} does not belong to this poset")
+        try:
+            return self._index_of[x.stat_vector]
+        except KeyError:
+            raise ValueError(f"{x} does not belong to this poset") from None
 
     def to_json(self) -> dict:
         return {
@@ -284,49 +324,55 @@ class CoverEdge:
     witness: CoverWitness | None = None
 
 
-def _sorting_coset(values: tuple[int, ...]) -> list[Permutation]:
-    """All permutations arranging values weakly decreasing, identity-first.
+def _sorting_coset(values: tuple[int, ...]):
+    """Every permutation arranging values weakly decreasing, lazily, in
+    image-lex order (identity first when values are already sorted).
 
-    Ties in the sorted vector admit several sorters; they form a coset of
-    the stabilizer, enumerated here in image-lex order so runs replay
-    deterministically.
+    A sorter sends each slot to a slot holding the same value in the
+    sorted vector; ties admit several, a coset of the stabilizer.  Slot
+    by slot, the free target slots are tried in increasing order, so the
+    sorters come out in image-lex order and runs replay deterministically.
+    Callers usually stop at the first sorter, so none is built ahead; each
+    call returns a fresh iterator.
     """
-    sigma = sorting_permutation(values)
-    sorted_vals = sigma.permute(list(values))
-    blocks: list[list[int]] = []
-    t = 0
-    while t < len(sorted_vals):
-        u = t
-        while u < len(sorted_vals) and sorted_vals[u] == sorted_vals[t]:
-            u += 1
-        blocks.append(list(range(t, u)))
-        t = u
-    coset = set()
-    for arrangement in itertools.product(*(itertools.permutations(b) for b in blocks)):
-        stab_images = [0] * len(values)
-        for block, arr in zip(blocks, arrangement):
-            for src, dst in zip(block, arr):
-                stab_images[src] = dst
-        coset.add(Permutation(tuple(stab_images)).compose(sigma))
-    return sorted(coset, key=lambda p: p.images)
+    target = sorted(values, reverse=True)
+    n = len(values)
+
+    def extend(images: tuple[int, ...]):
+        if len(images) == n:
+            yield Permutation(images)
+            return
+        v = values[len(images)]
+        for slot in range(n):
+            if target[slot] == v and slot not in images:
+                yield from extend(images + (slot,))
+    return extend(())
 
 
-def _fundamental_chunk_witness(lam1: Weight, lam2: Weight, mu1: Weight, mu2: Weight,
-                               sigma: Permutation) -> CoverWitness | None:
-    """First-kind test for the oriented pair: the chunk lam1 - mu1 moving
-    from part 1 to part 2 is rho * omega_i for rho = sigma^-1 ("inverse") or
-    sigma ("forward"), positive at i on both sides in the sorted frame.  Its
-    padded epsilon vector takes two values a step apart; i counts the raised
-    slots, and each reading raises a known slot set."""
+def _chunk_shape(lam1: Weight, lam2: Weight, mu1: Weight):
+    """The sigma-free part of the first-kind test for one orientation:
+    (chunk, keep, raised) for the chunk lam1 - mu1 that part 1 hands to
+    part 2 and the rest mu1 - lam2 it keeps, or None when the chunk's
+    padded epsilon vector does not take two values a step apart.  raised
+    holds the slots with the larger value."""
     chunk = lam1 - mu1
     padded = chunk.eps_padded()
     top = max(padded)
     if set(padded) != {top, top - 1}:
         return None
-    raised = {p for p, b in enumerate(padded) if b == top}
+    return chunk, mu1 - lam2, {p for p, b in enumerate(padded) if b == top}
+
+
+def _fundamental_chunk_witness(chunk: Weight, keep: Weight, raised: set[int],
+                               mu1: Weight, mu2: Weight,
+                               sigma: Permutation) -> CoverWitness | None:
+    """First-kind test for the oriented pair: the chunk lam1 - mu1 moving
+    from part 1 to part 2 is rho * omega_i for rho = sigma^-1 ("inverse") or
+    sigma ("forward"), positive at i on both sides in the sorted frame.
+    i counts the raised slots (see _chunk_shape), and each reading raises
+    a known slot set."""
     i = len(raised)
-    drop, keep = act(sigma, chunk), act(sigma, mu1 - lam2)
-    if drop.omega[i - 1] <= 0 or keep.omega[i - 1] <= 0:
+    if act(sigma, chunk).omega[i - 1] <= 0 or act(sigma, keep).omega[i - 1] <= 0:
         return None
     for reading, slots in (("inverse", {p for p in range(sigma.degree) if sigma(p) < i}),
                            ("forward", {sigma(t) for t in range(i)})):
@@ -365,13 +411,14 @@ def classify_cover(low: WeightTuple, high: WeightTuple) -> tuple[CoverKind, Cove
                     (high.parts[1], high.parts[0])]
     if high.parts[0] == high.parts[1]:
         orientations = orientations[:1]
-    coset = _sorting_coset(padded)
-    for sigma in coset:
-        for mu1, mu2 in orientations:
-            w = _fundamental_chunk_witness(lam1, lam2, mu1, mu2, sigma)
+    chunks = [(*shape, mu1, mu2) for mu1, mu2 in orientations
+              if (shape := _chunk_shape(lam1, lam2, mu1)) is not None]
+    for sigma in _sorting_coset(padded):
+        for chunk in chunks:
+            w = _fundamental_chunk_witness(*chunk, sigma)
             if w is not None:
                 return CoverKind.TYPE_I, w
-    for sigma in coset:
+    for sigma in _sorting_coset(padded):
         for mu1, mu2 in orientations:
             w = _coordinate_mix_witness(lam1, lam2, mu1, mu2, sigma)
             if w is not None:

@@ -4,14 +4,38 @@
 weights.  This fixture keeps the search those formulas stand for: the
 first kind tries every fundamental index i with both readings, the
 second kind walks all 2^n coordinate mixes in product order.  It shares
-the sorter coset and the witness type with the package, so the two
-routes must agree on every field.
+the witness type with the package, so the two routes must agree on every
+field.  The sorter coset is built here the eager way too: every
+stabilizer arrangement composed with the stable sorting permutation, then
+sorted by images, where the package walks the sorters lazily.
 """
 
 import itertools
 
-from weyl_order import CoverKind, CoverWitness, Weight, WeightTuple, act, canonical_form
-from weyl_order.posets import _sorting_coset
+from weyl_order import (CoverKind, CoverWitness, Permutation, Weight, WeightTuple,
+                        act, canonical_form, sorting_permutation)
+
+
+def sorting_coset_by_stabilizer(values):
+    """All permutations arranging values weakly decreasing, identity-first."""
+    sigma = sorting_permutation(values)
+    sorted_vals = sigma.permute(list(values))
+    blocks = []
+    t = 0
+    while t < len(sorted_vals):
+        u = t
+        while u < len(sorted_vals) and sorted_vals[u] == sorted_vals[t]:
+            u += 1
+        blocks.append(list(range(t, u)))
+        t = u
+    coset = set()
+    for arrangement in itertools.product(*(itertools.permutations(b) for b in blocks)):
+        stab_images = [0] * len(values)
+        for block, arr in zip(blocks, arrangement):
+            for src, dst in zip(block, arr):
+                stab_images[src] = dst
+        coset.add(Permutation(tuple(stab_images)).compose(sigma))
+    return sorted(coset, key=lambda p: p.images)
 
 
 def _fundamental_chunk_witness(lam1, lam2, mu1, mu2, sigma):
@@ -50,7 +74,7 @@ def classify_cover_by_search(low: WeightTuple, high: WeightTuple):
                     (high.parts[1], high.parts[0])]
     if high.parts[0] == high.parts[1]:
         orientations = orientations[:1]
-    coset = _sorting_coset(padded)
+    coset = sorting_coset_by_stabilizer(padded)
     for sigma in coset:
         for mu1, mu2 in orientations:
             w = _fundamental_chunk_witness(lam1, lam2, mu1, mu2, sigma)

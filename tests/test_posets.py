@@ -22,9 +22,10 @@ from weyl_order import (
     minimal_element,
     poset_size_k2,
 )
-from weyl_order.posets import _tuple_sort_key, compositions
+from weyl_order.posets import _sorting_coset, _tuple_sort_key, compositions
 
-from cover_oracle import classify_cover_by_search
+from cover_oracle import classify_cover_by_search, sorting_coset_by_stabilizer
+from order_oracle import hasse_edges_pairwise, strict_masks_pairwise
 
 
 def T(*rows):
@@ -139,9 +140,10 @@ class TestBuildPoset:
 
     def test_classes_are_compare_equivalent(self):
         poset = build_poset(Weight((2, 2)), 3)
-        for cls in poset.classes:
+        for c, cls in enumerate(poset.classes):
             for m in cls.members:
                 assert compare(m, cls.rep) is OrderVerdict.EQUIV
+                assert poset.class_of(m) == c
         for a, b in itertools.combinations(range(len(poset.classes)), 2):
             assert compare(poset.classes[a].rep, poset.classes[b].rep) \
                 is not OrderVerdict.EQUIV
@@ -311,6 +313,15 @@ class TestCoverClassification:
         assert self.fields(classify_cover(low, high)) == \
             self.fields(classify_cover_by_search(low, high))
 
+    def test_lazy_sorters_match_stabilizer_coset(self):
+        # every vector of length <= 5 over {0, 1, 2}, then the all-tie
+        # vector of length 7 (7! sorters, the rank-6 zero difference)
+        vectors = [v for n in range(1, 6)
+                   for v in itertools.product(range(3), repeat=n)]
+        for values in vectors + [(0,) * 7]:
+            assert list(_sorting_coset(values)) == \
+                sorting_coset_by_stabilizer(values), values
+
     def test_k3_falls_through(self):
         poset = build_poset(Weight((1, 1)), 3)
         kinds = {e.kind for c in range(len(poset.classes))
@@ -360,6 +371,21 @@ class TestSharedOrder:
             want = [(a, b) for a in range(m) for b in range(m)
                     if poset.verdict(a, b) is OrderVerdict.LESS]
             assert list(poset.strict_pairs()) == want
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_rank_masks_match_pairwise_route(self, data):
+        rank = data.draw(st.integers(1, 3))
+        lam = Weight(data.draw(st.tuples(*[st.integers(0, 3)] * rank)))
+        poset = build_poset(lam, data.draw(st.sampled_from((2, 3, 4))))
+        below, above = poset._strict_masks
+        assert (below, above) == strict_masks_pairwise(poset)
+        assert poset.hasse_edges == hasse_edges_pairwise(poset)
+        # index order is a linear extension, which the cover walk relies on
+        for c, mask in enumerate(below):
+            assert mask < 1 << c
+        for c, mask in enumerate(above):
+            assert mask & ((1 << (c + 1)) - 1) == 0
 
     def test_each_cover_is_classified_once(self, monkeypatch):
         import weyl_order.posets as posets
