@@ -19,7 +19,8 @@ from collections import Counter
 from pathlib import Path
 
 from weyl_order import Weight, build_poset
-from weyl_order.cli import SweepConfig, run_sweep
+from weyl_order.cli import (SweepConfig, at_least_two, family_list,
+                            positive_int, run_sweep)
 
 
 def cover_histogram(max_coord: int) -> dict:
@@ -39,13 +40,13 @@ def cover_histogram(max_coord: int) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--families", default="A,C,B,D")
-    ap.add_argument("--max-coord", type=int, default=3)
-    ap.add_argument("--max-k", type=int, default=3)
-    ap.add_argument("--jobs", type=int, default=1)
+    ap.add_argument("--families", type=family_list, default="A,C,B,D")
+    ap.add_argument("--max-coord", type=positive_int, default=3)
+    ap.add_argument("--max-k", type=at_least_two, default=3)
+    ap.add_argument("--jobs", type=positive_int, default=1)
     ap.add_argument("--out-dir", type=Path, default=Path("sweep_out"))
     args = ap.parse_args(argv)
-    cfg = SweepConfig(families=tuple(args.families.split(",")),
+    cfg = SweepConfig(families=args.families,
                       max_coord=args.max_coord, max_k=args.max_k)
 
     t0 = time.perf_counter()

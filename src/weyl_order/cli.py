@@ -54,6 +54,21 @@ def positive_int(text: str) -> int:
     return value
 
 
+def at_least_two(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise ValueError(f"{value} is below 2")
+    return value
+
+
+def family_list(text: str) -> tuple[str, ...]:
+    families = tuple(text.split(","))
+    for fam in families:
+        if fam not in FAMILIES:
+            raise argparse.ArgumentTypeError(f"unknown family {fam!r}")
+    return families
+
+
 def _guard_from(args) -> int:
     if args.guard is not None:
         return args.guard
@@ -202,13 +217,9 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
-    cfg = SweepConfig(families=tuple(args.families.split(",")),
+    cfg = SweepConfig(families=args.families,
                       max_coord=args.max_coord, max_k=args.max_k,
                       guard=_guard_from(args), corrupt=args.selftest_corrupt)
-    for fam in cfg.families:
-        if fam not in FAMILIES:
-            print(f"unknown family {fam!r}", file=sys.stderr)
-            return 2
     results = run_sweep(cfg, args.jobs)
 
     violations = [v for r in results for v in r["violations"]]
@@ -348,9 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_size)
 
     p = sub.add_parser("verify", help="run the default desk sweep")
-    p.add_argument("--families", default="A,C,B,D")
-    p.add_argument("--max-coord", type=int, default=3)
-    p.add_argument("--max-k", type=int, default=3)
+    p.add_argument("--families", type=family_list, default="A,C,B,D")
+    p.add_argument("--max-coord", type=positive_int, default=3)
+    p.add_argument("--max-k", type=at_least_two, default=3)
     p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--out-dir", default=".")
     p.add_argument("--guard", type=positive_int, default=None)

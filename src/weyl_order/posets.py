@@ -164,15 +164,6 @@ class TuplePoset:
         above = [mask ^ (1 << c) for c, mask in enumerate(ge)]
         return below, above
 
-    def strict_pairs(self):
-        """Each (a, b) with class a below class b, in (a, b) order; a < b."""
-        _, above = self._strict_masks
-        for a, mask in enumerate(above):
-            while mask:
-                low = mask & -mask
-                yield a, low.bit_length() - 1
-                mask ^= low
-
     @cached_property
     def hasse_edges(self) -> tuple[tuple[int, int], ...]:
         """(low, high) pairs with nothing strictly between, in (a, b) order.
@@ -209,9 +200,19 @@ class TuplePoset:
                      for a, b in self.hasse_edges)
 
     def transitive_ok(self) -> bool:
-        """Strict order must be transitive: above-sets closed under going up."""
+        """The up-closure of the Hasse edges must equal the strict order.
+
+        Built in decreasing order of a, up[a] holds the classes reached
+        from a along covers (an edge with b <= a never matches above[a],
+        whose bits are > a).  Reachability is transitive, so equality
+        proves the order transitive and checks the cover walk against the
+        masks, at one mask step per cover.
+        """
         _, above = self._strict_masks
-        return all(above[b] & ~above[a] == 0 for a, b in self.strict_pairs())
+        up = [0] * len(above)
+        for a, b in sorted(self.hasse_edges, reverse=True):
+            up[a] |= 1 << b | up[b]
+        return up == above
 
     @cached_property
     def bottom_index(self) -> int:

@@ -88,6 +88,12 @@ class RootSystem:
     def coroot_by_coeffs(self, coeffs: tuple[int, ...]) -> Coroot | None:
         return self._coroot_index.get(tuple(coeffs))
 
+    @cached_property
+    def part_dims(self) -> dict[tuple[int, ...], int]:
+        """Dimension of each embedded base weight met so far, keyed by its
+        omega tuple; dimensions.tensor_dim fills it with weyl_dim values."""
+        return {}
+
     def __str__(self) -> str:
         return self.name
 

@@ -101,13 +101,6 @@ class WeightTuple:
             raise ValueError(f"window ({i},{j}) out of range for rank {self.rank}")
         return tuple(p.window(i, j) for p in self.parts)
 
-    def r_stat(self, i: int, j: int, ell: int) -> int:
-        """Smallest sum over ell parts of the (i, j) window value."""
-        if not (1 <= ell <= self.k):
-            raise ValueError(f"ell={ell} out of range for k={self.k}")
-        vals = sorted(self.window_values(i, j))
-        return sum(vals[:ell])
-
     @cached_property
     def stat_vector(self) -> tuple[int, ...]:
         out = []

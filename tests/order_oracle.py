@@ -4,7 +4,8 @@
 rank masks and ``TuplePoset.hasse_edges`` finds the covers by a walk over
 them.  This fixture keeps the quadratic route those stand for: one
 ``verdict`` per unordered pair of classes, then every strict pair tested
-for a class strictly between.
+for a class strictly between.  ``strict_pairs`` walks every strict pair
+of the masks, the route the sweep checks took before they walked covers.
 """
 
 from weyl_order import OrderVerdict
@@ -37,3 +38,13 @@ def hasse_edges_pairwise(poset):
             pairs.append((a, low.bit_length() - 1))
             mask ^= low
     return tuple((a, b) for a, b in pairs if above[a] & below[b] == 0)
+
+
+def strict_pairs(poset):
+    """Each (a, b) with class a below class b, in (a, b) order; a < b."""
+    _, above = poset._strict_masks
+    for a, mask in enumerate(above):
+        while mask:
+            low = mask & -mask
+            yield a, low.bit_length() - 1
+            mask ^= low

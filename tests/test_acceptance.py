@@ -14,6 +14,7 @@ from contextlib import contextmanager
 import pytest
 
 from freudenthal_oracle import freudenthal_dim
+from stat_reader import r_stat
 from weyl_order import (
     CoverKind,
     OrderVerdict,
@@ -280,7 +281,7 @@ def test_criterion_9_window_projection(criterion_log):
                     for i, j in wins:
                         p = pi_project(x, i, j)
                         for ell in range(1, k + 1):
-                            assert p.r_stat(1, 1, ell) == x.r_stat(i, j, ell)
+                            assert r_stat(p, 1, 1, ell) == r_stat(x, i, j, ell)
                 for x, y in itertools.combinations(ts, 2):
                     full = compare(x, y) in AT_MOST
                     projected = all(

@@ -1,9 +1,13 @@
+import hashlib
+import importlib.util
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from weyl_order import cli
+import weyl_order.dimensions as dimensions
+from weyl_order import Weight, build_poset, cli, root_system
 from weyl_order.cli import SweepConfig, sweep_items
 
 
@@ -88,6 +92,39 @@ class TestVerify:
                            "--out-dir", str(tmp_path))
         assert code == 1
         assert "VIOLATION" in out
+
+    def test_report_bytes_are_pinned(self, tmp_path, capsys):
+        code, *_ = run(capsys, "verify", "--out-dir", str(tmp_path))
+        assert code == 0
+        digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                  for name in ("verify_report.json", "verify_report.csv")}
+        assert digest == {
+            "verify_report.json":
+                "ef207966d937bc9e92f21d4d5f6c805975f6d776724a486f28b813e5f6930ba3",
+            "verify_report.csv":
+                "9760790c991ba3dd298e8cfb3708c93bb2be06c60ac2089aca1754d5513f3716",
+        }
+
+    def test_extremes_row_reports_a_cover_walk_off_the_order(self):
+        poset = build_poset(Weight((2, 2)), 3)
+        item = ("extremes", "A", 2, (2, 2), 3, 10**6, False)
+        assert cli.run_sweep_item(item, lambda: poset)["violations"] == []
+        poset.__dict__["hasse_edges"] = poset.hasse_edges[1:]
+        row = cli.run_sweep_item(item, lambda: poset)
+        assert row["violations"] == ["strict order is not transitive"]
+
+    def test_each_part_dimension_is_computed_once(self, monkeypatch):
+        root_system.cache_clear()  # start from empty per-system tables
+        calls = Counter()
+        real = dimensions.weyl_dim
+
+        def counting(w):
+            calls[(w.system.name, w.coords)] += 1
+            return real(w)
+        monkeypatch.setattr(dimensions, "weyl_dim", counting)
+        rows = cli.run_sweep(SweepConfig(max_coord=2, max_k=3))
+        assert all(r["ok"] for r in rows)
+        assert calls and set(calls.values()) == {1}
 
     def test_unknown_family(self, tmp_path, capsys):
         code, _, err = run(capsys, "verify", "--families", "Q",
@@ -180,6 +217,11 @@ class TestFailureModes:
         (("size", "--lambda", "2,1", "--k", "0"), "--k"),
         (("verify", "--jobs", "-4"), "--jobs"),
         (("verify", "--jobs", "0"), "--jobs"),
+        (("verify", "--max-coord", "-1"), "--max-coord"),
+        (("verify", "--max-coord", "0"), "--max-coord"),
+        (("verify", "--max-k", "0"), "--max-k"),
+        (("verify", "--max-k", "1"), "--max-k"),
+        (("verify", "--max-coord", "-1", "--max-k", "0"), "--max-coord"),
     ])
     def test_bad_count_flag(self, tmp_path, capsys, monkeypatch, argv, flag):
         monkeypatch.chdir(tmp_path)  # a call that slipped through writes here
@@ -211,3 +253,27 @@ class TestFailureModes:
     def test_argparse_error_becomes_exit_2(self, capsys):
         assert cli.main(["poset"]) == 2  # --lambda is required
         capsys.readouterr()
+
+
+class TestDeskSweepScript:
+    @staticmethod
+    def script():
+        path = Path(__file__).resolve().parents[1] / "scripts" / "run_desk_sweep.py"
+        spec = importlib.util.spec_from_file_location("run_desk_sweep", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    @pytest.mark.parametrize("argv,needle", [
+        (("--jobs", "0"), "--jobs"),
+        (("--jobs", "-2"), "--jobs"),
+        (("--max-coord", "0"), "--max-coord"),
+        (("--max-k", "1"), "--max-k"),
+        (("--families", "A,Q"), "unknown family"),
+    ])
+    def test_bad_arguments_exit_2(self, tmp_path, capsys, argv, needle):
+        with pytest.raises(SystemExit) as exc:
+            self.script().main(list(argv) + ["--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert needle in capsys.readouterr().err
+        assert not (tmp_path / "desk_sweep.json").exists()

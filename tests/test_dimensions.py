@@ -4,11 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import weyl_order.dimensions as dimensions
 from weyl_order import (
     OrderVerdict,
     RebalanceVerdict,
+    RootSystem,
     Weight,
     WeightTuple,
+    base_rank,
     bracket,
     build_poset,
     four_factor_rebalance,
@@ -24,6 +27,8 @@ from weyl_order import (
     verify_monotone_k2,
     weyl_dim,
 )
+
+from order_oracle import strict_pairs
 
 
 def T(*rows):
@@ -91,6 +96,35 @@ class TestTensorDim:
 
     def test_square(self):
         assert tensor_dim(root_system("C2"), T((0, 1), (0, 1))) == 25
+
+    @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 3), ("C", 2),
+                                             ("D", 4), ("C", 3), ("B", 2)])
+    def test_table_matches_uncached_weyl_dim(self, family, rank):
+        # a fresh system starts with an empty part table; the second pass
+        # reads every part from it
+        shared = root_system(family, rank)
+        rs = RootSystem(shared.family, shared.rank, shared.coroots)
+        assert rs.part_dims == {}
+        base = base_rank(rs)
+        for coords in [(2,) * base, tuple(range(base, 0, -1)),
+                       (1,) + (0,) * (base - 1)]:
+            for k in (2, 3):
+                poset = build_poset(Weight(coords), k)
+                for _ in range(2):
+                    for cls in poset.classes:
+                        want = 1
+                        for p in cls.rep.parts:
+                            want *= weyl_dim(iota(p, rs))
+                        assert tensor_dim(rs, cls.rep) == want
+        assert rs.part_dims
+        for omega, d in rs.part_dims.items():
+            assert d == weyl_dim(iota(Weight(omega), rs))
+
+    def test_table_keeps_the_rank_check(self):
+        rs = root_system("A2")
+        tensor_dim(rs, T((1, 0), (0, 1)))
+        with pytest.raises(ValueError):
+            tensor_dim(rs, T((1,), (0,)))
 
 
 class TestBracket:
@@ -267,9 +301,12 @@ class TestRebalanceGain:
 
 class TestVerifiers:
     def test_monotone_on_running_fiber(self):
-        report = verify_monotone_k2(build_poset(Weight((2, 1)), 2), root_system("C2"))
+        poset = build_poset(Weight((2, 1)), 2)
+        report = verify_monotone_k2(poset, root_system("C2"))
         assert report.ok
         assert report.details and not report.violations
+        # one detail row per cover: 2 of the chain's 3 strict pairs
+        assert len(report.details) == len(poset.hasse_edges) == 2
 
     def test_coroot_inequalities(self):
         report = verify_coroot_inequalities_k2(build_poset(Weight((2, 1)), 2),
@@ -298,3 +335,65 @@ class TestVerifiers:
         rows = report.to_csv_rows()
         assert rows[0][0] == "check"
         assert len(rows) == 1 + len(report.details)
+
+
+def monotone_failures(poset, rs):
+    """(cover route, strict-pair route): the pairs whose dimensions do not
+    rise, the first as verify_monotone_k2 reports them, the second from
+    every strict pair of the order oracle."""
+    report = verify_monotone_k2(poset, rs)
+    by_covers = [v for v in report.violations if v["kind"] == "monotone"]
+    dims = [dimensions.tensor_dim(rs, cls.rep) for cls in poset.classes]
+    by_pairs = [(a, b) for a, b in strict_pairs(poset)
+                if not dims[a] < dims[b]]
+    return by_covers, by_pairs
+
+
+def bumped_tensor_dim(poset, c, value):
+    """tensor_dim with every tuple of class c sent to value."""
+    real = dimensions.tensor_dim
+    target = poset.classes[c].stat_vector
+
+    def bumped(rs, x):
+        return value if x.stat_vector == target else real(rs, x)
+    return bumped
+
+
+class TestMonotoneAlongCovers:
+    SYSTEMS = {1: ("A1", "C1", "B2", "D3"), 2: ("A2", "C2", "B3", "D4"),
+               3: ("A3", "C3", "B4", "D5")}
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_covers_agree_with_strict_pairs(self, data):
+        rank = data.draw(st.integers(1, 3))
+        lam = Weight(data.draw(st.tuples(*[st.integers(0, 3)] * rank)))
+        rs = root_system(data.draw(st.sampled_from(self.SYSTEMS[rank])))
+        poset = build_poset(lam, 2)
+        with pytest.MonkeyPatch.context() as mp:
+            if data.draw(st.booleans()):
+                # one class moved to a random dimension: the order may or
+                # may not survive, and both routes must say the same
+                c = data.draw(st.integers(0, len(poset) - 1))
+                value = data.draw(st.integers(0, 2 * tensor_dim(
+                    rs, poset.classes[poset.top_index].rep)))
+                mp.setattr(dimensions, "tensor_dim",
+                           bumped_tensor_dim(poset, c, value))
+            by_covers, by_pairs = monotone_failures(poset, rs)
+        assert bool(by_covers) == bool(by_pairs)
+
+    def test_both_routes_catch_a_non_monotone_dimension(self, monkeypatch):
+        poset = build_poset(Weight((2, 2)), 2)
+        rs = root_system("C2")
+        assert monotone_failures(poset, rs) == ([], [])
+        # the bottom class jumps above the top: every pair out of it fails
+        top = tensor_dim(rs, poset.classes[poset.top_index].rep)
+        monkeypatch.setattr(dimensions, "tensor_dim",
+                            bumped_tensor_dim(poset, poset.bottom_index, top + 1))
+        by_covers, by_pairs = monotone_failures(poset, rs)
+        bottom = poset.bottom_index
+        assert by_pairs == [(bottom, b) for b in range(len(poset))
+                            if b != bottom]
+        covers = [b for a, b in poset.hasse_edges if a == bottom]
+        assert len(by_covers) == len(covers) > 0
+        assert not verify_monotone_k2(poset, rs).ok

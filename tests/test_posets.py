@@ -25,7 +25,8 @@ from weyl_order import (
 from weyl_order.posets import _sorting_coset, _tuple_sort_key, compositions
 
 from cover_oracle import classify_cover_by_search, sorting_coset_by_stabilizer
-from order_oracle import hasse_edges_pairwise, strict_masks_pairwise
+from order_oracle import (hasse_edges_pairwise, strict_masks_pairwise,
+                          strict_pairs)
 
 
 def T(*rows):
@@ -293,7 +294,7 @@ class TestCoverClassification:
         for coords in [(1, 1, 1, 1), (2, 1, 0, 1), (1, 1, 1, 1, 1),
                        (2, 0, 2, 0, 1), (1, 1, 1, 1, 1, 1), (2, 2, 2, 2)]:
             poset = build_poset(Weight(coords), 2)
-            for a, b in poset.strict_pairs():
+            for a, b in strict_pairs(poset):
                 low, high = poset.classes[a].rep, poset.classes[b].rep
                 assert self.fields(classify_cover(low, high)) == \
                     self.fields(classify_cover_by_search(low, high))
@@ -370,7 +371,7 @@ class TestSharedOrder:
             m = len(poset)
             want = [(a, b) for a in range(m) for b in range(m)
                     if poset.verdict(a, b) is OrderVerdict.LESS]
-            assert list(poset.strict_pairs()) == want
+            assert list(strict_pairs(poset)) == want
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
@@ -386,6 +387,25 @@ class TestSharedOrder:
             assert mask < 1 << c
         for c, mask in enumerate(above):
             assert mask & ((1 << (c + 1)) - 1) == 0
+
+    def test_transitive_ok_checks_the_covers_against_the_masks(self):
+        for coords, k in [((2, 1), 2), ((2, 2), 3), ((1, 1, 1), 2)]:
+            poset = build_poset(Weight(coords), k)
+            edges = poset.hasse_edges
+            assert poset.transitive_ok()
+            for drop in range(len(edges)):
+                poset.__dict__["hasse_edges"] = edges[:drop] + edges[drop + 1:]
+                assert not poset.transitive_ok(), (coords, k, edges[drop])
+            # an edge to a class below a, or incomparable with it, appended
+            # out of order
+            _, above = poset._strict_masks
+            m = len(poset)
+            strays = [(a, b) for a in range(m) for b in range(m)
+                      if a != b and not above[a] >> b & 1]
+            assert strays
+            for edge in strays:
+                poset.__dict__["hasse_edges"] = edges + (edge,)
+                assert not poset.transitive_ok(), (coords, k, edge)
 
     def test_each_cover_is_classified_once(self, monkeypatch):
         import weyl_order.posets as posets
