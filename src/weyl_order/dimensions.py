@@ -23,6 +23,7 @@ from .posets import TuplePoset, maximal_element
 from .roots import (Coroot, EmbeddedWeight, RootSystem, iota, pairing,
                     rho_value)
 from .tuples import WeightTuple
+from .weights import Weight
 
 
 def bracket(w: EmbeddedWeight, h: Coroot) -> int:
@@ -233,13 +234,15 @@ def verify_monotone_k2(poset: TuplePoset, rs: RootSystem) -> DimensionReport:
 
     Checked on cover edges, one detail row each; every strict pair is a
     chain of covers, so that is enough.  Also confirms every member of a
-    class shares the representative's dimension product (the parts only
-    get reordered within a class).
+    class shares the representative's dimension product, checking one
+    sorted tuple per part multiset: reordering parts never changes a
+    product of part dimensions.
     """
     report = DimensionReport("monotone_k2", rs.name, poset.lam.omega, poset.k)
     dims = [tensor_dim(rs, cls.rep) for cls in poset.classes]
     for c, cls in enumerate(poset.classes):
-        for member in cls.members:
+        for ms in cls.multisets:
+            member = WeightTuple(tuple(Weight(p) for p in ms))
             if tensor_dim(rs, member) != dims[c]:
                 report.violations.append(
                     {"item": f"class {c} member {member}", "kind": "class_dim"})

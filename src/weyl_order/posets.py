@@ -1,9 +1,15 @@
 """Posets of weight tuples with a fixed part-sum.
 
-``enumerate_tuples`` walks every k-tuple of dominant weights summing to a
-given dominant weight; ``build_poset`` groups them into equivalence
-classes by stat vector and equips the quotient with the coordinatewise
-order from :mod:`weyl_order.tuples`.
+``enumerate_tuples`` walks every ordered k-tuple of dominant weights
+summing to a given dominant weight; it is the reference route.
+``build_poset`` never orders the parts: a stat vector does not depend on
+their order, so it walks the multisets of parts as plain omega integer
+tuples, reads each multiset's window values off omega prefix sums, and
+groups the multisets into equivalence classes by stat vector.  A class's
+size is the sum of the multinomials k! / prod(mult!) of its multisets,
+its representative is the only ``WeightTuple`` built, and its ordered
+members are expanded only when asked for.  The quotient carries the
+coordinatewise order from :mod:`weyl_order.tuples`.
 
 The quotient always has a unique bottom class, the one containing
 (lam, 0, ..., 0), and a unique top class whose representative spreads
@@ -20,10 +26,12 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
-from .tuples import OrderVerdict, WeightTuple, _verdict_from_vectors, canonical_form
+from .tuples import (OrderVerdict, WeightTuple, _verdict_from_vectors, canonical_form,
+                     windows)
 from .weights import Permutation, Weight, act
 
 
@@ -62,13 +70,19 @@ def compositions(total: int, k: int):
             yield (head,) + rest
 
 
-def enumerate_tuples(lam: Weight, k: int, guard: int = DEFAULT_GUARD):
-    """Yield every WeightTuple in the fiber over lam, guard-checked first."""
+def _check_fiber(lam: Weight, k: int, guard: int) -> None:
+    """Reject a non-dominant lam, a k below 1, or a fiber whose ordered
+    tuple count exceeds guard, before any work on it starts."""
     if not lam.is_dominant:
         raise ValueError(f"{lam} is not dominant")
     estimate = count_tuples(lam, k)
     if estimate > guard:
         raise GuardExceeded(estimate, guard)
+
+
+def enumerate_tuples(lam: Weight, k: int, guard: int = DEFAULT_GUARD):
+    """Yield every WeightTuple in the fiber over lam, guard-checked first."""
+    _check_fiber(lam, k, guard)
     per_coord = [list(compositions(m, k)) for m in lam.omega]
     for rows in itertools.product(*per_coord):
         parts = tuple(Weight(tuple(rows[i][p] for i in range(lam.rank)))
@@ -100,15 +114,32 @@ def maximal_element(lam: Weight, k: int) -> WeightTuple:
     return WeightTuple(tuple(parts))
 
 
+Multiset = tuple[tuple[int, ...], ...]
+
+
 @dataclass(frozen=True)
 class EquivClass:
+    """One class of the fiber: the tuples sharing stat_vector.
+
+    multisets lists the class's part multisets, each a tuple of omega
+    tuples weakly decreasing in epsilon-lex order, the multisets in
+    descending ``_tuple_sort_key`` order; rep is the first one, the
+    largest member.  size counts ordered tuples, the sum over the
+    multisets of k! / prod(mult!).
+    """
+
     rep: WeightTuple
     stat_vector: tuple[int, ...]
-    members: tuple[WeightTuple, ...]
+    size: int
+    multisets: tuple[Multiset, ...]
 
-    @property
-    def size(self) -> int:
-        return len(self.members)
+    @cached_property
+    def members(self) -> tuple[WeightTuple, ...]:
+        """Every ordered tuple of the class, in ``_tuple_sort_key`` order."""
+        orderings = {order for ms in self.multisets
+                     for order in itertools.permutations(ms)}
+        return tuple(sorted((WeightTuple(tuple(Weight(p) for p in order))
+                             for order in orderings), key=_tuple_sort_key))
 
 
 def _tuple_sort_key(x: WeightTuple):
@@ -267,16 +298,66 @@ class TuplePoset:
         return "\n".join(lines) + "\n"
 
 
+def _part_multisets(lam: tuple[int, ...], k: int):
+    """Yield each multiset of k dominant parts summing to lam, once.
+
+    A multiset is a tuple of omega tuples weakly decreasing in epsilon-lex
+    order, and they come in descending ``_tuple_sort_key`` order.  The
+    parts are the dominant omega tuples <= lam coordinatewise, listed by
+    descending epsilon-lex key; each part sits no earlier in that list
+    than the one before it, a branch whose remainder goes negative is
+    cut, and the last part is the remainder itself.
+    """
+    parts = sorted(itertools.product(*(range(m + 1) for m in lam)),
+                   key=lambda p: Weight(p).eps(), reverse=True)
+    position = {p: i for i, p in enumerate(parts)}
+
+    def walk(start, rest, left, prefix):
+        if left == 1:
+            if position[rest] >= start:
+                yield prefix + (rest,)
+            return
+        for i in range(start, len(parts)):
+            p = parts[i]
+            after = tuple(r - c for r, c in zip(rest, p))
+            if min(after) >= 0:
+                yield from walk(i, after, left - 1, prefix + (p,))
+    return walk(0, tuple(lam), k, ())
+
+
 def build_poset(lam: Weight, k: int, guard: int = DEFAULT_GUARD) -> TuplePoset:
-    by_stats: dict[tuple[int, ...], list[WeightTuple]] = {}
-    for tup in enumerate_tuples(lam, k, guard):
-        by_stats.setdefault(tup.stat_vector, []).append(tup)
+    """Group the fiber over lam into classes, without ordering any parts.
+
+    Each part's window values (omega prefix sums P[j] - P[i-1], windows in
+    ``stat_labels`` order) are computed once; a multiset's stat vector
+    sorts them per window and takes running sums.  The walk runs in
+    descending ``_tuple_sort_key`` order, so the first multiset of each
+    class is its largest member, the representative.  The guard still
+    counts ordered tuples.
+    """
+    _check_fiber(lam, k, guard)
+    spans = windows(lam.rank)
+
+    @cache
+    def window_values(p: tuple[int, ...]) -> tuple[int, ...]:
+        prefix = (0, *itertools.accumulate(p))
+        return tuple(prefix[j] - prefix[i - 1] for i, j in spans)
+
+    by_stats: dict[tuple[int, ...], list[Multiset]] = {}
+    for ms in _part_multisets(lam.omega, k):
+        sv = []
+        for column in zip(*map(window_values, ms)):
+            sv.extend(itertools.accumulate(sorted(column)))
+        by_stats.setdefault(tuple(sv), []).append(ms)
+    k_orderings = math.factorial(k)
     classes = []
     for sv in sorted(by_stats):
-        members = tuple(sorted(by_stats[sv], key=_tuple_sort_key))
-        # a class is closed under reordering parts, so its largest member
-        # is sorted and is the largest canonical form
-        classes.append(EquivClass(rep=members[-1], stat_vector=sv, members=members))
+        multisets = tuple(by_stats[sv])
+        size = sum(k_orderings // math.prod(map(math.factorial, Counter(ms).values()))
+                   for ms in multisets)
+        rep = WeightTuple(tuple(Weight(p) for p in multisets[0]))
+        classes.append(EquivClass(rep=rep, stat_vector=sv, size=size,
+                                  multisets=multisets))
     return TuplePoset(lam=lam, k=k, classes=tuple(classes))
 
 

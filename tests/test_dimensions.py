@@ -397,3 +397,25 @@ class TestMonotoneAlongCovers:
         covers = [b for a, b in poset.hasse_edges if a == bottom]
         assert len(by_covers) == len(covers) > 0
         assert not verify_monotone_k2(poset, rs).ok
+
+    def test_class_dimension_is_checked_once_per_multiset(self, monkeypatch):
+        # (3,3) at k = 3 has a class of two part multisets; a dimension that
+        # differs on the second one's sorted tuple is a class_dim violation
+        poset = build_poset(Weight((3, 3)), 3)
+        rs = root_system("A2")
+        c = next(c for c, cls in enumerate(poset.classes)
+                 if len(cls.multisets) == 2)
+        other = WeightTuple(tuple(Weight(p) for p in poset.classes[c].multisets[1]))
+        real = dimensions.tensor_dim
+        seen = []
+
+        def skewed(rs, x):
+            seen.append(x)
+            return real(rs, x) + (x == other)
+        monkeypatch.setattr(dimensions, "tensor_dim", skewed)
+        report = verify_monotone_k2(poset, rs)
+        assert [v for v in report.violations if v["kind"] == "class_dim"] == \
+            [{"item": f"class {c} member {other}", "kind": "class_dim"}]
+        # one dimension per representative, then one per multiset
+        assert len(seen) == len(poset) + sum(len(cls.multisets)
+                                            for cls in poset.classes)

@@ -25,6 +25,8 @@ from weyl_order import (
 from weyl_order.posets import _sorting_coset, _tuple_sort_key, compositions
 
 from cover_oracle import classify_cover_by_search, sorting_coset_by_stabilizer
+from fiber_oracle import classes_by_enumeration
+from move_oracle import covers_by_moves
 from order_oracle import (hasse_edges_pairwise, strict_masks_pairwise,
                           strict_pairs)
 
@@ -156,10 +158,48 @@ class TestBuildPoset:
                                           key=_tuple_sort_key)
 
     def test_classes_partition_the_fiber(self):
-        lam = Weight((2, 1))
-        poset = build_poset(lam, 3)
-        total = sum(c.size for c in poset.classes)
-        assert total == count_tuples(lam, 3)
+        for coords in [(0,), (0, 0), (3,), (2, 1), (0, 2, 1), (1, 1, 1, 1)]:
+            for k in (1, 2, 3, 4):
+                lam = Weight(coords)
+                poset = build_poset(lam, k)
+                total = sum(c.size for c in poset.classes)
+                assert total == count_tuples(lam, k), (coords, k)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_multiset_route_matches_ordered_tuples(self, data):
+        rank = data.draw(st.integers(1, 3))
+        lam = Weight(data.draw(st.tuples(*[st.integers(0, 3)] * rank)))
+        k = data.draw(st.sampled_from((1, 2, 3, 4)))
+        want = classes_by_enumeration(lam, k)
+        classes = build_poset(lam, k).classes
+        assert [c.stat_vector for c in classes] == [sv for sv, _, _ in want]
+        for cls, (_, rep, members) in zip(classes, want):
+            assert cls.rep == rep
+            assert cls.size == len(members)
+            assert cls.members == members
+
+    def test_build_orders_no_parts(self, monkeypatch):
+        # the walk never calls the ordered-tuple route, and the one
+        # WeightTuple it builds per class is the representative
+        import weyl_order.posets as posets
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_poset enumerated ordered tuples")
+        monkeypatch.setattr(posets, "enumerate_tuples", refuse)
+        monkeypatch.setattr(WeightTuple, "stat_vector",
+                            property(lambda self: refuse()))
+        built = []
+        check = WeightTuple.__post_init__
+
+        def counting(self):
+            built.append(self)
+            check(self)
+        monkeypatch.setattr(WeightTuple, "__post_init__", counting)
+        for coords, k in [((2, 1), 2), ((5, 5), 6), ((2, 2, 2), 3), ((0, 0), 1)]:
+            built.clear()
+            poset = build_poset(Weight(coords), k)
+            assert [id(x) for x in built] == [id(c.rep) for c in poset.classes]
 
 
 class TestSizeFormula:
@@ -195,6 +235,8 @@ class TestOrbitStructure:
         assert multisets == {
             frozenset({(1, 2), (2, 0), (0, 1)}),
             frozenset({(2, 1), (0, 2), (1, 0)})}
+        assert {frozenset(ms) for ms in cls.multisets} == multisets
+        assert cls.rep == T((1, 2), (2, 0), (0, 1))  # the larger sorted member
         assert compare(T((1, 2), (2, 0), (0, 1)),
                        T((2, 1), (0, 2), (1, 0))) is OrderVerdict.EQUIV
 
@@ -328,6 +370,32 @@ class TestCoverClassification:
         kinds = {e.kind for c in range(len(poset.classes))
                  for e in covers_of(poset, c)}
         assert kinds == {CoverKind.UNCLASSIFIED}
+
+
+class TestMoveCovers:
+    """The k = 2 cover theorem: the covers of a class are exactly its
+    minimal move targets above it (tests/move_oracle.py)."""
+
+    def test_minimal_moves_are_the_covers(self):
+        fibers = [c for n in (1, 2) for c in itertools.product(range(4), repeat=n)]
+        fibers += list(itertools.product(range(3), repeat=3))
+        fibers = [c for c in fibers if any(c)] + [(2, 2, 2, 2), (1, 1, 1, 1, 1)]
+        classes = covers = 0
+        for coords in fibers:
+            poset = build_poset(Weight(coords), 2)
+            assert covers_by_moves(poset) == set(poset.hasse_edges), coords
+            classes += len(poset)
+            covers += len(poset.hasse_edges)
+        assert (len(fibers), classes, covers) == (46, 224, 309)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_minimal_moves_on_random_fibers(self, data):
+        rank = data.draw(st.integers(1, 4))
+        lam = Weight(data.draw(st.tuples(*[st.integers(0, 3 if rank < 3 else 2)]
+                                          * rank)))
+        poset = build_poset(lam, 2)
+        assert covers_by_moves(poset) == set(poset.hasse_edges)
 
 
 class TestConcatenation:
