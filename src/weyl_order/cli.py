@@ -279,10 +279,11 @@ def cmd_max(args) -> int:
 def cmd_covers(args) -> int:
     lam = parse_weight(args.lam)
     poset = build_poset(lam, args.k, _guard_from(args))
+    labels = [str(cls.rep) for cls in poset.classes]
     records = []
     for edge in poset.cover_edges:
-        rec = {"low": str(poset.classes[edge.low].rep),
-               "high": str(poset.classes[edge.high].rep),
+        rec = {"low": labels[edge.low],
+               "high": labels[edge.high],
                "kind": edge.kind.value,
                "witness": edge.witness.describe() if edge.witness else None}
         records.append(rec)

@@ -18,7 +18,10 @@ edges of the k = 2 quotient carry a classification: a first kind where
 one part surrenders a whole (permuted) fundamental-weight chunk to the
 other, a second kind where the two new parts mix the old parts'
 coordinates after a sorting change of frame, and an explicit
-``UNCLASSIFIED`` fallback for anything else.
+``UNCLASSIFIED`` fallback for anything else.  ``classify_cover`` works on
+padded epsilon integer tuples and walks the sorters lazily as image
+tuples; only the witness it returns is built as objects.  Off k = 2 the
+exporters read the Hasse edges directly, all unclassified.
 """
 
 from __future__ import annotations
@@ -30,9 +33,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 
-from .tuples import (OrderVerdict, WeightTuple, _verdict_from_vectors, canonical_form,
-                     windows)
-from .weights import Permutation, Weight, act
+from .tuples import OrderVerdict, WeightTuple, _verdict_from_vectors, windows
+from .weights import Permutation, Weight
 
 
 class GuardExceeded(RuntimeError):
@@ -271,6 +273,13 @@ class TuplePoset:
         except KeyError:
             raise ValueError(f"{x} does not belong to this poset") from None
 
+    def _edge_kinds(self):
+        """(low, high, kind) per Hasse edge for the exporters; off k = 2
+        every kind is UNCLASSIFIED, so no CoverEdge is built for it."""
+        if self.k != 2:
+            return ((a, b, CoverKind.UNCLASSIFIED) for a, b in self.hasse_edges)
+        return ((e.low, e.high, e.kind) for e in self.cover_edges)
+
     def to_json(self) -> dict:
         return {
             "lambda": list(self.lam.omega),
@@ -282,7 +291,7 @@ class TuplePoset:
                  "stats": list(cls.stat_vector)}
                 for cls in self.classes
             ],
-            "hasse": [[e.low, e.high, e.kind.value] for e in self.cover_edges],
+            "hasse": [[a, b, kind.value] for a, b, kind in self._edge_kinds()],
         }
 
     def to_dot(self) -> str:
@@ -292,8 +301,8 @@ class TuplePoset:
         lines = ["digraph tuple_poset {", "  rankdir=BT;"]
         for c, cls in enumerate(self.classes):
             lines.append(f'  n{c} [label="{cls.rep}"];')
-        for e in self.cover_edges:
-            lines.append(f"  n{e.low} -> n{e.high} [style={styles[e.kind]}];")
+        for a, b, kind in self._edge_kinds():
+            lines.append(f"  n{a} -> n{b} [style={styles[kind]}];")
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -407,104 +416,112 @@ class CoverEdge:
 
 
 def _sorting_coset(values: tuple[int, ...]):
-    """Every permutation arranging values weakly decreasing, lazily, in
-    image-lex order (identity first when values are already sorted).
+    """Every permutation arranging values weakly decreasing, as image
+    tuples, lazily, in image-lex order (identity first when values are
+    already sorted).
 
     A sorter sends each slot to a slot holding the same value in the
-    sorted vector; ties admit several, a coset of the stabilizer.  Slot
-    by slot, the free target slots are tried in increasing order, so the
-    sorters come out in image-lex order and runs replay deterministically.
-    Callers usually stop at the first sorter, so none is built ahead; each
-    call returns a fresh iterator.
+    sorted vector; ties admit several, a coset of the stabilizer.  Each
+    value keeps its list of target slots, and slot by slot the unused
+    ones are tried in increasing order, so the sorters come out in
+    image-lex order and runs replay deterministically.  Callers usually
+    stop at the first sorter, so none is built ahead; each call returns a
+    fresh iterator.
     """
-    target = sorted(values, reverse=True)
+    targets: dict[int, list[int]] = {}
+    for slot, v in enumerate(sorted(values, reverse=True)):
+        targets.setdefault(v, []).append(slot)
+    choices = [targets[v] for v in values]
     n = len(values)
+    used = [False] * n
+    images = [0] * n
 
-    def extend(images: tuple[int, ...]):
-        if len(images) == n:
-            yield Permutation(images)
+    def extend(p: int):
+        if p == n:
+            yield tuple(images)
             return
-        v = values[len(images)]
-        for slot in range(n):
-            if target[slot] == v and slot not in images:
-                yield from extend(images + (slot,))
-    return extend(())
+        for slot in choices[p]:
+            if not used[slot]:
+                used[slot] = True
+                images[p] = slot
+                yield from extend(p + 1)
+                used[slot] = False
+    return extend(0)
 
 
-def _chunk_shape(lam1: Weight, lam2: Weight, mu1: Weight):
-    """The sigma-free part of the first-kind test for one orientation:
-    (chunk, keep, raised) for the chunk lam1 - mu1 that part 1 hands to
-    part 2 and the rest mu1 - lam2 it keeps, or None when the chunk's
-    padded epsilon vector does not take two values a step apart.  raised
-    holds the slots with the larger value."""
-    chunk = lam1 - mu1
-    padded = chunk.eps_padded()
-    top = max(padded)
-    if set(padded) != {top, top - 1}:
-        return None
-    return chunk, mu1 - lam2, {p for p, b in enumerate(padded) if b == top}
+def _inverse(images: tuple[int, ...]) -> list[int]:
+    q = [0] * len(images)
+    for p, t in enumerate(images):
+        q[t] = p
+    return q
 
 
-def _fundamental_chunk_witness(chunk: Weight, keep: Weight, raised: set[int],
-                               mu1: Weight, mu2: Weight,
-                               sigma: Permutation) -> CoverWitness | None:
-    """First-kind test for the oriented pair: the chunk lam1 - mu1 moving
-    from part 1 to part 2 is rho * omega_i for rho = sigma^-1 ("inverse") or
-    sigma ("forward"), positive at i on both sides in the sorted frame.
-    i counts the raised slots (see _chunk_shape), and each reading raises
-    a known slot set."""
-    i = len(raised)
-    if act(sigma, chunk).omega[i - 1] <= 0 or act(sigma, keep).omega[i - 1] <= 0:
-        return None
-    for reading, slots in (("inverse", {p for p in range(sigma.degree) if sigma(p) < i}),
-                           ("forward", {sigma(t) for t in range(i)})):
-        if raised == slots:
-            return CoverWitness(sigma=sigma, orientation=(mu1, mu2),
-                                index=i, reading=reading)
-    return None
-
-
-def _coordinate_mix_witness(lam1: Weight, lam2: Weight, mu1: Weight, mu2: Weight,
-                            sigma: Permutation) -> CoverWitness | None:
-    """Second-kind test: in the sorted frame, mu1 picks each fundamental
-    coordinate from one of the two lower parts, part 1 wherever it fits
-    (the first such mix in (1, 2)-product order)."""
-    s1, s2, m = act(sigma, lam1).omega, act(sigma, lam2).omega, act(sigma, mu1).omega
-    mix = tuple(1 if c == a else 2 if c == b else 0 for c, a, b in zip(m, s1, s2))
-    if 0 in mix:
-        return None
-    return CoverWitness(sigma=sigma, orientation=(mu1, mu2), mix=mix)
+def _sorted_omega(x: tuple[int, ...], q: list[int]) -> list[int]:
+    """Omega coordinates of the padded epsilon vector x in the sorted
+    frame of the sorter whose inverse is q."""
+    return [x[q[t]] - x[q[t + 1]] for t in range(len(q) - 1)]
 
 
 def classify_cover(low: WeightTuple, high: WeightTuple) -> tuple[CoverKind, CoverWitness | None]:
     """Classify a k = 2 cover between class representatives.
 
-    The lower pair is taken in canonical order (lam1, lam2); sigma ranges
-    over the sorters of the padded epsilon vector of lam1 - lam2, and the
-    upper pair over both orientations.  First-kind witnesses take
-    precedence; tuples longer than 2 fall through to UNCLASSIFIED.
+    Everything is read off padded epsilon int tuples.  The lower pair is
+    taken in canonical order (e1 >= e2); sigma ranges over the sorters of
+    delta = e1 - e2 in image-lex order, and the upper pair (f1 for mu1)
+    over both orientations.  With q = sigma^-1, slot t of the sorted frame
+    holds x[q[t]], and its omega coordinate t is x[q[t]] - x[q[t + 1]].
+
+    First kind: part 1 hands part 2 the chunk e1 - f1 and keeps f1 - e2.
+    The chunk must take two values a step apart; i counts its raised
+    slots.  It is rho * omega_i, positive at i on both sides in the sorted
+    frame, when the raised slots are {q[t] : t < i} (rho = sigma^-1,
+    "inverse") or {sigma(t) : t < i} (rho = sigma, "forward"), tried in
+    that order.  Second kind: in the sorted frame mu1 picks each omega
+    coordinate from one of the two lower parts, part 1 wherever it fits.
+    First-kind witnesses take precedence over the whole coset; tuples
+    longer than 2 fall through to UNCLASSIFIED.  Only the returned
+    witness builds a Permutation.
     """
     if low.k != 2 or high.k != 2:
         return CoverKind.UNCLASSIFIED, None
-    lam1, lam2 = canonical_form(low).parts
-    delta = lam1 - lam2
-    padded = delta.eps_padded()
-    orientations = [(high.parts[0], high.parts[1]),
-                    (high.parts[1], high.parts[0])]
-    if high.parts[0] == high.parts[1]:
-        orientations = orientations[:1]
-    chunks = [(*shape, mu1, mu2) for mu1, mu2 in orientations
-              if (shape := _chunk_shape(lam1, lam2, mu1)) is not None]
-    for sigma in _sorting_coset(padded):
-        for chunk in chunks:
-            w = _fundamental_chunk_witness(*chunk, sigma)
-            if w is not None:
-                return CoverKind.TYPE_I, w
-    for sigma in _sorting_coset(padded):
-        for mu1, mu2 in orientations:
-            w = _coordinate_mix_witness(lam1, lam2, mu1, mu2, sigma)
-            if w is not None:
-                return CoverKind.TYPE_II, w
+    if low.rank != high.rank:
+        raise ValueError(f"rank mismatch: {low.rank} vs {high.rank}")
+    e1, e2 = sorted((p.eps_padded() for p in low.parts), reverse=True)
+    delta = tuple(a - b for a, b in zip(e1, e2))
+    h1, h2 = high.parts
+    frames = [(h1, h2, h1.eps_padded())]
+    if h1 != h2:
+        frames.append((h2, h1, h2.eps_padded()))
+    chunks = []
+    for mu1, mu2, f1 in frames:
+        chunk = [a - b for a, b in zip(e1, f1)]
+        top = max(chunk)
+        if set(chunk) == {top, top - 1}:
+            keep = [a - b for a, b in zip(f1, e2)]
+            raised = {p for p, b in enumerate(chunk) if b == top}
+            chunks.append((chunk, keep, raised, mu1, mu2))
+    if chunks:
+        for images in _sorting_coset(delta):
+            q = _inverse(images)
+            for chunk, keep, raised, mu1, mu2 in chunks:
+                i = len(raised)
+                a, b = q[i - 1], q[i]
+                if chunk[a] <= chunk[b] or keep[a] <= keep[b]:
+                    continue
+                for reading, slots in (("inverse", q[:i]), ("forward", images[:i])):
+                    if raised == set(slots):
+                        return CoverKind.TYPE_I, CoverWitness(
+                            sigma=Permutation(images), orientation=(mu1, mu2),
+                            index=i, reading=reading)
+    for images in _sorting_coset(delta):
+        q = _inverse(images)
+        s1, s2 = _sorted_omega(e1, q), _sorted_omega(e2, q)
+        for mu1, mu2, f1 in frames:
+            mix = tuple(1 if c == a else 2 if c == b else 0
+                        for c, a, b in zip(_sorted_omega(f1, q), s1, s2))
+            if 0 not in mix:
+                return CoverKind.TYPE_II, CoverWitness(
+                    sigma=Permutation(images), orientation=(mu1, mu2), mix=mix)
     return CoverKind.UNCLASSIFIED, None
 
 

@@ -295,6 +295,10 @@ class TestCoverClassification:
         assert w.index == 1 and w.reading == "inverse"
         assert "i=1" in w.describe()
 
+    def test_rank_mismatch_raises(self):
+        with pytest.raises(ValueError, match="rank mismatch"):
+            classify_cover(T((1, 0), (0, 0)), T((1,), (0,)))
+
     def test_top_has_no_covers(self):
         poset = build_poset(Weight((2, 1)), 2)
         assert covers_of(poset, poset.top_index) == []
@@ -356,6 +360,30 @@ class TestCoverClassification:
         assert self.fields(classify_cover(low, high)) == \
             self.fields(classify_cover_by_search(low, high))
 
+    def test_direct_route_matches_search_on_every_rank_six_cover(self):
+        # the only fiber here with 7-slot all-tie sorter cosets at scale
+        poset = build_poset(Weight((2,) * 6), 2)
+        reps = [cls.rep for cls in poset.classes]
+        kinds = []
+        for a, b in poset.hasse_edges:
+            got = self.fields(classify_cover(reps[a], reps[b]))
+            assert got == self.fields(classify_cover_by_search(reps[a], reps[b])), (a, b)
+            kinds.append(got[0])
+        assert (kinds.count(CoverKind.TYPE_I), kinds.count(CoverKind.TYPE_II)) == (858, 504)
+
+    def test_one_sorter_drawn_per_rank_six_cover(self, monkeypatch):
+        import weyl_order.posets as posets
+        drawn = []
+        real = posets._sorting_coset
+
+        def counting(values):
+            for images in real(values):
+                drawn.append(images)
+                yield images
+        monkeypatch.setattr(posets, "_sorting_coset", counting)
+        poset = build_poset(Weight((2,) * 6), 2)
+        assert len(poset.cover_edges) == len(drawn) == 1362
+
     def test_lazy_sorters_match_stabilizer_coset(self):
         # every vector of length <= 5 over {0, 1, 2}, then the all-tie
         # vector of length 7 (7! sorters, the rank-6 zero difference)
@@ -363,7 +391,7 @@ class TestCoverClassification:
                    for v in itertools.product(range(3), repeat=n)]
         for values in vectors + [(0,) * 7]:
             assert list(_sorting_coset(values)) == \
-                sorting_coset_by_stabilizer(values), values
+                [p.images for p in sorting_coset_by_stabilizer(values)], values
 
     def test_k3_falls_through(self):
         poset = build_poset(Weight((1, 1)), 3)
@@ -493,6 +521,14 @@ class TestSharedOrder:
 
 
 class TestExports:
+    def test_exports_off_k2_build_no_cover_edges(self):
+        poset = build_poset(Weight((2, 1, 1)), 3)
+        hasse = poset.to_json()["hasse"]
+        dot = poset.to_dot()
+        assert "cover_edges" not in poset.__dict__
+        assert hasse == [[e.low, e.high, e.kind.value] for e in poset.cover_edges]
+        assert dot.count("[style=dotted]") == len(poset.hasse_edges) > 0
+
     def test_to_json_shape(self):
         poset = build_poset(Weight((2, 1)), 2)
         payload = poset.to_json()
