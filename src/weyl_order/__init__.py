@@ -14,8 +14,8 @@ from .tuples import (OrderVerdict, WeightTuple, canonical_form, compare,
 from .roots import (Coroot, EmbeddedWeight, RootSystem, base_rank,
                     cartan_matrix, closed_form_coroot_table,
                     coroot_table_report, expected_table_report,
-                    generated_positive_coroots, iota, pairing, rho,
-                    rho_value, root_system)
+                    generated_positive_coroots, group_coroots, iota,
+                    pairing, rho, rho_value, root_system)
 from .posets import (CoverEdge, CoverKind, CoverWitness, DEFAULT_GUARD,
                      EquivClass, GuardExceeded, TuplePoset, build_poset,
                      classify_cover, count_tuples, covers_of,
@@ -23,8 +23,8 @@ from .posets import (CoverEdge, CoverKind, CoverWitness, DEFAULT_GUARD,
                      poset_size_k2)
 from .dimensions import (DimensionReport, LedgerRow, RebalanceVerdict,
                          bracket, four_factor_rebalance,
-                         grand_product_identity, group_coroots, pair_ledger,
-                         rebalance_gain, tensor_dim,
+                         grand_product_identity, pair_ledger, rebalance_gain,
+                         tensor_dim,
                          verify_coroot_inequalities_k2, verify_max_dim,
                          verify_monotone_k2, weyl_dim)
 
@@ -38,15 +38,15 @@ __all__ = [
     "stat_labels", "windows",
     "Coroot", "EmbeddedWeight", "RootSystem", "base_rank", "cartan_matrix",
     "closed_form_coroot_table", "coroot_table_report",
-    "expected_table_report", "generated_positive_coroots", "iota", "pairing",
-    "rho", "rho_value", "root_system",
+    "expected_table_report", "generated_positive_coroots", "group_coroots",
+    "iota", "pairing", "rho", "rho_value", "root_system",
     "CoverEdge", "CoverKind", "CoverWitness", "DEFAULT_GUARD", "EquivClass",
     "GuardExceeded", "TuplePoset", "build_poset", "classify_cover",
     "count_tuples", "covers_of", "enumerate_tuples", "maximal_element",
     "minimal_element", "poset_size_k2",
     "DimensionReport", "LedgerRow", "RebalanceVerdict", "bracket",
-    "four_factor_rebalance", "grand_product_identity", "group_coroots",
-    "pair_ledger", "rebalance_gain", "tensor_dim",
+    "four_factor_rebalance", "grand_product_identity", "pair_ledger",
+    "rebalance_gain", "tensor_dim",
     "verify_coroot_inequalities_k2", "verify_max_dim", "verify_monotone_k2",
     "weyl_dim",
 ]

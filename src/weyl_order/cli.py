@@ -5,9 +5,10 @@ and top), covers (classified cover edges), dim (dimension product of one
 tuple), size (fiber and class counts), verify (the default desk sweep).
 
 Exit codes: 0 success, 1 verify found violations, 2 argument or parse
-problems, 3 enumeration guard exceeded.  The tuple budget of poset,
-covers and verify can also be set through the WEYL_ORDER_GUARD
-environment variable; an explicit --guard wins over it.
+problems (an --out-dir that cannot be written included), 3 enumeration
+guard exceeded.  The tuple budget of poset, covers and verify can also
+be set through the WEYL_ORDER_GUARD environment variable; an explicit
+--guard wins over it.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import os
 import sys
@@ -80,9 +82,19 @@ def _guard_from(args) -> int:
                          f"got {raw!r}") from None
 
 
+def _write_text(path: Path, text: str, newline: str | None = None):
+    """Write one output file, creating its directory; a path that cannot be
+    written is an argument problem, reported against --out-dir."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, newline=newline)
+    except OSError as e:
+        raise ValueError(f"cannot write {path.name} under --out-dir "
+                         f"{str(path.parent)!r}: {e.strerror or e}") from None
+
+
 def _write_json(path: Path, payload: dict):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 # -- verify sweep ------------------------------------------------------------
@@ -235,11 +247,12 @@ def cmd_verify(args) -> int:
     }
     out_dir = Path(args.out_dir)
     _write_json(out_dir / "verify_report.json", payload)
-    with open(out_dir / "verify_report.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["item", "ok", "skipped"])
-        for r in results:
-            w.writerow([r["item"], r["ok"], r["skipped"]])
+    table = io.StringIO()
+    w = csv.writer(table)
+    w.writerow(["item", "ok", "skipped"])
+    for r in results:
+        w.writerow([r["item"], r["ok"], r["skipped"]])
+    _write_text(out_dir / "verify_report.csv", table.getvalue(), newline="")
     print(f"{len(results)} checks, {len(violations)} violations, "
           f"{len(skipped)} skipped")
     for v in violations[:20]:
@@ -256,7 +269,7 @@ def cmd_poset(args) -> int:
     stem = f"poset_lam{_slug(lam)}_k{args.k}"
     _write_json(out_dir / f"{stem}.json", poset.to_json())
     if args.dot:
-        (out_dir / f"{stem}.dot").write_text(poset.to_dot())
+        _write_text(out_dir / f"{stem}.dot", poset.to_dot())
     print(f"{lam} k={args.k}: {len(poset.classes)} classes, "
           f"{len(poset.hasse_edges)} cover edges")
     return 0
@@ -279,7 +292,7 @@ def cmd_max(args) -> int:
 def cmd_covers(args) -> int:
     lam = parse_weight(args.lam)
     poset = build_poset(lam, args.k, _guard_from(args))
-    labels = [str(cls.rep) for cls in poset.classes]
+    labels = poset.labels
     records = []
     for edge in poset.cover_edges:
         rec = {"low": labels[edge.low],

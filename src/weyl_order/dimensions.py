@@ -11,7 +11,12 @@ two-factor product of its shifted pairings against the parts.  Interval
 (height-one) coroots always move weakly upward along the order; a
 height-two coroot can move down on its own, but the four-factor product
 with its window partner recovers the inequality.  ``four_factor_rebalance``
-is the exact integer fact behind that recovery step.
+is the exact integer fact behind that recovery step.  ``pair_ledger``
+reads two exact per-system tables: ``RootSystem.ledger_plan`` (row
+labels, flags and grouped-row indices) and ``RootSystem.part_brackets``
+(each part's shifted pairings against every coroot, filled on a miss).
+The verifiers label classes with ``TuplePoset.labels``, formatted once
+per poset.
 """
 
 from __future__ import annotations
@@ -129,57 +134,42 @@ class LedgerRow:
                 "ok": self.ok}
 
 
-def group_coroots(rs: RootSystem) -> tuple[list[Coroot], list[tuple[Coroot, Coroot]]]:
-    """Split the positive coroots into solo rows and partnered pairs.
+def _brackets(rs: RootSystem, p: Weight) -> tuple[int, ...]:
+    """bracket(iota(p, rs), h) for every coroot h, in coroot order.
 
-    A height-two coroot whose doubled block leaves room for the interval
-    below it is grouped with that interval; everything else (all the
-    intervals not so consumed, plus partner-less height-two coroots)
-    stands solo.
+    Read from rs.part_brackets, keyed by omega tuple; a miss embeds the
+    part, so a wrong-rank part still raises in iota.
     """
-    grouped = []
-    consumed = set()
-    for h in rs.coroots:
-        pc = h.window_partner_coeffs()
-        if pc is None:
-            continue
-        partner = rs.coroot_by_coeffs(pc)
-        if partner is None:
-            raise RuntimeError(f"window partner of {h} missing from {rs.name}")
-        grouped.append((partner, h))
-        consumed.add(partner.coeffs)
-        consumed.add(h.coeffs)
-    solos = [h for h in rs.coroots if h.coeffs not in consumed]
-    return solos, grouped
+    table = rs.part_brackets
+    vec = table.get(p.omega)
+    if vec is None:
+        e = iota(p, rs)
+        vec = table[p.omega] = tuple(bracket(e, h) for h in rs.coroots)
+    return vec
+
+
+def _two_factor(rs: RootSystem, x: WeightTuple) -> list[int]:
+    """Per coroot, the product of the brackets of x's two parts."""
+    first, second = (_brackets(rs, p) for p in x.parts)
+    return [a * b for a, b in zip(first, second)]
 
 
 def pair_ledger(rs: RootSystem, low: WeightTuple, high: WeightTuple) -> list[LedgerRow]:
-    """All ledger rows for a k = 2 pair, in coroot order then grouped rows."""
+    """All ledger rows for a k = 2 pair, in coroot order then grouped rows.
+
+    Labels and flags come from rs.ledger_plan, brackets from
+    rs.part_brackets; a grouped row multiplies two coroots' two-factor
+    products.
+    """
     if low.k != 2 or high.k != 2:
         raise ValueError("the coroot ledger is defined for k = 2 tuples")
-    lo = [iota(p, rs) for p in low.parts]
-    hi = [iota(p, rs) for p in high.parts]
-
-    def two_factor(h: Coroot) -> tuple[int, int]:
-        return (bracket(lo[0], h) * bracket(lo[1], h),
-                bracket(hi[0], h) * bracket(hi[1], h))
-
-    solos, grouped = group_coroots(rs)
-    solo_set = {h.coeffs for h in solos}
-    rows = []
-    for h in rs.coroots:
-        lv, hv = two_factor(h)
-        # intervals and partner-less doubled coroots stay weakly monotone on
-        # their own; a partnered doubled coroot is covered only jointly
-        alone_ok = h.height == 1 or h.window_partner_coeffs() is None
-        rows.append(LedgerRow(label=str(h), low=lv, high=hv,
-                              guaranteed=alone_ok,
-                              in_product=h.coeffs in solo_set))
-    for partner, h in grouped:
-        pl, ph = two_factor(partner)
-        dl, dh = two_factor(h)
-        rows.append(LedgerRow(label=f"{partner} & {h}", low=pl * dl,
-                              high=ph * dh, guaranteed=True, in_product=True))
+    lo, hi = _two_factor(rs, low), _two_factor(rs, high)
+    coroot_rows, grouped_rows = rs.ledger_plan
+    rows = [LedgerRow(label, lv, hv, guaranteed, in_product)
+            for (label, guaranteed, in_product), lv, hv
+            in zip(coroot_rows, lo, hi)]
+    rows += [LedgerRow(label, lo[i] * lo[j], hi[i] * hi[j], True, True)
+             for label, i, j in grouped_rows]
     return rows
 
 
@@ -240,6 +230,7 @@ def verify_monotone_k2(poset: TuplePoset, rs: RootSystem) -> DimensionReport:
     """
     report = DimensionReport("monotone_k2", rs.name, poset.lam.omega, poset.k)
     dims = [tensor_dim(rs, cls.rep) for cls in poset.classes]
+    labels = poset.labels
     for c, cls in enumerate(poset.classes):
         for ms in cls.multisets:
             member = WeightTuple(tuple(Weight(p) for p in ms))
@@ -249,12 +240,12 @@ def verify_monotone_k2(poset: TuplePoset, rs: RootSystem) -> DimensionReport:
     for a, b in poset.hasse_edges:
         ok = dims[a] < dims[b]
         report.details.append(
-            {"item": f"{poset.classes[a].rep} < {poset.classes[b].rep}",
+            {"item": f"{labels[a]} < {labels[b]}",
              "low_dim": dims[a], "high_dim": dims[b], "ok": ok})
         if not ok:
             report.violations.append(
-                {"item": f"dim({poset.classes[a].rep}) = {dims[a]} !< "
-                         f"dim({poset.classes[b].rep}) = {dims[b]}",
+                {"item": f"dim({labels[a]}) = {dims[a]} !< "
+                         f"dim({labels[b]}) = {dims[b]}",
                  "kind": "monotone"})
     return report
 
@@ -269,17 +260,18 @@ def verify_coroot_inequalities_k2(poset: TuplePoset,
     """
     report = DimensionReport("coroot_ledger_k2", rs.name, poset.lam.omega,
                              poset.k)
-    for cls in poset.classes:
+    labels = poset.labels
+    for cls, label in zip(poset.classes, labels):
         lhs, rhs = grand_product_identity(rs, cls.rep)
         if lhs != rhs:
             report.violations.append(
-                {"item": f"product identity at {cls.rep}", "kind": "identity",
+                {"item": f"product identity at {label}", "kind": "identity",
                  "lhs": lhs, "rhs": rhs})
     for a, b in poset.hasse_edges:
-        low, high = poset.classes[a].rep, poset.classes[b].rep
-        for row in pair_ledger(rs, low, high):
+        edge = f"{labels[a]} -> {labels[b]} : "
+        for row in pair_ledger(rs, poset.classes[a].rep, poset.classes[b].rep):
             entry = row.as_dict()
-            entry["item"] = f"{low} -> {high} : {row.label}"
+            entry["item"] = edge + row.label
             report.details.append(entry)
             if not row.ok:
                 report.violations.append(
@@ -292,21 +284,22 @@ def verify_max_dim(poset: TuplePoset, rs: RootSystem) -> DimensionReport:
     """The top class holds the strict dimension maximum of the whole fiber."""
     report = DimensionReport("max_dim", rs.name, poset.lam.omega, poset.k)
     top = poset.top_index
+    labels = poset.labels
     if poset.class_of(maximal_element(poset.lam, poset.k)) != top:
         report.violations.append(
             {"item": "closed-form top representative lands off the top class",
              "kind": "top_class"})
     top_dim = tensor_dim(rs, poset.classes[top].rep)
-    report.details.append({"item": f"top {poset.classes[top].rep}",
+    report.details.append({"item": f"top {labels[top]}",
                            "dim": top_dim, "ok": True})
     for c, cls in enumerate(poset.classes):
         if c == top:
             continue
         d = tensor_dim(rs, cls.rep)
         ok = d < top_dim
-        report.details.append({"item": f"{cls.rep}", "dim": d, "ok": ok})
+        report.details.append({"item": labels[c], "dim": d, "ok": ok})
         if not ok:
             report.violations.append(
-                {"item": f"dim({cls.rep}) = {d} !< top {top_dim}",
+                {"item": f"dim({labels[c]}) = {d} !< top {top_dim}",
                  "kind": "max_dim"})
     return report

@@ -264,6 +264,11 @@ class TuplePoset:
         return maxs[0]
 
     @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """str(rep) of each class, formatted once for exporters and reports."""
+        return tuple(str(cls.rep) for cls in self.classes)
+
+    @cached_property
     def _index_of(self) -> dict[tuple[int, ...], int]:
         return {cls.stat_vector: c for c, cls in enumerate(self.classes)}
 
@@ -299,8 +304,8 @@ class TuplePoset:
                   CoverKind.TYPE_II: "dashed",
                   CoverKind.UNCLASSIFIED: "dotted"}
         lines = ["digraph tuple_poset {", "  rankdir=BT;"]
-        for c, cls in enumerate(self.classes):
-            lines.append(f'  n{c} [label="{cls.rep}"];')
+        for c, label in enumerate(self.labels):
+            lines.append(f'  n{c} [label="{label}"];')
         for a, b, kind in self._edge_kinds():
             lines.append(f"  n{a} -> n{b} [style={styles[kind]}];")
         lines.append("}")

@@ -94,8 +94,60 @@ class RootSystem:
         omega tuple; dimensions.tensor_dim fills it with weyl_dim values."""
         return {}
 
+    @cached_property
+    def part_brackets(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """Shifted pairings of each embedded base weight met so far against
+        every coroot, in coroot order, keyed by its omega tuple;
+        dimensions.pair_ledger fills it with bracket values."""
+        return {}
+
+    @cached_property
+    def ledger_plan(self) -> tuple[tuple[tuple[str, bool, bool], ...],
+                                   tuple[tuple[str, int, int], ...]]:
+        """The rows of every k = 2 coroot ledger over this system, less values.
+
+        One (label, guaranteed, in_product) per coroot, in coroot order,
+        then one (label, i, j) per grouped row, i and j the indices of the
+        partner and of the doubled coroot.  Built once, from group_coroots.
+        """
+        solos, grouped = group_coroots(self)
+        solo_set = {h.coeffs for h in solos}
+        index = {h.coeffs: t for t, h in enumerate(self.coroots)}
+        # intervals and partner-less doubled coroots stay weakly monotone on
+        # their own; a partnered doubled coroot is covered only jointly
+        coroot_rows = tuple(
+            (str(h), h.height == 1 or h.window_partner_coeffs() is None,
+             h.coeffs in solo_set) for h in self.coroots)
+        grouped_rows = tuple((f"{partner} & {h}", index[partner.coeffs],
+                              index[h.coeffs]) for partner, h in grouped)
+        return coroot_rows, grouped_rows
+
     def __str__(self) -> str:
         return self.name
+
+
+def group_coroots(rs: RootSystem) -> tuple[list[Coroot], list[tuple[Coroot, Coroot]]]:
+    """Split the positive coroots into solo rows and partnered pairs.
+
+    A height-two coroot whose doubled block leaves room for the interval
+    below it is grouped with that interval; everything else (all the
+    intervals not so consumed, plus partner-less height-two coroots)
+    stands solo.
+    """
+    grouped = []
+    consumed = set()
+    for h in rs.coroots:
+        pc = h.window_partner_coeffs()
+        if pc is None:
+            continue
+        partner = rs.coroot_by_coeffs(pc)
+        if partner is None:
+            raise RuntimeError(f"window partner of {h} missing from {rs.name}")
+        grouped.append((partner, h))
+        consumed.add(partner.coeffs)
+        consumed.add(h.coeffs)
+    solos = [h for h in rs.coroots if h.coeffs not in consumed]
+    return solos, grouped
 
 
 def _check_family_rank(family: str, rank: int):

@@ -1,0 +1,57 @@
+"""Reference ledger: the per-call route the per-system tables replace.
+
+``dimensions.pair_ledger`` reads each system's ``ledger_plan`` (labels,
+flags and grouped-row indices) and ``part_brackets`` (each part's
+shifted pairings against every coroot).  This fixture keeps the route
+those stand for: embed the four parts, group the coroots, and evaluate
+every bracket and label afresh on each call.
+"""
+
+from weyl_order import (Coroot, LedgerRow, RootSystem, WeightTuple, bracket,
+                        group_coroots, iota)
+
+
+def pair_ledger(rs: RootSystem, low: WeightTuple, high: WeightTuple) -> list[LedgerRow]:
+    """All ledger rows for a k = 2 pair, in coroot order then grouped rows."""
+    if low.k != 2 or high.k != 2:
+        raise ValueError("the coroot ledger is defined for k = 2 tuples")
+    lo = [iota(p, rs) for p in low.parts]
+    hi = [iota(p, rs) for p in high.parts]
+
+    def two_factor(h: Coroot) -> tuple[int, int]:
+        return (bracket(lo[0], h) * bracket(lo[1], h),
+                bracket(hi[0], h) * bracket(hi[1], h))
+
+    solos, grouped = group_coroots(rs)
+    solo_set = {h.coeffs for h in solos}
+    rows = []
+    for h in rs.coroots:
+        lv, hv = two_factor(h)
+        # intervals and partner-less doubled coroots stay weakly monotone on
+        # their own; a partnered doubled coroot is covered only jointly
+        alone_ok = h.height == 1 or h.window_partner_coeffs() is None
+        rows.append(LedgerRow(label=str(h), low=lv, high=hv,
+                              guaranteed=alone_ok,
+                              in_product=h.coeffs in solo_set))
+    for partner, h in grouped:
+        pl, ph = two_factor(partner)
+        dl, dh = two_factor(h)
+        rows.append(LedgerRow(label=f"{partner} & {h}", low=pl * dl,
+                              high=ph * dh, guaranteed=True, in_product=True))
+    return rows
+
+
+def coroot_ledger_rows(poset, rs: RootSystem):
+    """(details, ledger violations) of verify_coroot_inequalities_k2, rebuilt
+    from this ledger with the item text formatted per row."""
+    details, violations = [], []
+    for a, b in poset.hasse_edges:
+        low, high = poset.classes[a].rep, poset.classes[b].rep
+        for row in pair_ledger(rs, low, high):
+            entry = row.as_dict()
+            entry["item"] = f"{low} -> {high} : {row.label}"
+            details.append(entry)
+            if not row.ok:
+                violations.append({"item": entry["item"], "kind": "ledger_row",
+                                   "low": row.low, "high": row.high})
+    return details, violations

@@ -250,6 +250,25 @@ class TestFailureModes:
         assert code == 2
         assert "unrecognized arguments" in err
 
+    @pytest.mark.parametrize("argv,under_file", [
+        (("poset", "--lambda", "2,1", "--dot"), True),
+        (("covers", "--lambda", "2,1", "--json"), True),
+        (("verify", "--families", "A", "--max-coord", "1", "--max-k", "2"),
+         False),
+    ])
+    def test_unwritable_out_dir_is_exit_2(self, tmp_path, capsys, argv,
+                                          under_file):
+        # a regular file where the output directory, or one of its
+        # parents, should be: exit 1 means violations, so this is 2
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory\n")
+        out_dir = blocker / "sub" if under_file else blocker
+        code, _, err = run(capsys, *argv, "--out-dir", str(out_dir))
+        assert code == 2
+        assert "--out-dir" in err and str(out_dir) in err
+        assert "Traceback" not in err
+        assert blocker.read_text() == "not a directory\n"
+
     def test_argparse_error_becomes_exit_2(self, capsys):
         assert cli.main(["poset"]) == 2  # --lambda is required
         capsys.readouterr()

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import weyl_order.dimensions as dimensions
+import weyl_order.roots as roots
 from weyl_order import (
+    LedgerRow,
     OrderVerdict,
     RebalanceVerdict,
     RootSystem,
@@ -28,6 +30,7 @@ from weyl_order import (
     weyl_dim,
 )
 
+import ledger_oracle
 from order_oracle import strict_pairs
 
 
@@ -231,6 +234,145 @@ class TestPairLedger:
                           "in_product", "ok"}
 
 
+def fresh_system(name):
+    """A RootSystem equal to root_system(name) but with empty tables."""
+    shared = root_system(name)
+    return RootSystem(shared.family, shared.rank, shared.coroots)
+
+
+RANK_TWO_SYSTEMS = ("A2", "C2", "B3", "D4")
+
+
+def small_k2_posets():
+    """Every k = 2 fiber with lambda of rank 2 and coords <= 3."""
+    return [build_poset(Weight(c), 2)
+            for c in itertools.product(range(4), repeat=2)]
+
+
+class TestLedgerAgainstOracle:
+    @pytest.mark.parametrize("name", RANK_TWO_SYSTEMS)
+    def test_every_cover_of_the_small_fibers(self, name):
+        rs = root_system(name)
+        edges = 0
+        for poset in small_k2_posets():
+            for a, b in poset.hasse_edges:
+                low, high = poset.classes[a].rep, poset.classes[b].rep
+                assert pair_ledger(rs, low, high) == \
+                    ledger_oracle.pair_ledger(rs, low, high), (name, low, high)
+                edges += 1
+        assert edges > 0
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_arbitrary_pairs(self, data):
+        # any two dominant k = 2 tuples, comparable or not
+        rs = root_system(data.draw(st.sampled_from(RANK_TWO_SYSTEMS)))
+        part = st.tuples(st.integers(0, 6), st.integers(0, 6)).map(Weight)
+        low = WeightTuple((data.draw(part), data.draw(part)))
+        high = WeightTuple((data.draw(part), data.draw(part)))
+        assert pair_ledger(rs, low, high) == \
+            ledger_oracle.pair_ledger(rs, low, high)
+
+    @pytest.mark.parametrize("name", RANK_TWO_SYSTEMS)
+    def test_verifier_rows_match_the_oracle(self, name):
+        rs = root_system(name)
+        for coords in [(2, 1), (3, 3), (0, 3), (3, 2)]:
+            poset = build_poset(Weight(coords), 2)
+            report = verify_coroot_inequalities_k2(poset, rs)
+            details, violations = ledger_oracle.coroot_ledger_rows(poset, rs)
+            assert report.details == details
+            assert report.violations == violations == []
+
+    def test_violation_items_match_the_oracle(self, monkeypatch):
+        # a ledger whose guaranteed rows all lose, fed to both routes
+        real = ledger_oracle.pair_ledger
+
+        def losing(rs, low, high):
+            return [LedgerRow(r.label, r.low, r.low - 1, r.guaranteed,
+                              r.in_product) for r in real(rs, low, high)]
+        monkeypatch.setattr(dimensions, "pair_ledger", losing)
+        monkeypatch.setattr(ledger_oracle, "pair_ledger", losing)
+        rs = root_system("C2")
+        poset = build_poset(Weight((3, 2)), 2)
+        report = verify_coroot_inequalities_k2(poset, rs)
+        details, violations = ledger_oracle.coroot_ledger_rows(poset, rs)
+        assert report.details == details
+        assert report.violations == violations
+        assert len(violations) > len(poset.hasse_edges)
+
+
+class TestBracketTable:
+    @pytest.mark.parametrize("name", RANK_TWO_SYSTEMS)
+    def test_warm_pass_equals_cold_pass(self, name):
+        rs = fresh_system(name)
+        assert rs.part_brackets == {}
+        pairs = [(poset.classes[a].rep, poset.classes[b].rep)
+                 for poset in small_k2_posets() for a, b in poset.hasse_edges]
+        cold = [pair_ledger(rs, low, high) for low, high in pairs]
+        assert rs.part_brackets
+        warm = [pair_ledger(rs, low, high) for low, high in pairs]
+        assert warm == cold
+        for omega, vec in rs.part_brackets.items():
+            e = iota(Weight(omega), rs)
+            assert vec == tuple(bracket(e, h) for h in rs.coroots)
+
+    def test_table_keeps_the_rank_check(self):
+        rs = fresh_system("A2")
+        pair_ledger(rs, X, Y)
+        assert rs.part_brackets
+        with pytest.raises(ValueError):
+            pair_ledger(rs, T((1,), (0,)), T((0,), (1,)))
+        with pytest.raises(ValueError):
+            pair_ledger(rs, X, T((1, 0, 0), (0, 0, 1)))
+
+    def test_plan_is_grouped_once_per_system(self, monkeypatch):
+        calls = []
+        real = roots.group_coroots
+
+        def counting(rs):
+            calls.append(rs.name)
+            return real(rs)
+        monkeypatch.setattr(roots, "group_coroots", counting)
+        systems = [fresh_system(name) for name in RANK_TWO_SYSTEMS]
+        for rs in systems:
+            for coords in [(2, 1), (2, 2), (3, 1)]:
+                assert verify_coroot_inequalities_k2(
+                    build_poset(Weight(coords), 2), rs).ok
+        assert calls == list(RANK_TWO_SYSTEMS)
+
+    def test_plan_matches_the_grouping(self):
+        for name in ("C3", "B4", "D5"):
+            rs = root_system(name)
+            coroot_rows, grouped_rows = rs.ledger_plan
+            solos, grouped = group_coroots(rs)
+            assert [label for label, *_ in coroot_rows] == \
+                [str(h) for h in rs.coroots]
+            assert {rs.coroots[t].coeffs for t, (*_, in_product)
+                    in enumerate(coroot_rows) if in_product} == \
+                {h.coeffs for h in solos}
+            assert [(rs.coroots[i], rs.coroots[j])
+                    for _, i, j in grouped_rows] == grouped
+
+    def test_a_corrupt_entry_is_a_ledger_violation(self):
+        rs = fresh_system("C2")
+        poset = build_poset(Weight((2, 1)), 2)
+        assert verify_coroot_inequalities_k2(poset, rs).ok  # warms the table
+        a, b = poset.hasse_edges[0]
+        low, high = poset.classes[a].rep, poset.classes[b].rep
+        part = next(p for p in high.parts if p not in low.parts)
+        coroot_rows, _ = rs.ledger_plan
+        t, label = next((t, label) for t, (label, guaranteed, _)
+                        in enumerate(coroot_rows) if guaranteed)
+        vec = list(rs.part_brackets[part.omega])
+        vec[t] = 0
+        rs.part_brackets[part.omega] = tuple(vec)
+        want_low = next(r.low for r in ledger_oracle.pair_ledger(rs, low, high)
+                        if r.label == label)
+        report = verify_coroot_inequalities_k2(poset, rs)
+        assert {"item": f"{low} -> {high} : {label}", "kind": "ledger_row",
+                "low": want_low, "high": 0} in report.violations
+
+
 class TestGrandProduct:
     def test_frozen(self):
         lhs, rhs = grand_product_identity(root_system("C2"), X)
@@ -325,6 +467,27 @@ class TestVerifiers:
     def test_max_dim_c3_smoke(self):
         report = verify_max_dim(build_poset(Weight((1, 1, 1)), 2), root_system("C3"))
         assert report.ok
+
+    def test_one_label_per_class_across_reports(self, monkeypatch):
+        # a poset serves every family and check of its fiber; its class
+        # labels are formatted once, with the text str(rep) gives
+        poset = build_poset(Weight((2, 2)), 2)
+        want = tuple(str(cls.rep) for cls in poset.classes)
+        formatted = []
+        real = WeightTuple.__str__
+
+        def counting(x):
+            formatted.append(x)
+            return real(x)
+        monkeypatch.setattr(WeightTuple, "__str__", counting)
+        for name in RANK_TWO_SYSTEMS:
+            rs = root_system(name)
+            for verify in (verify_monotone_k2, verify_coroot_inequalities_k2,
+                           verify_max_dim):
+                assert verify(poset, rs).ok
+        poset.to_dot()
+        assert poset.labels == want
+        assert len(formatted) == len(poset)
 
     def test_report_serialization(self):
         report = verify_monotone_k2(build_poset(Weight((2, 1)), 2), root_system("C2"))
