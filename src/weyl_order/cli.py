@@ -82,15 +82,28 @@ def _guard_from(args) -> int:
                          f"got {raw!r}") from None
 
 
-def _write_text(path: Path, text: str, newline: str | None = None):
-    """Write one output file, creating its directory; a path that cannot be
-    written is an argument problem, reported against --out-dir."""
+def _unwritable(path: Path, e: OSError) -> ValueError:
+    """A path that cannot be written is an argument problem, reported
+    against --out-dir."""
+    return ValueError(f"cannot write {path.name} under --out-dir "
+                      f"{str(path.parent)!r}: {e.strerror or e}")
+
+
+def _make_out_dir(path: Path):
+    """Create the directory that will hold path."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise _unwritable(path, e) from None
+
+
+def _write_text(path: Path, text: str, newline: str | None = None):
+    """Write one output file, creating its directory."""
+    _make_out_dir(path)
+    try:
         path.write_text(text, newline=newline)
     except OSError as e:
-        raise ValueError(f"cannot write {path.name} under --out-dir "
-                         f"{str(path.parent)!r}: {e.strerror or e}") from None
+        raise _unwritable(path, e) from None
 
 
 def _write_json(path: Path, payload: dict):
@@ -232,6 +245,8 @@ def cmd_verify(args) -> int:
     cfg = SweepConfig(families=args.families,
                       max_coord=args.max_coord, max_k=args.max_k,
                       guard=_guard_from(args), corrupt=args.selftest_corrupt)
+    out_dir = Path(args.out_dir)
+    _make_out_dir(out_dir / "verify_report.json")  # before the sweep, not after
     results = run_sweep(cfg, args.jobs)
 
     violations = [v for r in results for v in r["violations"]]
@@ -245,7 +260,6 @@ def cmd_verify(args) -> int:
         "skipped": skipped,
         "items": results,
     }
-    out_dir = Path(args.out_dir)
     _write_json(out_dir / "verify_report.json", payload)
     table = io.StringIO()
     w = csv.writer(table)

@@ -14,7 +14,9 @@ with its window partner recovers the inequality.  ``four_factor_rebalance``
 is the exact integer fact behind that recovery step.  ``pair_ledger``
 reads two exact per-system tables: ``RootSystem.ledger_plan`` (row
 labels, flags and grouped-row indices) and ``RootSystem.part_brackets``
-(each part's shifted pairings against every coroot, filled on a miss).
+(each part's shifted pairings against every coroot, filled on a miss);
+``grand_product_identity`` reads the same bracket table and the cached
+``RootSystem.rho_product``.
 The verifiers label classes with ``TuplePoset.labels``, formatted once
 per poset.
 """
@@ -22,6 +24,7 @@ per poset.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 from .posets import TuplePoset, maximal_element
@@ -177,16 +180,13 @@ def grand_product_identity(rs: RootSystem, x: WeightTuple) -> tuple[int, int]:
     """(product of all two-factor brackets, tensor_dim times rho-product squared).
 
     The two sides agree exactly; returned unreduced so callers can assert it.
+    Brackets come from rs.part_brackets and the rho product from
+    rs.rho_product.
     """
-    lo = [iota(p, rs) for p in x.parts]
     total = 1
-    for h in rs.coroots:
-        for e in lo:
-            total *= bracket(e, h)
-    rp = 1
-    for h in rs.coroots:
-        rp *= rho_value(h)
-    return total, tensor_dim(rs, x) * rp ** len(x.parts)
+    for p in x.parts:
+        total *= math.prod(_brackets(rs, p))
+    return total, tensor_dim(rs, x) * rs.rho_product ** len(x.parts)
 
 
 # -- sweep reports -----------------------------------------------------------

@@ -5,11 +5,16 @@ summing to a given dominant weight; it is the reference route.
 ``build_poset`` never orders the parts: a stat vector does not depend on
 their order, so it walks the multisets of parts as plain omega integer
 tuples, reads each multiset's window values off omega prefix sums, and
-groups the multisets into equivalence classes by stat vector.  A class's
-size is the sum of the multinomials k! / prod(mult!) of its multisets,
-its representative is the only ``WeightTuple`` built, and its ordered
-members are expanded only when asked for.  The quotient carries the
-coordinatewise order from :mod:`weyl_order.tuples`.
+groups the multisets into equivalence classes by stat vector.  The walk
+is output-sensitive: at each level it tries only the parts whose
+epsilon_1 lies in the band ceil(|rest| / left) .. |rest| (a slice of the
+part list), and with two parts left it reads the pairs off the box of
+parts below the remainder.  A class's size is the sum of the multinomials
+k! / prod(mult!) of its multisets, the multiplicities read as run
+lengths of equal adjacent parts; its representative is the only
+``WeightTuple`` built, from one shared ``Weight`` per distinct part, and
+its ordered members are expanded only when asked for.  The quotient
+carries the coordinatewise order from :mod:`weyl_order.tuples`.
 
 The quotient always has a unique bottom class, the one containing
 (lam, 0, ..., 0), and a unique top class whose representative spreads
@@ -26,10 +31,10 @@ exporters read the Hasse edges directly, all unclassified.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -265,8 +270,10 @@ class TuplePoset:
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
-        """str(rep) of each class, formatted once for exporters and reports."""
-        return tuple(str(cls.rep) for cls in self.classes)
+        """str(rep) of each class, for exporters and reports: the parts'
+        strings joined by "/", each distinct part formatted once."""
+        text = cache(str)
+        return tuple("/".join(map(text, cls.rep.parts)) for cls in self.classes)
 
     @cached_property
     def _index_of(self) -> dict[tuple[int, ...], int]:
@@ -318,20 +325,49 @@ def _part_multisets(lam: tuple[int, ...], k: int):
     A multiset is a tuple of omega tuples weakly decreasing in epsilon-lex
     order, and they come in descending ``_tuple_sort_key`` order.  The
     parts are the dominant omega tuples <= lam coordinatewise, listed by
-    descending epsilon-lex key; each part sits no earlier in that list
-    than the one before it, a branch whose remainder goes negative is
-    cut, and the last part is the remainder itself.
+    descending epsilon-lex key, and each part sits no earlier in that list
+    than the one before it.  Only parts that can still fit are tried:
+
+    * band cut: epsilon_1 (the omega sum) is non-increasing along the
+      list, so with ``left`` parts still to place on the remainder
+      ``rest``, the next part p has ceil(|rest| / left) <= epsilon_1(p)
+      <= |rest| (the later parts are no larger in epsilon_1 and sum to
+      rest); that band is a slice of the list, read from a table;
+    * box step: with two parts left, p ranges over the box
+      0 <= p <= rest, the last part is rest - p, and a pair is kept when
+      start <= pos[p] <= pos[rest - p], in increasing pos[p].
+
+    Both only drop branches that yield nothing, so the multisets and
+    their order are those of scanning every part at every level.
     """
     parts = sorted(itertools.product(*(range(m + 1) for m in lam)),
-                   key=lambda p: Weight(p).eps(), reverse=True)
+                   key=lambda p: tuple(itertools.accumulate(reversed(p)))[::-1],
+                   reverse=True)
     position = {p: i for i, p in enumerate(parts)}
+    # upto[s]: the number of parts with epsilon_1 >= s, so the parts with
+    # lo <= epsilon_1 <= hi are parts[upto[hi + 1]:upto[lo]]
+    negated = [-sum(p) for p in parts]
+    upto = [bisect.bisect_right(negated, -s) for s in range(sum(lam) + 2)]
 
     def walk(start, rest, left, prefix):
         if left == 1:
             if position[rest] >= start:
                 yield prefix + (rest,)
             return
-        for i in range(start, len(parts)):
+        if left == 2:
+            pairs = []
+            for p in itertools.product(*(range(r + 1) for r in rest)):
+                i = position[p]
+                if i >= start:
+                    q = tuple(r - c for r, c in zip(rest, p))
+                    if position[q] >= i:
+                        pairs.append((i, p, q))
+            pairs.sort()
+            for _, p, q in pairs:
+                yield prefix + (p, q)
+            return
+        size = sum(rest)
+        for i in range(max(start, upto[size + 1]), upto[-(-size // left)]):
             p = parts[i]
             after = tuple(r - c for r, c in zip(rest, p))
             if min(after) >= 0:
@@ -339,15 +375,29 @@ def _part_multisets(lam: tuple[int, ...], k: int):
     return walk(0, tuple(lam), k, ())
 
 
+def _orderings(ms: Multiset, k_orderings: int) -> int:
+    """k! / prod(mult!) for a multiset: equal parts sit together in ms, so
+    each run of length m multiplies the denominator by 2, 3, ..., m."""
+    denominator = run = 1
+    for a, b in zip(ms, ms[1:]):
+        run = run + 1 if a == b else 1
+        denominator *= run
+    return k_orderings // denominator
+
+
 def build_poset(lam: Weight, k: int, guard: int = DEFAULT_GUARD) -> TuplePoset:
     """Group the fiber over lam into classes, without ordering any parts.
 
+    The multisets come from ``_part_multisets`` (band cut, box step).
     Each part's window values (omega prefix sums P[j] - P[i-1], windows in
     ``stat_labels`` order) are computed once; a multiset's stat vector
     sorts them per window and takes running sums.  The walk runs in
     descending ``_tuple_sort_key`` order, so the first multiset of each
-    class is its largest member, the representative.  The guard still
-    counts ordered tuples.
+    class is its largest member, the representative.  A class's size sums
+    k! / prod(mult!) over its multisets, the multiplicities read as run
+    lengths of equal adjacent parts.  Each distinct part becomes one
+    ``Weight``, shared by the representatives.  The guard still counts
+    ordered tuples.
     """
     _check_fiber(lam, k, guard)
     spans = windows(lam.rank)
@@ -364,12 +414,12 @@ def build_poset(lam: Weight, k: int, guard: int = DEFAULT_GUARD) -> TuplePoset:
             sv.extend(itertools.accumulate(sorted(column)))
         by_stats.setdefault(tuple(sv), []).append(ms)
     k_orderings = math.factorial(k)
+    weight = cache(Weight)
     classes = []
     for sv in sorted(by_stats):
         multisets = tuple(by_stats[sv])
-        size = sum(k_orderings // math.prod(map(math.factorial, Counter(ms).values()))
-                   for ms in multisets)
-        rep = WeightTuple(tuple(Weight(p) for p in multisets[0]))
+        size = sum(_orderings(ms, k_orderings) for ms in multisets)
+        rep = WeightTuple(tuple(map(weight, multisets[0])))
         classes.append(EquivClass(rep=rep, stat_vector=sv, size=size,
                                   multisets=multisets))
     return TuplePoset(lam=lam, k=k, classes=tuple(classes))

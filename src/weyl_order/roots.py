@@ -19,6 +19,7 @@ The validated list used everywhere else is the generated one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -98,8 +99,15 @@ class RootSystem:
     def part_brackets(self) -> dict[tuple[int, ...], tuple[int, ...]]:
         """Shifted pairings of each embedded base weight met so far against
         every coroot, in coroot order, keyed by its omega tuple;
-        dimensions.pair_ledger fills it with bracket values."""
+        dimensions.pair_ledger and dimensions.grand_product_identity fill
+        it with bracket values."""
         return {}
+
+    @cached_property
+    def rho_product(self) -> int:
+        """Product of rho(h) over the positive coroots, the denominator of
+        the Weyl dimension formula."""
+        return math.prod(rho_value(h) for h in self.coroots)
 
     @cached_property
     def ledger_plan(self) -> tuple[tuple[tuple[str, bool, bool], ...],

@@ -1,12 +1,19 @@
-"""Reference grouping: the ordered-tuple route the multiset walk replaces.
+"""Reference routes for ``build_poset``: the ordered-tuple grouping the
+multiset walk replaces, and the full scan the output-sensitive walk
+replaces.
 
-``build_poset`` walks part multisets and never orders the parts.  This
-fixture keeps the grouping it stands for: every ordered tuple from
-``enumerate_tuples``, one ``stat_vector`` each, then the sort, with the
-largest member of each class as its representative.
+``build_poset`` walks part multisets and never orders the parts.
+``classes_by_enumeration`` keeps the grouping it stands for: every
+ordered tuple from ``enumerate_tuples``, one ``stat_vector`` each, then
+the sort, with the largest member of each class as its representative.
+``part_multisets_by_scan`` is the multiset walk before the band cut and
+the box step: every part at or after the previous one is tried at every
+level, and only a negative remainder cuts a branch.
 """
 
-from weyl_order import enumerate_tuples
+import itertools
+
+from weyl_order import Weight, enumerate_tuples
 from weyl_order.posets import _tuple_sort_key
 
 
@@ -20,3 +27,30 @@ def classes_by_enumeration(lam, k):
         members = tuple(sorted(by_stats[sv], key=_tuple_sort_key))
         classes.append((sv, members[-1], members))
     return classes
+
+
+def part_multisets_by_scan(lam: tuple[int, ...], k: int):
+    """Yield each multiset of k dominant parts summing to lam, once.
+
+    A multiset is a tuple of omega tuples weakly decreasing in epsilon-lex
+    order, and they come in descending ``_tuple_sort_key`` order.  The
+    parts are the dominant omega tuples <= lam coordinatewise, listed by
+    descending epsilon-lex key; each part sits no earlier in that list
+    than the one before it, a branch whose remainder goes negative is
+    cut, and the last part is the remainder itself.
+    """
+    parts = sorted(itertools.product(*(range(m + 1) for m in lam)),
+                   key=lambda p: Weight(p).eps(), reverse=True)
+    position = {p: i for i, p in enumerate(parts)}
+
+    def walk(start, rest, left, prefix):
+        if left == 1:
+            if position[rest] >= start:
+                yield prefix + (rest,)
+            return
+        for i in range(start, len(parts)):
+            p = parts[i]
+            after = tuple(r - c for r, c in zip(rest, p))
+            if min(after) >= 0:
+                yield from walk(i, after, left - 1, prefix + (p,))
+    return walk(0, tuple(lam), k, ())

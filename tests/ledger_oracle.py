@@ -4,11 +4,14 @@
 flags and grouped-row indices) and ``part_brackets`` (each part's
 shifted pairings against every coroot).  This fixture keeps the route
 those stand for: embed the four parts, group the coroots, and evaluate
-every bracket and label afresh on each call.
+every bracket and label afresh on each call.  ``grand_product_identity``
+is kept the same way: it embeds every part and recomputes every bracket
+and the rho product on each call, where the library reads the bracket
+table and ``RootSystem.rho_product``.
 """
 
 from weyl_order import (Coroot, LedgerRow, RootSystem, WeightTuple, bracket,
-                        group_coroots, iota)
+                        group_coroots, iota, rho_value, tensor_dim)
 
 
 def pair_ledger(rs: RootSystem, low: WeightTuple, high: WeightTuple) -> list[LedgerRow]:
@@ -55,3 +58,19 @@ def coroot_ledger_rows(poset, rs: RootSystem):
                 violations.append({"item": entry["item"], "kind": "ledger_row",
                                    "low": row.low, "high": row.high})
     return details, violations
+
+
+def grand_product_identity(rs: RootSystem, x: WeightTuple) -> tuple[int, int]:
+    """(product of all two-factor brackets, tensor_dim times rho-product squared).
+
+    The two sides agree exactly; returned unreduced so callers can assert it.
+    """
+    lo = [iota(p, rs) for p in x.parts]
+    total = 1
+    for h in rs.coroots:
+        for e in lo:
+            total *= bracket(e, h)
+    rp = 1
+    for h in rs.coroots:
+        rp *= rho_value(h)
+    return total, tensor_dim(rs, x) * rp ** len(x.parts)

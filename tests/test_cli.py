@@ -269,6 +269,21 @@ class TestFailureModes:
         assert "Traceback" not in err
         assert blocker.read_text() == "not a directory\n"
 
+    @pytest.mark.parametrize("under_file", [False, True])
+    def test_verify_checks_out_dir_before_the_sweep(self, tmp_path, capsys,
+                                                    monkeypatch, under_file):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep ran before --out-dir was checked")
+        monkeypatch.setattr(cli, "run_sweep", refuse)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory\n")
+        out_dir = blocker / "sub" if under_file else blocker
+        code, _, err = run(capsys, "verify", "--max-coord", "5", "--max-k", "4",
+                           "--out-dir", str(out_dir))
+        assert code == 2
+        assert "--out-dir" in err and str(out_dir) in err
+        assert blocker.read_text() == "not a directory\n"
+
     def test_argparse_error_becomes_exit_2(self, capsys):
         assert cli.main(["poset"]) == 2  # --lambda is required
         capsys.readouterr()

@@ -283,6 +283,36 @@ class TestLedgerAgainstOracle:
             assert report.details == details
             assert report.violations == violations == []
 
+    @pytest.mark.parametrize("name", RANK_TWO_SYSTEMS)
+    def test_grand_product_on_every_small_representative(self, name):
+        rs = fresh_system(name)
+        reps = 0
+        for poset in small_k2_posets():
+            for cls in poset.classes:
+                want = ledger_oracle.grand_product_identity(rs, cls.rep)
+                assert grand_product_identity(rs, cls.rep) == want, cls.rep
+                reps += 1
+        assert reps > 0
+        assert rs.rho_product == ledger_oracle.grand_product_identity(
+            rs, T((0, 0)))[0]
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_grand_product_on_arbitrary_tuples(self, data):
+        rs = root_system(data.draw(st.sampled_from(RANK_TWO_SYSTEMS + ("C3",))))
+        part = st.tuples(*[st.integers(0, 6)] * base_rank(rs)).map(Weight)
+        x = WeightTuple(tuple(data.draw(part)
+                              for _ in range(data.draw(st.integers(1, 4)))))
+        assert grand_product_identity(rs, x) == \
+            ledger_oracle.grand_product_identity(rs, x)
+
+    def test_grand_product_keeps_the_rank_check(self):
+        rs = fresh_system("C2")
+        grand_product_identity(rs, X)
+        for route in (grand_product_identity, ledger_oracle.grand_product_identity):
+            with pytest.raises(ValueError):
+                route(rs, T((1,), (0,)))
+
     def test_violation_items_match_the_oracle(self, monkeypatch):
         # a ledger whose guaranteed rows all lose, fed to both routes
         real = ledger_oracle.pair_ledger
@@ -470,24 +500,33 @@ class TestVerifiers:
 
     def test_one_label_per_class_across_reports(self, monkeypatch):
         # a poset serves every family and check of its fiber; its class
-        # labels are formatted once, with the text str(rep) gives
-        poset = build_poset(Weight((2, 2)), 2)
-        want = tuple(str(cls.rep) for cls in poset.classes)
+        # labels are formatted once, with the text str(rep) gives, each
+        # distinct part formatted once
+        posets = [build_poset(Weight(coords), k)
+                  for coords, k in [((2, 2), 2), ((3, 2), 3), ((2, 2), 4)]]
+        wants = [tuple(str(cls.rep) for cls in poset.classes)
+                 for poset in posets]
         formatted = []
-        real = WeightTuple.__str__
+        real = Weight.__str__
 
-        def counting(x):
-            formatted.append(x)
-            return real(x)
-        monkeypatch.setattr(WeightTuple, "__str__", counting)
-        for name in RANK_TWO_SYSTEMS:
-            rs = root_system(name)
-            for verify in (verify_monotone_k2, verify_coroot_inequalities_k2,
-                           verify_max_dim):
-                assert verify(poset, rs).ok
-        poset.to_dot()
-        assert poset.labels == want
-        assert len(formatted) == len(poset)
+        def counting(w):
+            formatted.append(w)
+            return real(w)
+        monkeypatch.setattr(Weight, "__str__", counting)
+        for poset, want in zip(posets, wants):
+            formatted.clear()
+            verifiers = [verify_max_dim]
+            if poset.k == 2:
+                verifiers += [verify_monotone_k2, verify_coroot_inequalities_k2]
+            for name in RANK_TWO_SYSTEMS:
+                rs = root_system(name)
+                for verify in verifiers:
+                    assert verify(poset, rs).ok
+            poset.to_dot()
+            assert poset.labels == want
+            parts = {p for cls in poset.classes for p in cls.rep.parts}
+            assert sorted(formatted, key=lambda w: w.omega) == \
+                sorted(parts, key=lambda w: w.omega)
 
     def test_report_serialization(self):
         report = verify_monotone_k2(build_poset(Weight((2, 1)), 2), root_system("C2"))

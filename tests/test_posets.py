@@ -1,5 +1,7 @@
 import itertools
 import json
+import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -22,10 +24,11 @@ from weyl_order import (
     minimal_element,
     poset_size_k2,
 )
-from weyl_order.posets import _sorting_coset, _tuple_sort_key, compositions
+from weyl_order.posets import (_part_multisets, _sorting_coset, _tuple_sort_key,
+                               compositions)
 
 from cover_oracle import classify_cover_by_search, sorting_coset_by_stabilizer
-from fiber_oracle import classes_by_enumeration
+from fiber_oracle import classes_by_enumeration, part_multisets_by_scan
 from move_oracle import covers_by_moves
 from order_oracle import (hasse_edges_pairwise, strict_masks_pairwise,
                           strict_pairs)
@@ -200,6 +203,55 @@ class TestBuildPoset:
             built.clear()
             poset = build_poset(Weight(coords), k)
             assert [id(x) for x in built] == [id(c.rep) for c in poset.classes]
+
+
+def assert_walk_matches_scan(lam, k):
+    """The band-cut walk yields the scan's multisets in the scan's order,
+    and build_poset's class sizes are the scan's multinomials."""
+    want = list(part_multisets_by_scan(lam, k))
+    assert list(_part_multisets(lam, k)) == want, (lam, k)
+    by_stats = {}
+    for ms in want:
+        by_stats.setdefault(WeightTuple(tuple(map(Weight, ms))).stat_vector,
+                            []).append(ms)
+    sizes = [sum(math.factorial(k) // math.prod(map(math.factorial,
+                                                   Counter(ms).values()))
+                 for ms in by_stats[sv]) for sv in sorted(by_stats)]
+    classes = build_poset(Weight(lam), k).classes
+    assert [c.size for c in classes] == sizes, (lam, k)
+    assert [c.multisets for c in classes] == \
+        [tuple(by_stats[sv]) for sv in sorted(by_stats)]
+
+
+class TestPartWalk:
+    """The output-sensitive walk against the full scan it replaces."""
+
+    def test_rank_at_most_three(self):
+        # lambda = 0 and k = 1 included
+        for rank in (1, 2, 3):
+            for lam in itertools.product(range(4), repeat=rank):
+                for k in range(1, 6):
+                    assert_walk_matches_scan(lam, k)
+
+    def test_rank_four_to_six(self):
+        for rank in (4, 5, 6):
+            for lam in itertools.product(range(3), repeat=rank):
+                for k in (2, 3):
+                    assert list(_part_multisets(lam, k)) == \
+                        list(part_multisets_by_scan(lam, k)), (lam, k)
+
+    @pytest.mark.parametrize("lam,k", [((6, 6, 6), 3), ((5, 5), 6),
+                                       ((2, 2, 2, 2, 2, 2), 2)])
+    def test_benchmark_fibers(self, lam, k):
+        assert_walk_matches_scan(lam, k)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_fibers(self, data):
+        rank = data.draw(st.integers(1, 4))
+        lam = data.draw(st.tuples(*[st.integers(0, 7 - rank)] * rank))
+        k = data.draw(st.integers(1, 7 - rank))
+        assert_walk_matches_scan(lam, k)
 
 
 class TestSizeFormula:
