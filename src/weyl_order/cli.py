@@ -20,14 +20,14 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 from .dimensions import (tensor_dim, verify_coroot_inequalities_k2,
                          verify_max_dim, verify_monotone_k2, weyl_dim)
 from .posets import (DEFAULT_GUARD, GuardExceeded, build_poset, count_tuples,
-                     maximal_element, minimal_element, poset_size_k2)
+                     json_array, json_object, maximal_element,
+                     minimal_element, poset_size_k2)
 from .roots import (FAMILIES, base_rank, coroot_table_report,
                     expected_table_report, iota, root_system)
 from .tuples import WeightTuple
@@ -233,6 +233,8 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> list[dict]:
         groups.setdefault(it[3:6], []).append(it)  # (lambda, k, guard)
     workers = pool_size(jobs, os.cpu_count(), len(groups))
     if workers > 1:
+        # imported here: a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(run_fiber, groups.values()))
     else:
@@ -281,7 +283,7 @@ def cmd_poset(args) -> int:
     poset = build_poset(lam, args.k, _guard_from(args))
     out_dir = Path(args.out_dir)
     stem = f"poset_lam{_slug(lam)}_k{args.k}"
-    _write_json(out_dir / f"{stem}.json", poset.to_json())
+    _write_text(out_dir / f"{stem}.json", poset.json_text())
     if args.dot:
         _write_text(out_dir / f"{stem}.dot", poset.to_dot())
     print(f"{lam} k={args.k}: {len(poset.classes)} classes, "
@@ -303,6 +305,22 @@ def cmd_max(args) -> int:
     return 0
 
 
+def covers_json_text(lam: Weight, k: int, records: list[dict]) -> str:
+    """The covers JSON file: the bytes of json.dumps({"covers": records,
+    "k": k, "lambda": list(lam.omega)}, sort_keys=True, indent=2) plus a
+    newline.  Every string value, and a null witness, goes through
+    json.dumps, each distinct one once."""
+    text = functools.cache(json.dumps)
+    covers = (json_object([(key, text(rec[key])) for key in
+                           ("high", "kind", "low", "witness")], 4)
+              for rec in records)
+    return json_object((
+        ("covers", json_array(covers, 2)),
+        ("k", str(k)),
+        ("lambda", json_array(map(str, lam.omega), 2)),
+    ), 0) + "\n"
+
+
 def cmd_covers(args) -> int:
     lam = parse_weight(args.lam)
     poset = build_poset(lam, args.k, _guard_from(args))
@@ -317,8 +335,8 @@ def cmd_covers(args) -> int:
         print(f"{rec['low']} -> {rec['high']} [{rec['kind']}]"
               + (f" ({rec['witness']})" if rec["witness"] else ""))
     if args.json:
-        _write_json(Path(args.out_dir) / f"covers_lam{_slug(lam)}_k{args.k}.json",
-                    {"lambda": list(lam.omega), "k": args.k, "covers": records})
+        _write_text(Path(args.out_dir) / f"covers_lam{_slug(lam)}_k{args.k}.json",
+                    covers_json_text(lam, args.k, records))
     return 0
 
 

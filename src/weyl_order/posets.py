@@ -27,6 +27,9 @@ coordinates after a sorting change of frame, and an explicit
 padded epsilon integer tuples and walks the sorters lazily as image
 tuples; only the witness it returns is built as objects.  Off k = 2 the
 exporters read the Hasse edges directly, all unclassified.
+``TuplePoset.json_text`` writes the poset JSON file as text, the bytes
+``json.dumps(to_json(), sort_keys=True, indent=2)`` gives, through the
+``json_array`` and ``json_object`` layout helpers.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from __future__ import annotations
 import bisect
 import enum
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -58,7 +62,10 @@ def count_tuples(lam: Weight, k: int) -> int:
     """Number of ordered k-tuples of dominant weights summing to lam.
 
     Coordinates split independently, so this is a product of binomials.
+    A non-dominant lam or a k below 1 raises ValueError.
     """
+    if not lam.is_dominant:
+        raise ValueError(f"{lam} is not dominant")
     if k < 1:
         raise ValueError("k must be positive")
     out = 1
@@ -80,8 +87,6 @@ def compositions(total: int, k: int):
 def _check_fiber(lam: Weight, k: int, guard: int) -> None:
     """Reject a non-dominant lam, a k below 1, or a fiber whose ordered
     tuple count exceeds guard, before any work on it starts."""
-    if not lam.is_dominant:
-        raise ValueError(f"{lam} is not dominant")
     estimate = count_tuples(lam, k)
     if estimate > guard:
         raise GuardExceeded(estimate, guard)
@@ -151,6 +156,30 @@ class EquivClass:
 
 def _tuple_sort_key(x: WeightTuple):
     return tuple(p.eps() for p in x.parts)
+
+
+# -- JSON text, laid out as json.dumps(..., sort_keys=True, indent=2) -------
+
+def json_array(items, indent: int) -> str:
+    """A JSON array whose opening bracket sits indent spaces in.
+
+    items are the element texts, already laid out for indent + 2; no
+    element text is empty, so an empty join means [].
+    """
+    inner = "\n" + " " * (indent + 2)
+    body = ("," + inner).join(items)
+    return "[" + inner + body + "\n" + " " * indent + "]" if body else "[]"
+
+
+def json_object(fields, indent: int) -> str:
+    """A JSON object whose opening brace sits indent spaces in.
+
+    fields are (key, value text) pairs, sorted by key; the keys are plain
+    ASCII names of the schema, so quoting them is their JSON text.
+    """
+    inner = "\n" + " " * (indent + 2)
+    body = ("," + inner).join(f'"{key}": {text}' for key, text in fields)
+    return "{" + inner + body + "\n" + " " * indent + "}"
 
 
 @dataclass(frozen=True)
@@ -305,6 +334,37 @@ class TuplePoset:
             ],
             "hasse": [[a, b, kind.value] for a, b, kind in self._edge_kinds()],
         }
+
+    def json_text(self) -> str:
+        """The poset JSON file: the bytes of json.dumps(self.to_json(),
+        sort_keys=True, indent=2) plus a newline, written straight from
+        the classes without the dict tree.  Each distinct part is laid out
+        once; kind values go through json.dumps."""
+        @cache
+        def part(w: Weight) -> str:
+            return json_object((("omega", json_array(map(str, w.omega), 12)),
+                                ("rank", str(w.rank))), 10)
+
+        def entry(cls: EquivClass) -> str:
+            rep = json_object((("k", str(self.k)),
+                               ("parts", json_array(map(part, cls.rep.parts), 8))),
+                              6)
+            return json_object((("rep", rep), ("size", str(cls.size)),
+                                ("stats", json_array(map(str, cls.stat_vector), 6))),
+                               4)
+
+        # an edge is json_array([a, b, kind], 4), spelled out: one format
+        # per edge instead of two joins
+        kind_text = {kind: json.dumps(kind.value) for kind in CoverKind}
+        edges = (f"[\n      {a},\n      {b},\n      {kind_text[kind]}\n    ]"
+                 for a, b, kind in self._edge_kinds())
+        return json_object((
+            ("classes", json_array(map(entry, self.classes), 2)),
+            ("hasse", json_array(edges, 2)),
+            ("k", str(self.k)),
+            ("lambda", json_array(map(str, self.lam.omega), 2)),
+            ("num_classes", str(len(self.classes))),
+        ), 0) + "\n"
 
     def to_dot(self) -> str:
         styles = {CoverKind.TYPE_I: "solid",

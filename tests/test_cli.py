@@ -1,6 +1,9 @@
 import hashlib
 import importlib.util
+import itertools
 import json
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -61,10 +64,108 @@ class TestSingleShot:
         assert "ordered tuples: 6" in out
         assert "classes (closed form): 3" in out
 
+    def test_size_rejects_a_non_dominant_lambda(self, capsys):
+        code, out, err = run(capsys, "size", "--lambda", "1,-1")
+        assert code == 2
+        assert out == ""
+        assert "(1,-1) is not dominant" in err
+
     def test_size_k3_has_no_closed_form_line(self, capsys):
         code, out, _ = run(capsys, "size", "--lambda", "2,1", "--k", "3")
         assert code == 0
         assert "closed form" not in out
+
+
+def covers_payload(lam, k):
+    """The covers JSON as a dict, built from the poset the way the records
+    of covers --json are: the oracle for the covers writer."""
+    poset = build_poset(Weight(lam), k)
+    labels = poset.labels
+    return {"lambda": list(lam), "k": k, "covers": [
+        {"low": labels[e.low], "high": labels[e.high], "kind": e.kind.value,
+         "witness": e.witness.describe() if e.witness else None}
+        for e in poset.cover_edges]}
+
+
+class TestJsonFiles:
+    """The poset and covers files are the bytes json.dumps(sort_keys=True,
+    indent=2) gives, plus a newline."""
+
+    @staticmethod
+    def dumps(payload):
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    def covers_file(self, capsys, tmp_path, lam, k):
+        slug = "-".join(map(str, lam))
+        code, *_ = run(capsys, "covers", "--lambda", ",".join(map(str, lam)),
+                       "--k", str(k), "--json", "--out-dir", str(tmp_path))
+        assert code == 0
+        return (tmp_path / f"covers_lam{slug}_k{k}.json").read_text()
+
+    def test_poset_file_matches_dumps(self, tmp_path, capsys):
+        code, *_ = run(capsys, "poset", "--lambda", "3,1,2", "--k", "3",
+                       "--out-dir", str(tmp_path))
+        assert code == 0
+        want = self.dumps(build_poset(Weight((3, 1, 2)), 3).to_json())
+        assert (tmp_path / "poset_lam3-1-2_k3.json").read_text() == want
+
+    def test_covers_k2_grid_matches_dumps(self, tmp_path, capsys):
+        # lambda = 0 included: one class, no covers
+        for rank in (1, 2, 3):
+            for lam in itertools.product(range(3), repeat=rank):
+                got = self.covers_file(capsys, tmp_path, lam, 2)
+                assert got == self.dumps(covers_payload(lam, 2)), lam
+
+    @pytest.mark.parametrize("lam", [(2, 2, 2, 2, 2, 2), (3, 0, 2)])
+    def test_covers_k2_witnesses_match_dumps(self, tmp_path, capsys, lam):
+        payload = covers_payload(lam, 2)
+        assert {"type_one", "type_two"} <= {c["kind"] for c in payload["covers"]}
+        assert self.covers_file(capsys, tmp_path, lam, 2) == self.dumps(payload)
+
+    def test_covers_k3_are_null_and_unclassified(self, tmp_path, capsys):
+        payload = covers_payload((2, 2), 3)
+        assert payload["covers"]
+        assert {(c["kind"], c["witness"]) for c in payload["covers"]} == \
+            {("unclassified", None)}
+        assert self.covers_file(capsys, tmp_path, (2, 2), 3) == \
+            self.dumps(payload)
+
+    def test_covers_writer_escapes_as_dumps_does(self):
+        records = [{"low": 'a"b', "high": "back\\slash", "kind": "tab\t",
+                    "witness": None},
+                   {"low": "\u00e9\u2603", "high": "", "kind": "\n",
+                    "witness": "\x00"}]
+        want = self.dumps({"lambda": [2, 0], "k": 2, "covers": records})
+        assert cli.covers_json_text(Weight((2, 0)), 2, records) == want
+
+    def test_output_bytes_are_pinned(self, tmp_path, capsys):
+        assert run(capsys, "poset", "--lambda", "2,1", "--k", "3", "--dot",
+                   "--out-dir", str(tmp_path))[0] == 0
+        assert run(capsys, "covers", "--lambda", "2,2", "--k", "2", "--json",
+                   "--out-dir", str(tmp_path))[0] == 0
+        digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                  for name in ("poset_lam2-1_k3.json", "poset_lam2-1_k3.dot",
+                               "covers_lam2-2_k2.json")}
+        assert digest == {
+            "poset_lam2-1_k3.json":
+                "43f8a73f5423e96ff2c2c0604e2e3af2bc58d0b13c55411e811c584f5a40c8f1",
+            "poset_lam2-1_k3.dot":
+                "dea6cb124442677fed2c382916192f0eef79d1e6125ac545074fa6304ff9bb94",
+            "covers_lam2-2_k2.json":
+                "68a982f761f93ac910def299701f10142f5a831c08ef92cfa93c6928e03ebe3f",
+        }
+
+
+class TestStartup:
+    def test_importing_the_cli_loads_no_process_pool(self):
+        src = Path(cli.__file__).resolve().parents[1]
+        probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                 "import weyl_order.cli; "
+                 "print('concurrent.futures.process' in sys.modules, "
+                 "'multiprocessing' in sys.modules)")
+        done = subprocess.run([sys.executable, "-I", "-c", probe, str(src)],
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.split() == ["False", "False"]
 
 
 class TestVerify:

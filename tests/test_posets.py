@@ -25,7 +25,7 @@ from weyl_order import (
     poset_size_k2,
 )
 from weyl_order.posets import (_part_multisets, _sorting_coset, _tuple_sort_key,
-                               compositions)
+                               compositions, json_array, json_object)
 
 from cover_oracle import classify_cover_by_search, sorting_coset_by_stabilizer
 from fiber_oracle import classes_by_enumeration, part_multisets_by_scan
@@ -596,3 +596,54 @@ class TestExports:
         assert dot.startswith("digraph")
         assert "style=solid" in dot  # the chunk-transfer edge
         assert 'label="(1,0)/(1,0)"' in dot
+
+
+def assert_json_text_matches_dumps(lam, k):
+    poset = build_poset(Weight(lam), k)
+    want = json.dumps(poset.to_json(), sort_keys=True, indent=2) + "\n"
+    assert poset.json_text() == want, (lam, k)
+
+
+class TestJsonText:
+    """The poset JSON writer against json.dumps of to_json, the oracle."""
+
+    def test_grid_of_rank_at_most_three(self):
+        # lambda = 0 included; k = 1 gives one class and an empty hasse
+        for rank in (1, 2, 3):
+            for lam in itertools.product(range(4), repeat=rank):
+                for k in range(1, 5):
+                    assert_json_text_matches_dumps(lam, k)
+
+    def test_empty_hasse(self):
+        poset = build_poset(Weight((2, 1)), 1)
+        assert poset.hasse_edges == ()
+        assert '"hasse": [],' in poset.json_text()
+        assert_json_text_matches_dumps((2, 1), 1)
+
+    @pytest.mark.parametrize("lam,k", [((6, 6, 6), 3), ((5, 5), 6),
+                                       ((2, 2, 2, 2, 2, 2), 2)])
+    def test_benchmark_fibers(self, lam, k):
+        assert_json_text_matches_dumps(lam, k)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_random_fibers(self, data):
+        rank = data.draw(st.integers(1, 5))
+        lam = data.draw(st.tuples(*[st.integers(0, 6 - rank)] * rank))
+        k = data.draw(st.integers(1, 6 - rank))
+        assert_json_text_matches_dumps(lam, k)
+
+    @pytest.mark.parametrize("value", [
+        [], [[]], [0, -3, 10**30], [["a", "b"], [], [1, [2, []]]],
+    ])
+    def test_layout_helpers_match_dumps(self, value):
+        def text(v, indent):
+            if isinstance(v, list):
+                return json_array((text(x, indent + 2) for x in v), indent)
+            return json.dumps(v)
+        payload = {"a": value, "b": {"c": value}, "d": None}
+        fields = [("a", text(value, 2)),
+                  ("b", json_object([("c", text(value, 4))], 2)),
+                  ("d", "null")]
+        assert json_object(fields, 0) == \
+            json.dumps(payload, sort_keys=True, indent=2)
