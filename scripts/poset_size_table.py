@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""Tabulate class counts per fiber: closed form against brute enumeration.
+"""Tabulate class counts per fiber: closed form against build_poset.
 
-For k = 2 both columns must agree everywhere (the closed form counts
-swap orbits, one per unordered pair profile).  For k >= 3 no closed form
-is shipped, so the table reports the enumerated count alone; the k = 3
-column is a convenient place to look for patterns.
+The counts come from ``build_poset``'s multiset walk.  For k = 2 both
+columns must agree everywhere (the closed form counts swap orbits, one
+per unordered pair profile).  For k >= 3 no closed form is shipped, so
+the table reports the built count alone; the k = 3 column is a
+convenient place to look for patterns.  ``--rank``, ``--max-coord`` and
+``--max-k`` follow the rules of ``weyl-order verify``: the first two
+must be positive and ``--max-k`` at least 2, or the call exits with 2.
 
 Example:
     python scripts/poset_size_table.py --rank 2 --max-coord 4 --max-k 3
@@ -18,6 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from weyl_order import Weight, build_poset, count_tuples, poset_size_k2
+from weyl_order.cli import at_least_two, positive_int
 
 
 @dataclass(frozen=True)
@@ -41,9 +45,9 @@ def rows_for(cfg: TableConfig):
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--rank", type=int, default=2)
-    ap.add_argument("--max-coord", type=int, default=4)
-    ap.add_argument("--max-k", type=int, default=3)
+    ap.add_argument("--rank", type=positive_int, default=2)
+    ap.add_argument("--max-coord", type=positive_int, default=4)
+    ap.add_argument("--max-k", type=at_least_two, default=3)
     ap.add_argument("--out", type=Path, default=None, help="optional CSV path")
     args = ap.parse_args(argv)
     cfg = TableConfig(args.rank, args.max_coord, args.max_k, args.out)

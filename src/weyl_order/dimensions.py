@@ -209,15 +209,6 @@ class DimensionReport:
                 "lambda": list(self.lam), "k": self.k, "ok": self.ok,
                 "details": self.details, "violations": self.violations}
 
-    def to_csv_rows(self) -> list[list]:
-        head = ["check", "system", "lambda", "k", "item", "ok"]
-        rows = [head]
-        for d in self.details:
-            rows.append([self.check, self.system,
-                         " ".join(str(c) for c in self.lam), self.k,
-                         d.get("item", ""), d.get("ok", True)])
-        return rows
-
 
 def verify_monotone_k2(poset: TuplePoset, rs: RootSystem) -> DimensionReport:
     """Strictly smaller class in the window order means strictly smaller dim.

@@ -4,17 +4,19 @@
 summing to a given dominant weight; it is the reference route.
 ``build_poset`` never orders the parts: a stat vector does not depend on
 their order, so it walks the multisets of parts as plain omega integer
-tuples, reads each multiset's window values off omega prefix sums, and
-groups the multisets into equivalence classes by stat vector.  The walk
-is output-sensitive: at each level it tries only the parts whose
-epsilon_1 lies in the band ceil(|rest| / left) .. |rest| (a slice of the
-part list), and with two parts left it reads the pairs off the box of
-parts below the remainder.  A class's size is the sum of the multinomials
-k! / prod(mult!) of its multisets, the multiplicities read as run
-lengths of equal adjacent parts; its representative is the only
-``WeightTuple`` built, from one shared ``Weight`` per distinct part, and
-its ordered members are expanded only when asked for.  The quotient
-carries the coordinatewise order from :mod:`weyl_order.tuples`.
+tuples, scores each multiset through the one stat route of
+:mod:`weyl_order.tuples` (window values off omega prefix sums, then
+sorted-prefix sums), and groups the multisets into equivalence classes
+by stat vector.  The walk is output-sensitive: at each level it tries
+only the parts whose epsilon_1 lies in the band ceil(|rest| / left) ..
+|rest| (a slice of the part list), and with two parts left it reads the
+pairs off the box of parts below the remainder.  A class's size is the
+sum of the multinomials k! / prod(mult!) of its multisets, the
+multiplicities read as run lengths of equal adjacent parts; its
+representative is the only ``WeightTuple`` built, from one shared
+``Weight`` per distinct part, and its ordered members are expanded only
+when asked for.  The quotient carries the coordinatewise order from
+:mod:`weyl_order.tuples`.
 
 The quotient always has a unique bottom class, the one containing
 (lam, 0, ..., 0), and a unique top class whose representative spreads
@@ -42,7 +44,8 @@ import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 
-from .tuples import OrderVerdict, WeightTuple, _verdict_from_vectors, windows
+from .tuples import (OrderVerdict, WeightTuple, _part_window_values,
+                     _sorted_prefix_stats, _verdict_from_vectors)
 from .weights import Permutation, Weight
 
 
@@ -449,9 +452,10 @@ def build_poset(lam: Weight, k: int, guard: int = DEFAULT_GUARD) -> TuplePoset:
     """Group the fiber over lam into classes, without ordering any parts.
 
     The multisets come from ``_part_multisets`` (band cut, box step).
-    Each part's window values (omega prefix sums P[j] - P[i-1], windows in
-    ``stat_labels`` order) are computed once; a multiset's stat vector
-    sorts them per window and takes running sums.  The walk runs in
+    Each distinct part's window values are computed once, and a
+    multiset's stat vector comes from them through the same two helpers
+    of :mod:`weyl_order.tuples` that ``WeightTuple.stat_vector`` uses
+    (``_part_window_values``, ``_sorted_prefix_stats``).  The walk runs in
     descending ``_tuple_sort_key`` order, so the first multiset of each
     class is its largest member, the representative.  A class's size sums
     k! / prod(mult!) over its multisets, the multiplicities read as run
@@ -460,19 +464,11 @@ def build_poset(lam: Weight, k: int, guard: int = DEFAULT_GUARD) -> TuplePoset:
     ordered tuples.
     """
     _check_fiber(lam, k, guard)
-    spans = windows(lam.rank)
-
-    @cache
-    def window_values(p: tuple[int, ...]) -> tuple[int, ...]:
-        prefix = (0, *itertools.accumulate(p))
-        return tuple(prefix[j] - prefix[i - 1] for i, j in spans)
-
+    window_values = cache(_part_window_values)
     by_stats: dict[tuple[int, ...], list[Multiset]] = {}
     for ms in _part_multisets(lam.omega, k):
-        sv = []
-        for column in zip(*map(window_values, ms)):
-            sv.extend(itertools.accumulate(sorted(column)))
-        by_stats.setdefault(tuple(sv), []).append(ms)
+        sv = _sorted_prefix_stats(map(window_values, ms))
+        by_stats.setdefault(sv, []).append(ms)
     k_orderings = math.factorial(k)
     weight = cache(Weight)
     classes = []

@@ -14,6 +14,13 @@ equivalent, and reordering the parts never changes the vector.
 ``compare_prec`` refines the same idea over an ambient root system: the
 per-part window value is replaced by the pairing of the embedded part
 against each positive coroot.
+
+Both orders score a tuple by one rule, kept in one place: per column (a
+window or a coroot), sort the parts' values and take running sums
+(``_sorted_prefix_stats``).  ``_part_window_values`` reads a part's
+window values off its omega prefix sums; ``WeightTuple.stat_vector`` and
+``build_poset`` both go through it, and ``coroot_stat_vector`` feeds the
+coroot pairings to the same sums.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .roots import RootSystem, base_rank, iota, pairing
 from .weights import Permutation, Weight
@@ -60,6 +67,25 @@ def _verdict_from_vectors(a, b) -> OrderVerdict:
 def windows(rank: int):
     """All (i, j) index pairs, 1-based, in the fixed enumeration order."""
     return [(i, j) for i in range(1, rank + 1) for j in range(i, rank + 1)]
+
+
+_window_spans = cache(windows)  # never mutated; a list per part doubled the cost
+
+
+def _part_window_values(omega: tuple[int, ...]) -> tuple[int, ...]:
+    """One part's window values a_i + ... + a_j, in ``windows`` order,
+    read off its omega prefix sums."""
+    prefix = (0, *itertools.accumulate(omega))
+    return tuple(prefix[j] - prefix[i - 1] for i, j in _window_spans(len(omega)))
+
+
+def _sorted_prefix_stats(rows) -> tuple[int, ...]:
+    """The stat vector of per-part rows of column values: per column, the
+    running sums of its values sorted ascending."""
+    out = []
+    for column in zip(*rows):
+        out.extend(itertools.accumulate(sorted(column)))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -103,14 +129,8 @@ class WeightTuple:
 
     @cached_property
     def stat_vector(self) -> tuple[int, ...]:
-        out = []
-        for i, j in windows(self.rank):
-            vals = sorted(self.window_values(i, j))
-            acc = 0
-            for ell in range(self.k):
-                acc += vals[ell]
-                out.append(acc)
-        return tuple(out)
+        return _sorted_prefix_stats(_part_window_values(p.omega)
+                                    for p in self.parts)
 
     def __str__(self) -> str:
         return "/".join(str(p) for p in self.parts)
@@ -149,15 +169,9 @@ def compare(x: WeightTuple, y: WeightTuple) -> OrderVerdict:
 
 def coroot_stat_vector(x: WeightTuple, rs: RootSystem) -> tuple[int, ...]:
     """Stats with windows replaced by positive coroots of the ambient system."""
-    out = []
     embedded = [iota(p, rs) for p in x.parts]
-    for h in rs.coroots:
-        vals = sorted(pairing(e, h) for e in embedded)
-        acc = 0
-        for ell in range(x.k):
-            acc += vals[ell]
-            out.append(acc)
-    return tuple(out)
+    return _sorted_prefix_stats([pairing(e, h) for h in rs.coroots]
+                                for e in embedded)
 
 
 def compare_prec(x: WeightTuple, y: WeightTuple, rs: RootSystem) -> OrderVerdict:

@@ -41,10 +41,6 @@ class Weight:
     def is_dominant(self) -> bool:
         return all(c >= 0 for c in self.omega)
 
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.omega)
-
     def eps(self) -> tuple[int, ...]:
         """Epsilon coordinates (partial sums), unpadded."""
         out, acc = [], 0
@@ -88,9 +84,6 @@ class Weight:
 
     def __neg__(self) -> "Weight":
         return Weight(tuple(-x for x in self.omega))
-
-    def scale(self, c: int) -> "Weight":
-        return Weight(tuple(c * x for x in self.omega))
 
     def _check_rank(self, other: "Weight"):
         if self.rank != other.rank:

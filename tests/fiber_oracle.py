@@ -1,11 +1,15 @@
-"""Reference routes for ``build_poset``: the ordered-tuple grouping the
-multiset walk replaces, and the full scan the output-sensitive walk
-replaces.
+"""Reference routes for ``build_poset``: the window-by-window stat
+vector, the ordered-tuple grouping the multiset walk replaces, and the
+full scan the output-sensitive walk replaces.
 
+``stat_vector_by_windows`` scores a tuple one window at a time through
+``Weight.window``, with no prefix sums and none of the library's stat
+helpers, which ``WeightTuple.stat_vector`` and ``build_poset`` share.
 ``build_poset`` walks part multisets and never orders the parts.
 ``classes_by_enumeration`` keeps the grouping it stands for: every
-ordered tuple from ``enumerate_tuples``, one ``stat_vector`` each, then
-the sort, with the largest member of each class as its representative.
+ordered tuple from ``enumerate_tuples``, one reference stat vector each,
+then the sort, with the largest member of each class as its
+representative.
 ``part_multisets_by_scan`` is the multiset walk before the band cut and
 the box step: every part at or after the previous one is tried at every
 level, and only a negative remainder cuts a branch.
@@ -13,15 +17,29 @@ level, and only a negative remainder cuts a branch.
 
 import itertools
 
-from weyl_order import Weight, enumerate_tuples
+from weyl_order import Weight, enumerate_tuples, windows
 from weyl_order.posets import _tuple_sort_key
+
+
+def stat_vector_by_windows(x):
+    """r_{(i,j),ell} for every window (i, j) and ell = 1..k, in
+    ``stat_labels`` order: the sum of the ell smallest part values
+    ``Weight.window(i, j)``."""
+    out = []
+    for i, j in windows(x.rank):
+        vals = sorted(x.window_values(i, j))
+        acc = 0
+        for ell in range(x.k):
+            acc += vals[ell]
+            out.append(acc)
+    return tuple(out)
 
 
 def classes_by_enumeration(lam, k):
     """(stat_vector, rep, members) per class, in stat-vector order."""
     by_stats = {}
     for tup in enumerate_tuples(lam, k):
-        by_stats.setdefault(tup.stat_vector, []).append(tup)
+        by_stats.setdefault(stat_vector_by_windows(tup), []).append(tup)
     classes = []
     for sv in sorted(by_stats):
         members = tuple(sorted(by_stats[sv], key=_tuple_sort_key))

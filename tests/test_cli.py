@@ -390,14 +390,19 @@ class TestFailureModes:
         capsys.readouterr()
 
 
+def load_script(name):
+    """Import scripts/<name>.py as a module."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestDeskSweepScript:
     @staticmethod
     def script():
-        path = Path(__file__).resolve().parents[1] / "scripts" / "run_desk_sweep.py"
-        spec = importlib.util.spec_from_file_location("run_desk_sweep", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
+        return load_script("run_desk_sweep")
 
     @pytest.mark.parametrize("argv,needle", [
         (("--jobs", "0"), "--jobs"),
@@ -412,3 +417,34 @@ class TestDeskSweepScript:
         assert exc.value.code == 2
         assert needle in capsys.readouterr().err
         assert not (tmp_path / "desk_sweep.json").exists()
+
+
+class TestPosetSizeTableScript:
+    @staticmethod
+    def script():
+        return load_script("poset_size_table")
+
+    @pytest.mark.parametrize("argv,needle", [
+        (("--rank", "0"), "--rank"),
+        (("--rank", "x"), "--rank"),
+        (("--max-coord", "-1"), "--max-coord"),
+        (("--max-coord", "0"), "--max-coord"),
+        (("--max-k", "1"), "--max-k"),
+    ])
+    def test_bad_arguments_exit_2(self, tmp_path, capsys, argv, needle):
+        out = tmp_path / "table.csv"
+        with pytest.raises(SystemExit) as exc:
+            self.script().main(list(argv) + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert needle in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_small_table(self, tmp_path, capsys):
+        out = tmp_path / "table.csv"
+        assert self.script().main(["--rank", "1", "--max-coord", "2",
+                                   "--max-k", "2", "--out", str(out)]) == 0
+        assert "3 fibers; closed form mismatches at k=2: 0" in \
+            capsys.readouterr().out
+        assert out.read_text().splitlines() == [
+            "lambda,tuples_k2,classes_k2,closed_form_k2",
+            "0,1,1,1", "1,2,1,1", "2,3,2,2"]

@@ -28,7 +28,8 @@ from weyl_order.posets import (_part_multisets, _sorting_coset, _tuple_sort_key,
                                compositions, json_array, json_object)
 
 from cover_oracle import classify_cover_by_search, sorting_coset_by_stabilizer
-from fiber_oracle import classes_by_enumeration, part_multisets_by_scan
+from fiber_oracle import (classes_by_enumeration, part_multisets_by_scan,
+                          stat_vector_by_windows)
 from move_oracle import covers_by_moves
 from order_oracle import (hasse_edges_pairwise, strict_masks_pairwise,
                           strict_pairs)
@@ -181,6 +182,19 @@ class TestBuildPoset:
             assert cls.rep == rep
             assert cls.size == len(members)
             assert cls.members == members
+
+    def test_stat_vectors_match_window_reference(self):
+        # lambda = 0 and k = 1 included; build_poset and
+        # WeightTuple.stat_vector share their stat helpers, the reference
+        # goes window by window through Weight.window
+        for rank in (1, 2, 3):
+            for coords in itertools.product(range(4), repeat=rank):
+                for k in (1, 2, 3, 4):
+                    for cls in build_poset(Weight(coords), k).classes:
+                        for m in cls.members:
+                            want = stat_vector_by_windows(m)
+                            assert cls.stat_vector == want, (coords, k)
+                            assert m.stat_vector == want, (coords, k)
 
     def test_build_orders_no_parts(self, monkeypatch):
         # the walk never calls the ordered-tuple route, and the one

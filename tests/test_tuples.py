@@ -268,6 +268,37 @@ class TestCorootComparison:
             assert h is not None
             assert pairing(iota(w, C3), h) == w.window(i, j)
 
+    @staticmethod
+    def window_columns_of_type_a(n):
+        """The window index of each coroot of A_n, in coroot order: every
+        coroot is an interval indicator, and the map onto windows is a
+        bijection."""
+        spans = windows(n)
+        columns = []
+        for h in root_system(f"A{n}").coroots:
+            ones = [t + 1 for t, c in enumerate(h.coeffs) if c]
+            assert set(h.coeffs) <= {0, 1}
+            assert ones == list(range(ones[0], ones[-1] + 1))
+            columns.append(spans.index((ones[0], ones[-1])))
+        assert sorted(columns) == list(range(len(spans)))
+        return columns
+
+    def assert_coroot_columns_are_windows(self, x):
+        rs = root_system(f"A{x.rank}")
+        sv, k = x.stat_vector, x.k
+        want = tuple(v for w in self.window_columns_of_type_a(x.rank)
+                     for v in sv[w * k:(w + 1) * k])
+        assert coroot_stat_vector(x, rs) == want
+
+    def test_type_a_coroot_columns_permute_windows_on_example(self):
+        for x in enumerate_tuples(Weight((2, 1)), 2):
+            self.assert_coroot_columns_are_windows(x)
+
+    @given(small_tuples)
+    @settings(max_examples=150, deadline=None)
+    def test_type_a_coroot_columns_permute_windows(self, x):
+        self.assert_coroot_columns_are_windows(x)
+
     def test_coroot_stat_vector_length(self):
         C2 = root_system("C2")
         assert len(coroot_stat_vector(X, C2)) == len(C2.coroots) * X.k
