@@ -50,6 +50,14 @@ def main(argv=None) -> int:
     ap.add_argument("--max-k", type=at_least_two, default=3)
     ap.add_argument("--out", type=Path, default=None, help="optional CSV path")
     args = ap.parse_args(argv)
+    if args.out is not None:
+        try:  # before the table is built, not after
+            args.out.parent.mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            ap.error(f"--out {str(args.out)!r}: cannot create its directory: "
+                     f"{e.strerror or e}")
+        if args.out.is_dir():
+            ap.error(f"--out {str(args.out)!r} is a directory")
     cfg = TableConfig(args.rank, args.max_coord, args.max_k, args.out)
 
     rows = list(rows_for(cfg))
@@ -64,7 +72,6 @@ def main(argv=None) -> int:
           f"{len(mismatches)}")
 
     if cfg.out is not None:
-        cfg.out.parent.mkdir(parents=True, exist_ok=True)
         with open(cfg.out, "w", newline="") as fh:
             w = csv.DictWriter(fh, fieldnames=header)
             w.writeheader()

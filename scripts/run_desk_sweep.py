@@ -46,6 +46,14 @@ def main(argv=None) -> int:
     ap.add_argument("--jobs", type=positive_int, default=1)
     ap.add_argument("--out-dir", type=Path, default=Path("sweep_out"))
     args = ap.parse_args(argv)
+    try:  # before the sweep, not after
+        args.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        ap.error(f"--out-dir {str(args.out_dir)!r}: cannot create it: "
+                 f"{e.strerror or e}")
+    out = args.out_dir / "desk_sweep.json"
+    if out.is_dir():
+        ap.error(f"--out-dir {str(args.out_dir)!r}: {out.name} is a directory")
     cfg = SweepConfig(families=args.families,
                       max_coord=args.max_coord, max_k=args.max_k)
 
@@ -67,7 +75,6 @@ def main(argv=None) -> int:
     for kind, count in sorted(hist["kinds"].items()):
         print(f"  {kind}: {count}")
 
-    args.out_dir.mkdir(parents=True, exist_ok=True)
     payload = {"config": {"families": cfg.families, "max_coord": cfg.max_coord,
                           "max_k": cfg.max_k, "jobs": args.jobs,
                           "out_dir": str(args.out_dir)},
@@ -77,7 +84,6 @@ def main(argv=None) -> int:
                "num_skipped": skipped,
                "cover_histogram": hist,
                "cover_seconds": round(hist_dt, 3)}
-    out = args.out_dir / "desk_sweep.json"
     out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out}")
     return 1 if violations else 0

@@ -18,16 +18,21 @@ labels, flags and grouped-row indices) and ``RootSystem.part_brackets``
 ``grand_product_identity`` reads the same bracket table and the cached
 ``RootSystem.rho_product``.
 The verifiers label classes with ``TuplePoset.labels``, formatted once
-per poset.
+per poset.  Each verifier finds its violations when it runs, but builds
+its detail rows only on the first read of ``DimensionReport.details``:
+the verify sweep reads violations alone.  ``verify_max_dim`` reads the
+closed-form top's class off the poset, where it is cached.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
-from .posets import TuplePoset, maximal_element
+from .posets import TuplePoset
 from .roots import (Coroot, EmbeddedWeight, RootSystem, iota, pairing,
                     rho_value)
 from .tuples import WeightTuple
@@ -191,18 +196,36 @@ def grand_product_identity(rs: RootSystem, x: WeightTuple) -> tuple[int, int]:
 
 # -- sweep reports -----------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class DimensionReport:
+    """One verifier's verdict on one fiber and root system.
+
+    violations are found when the verifier runs.  details, one row per
+    cover, ledger row or class, are built from rows() on first read: the
+    sweep reads only violations.  The verifiers pass a partial of a
+    module-level builder as rows, so a report still pickles.  Reports
+    compare by their to_json().
+    """
+
     check: str
     system: str
     lam: tuple[int, ...]
     k: int
-    details: list = field(default_factory=list)
     violations: list = field(default_factory=list)
+    rows: Callable[[], list] = field(default=list, repr=False)
+
+    @cached_property
+    def details(self) -> list:
+        return self.rows()
 
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    def __eq__(self, other):
+        if not isinstance(other, DimensionReport):
+            return NotImplemented
+        return self.to_json() == other.to_json()
 
     def to_json(self) -> dict:
         return {"check": self.check, "system": self.system,
@@ -219,26 +242,31 @@ def verify_monotone_k2(poset: TuplePoset, rs: RootSystem) -> DimensionReport:
     sorted tuple per part multiset: reordering parts never changes a
     product of part dimensions.
     """
-    report = DimensionReport("monotone_k2", rs.name, poset.lam.omega, poset.k)
     dims = [tensor_dim(rs, cls.rep) for cls in poset.classes]
     labels = poset.labels
+    violations = []
     for c, cls in enumerate(poset.classes):
         for ms in cls.multisets:
             member = WeightTuple(tuple(Weight(p) for p in ms))
             if tensor_dim(rs, member) != dims[c]:
-                report.violations.append(
+                violations.append(
                     {"item": f"class {c} member {member}", "kind": "class_dim"})
-    for a, b in poset.hasse_edges:
-        ok = dims[a] < dims[b]
-        report.details.append(
-            {"item": f"{labels[a]} < {labels[b]}",
-             "low_dim": dims[a], "high_dim": dims[b], "ok": ok})
-        if not ok:
-            report.violations.append(
+    edges = poset.hasse_edges
+    for a, b in edges:
+        if not dims[a] < dims[b]:
+            violations.append(
                 {"item": f"dim({labels[a]}) = {dims[a]} !< "
                          f"dim({labels[b]}) = {dims[b]}",
                  "kind": "monotone"})
-    return report
+    return DimensionReport("monotone_k2", rs.name, poset.lam.omega, poset.k,
+                           violations,
+                           partial(_monotone_details, labels, dims, edges))
+
+
+def _monotone_details(labels, dims, edges) -> list:
+    return [{"item": f"{labels[a]} < {labels[b]}",
+             "low_dim": dims[a], "high_dim": dims[b], "ok": dims[a] < dims[b]}
+            for a, b in edges]
 
 
 def verify_coroot_inequalities_k2(poset: TuplePoset,
@@ -247,50 +275,68 @@ def verify_coroot_inequalities_k2(poset: TuplePoset,
 
     Guaranteed rows must not lose; the grand bracket product must equal
     the dimension product times the squared rho product for every
-    representative.
+    representative.  The ledgers are evaluated here, one pair_ledger call
+    per cover edge; only their detail rows wait for a read.
     """
-    report = DimensionReport("coroot_ledger_k2", rs.name, poset.lam.omega,
-                             poset.k)
     labels = poset.labels
+    violations = []
     for cls, label in zip(poset.classes, labels):
         lhs, rhs = grand_product_identity(rs, cls.rep)
         if lhs != rhs:
-            report.violations.append(
+            violations.append(
                 {"item": f"product identity at {label}", "kind": "identity",
                  "lhs": lhs, "rhs": rhs})
-    for a, b in poset.hasse_edges:
+    reps = [cls.rep for cls in poset.classes]
+    ledgers = [(a, b, pair_ledger(rs, reps[a], reps[b]))
+               for a, b in poset.hasse_edges]
+    for a, b, ledger in ledgers:
+        for row in ledger:
+            if not row.ok:
+                violations.append(
+                    {"item": f"{labels[a]} -> {labels[b]} : {row.label}",
+                     "kind": "ledger_row", "low": row.low, "high": row.high})
+    return DimensionReport("coroot_ledger_k2", rs.name, poset.lam.omega,
+                           poset.k, violations,
+                           partial(_ledger_details, labels, ledgers))
+
+
+def _ledger_details(labels, ledgers) -> list:
+    details = []
+    for a, b, ledger in ledgers:
         edge = f"{labels[a]} -> {labels[b]} : "
-        for row in pair_ledger(rs, poset.classes[a].rep, poset.classes[b].rep):
+        for row in ledger:
             entry = row.as_dict()
             entry["item"] = edge + row.label
-            report.details.append(entry)
-            if not row.ok:
-                report.violations.append(
-                    {"item": entry["item"], "kind": "ledger_row",
-                     "low": row.low, "high": row.high})
-    return report
+            details.append(entry)
+    return details
 
 
 def verify_max_dim(poset: TuplePoset, rs: RootSystem) -> DimensionReport:
-    """The top class holds the strict dimension maximum of the whole fiber."""
-    report = DimensionReport("max_dim", rs.name, poset.lam.omega, poset.k)
+    """The top class holds the strict dimension maximum of the whole fiber.
+
+    The closed-form top's class is read from the poset, looked up once
+    per poset rather than once per root system.
+    """
     top = poset.top_index
     labels = poset.labels
-    if poset.class_of(maximal_element(poset.lam, poset.k)) != top:
-        report.violations.append(
+    violations = []
+    if poset.closed_form_top_index != top:
+        violations.append(
             {"item": "closed-form top representative lands off the top class",
              "kind": "top_class"})
-    top_dim = tensor_dim(rs, poset.classes[top].rep)
-    report.details.append({"item": f"top {labels[top]}",
-                           "dim": top_dim, "ok": True})
-    for c, cls in enumerate(poset.classes):
-        if c == top:
-            continue
-        d = tensor_dim(rs, cls.rep)
-        ok = d < top_dim
-        report.details.append({"item": labels[c], "dim": d, "ok": ok})
-        if not ok:
-            report.violations.append(
+    dims = [tensor_dim(rs, cls.rep) for cls in poset.classes]
+    top_dim = dims[top]
+    for c, d in enumerate(dims):
+        if c != top and not d < top_dim:
+            violations.append(
                 {"item": f"dim({labels[c]}) = {d} !< top {top_dim}",
                  "kind": "max_dim"})
-    return report
+    return DimensionReport("max_dim", rs.name, poset.lam.omega, poset.k,
+                           violations, partial(_max_dim_details, labels, dims, top))
+
+
+def _max_dim_details(labels, dims, top) -> list:
+    top_dim = dims[top]
+    return [{"item": f"top {labels[top]}", "dim": top_dim, "ok": True}] + [
+        {"item": labels[c], "dim": d, "ok": d < top_dim}
+        for c, d in enumerate(dims) if c != top]

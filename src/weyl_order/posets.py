@@ -20,8 +20,10 @@ when asked for.  The quotient carries the coordinatewise order from
 
 The quotient always has a unique bottom class, the one containing
 (lam, 0, ..., 0), and a unique top class whose representative spreads
-each epsilon coordinate as evenly as possible across the k parts.  Cover
-edges of the k = 2 quotient carry a classification: a first kind where
+each epsilon coordinate as evenly as possible across the k parts; a
+poset looks up the classes of these two closed-form tuples once and
+caches them (``closed_form_bottom_index``, ``closed_form_top_index``).
+Cover edges of the k = 2 quotient carry a classification: a first kind where
 one part surrenders a whole (permuted) fundamental-weight chunk to the
 other, a second kind where the two new parts mix the old parts'
 coordinates after a sorting change of frame, and an explicit
@@ -301,6 +303,16 @@ class TuplePoset:
         return maxs[0]
 
     @cached_property
+    def closed_form_bottom_index(self) -> int:
+        """The class of minimal_element(lam, k), looked up once per poset."""
+        return self.class_of(minimal_element(self.lam, self.k))
+
+    @cached_property
+    def closed_form_top_index(self) -> int:
+        """The class of maximal_element(lam, k), looked up once per poset."""
+        return self.class_of(maximal_element(self.lam, self.k))
+
+    @cached_property
     def labels(self) -> tuple[str, ...]:
         """str(rep) of each class, for exporters and reports: the parts'
         strings joined by "/", each distinct part formatted once."""
@@ -317,14 +329,12 @@ class TuplePoset:
         except KeyError:
             raise ValueError(f"{x} does not belong to this poset") from None
 
-    def _edge_kinds(self):
-        """(low, high, kind) per Hasse edge for the exporters; off k = 2
-        every kind is UNCLASSIFIED, so no CoverEdge is built for it."""
-        if self.k != 2:
-            return ((a, b, CoverKind.UNCLASSIFIED) for a, b in self.hasse_edges)
-        return ((e.low, e.high, e.kind) for e in self.cover_edges)
-
     def to_json(self) -> dict:
+        if self.k == 2:
+            hasse = [[e.low, e.high, e.kind.value] for e in self.cover_edges]
+        else:
+            unclassified = CoverKind.UNCLASSIFIED.value
+            hasse = [[a, b, unclassified] for a, b in self.hasse_edges]
         return {
             "lambda": list(self.lam.omega),
             "k": self.k,
@@ -335,7 +345,7 @@ class TuplePoset:
                  "stats": list(cls.stat_vector)}
                 for cls in self.classes
             ],
-            "hasse": [[a, b, kind.value] for a, b, kind in self._edge_kinds()],
+            "hasse": hasse,
         }
 
     def json_text(self) -> str:
@@ -357,10 +367,16 @@ class TuplePoset:
                                4)
 
         # an edge is json_array([a, b, kind], 4), spelled out: one format
-        # per edge instead of two joins
+        # per edge instead of two joins; off k = 2 every kind text is the
+        # same, so those edges are read straight off hasse_edges
         kind_text = {kind: json.dumps(kind.value) for kind in CoverKind}
-        edges = (f"[\n      {a},\n      {b},\n      {kind_text[kind]}\n    ]"
-                 for a, b, kind in self._edge_kinds())
+        if self.k == 2:
+            edges = (f"[\n      {e.low},\n      {e.high},\n"
+                     f"      {kind_text[e.kind]}\n    ]" for e in self.cover_edges)
+        else:
+            text = kind_text[CoverKind.UNCLASSIFIED]
+            edges = (f"[\n      {a},\n      {b},\n      {text}\n    ]"
+                     for a, b in self.hasse_edges)
         return json_object((
             ("classes", json_array(map(entry, self.classes), 2)),
             ("hasse", json_array(edges, 2)),
@@ -376,8 +392,13 @@ class TuplePoset:
         lines = ["digraph tuple_poset {", "  rankdir=BT;"]
         for c, label in enumerate(self.labels):
             lines.append(f'  n{c} [label="{label}"];')
-        for a, b, kind in self._edge_kinds():
-            lines.append(f"  n{a} -> n{b} [style={styles[kind]}];")
+        if self.k == 2:
+            lines += (f"  n{e.low} -> n{e.high} [style={styles[e.kind]}];"
+                      for e in self.cover_edges)
+        else:
+            style = styles[CoverKind.UNCLASSIFIED]
+            lines += (f"  n{a} -> n{b} [style={style}];"
+                      for a, b in self.hasse_edges)
         lines.append("}")
         return "\n".join(lines) + "\n"
 

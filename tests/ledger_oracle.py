@@ -8,10 +8,17 @@ every bracket and label afresh on each call.  ``grand_product_identity``
 is kept the same way: it embeds every part and recomputes every bracket
 and the rho product on each call, where the library reads the bracket
 table and ``RootSystem.rho_product``.
+
+``coroot_ledger_rows``, ``monotone_rows`` and ``max_dim_rows`` build the
+detail rows and violations of the three dimension verifiers eagerly, in
+one loop each, with every class label formatted per row as str(rep) and
+the closed-form top looked up per call; the library builds detail rows
+only when they are read and caches the closed-form top on the poset.
 """
 
-from weyl_order import (Coroot, LedgerRow, RootSystem, WeightTuple, bracket,
-                        group_coroots, iota, rho_value, tensor_dim)
+from weyl_order import (Coroot, LedgerRow, RootSystem, Weight, WeightTuple,
+                        bracket, group_coroots, iota, maximal_element,
+                        rho_value, tensor_dim)
 
 
 def pair_ledger(rs: RootSystem, low: WeightTuple, high: WeightTuple) -> list[LedgerRow]:
@@ -57,6 +64,51 @@ def coroot_ledger_rows(poset, rs: RootSystem):
             if not row.ok:
                 violations.append({"item": entry["item"], "kind": "ledger_row",
                                    "low": row.low, "high": row.high})
+    return details, violations
+
+
+def monotone_rows(poset, rs: RootSystem):
+    """(details, violations) of verify_monotone_k2, built in one pass."""
+    details, violations = [], []
+    dims = [tensor_dim(rs, cls.rep) for cls in poset.classes]
+    for c, cls in enumerate(poset.classes):
+        for ms in cls.multisets:
+            member = WeightTuple(tuple(Weight(p) for p in ms))
+            if tensor_dim(rs, member) != dims[c]:
+                violations.append(
+                    {"item": f"class {c} member {member}", "kind": "class_dim"})
+    for a, b in poset.hasse_edges:
+        low, high = poset.classes[a].rep, poset.classes[b].rep
+        ok = dims[a] < dims[b]
+        details.append({"item": f"{low} < {high}",
+                        "low_dim": dims[a], "high_dim": dims[b], "ok": ok})
+        if not ok:
+            violations.append(
+                {"item": f"dim({low}) = {dims[a]} !< dim({high}) = {dims[b]}",
+                 "kind": "monotone"})
+    return details, violations
+
+
+def max_dim_rows(poset, rs: RootSystem):
+    """(details, violations) of verify_max_dim, built in one pass."""
+    details, violations = [], []
+    top = poset.top_index
+    if poset.class_of(maximal_element(poset.lam, poset.k)) != top:
+        violations.append(
+            {"item": "closed-form top representative lands off the top class",
+             "kind": "top_class"})
+    top_dim = tensor_dim(rs, poset.classes[top].rep)
+    details.append({"item": f"top {poset.classes[top].rep}",
+                    "dim": top_dim, "ok": True})
+    for c, cls in enumerate(poset.classes):
+        if c == top:
+            continue
+        d = tensor_dim(rs, cls.rep)
+        ok = d < top_dim
+        details.append({"item": str(cls.rep), "dim": d, "ok": ok})
+        if not ok:
+            violations.append({"item": f"dim({cls.rep}) = {d} !< top {top_dim}",
+                               "kind": "max_dim"})
     return details, violations
 
 

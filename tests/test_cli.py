@@ -206,6 +206,61 @@ class TestVerify:
                 "9760790c991ba3dd298e8cfb3708c93bb2be06c60ac2089aca1754d5513f3716",
         }
 
+    @pytest.mark.parametrize("argv,code,digest", [
+        # the benchmark's sweep workload
+        (("--max-coord", "5", "--max-k", "4"), 0, {
+            "verify_report.json":
+                "011b385924de9446b742d8c4def07439ad0eb2b1120de5ae53c70597cd9475c2",
+            "verify_report.csv":
+                "be1f87c8afc386fb014f8fa7bed1e4091769a51a88a59babef7ac4a4e624fab9",
+        }),
+        (("--max-coord", "2", "--max-k", "3", "--guard", "20",
+          "--selftest-corrupt"), 1, {
+            "verify_report.json":
+                "e7263c69c3a98889526b882b3b483187091d6602416d995fb5fe6bb967c51727",
+            "verify_report.csv":
+                "b48f7be700923d516ea871bbc23a2f8f2f359d1635aed49c1b53901bf108a3d6",
+        }),
+    ])
+    def test_benchmark_and_corrupt_report_bytes_are_pinned(
+            self, tmp_path, capsys, argv, code, digest):
+        assert run(capsys, "verify", *argv, "--out-dir", str(tmp_path))[0] == code
+        assert digest == {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in digest}
+
+    def test_fiber_only_work_runs_once_per_fiber(self, monkeypatch):
+        import weyl_order.posets as posets
+        calls = Counter()
+
+        def counting(name):
+            real = getattr(posets, name)
+
+            def closed_form(lam, k):
+                calls[(name, lam.omega, k)] += 1
+                return real(lam, k)
+            return closed_form
+        for name in ("minimal_element", "maximal_element"):
+            wrapped = counting(name)
+            for module in (posets, cli, dimensions):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapped)
+        detail_rows = []
+        real_as_dict = dimensions.LedgerRow.as_dict
+
+        def as_dict(row):
+            detail_rows.append(row)
+            return real_as_dict(row)
+        monkeypatch.setattr(dimensions.LedgerRow, "as_dict", as_dict)
+        cfg = SweepConfig(max_coord=2, max_k=3)
+        rows = cli.run_sweep(cfg)
+        assert rows and all(r["ok"] for r in rows)
+        fibers = {(it[3], it[4]) for it in sweep_items(cfg) if it[3] is not None}
+        assert set(calls) == {(name, lam, k) for lam, k in fibers
+                              for name in ("minimal_element", "maximal_element")}
+        assert set(calls.values()) == {1}
+        assert detail_rows == []
+
     def test_extremes_row_reports_a_cover_walk_off_the_order(self):
         poset = build_poset(Weight((2, 2)), 3)
         item = ("extremes", "A", 2, (2, 2), 3, 10**6, False)
@@ -418,6 +473,29 @@ class TestDeskSweepScript:
         assert needle in capsys.readouterr().err
         assert not (tmp_path / "desk_sweep.json").exists()
 
+    @pytest.mark.parametrize("blocked", ["parent is a file",
+                                         "report path is a directory"])
+    def test_unusable_out_dir_exits_2_before_the_sweep(
+            self, tmp_path, capsys, monkeypatch, blocked):
+        script = self.script()
+
+        def refuse(*args):
+            raise AssertionError("the sweep ran before --out-dir was checked")
+        monkeypatch.setattr(script, "run_sweep", refuse)
+        if blocked == "parent is a file":
+            (tmp_path / "file").write_text("")
+            out_dir = tmp_path / "file" / "d"
+        else:
+            out_dir = tmp_path / "d"
+            (out_dir / "desk_sweep.json").mkdir(parents=True)
+        with pytest.raises(SystemExit) as exc:
+            script.main(["--max-coord", "1", "--max-k", "2",
+                         "--out-dir", str(out_dir)])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert "--out-dir" in out.err
+        assert out.out == ""
+
 
 class TestPosetSizeTableScript:
     @staticmethod
@@ -438,6 +516,29 @@ class TestPosetSizeTableScript:
         assert exc.value.code == 2
         assert needle in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("blocked", ["parent is a file",
+                                         "path is a directory"])
+    def test_unusable_out_exits_2_before_the_table(self, tmp_path, capsys,
+                                                   monkeypatch, blocked):
+        script = self.script()
+
+        def refuse(*args):
+            raise AssertionError("the table was built before --out was checked")
+        monkeypatch.setattr(script, "rows_for", refuse)
+        if blocked == "parent is a file":
+            (tmp_path / "file").write_text("")
+            out = tmp_path / "file" / "t.csv"
+        else:
+            out = tmp_path / "t.csv"
+            out.mkdir()
+        with pytest.raises(SystemExit) as exc:
+            script.main(["--rank", "1", "--max-coord", "1", "--max-k", "2",
+                         "--out", str(out)])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert "--out" in out.err
+        assert out.out == ""
 
     def test_small_table(self, tmp_path, capsys):
         out = tmp_path / "table.csv"

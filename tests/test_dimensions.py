@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -534,6 +535,63 @@ class TestVerifiers:
         assert payload["ok"] is True
         assert payload["check"] == "monotone_k2"
         assert payload["lambda"] == [2, 1]
+
+
+class TestDetailRowsAgainstOracle:
+    """Lazily built detail rows against the eager one-pass builders."""
+
+    ROUTES = ((verify_monotone_k2, ledger_oracle.monotone_rows),
+              (verify_coroot_inequalities_k2, ledger_oracle.coroot_ledger_rows),
+              (verify_max_dim, ledger_oracle.max_dim_rows))
+
+    @pytest.mark.parametrize("name", RANK_TWO_SYSTEMS)
+    def test_small_k2_fibers(self, name):
+        rs = root_system(name)
+        for poset in small_k2_posets():
+            for verify, oracle in self.ROUTES:
+                report = verify(poset, rs)
+                assert (report.details, report.violations) == \
+                    oracle(poset, rs), (name, poset.lam, verify.__name__)
+
+    @pytest.mark.parametrize("name", RANK_TWO_SYSTEMS)
+    def test_max_dim_at_k3_and_k4(self, name):
+        rs = root_system(name)
+        for coords in itertools.product(range(4), repeat=2):
+            for k in (3, 4):
+                poset = build_poset(Weight(coords), k)
+                report = verify_max_dim(poset, rs)
+                assert (report.details, report.violations) == \
+                    ledger_oracle.max_dim_rows(poset, rs), (name, coords, k)
+
+    @pytest.mark.parametrize("coords,k", [((2, 2), 2), ((3, 2), 3)])
+    @pytest.mark.parametrize("above", [0, 1])
+    def test_violations_of_a_skewed_dimension(self, monkeypatch, coords, k,
+                                              above):
+        # the bottom class ties with the top or jumps above it: both routes
+        # must report the same monotone and max_dim violations, in order
+        poset = build_poset(Weight(coords), k)
+        rs = root_system("C2")
+        top = tensor_dim(rs, poset.classes[poset.top_index].rep)
+        skewed = bumped_tensor_dim(poset, poset.bottom_index, top + above)
+        monkeypatch.setattr(dimensions, "tensor_dim", skewed)
+        monkeypatch.setattr(ledger_oracle, "tensor_dim", skewed)
+        routes = self.ROUTES[::2] if k == 2 else self.ROUTES[2:]
+        for verify, oracle in routes:
+            report = verify(poset, rs)
+            assert report.violations
+            assert (report.details, report.violations) == oracle(poset, rs)
+
+    def test_details_are_built_on_first_read(self):
+        poset = build_poset(Weight((2, 2)), 2)
+        rs = root_system("C2")
+        for verify in (verify_monotone_k2, verify_coroot_inequalities_k2,
+                       verify_max_dim):
+            report = verify(poset, rs)
+            assert "details" not in report.__dict__
+            copy = pickle.loads(pickle.dumps(report))
+            assert report.details and report.details is report.details
+            assert report == copy == verify(poset, rs)
+            assert report != verify(poset, root_system("A2"))
 
 
 def monotone_failures(poset, rs):

@@ -112,6 +112,20 @@ class TestExtremes:
                 assert poset.class_of(maximal_element(lam, k)) == \
                     poset.top_index
 
+    def test_cached_closed_form_indices_match_lookups(self):
+        # lambda = 0 included; k = 1 gives a one-class poset
+        for rank in (1, 2, 3):
+            for coords in itertools.product(range(4), repeat=rank):
+                lam = Weight(coords)
+                for k in range(1, 5):
+                    poset = build_poset(lam, k)
+                    bottom = poset.class_of(minimal_element(lam, k))
+                    top = poset.class_of(maximal_element(lam, k))
+                    assert poset.closed_form_bottom_index == bottom == \
+                        poset.bottom_index, (coords, k)
+                    assert poset.closed_form_top_index == top == \
+                        poset.top_index, (coords, k)
+
     def test_every_class_sits_below_the_top(self):
         for coords in itertools.product(range(3), repeat=2):
             for k in (2, 3):
@@ -594,6 +608,29 @@ class TestExports:
         assert "cover_edges" not in poset.__dict__
         assert hasse == [[e.low, e.high, e.kind.value] for e in poset.cover_edges]
         assert dot.count("[style=dotted]") == len(poset.hasse_edges) > 0
+
+    def test_writers_off_k2_do_no_work_per_edge_kind(self, monkeypatch):
+        hashed = []
+        real = CoverKind.__hash__
+
+        def counting(kind):
+            hashed.append(kind)
+            return real(kind)
+        monkeypatch.setattr(CoverKind, "__hash__", counting)
+
+        def kind_hashes(coords):
+            poset = build_poset(Weight(coords), 3)
+            hashed.clear()
+            text, dot = poset.json_text(), poset.to_dot()
+            edges = len(poset.hasse_edges)
+            assert "cover_edges" not in poset.__dict__
+            assert text.count('"unclassified"') == edges
+            assert dot.count("[style=dotted]") == edges
+            return len(hashed), edges
+        (few_hashes, few), (many_hashes, many) = \
+            kind_hashes((2, 1, 1)), kind_hashes((3, 3, 2))
+        # the kind tables hash each kind a fixed number of times
+        assert few < many and few_hashes == many_hashes
 
     def test_to_json_shape(self):
         poset = build_poset(Weight((2, 1)), 2)
