@@ -28,12 +28,14 @@ one part surrenders a whole (permuted) fundamental-weight chunk to the
 other, a second kind where the two new parts mix the old parts'
 coordinates after a sorting change of frame, and an explicit
 ``UNCLASSIFIED`` fallback for anything else.  ``classify_cover`` works on
-padded epsilon integer tuples and walks the sorters lazily as image
-tuples; only the witness it returns is built as objects.  Off k = 2 the
-exporters read the Hasse edges directly, all unclassified.
-``TuplePoset.json_text`` writes the poset JSON file as text, the bytes
-``json.dumps(to_json(), sort_keys=True, indent=2)`` gives, through the
-``json_array`` and ``json_object`` layout helpers.
+padded epsilon integer tuples, which each shared part ``Weight`` computes
+once and caches, and walks the sorters lazily as image tuples: the first
+sorter is a stable argsort, and the recursive walk starts only when a
+second one is asked for.  Only the witness it returns is built as
+objects.  Off k = 2 the exporters read the Hasse edges directly, all
+unclassified.  ``TuplePoset.json_text`` writes the poset JSON file as
+text, the bytes ``json.dumps(to_json(), sort_keys=True, indent=2)``
+gives, through the ``json_array`` and ``json_object`` layout helpers.
 """
 
 from __future__ import annotations
@@ -553,20 +555,30 @@ def _sorting_coset(values: tuple[int, ...]):
     already sorted).
 
     A sorter sends each slot to a slot holding the same value in the
-    sorted vector; ties admit several, a coset of the stabilizer.  Each
+    sorted vector; ties admit several, a coset of the stabilizer.  The
+    image-lex first sorter gives each slot the lowest free target slot of
+    its value: it is the stable descending argsort, inverted, the images
+    of ``sorting_permutation(values)``, and it is yielded without a walk.
+    Only when a caller asks for a second sorter does the walk start: each
     value keeps its list of target slots, and slot by slot the unused
     ones are tried in increasing order, so the sorters come out in
-    image-lex order and runs replay deterministically.  Callers usually
+    image-lex order and runs replay deterministically; the walk's own
+    first answer is that sorter again and is skipped.  Callers usually
     stop at the first sorter, so none is built ahead; each call returns a
     fresh iterator.
     """
-    targets: dict[int, list[int]] = {}
-    for slot, v in enumerate(sorted(values, reverse=True)):
-        targets.setdefault(v, []).append(slot)
-    choices = [targets[v] for v in values]
     n = len(values)
-    used = [False] * n
+    order = sorted(range(n), key=values.__getitem__, reverse=True)  # stable
     images = [0] * n
+    for slot, p in enumerate(order):
+        images[p] = slot
+    yield tuple(images)
+
+    targets: dict[int, list[int]] = {}
+    for slot, p in enumerate(order):
+        targets.setdefault(values[p], []).append(slot)
+    choices = [targets[v] for v in values]
+    used = [False] * n
 
     def extend(p: int):
         if p == n:
@@ -578,7 +590,9 @@ def _sorting_coset(values: tuple[int, ...]):
                 images[p] = slot
                 yield from extend(p + 1)
                 used[slot] = False
-    return extend(0)
+    walk = extend(0)
+    next(walk)
+    yield from walk
 
 
 def _inverse(images: tuple[int, ...]) -> list[int]:
@@ -597,7 +611,9 @@ def _sorted_omega(x: tuple[int, ...], q: list[int]) -> list[int]:
 def classify_cover(low: WeightTuple, high: WeightTuple) -> tuple[CoverKind, CoverWitness | None]:
     """Classify a k = 2 cover between class representatives.
 
-    Everything is read off padded epsilon int tuples.  The lower pair is
+    Everything is read off padded epsilon int tuples, cached on each part
+    ``Weight``: representatives share one ``Weight`` per distinct part, so
+    a part's tuple is computed once for all its edges.  The lower pair is
     taken in canonical order (e1 >= e2); sigma ranges over the sorters of
     delta = e1 - e2 in image-lex order, and the upper pair (f1 for mu1)
     over both orientations.  With q = sigma^-1, slot t of the sorted frame
@@ -612,7 +628,9 @@ def classify_cover(low: WeightTuple, high: WeightTuple) -> tuple[CoverKind, Cove
     coordinate from one of the two lower parts, part 1 wherever it fits.
     First-kind witnesses take precedence over the whole coset; tuples
     longer than 2 fall through to UNCLASSIFIED.  Only the returned
-    witness builds a Permutation.
+    witness builds a Permutation.  The first sorter comes from an argsort,
+    not the walk (see ``_sorting_coset``); on (2,2,2,2,2,2) it witnesses
+    all 1362 covers.
     """
     if low.k != 2 or high.k != 2:
         return CoverKind.UNCLASSIFIED, None

@@ -13,12 +13,14 @@ permutes the unpadded epsilon vector.  For normal forms we use the
 extended convention: pad the epsilon vector with a trailing zero, act
 with S_{n+1}, and read weights modulo the all-ones vector (the sl_{n+1}
 weight lattice).  Omega coordinates are consecutive differences of the
-padded vector, so the uniform shift never matters.
+padded vector, so the uniform shift never matters.  A ``Weight`` caches
+its padded epsilon tuple on first use; the cache is not a field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 
@@ -49,8 +51,17 @@ class Weight:
             out.append(acc)
         return tuple(reversed(out))
 
-    def eps_padded(self) -> tuple[int, ...]:
+    @cached_property
+    def _eps_padded(self) -> tuple[int, ...]:
+        # computed on first use and kept on the object (frozen dataclasses
+        # leave __dict__ writable); not a field, so equality, hashing and
+        # repr still read omega alone
         return self.eps() + (0,)
+
+    def eps_padded(self) -> tuple[int, ...]:
+        """Epsilon coordinates with a trailing zero, computed once per
+        Weight object."""
+        return self._eps_padded
 
     def window(self, i: int, j: int) -> int:
         """Sum of omega coordinates a_i + ... + a_j, 1-based inclusive."""

@@ -70,6 +70,13 @@ class TestSingleShot:
         assert out == ""
         assert "(1,-1) is not dominant" in err
 
+    def test_max_rejects_a_non_dominant_lambda(self, capsys):
+        code, out, err = run(capsys, "max", "--lambda", "1,-1")
+        assert code == 2
+        assert out == ""
+        assert "error: (1,-1) is not dominant" in err
+        assert "part" not in err
+
     def test_size_k3_has_no_closed_form_line(self, capsys):
         code, out, _ = run(capsys, "size", "--lambda", "2,1", "--k", "3")
         assert code == 0
@@ -153,6 +160,25 @@ class TestJsonFiles:
                 "dea6cb124442677fed2c382916192f0eef79d1e6125ac545074fa6304ff9bb94",
             "covers_lam2-2_k2.json":
                 "68a982f761f93ac910def299701f10142f5a831c08ef92cfa93c6928e03ebe3f",
+        }
+
+    def test_rank_six_k2_output_bytes_are_pinned(self, tmp_path, capsys):
+        # the covers_k2 benchmark fiber: its witness texts depend on the
+        # order in which the sorters are drawn
+        lam = ["--lambda", "2,2,2,2,2,2", "--k", "2", "--out-dir", str(tmp_path)]
+        assert run(capsys, "covers", *lam, "--json")[0] == 0
+        assert run(capsys, "poset", *lam, "--dot")[0] == 0
+        digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                  for name in ("covers_lam2-2-2-2-2-2_k2.json",
+                               "poset_lam2-2-2-2-2-2_k2.json",
+                               "poset_lam2-2-2-2-2-2_k2.dot")}
+        assert digest == {
+            "covers_lam2-2-2-2-2-2_k2.json":
+                "00a85b4d665f0caaf9804bf42febe795be163c55f62db58bff9d1039cc4a47b3",
+            "poset_lam2-2-2-2-2-2_k2.json":
+                "5e26ce84644534f96a9328c646de0f5242f375244c84fb31390c59e33cf14cdb",
+            "poset_lam2-2-2-2-2-2_k2.dot":
+                "0085f3ec76c3756d92af2822ac8b5d6266d72295211116e0691ee90eaa0cafd6",
         }
 
 

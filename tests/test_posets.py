@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 from collections import Counter
+from hashlib import sha256
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from weyl_order import (
     maximal_element,
     minimal_element,
     poset_size_k2,
+    sorting_permutation,
 )
 from weyl_order.posets import (_part_multisets, _sorting_coset, _tuple_sort_key,
                                compositions, json_array, json_object)
@@ -473,6 +475,36 @@ class TestCoverClassification:
             assert list(_sorting_coset(values)) == \
                 [p.images for p in sorting_coset_by_stabilizer(values)], values
 
+    @given(st.lists(st.integers(0, 2), min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_first_sorter_is_the_stable_sorting_permutation(self, values):
+        # three values over up to 8 slots: ties on almost every draw
+        values = tuple(values)
+        assert next(_sorting_coset(values)) == sorting_permutation(values).images
+
+    def test_walk_neither_repeats_nor_drops_the_first_sorter(self):
+        # the first sorter skips the walk, which then skips its own first
+        # answer; every length-6 vector over {0, 1, 2} (20,160 sorters)
+        for values in itertools.product(range(3), repeat=6):
+            assert list(_sorting_coset(values)) == \
+                [p.images for p in sorting_coset_by_stabilizer(values)], values
+
+    def test_epsilon_vector_computed_once_per_part(self, monkeypatch):
+        poset = build_poset(Weight((2,) * 6), 2)
+        parts = {id(p) for cls in poset.classes for p in cls.rep.parts}
+        calls = []
+        real = Weight.eps
+
+        def counting(w):
+            calls.append(id(w))
+            return real(w)
+        monkeypatch.setattr(Weight, "eps", counting)
+        poset.cover_edges
+        # every representative part is one of the 729 shared Weights, and
+        # each computes its padded epsilon vector once for all its edges
+        assert len(calls) == len(set(calls)) == len(parts) == 729
+        assert set(calls) == parts
+
     def test_k3_falls_through(self):
         poset = build_poset(Weight((1, 1)), 3)
         kinds = {e.kind for c in range(len(poset.classes))
@@ -650,9 +682,20 @@ class TestExports:
 
 
 def assert_json_text_matches_dumps(lam, k):
+    # lengths and digests, not got == want: on a mismatch, pytest's
+    # assertion rewriting would diff two multi-megabyte strings for minutes
     poset = build_poset(Weight(lam), k)
     want = json.dumps(poset.to_json(), sort_keys=True, indent=2) + "\n"
-    assert poset.json_text() == want, (lam, k)
+    got = poset.json_text()
+    if (len(got), sha256(got.encode()).digest()) == \
+            (len(want), sha256(want.encode()).digest()):
+        return
+    at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+              min(len(got), len(want)))
+    window = slice(max(0, at - 40), at + 40)
+    pytest.fail(f"json_text differs from json.dumps for {lam}, k = {k}: "
+                f"lengths {len(got)} and {len(want)}, first difference at "
+                f"offset {at}\n got: {got[window]!r}\nwant: {want[window]!r}")
 
 
 class TestJsonText:
