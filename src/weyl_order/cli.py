@@ -28,8 +28,9 @@ from .dimensions import (tensor_dim, verify_coroot_inequalities_k2,
 from .posets import (DEFAULT_GUARD, GuardExceeded, build_poset, count_tuples,
                      json_array, json_object, maximal_element,
                      minimal_element, poset_size_k2)
-from .roots import (FAMILIES, base_rank, coroot_table_report,
-                    expected_table_report, iota, root_system)
+from .roots import (FAMILIES, base_rank, check_admissible,
+                    coroot_table_report, expected_table_report, iota,
+                    parse_system_name, root_system)
 from .tuples import WeightTuple
 from .weights import Weight
 
@@ -343,8 +344,10 @@ def cmd_covers(args) -> int:
 
 
 def cmd_dim(args) -> int:
-    rs = root_system(args.type)
+    family, rank = parse_system_name(args.type)
     tup = parse_tuple(args.tuple)
+    check_admissible(tup.parts[0], family, rank)  # before any coroot is built
+    rs = root_system(family, rank)
     dims = [weyl_dim(iota(p, rs)) for p in tup.parts]
     total = tensor_dim(rs, tup)
     print(f"{' * '.join(str(d) for d in dims)} = {total}")

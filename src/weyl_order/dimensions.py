@@ -3,7 +3,8 @@
 ``weyl_dim`` evaluates the classical product formula in exact integer
 arithmetic: shift by the all-ones weight, take the product of pairings
 against every positive coroot, divide by the same product at the shift
-alone.  ``tensor_dim`` multiplies part dimensions of an embedded tuple.
+alone, cached as ``RootSystem.rho_product``.  ``tensor_dim`` multiplies
+part dimensions of an embedded tuple.
 
 For k = 2 the module also builds a per-coroot ledger comparing two
 tuples X below Y in the window order.  Each coroot contributes the
@@ -17,20 +18,22 @@ labels, flags and grouped-row indices) and ``RootSystem.part_brackets``
 (each part's shifted pairings against every coroot, filled on a miss);
 ``grand_product_identity`` reads the same bracket table and the cached
 ``RootSystem.rho_product``.
-The verifiers label classes with ``TuplePoset.labels``, formatted once
-per poset.  Each verifier finds its violations when it runs, but builds
-its detail rows only on the first read of ``DimensionReport.details``:
-the verify sweep reads violations alone.  ``verify_max_dim`` reads the
-closed-form top's class off the poset, where it is cached.
+
+The three verifiers work on per-class integers and report violations
+only.  ``member_dims`` gives each class's dimension products, one per
+part multiset, read from ``RootSystem.part_dims``; the ledger verifier
+computes each class's two-factor vector once and compares integers per
+cover edge.  A ``WeightTuple`` is built only to format a violation.
+Classes are labelled with ``TuplePoset.labels``, formatted once per
+poset, and ``verify_max_dim`` reads the closed-form top's class off the
+poset, where it is cached.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property, partial
 
 from .posets import TuplePoset
 from .roots import (Coroot, EmbeddedWeight, RootSystem, iota, pairing,
@@ -48,13 +51,10 @@ def weyl_dim(w: EmbeddedWeight) -> int:
     """Dimension by the product formula, exact integer division."""
     if not w.is_dominant:
         raise ValueError(f"{w} is not dominant")
-    num = den = 1
-    for h in w.system.coroots:
-        num *= bracket(w, h)
-        den *= rho_value(h)
-    if num % den:
+    num = math.prod(bracket(w, h) for h in w.system.coroots)
+    if num % w.system.rho_product:
         raise ArithmeticError(f"product formula for {w} does not divide exactly")
-    return num // den
+    return num // w.system.rho_product
 
 
 def tensor_dim(rs: RootSystem, x: WeightTuple) -> int:
@@ -64,14 +64,15 @@ def tensor_dim(rs: RootSystem, x: WeightTuple) -> int:
     weyl_dim fills a miss.  A wrong-rank part never hits, so iota still
     rejects it.
     """
-    dims = rs.part_dims
-    out = 1
-    for p in x.parts:
-        d = dims.get(p.omega)
-        if d is None:
-            d = dims[p.omega] = weyl_dim(iota(p, rs))
-        out *= d
-    return out
+    return math.prod(_part_dim(rs, p.omega) for p in x.parts)
+
+
+def _part_dim(rs: RootSystem, omega: tuple[int, ...]) -> int:
+    """weyl_dim of the part with this omega tuple, through rs.part_dims."""
+    d = rs.part_dims.get(omega)
+    if d is None:
+        d = rs.part_dims[omega] = weyl_dim(iota(Weight(omega), rs))
+    return d
 
 
 # -- exact rebalancing facts ------------------------------------------------
@@ -136,11 +137,6 @@ class LedgerRow:
     def ok(self) -> bool:
         return (not self.guaranteed) or self.low <= self.high
 
-    def as_dict(self) -> dict:
-        return {"label": self.label, "low": self.low, "high": self.high,
-                "guaranteed": self.guaranteed, "in_product": self.in_product,
-                "ok": self.ok}
-
 
 def _brackets(rs: RootSystem, p: Weight) -> tuple[int, ...]:
     """bracket(iota(p, rs), h) for every coroot h, in coroot order.
@@ -196,77 +192,66 @@ def grand_product_identity(rs: RootSystem, x: WeightTuple) -> tuple[int, int]:
 
 # -- sweep reports -----------------------------------------------------------
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class DimensionReport:
-    """One verifier's verdict on one fiber and root system.
-
-    violations are found when the verifier runs.  details, one row per
-    cover, ledger row or class, are built from rows() on first read: the
-    sweep reads only violations.  The verifiers pass a partial of a
-    module-level builder as rows, so a report still pickles.  Reports
-    compare by their to_json().
-    """
+    """One verifier's verdict on one fiber and root system: its violations."""
 
     check: str
     system: str
     lam: tuple[int, ...]
     k: int
     violations: list = field(default_factory=list)
-    rows: Callable[[], list] = field(default=list, repr=False)
-
-    @cached_property
-    def details(self) -> list:
-        return self.rows()
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
-    def __eq__(self, other):
-        if not isinstance(other, DimensionReport):
-            return NotImplemented
-        return self.to_json() == other.to_json()
-
     def to_json(self) -> dict:
         return {"check": self.check, "system": self.system,
                 "lambda": list(self.lam), "k": self.k, "ok": self.ok,
-                "details": self.details, "violations": self.violations}
+                "violations": self.violations}
+
+
+def member_dims(poset: TuplePoset, rs: RootSystem) -> list[list[int]]:
+    """Per class, the dimension product of each part multiset, in the
+    class's multiset order: the representative first.
+
+    Part dimensions are read from rs.part_dims by omega tuple, the table
+    tensor_dim reads.
+    """
+    table = rs.part_dims
+    return [[math.prod(table.get(p) or _part_dim(rs, p) for p in ms)
+             for ms in cls.multisets] for cls in poset.classes]
+
+
+def _member_text(ms) -> str:
+    return str(WeightTuple(tuple(map(Weight, ms))))
 
 
 def verify_monotone_k2(poset: TuplePoset, rs: RootSystem) -> DimensionReport:
     """Strictly smaller class in the window order means strictly smaller dim.
 
-    Checked on cover edges, one detail row each; every strict pair is a
-    chain of covers, so that is enough.  Also confirms every member of a
-    class shares the representative's dimension product, checking one
-    sorted tuple per part multiset: reordering parts never changes a
-    product of part dimensions.
+    Checked on cover edges; every strict pair is a chain of covers, so
+    that is enough.  Also confirms every part multiset of a class shares
+    the representative's dimension product: reordering parts never
+    changes a product of part dimensions.
     """
-    dims = [tensor_dim(rs, cls.rep) for cls in poset.classes]
-    labels = poset.labels
+    members = member_dims(poset, rs)
     violations = []
-    for c, cls in enumerate(poset.classes):
-        for ms in cls.multisets:
-            member = WeightTuple(tuple(Weight(p) for p in ms))
-            if tensor_dim(rs, member) != dims[c]:
-                violations.append(
-                    {"item": f"class {c} member {member}", "kind": "class_dim"})
-    edges = poset.hasse_edges
-    for a, b in edges:
-        if not dims[a] < dims[b]:
+    for c, (cls, (dim, *rest)) in enumerate(zip(poset.classes, members)):
+        for ms, d in zip(cls.multisets[1:], rest):
+            if d != dim:
+                violations.append({"item": f"class {c} member {_member_text(ms)}",
+                                   "kind": "class_dim"})
+    labels = poset.labels
+    for a, b in poset.hasse_edges:
+        low, high = members[a][0], members[b][0]
+        if not low < high:
             violations.append(
-                {"item": f"dim({labels[a]}) = {dims[a]} !< "
-                         f"dim({labels[b]}) = {dims[b]}",
+                {"item": f"dim({labels[a]}) = {low} !< dim({labels[b]}) = {high}",
                  "kind": "monotone"})
     return DimensionReport("monotone_k2", rs.name, poset.lam.omega, poset.k,
-                           violations,
-                           partial(_monotone_details, labels, dims, edges))
-
-
-def _monotone_details(labels, dims, edges) -> list:
-    return [{"item": f"{labels[a]} < {labels[b]}",
-             "low_dim": dims[a], "high_dim": dims[b], "ok": dims[a] < dims[b]}
-            for a, b in edges]
+                           violations)
 
 
 def verify_coroot_inequalities_k2(poset: TuplePoset,
@@ -275,47 +260,47 @@ def verify_coroot_inequalities_k2(poset: TuplePoset,
 
     Guaranteed rows must not lose; the grand bracket product must equal
     the dimension product times the squared rho product for every
-    representative.  The ledgers are evaluated here, one pair_ledger call
-    per cover edge; only their detail rows wait for a read.
+    representative.  Each class's two-factor vector is computed once;
+    every edge then compares integers on the guaranteed coroot rows and
+    the grouped products of rs.ledger_plan, in pair_ledger's row order.
     """
     labels = poset.labels
+    coroot_rows, grouped_rows = rs.ledger_plan
+    guaranteed = [(t, label) for t, (label, sure, _) in enumerate(coroot_rows)
+                  if sure]
+    vecs = []
     violations = []
-    for cls, label in zip(poset.classes, labels):
-        lhs, rhs = grand_product_identity(rs, cls.rep)
+    for cls, label, (dim, *_) in zip(poset.classes, labels,
+                                    member_dims(poset, rs)):
+        vec = _two_factor(rs, cls.rep)
+        vecs.append(vec)
+        lhs, rhs = math.prod(vec), dim * rs.rho_product ** len(cls.rep.parts)
         if lhs != rhs:
             violations.append(
                 {"item": f"product identity at {label}", "kind": "identity",
                  "lhs": lhs, "rhs": rhs})
-    reps = [cls.rep for cls in poset.classes]
-    ledgers = [(a, b, pair_ledger(rs, reps[a], reps[b]))
-               for a, b in poset.hasse_edges]
-    for a, b, ledger in ledgers:
-        for row in ledger:
-            if not row.ok:
+    for a, b in poset.hasse_edges:
+        lo, hi = vecs[a], vecs[b]
+        rows = [(label, lo[t], hi[t]) for t, label in guaranteed]
+        rows += [(label, lo[i] * lo[j], hi[i] * hi[j])
+                 for label, i, j in grouped_rows]
+        for label, low, high in rows:
+            if low > high:
                 violations.append(
-                    {"item": f"{labels[a]} -> {labels[b]} : {row.label}",
-                     "kind": "ledger_row", "low": row.low, "high": row.high})
+                    {"item": f"{labels[a]} -> {labels[b]} : {label}",
+                     "kind": "ledger_row", "low": low, "high": high})
     return DimensionReport("coroot_ledger_k2", rs.name, poset.lam.omega,
-                           poset.k, violations,
-                           partial(_ledger_details, labels, ledgers))
-
-
-def _ledger_details(labels, ledgers) -> list:
-    details = []
-    for a, b, ledger in ledgers:
-        edge = f"{labels[a]} -> {labels[b]} : "
-        for row in ledger:
-            entry = row.as_dict()
-            entry["item"] = edge + row.label
-            details.append(entry)
-    return details
+                           poset.k, violations)
 
 
 def verify_max_dim(poset: TuplePoset, rs: RootSystem) -> DimensionReport:
-    """The top class holds the strict dimension maximum of the whole fiber.
+    """The top class's representative holds the strict dimension maximum
+    of the whole fiber.
 
-    The closed-form top's class is read from the poset, looked up once
-    per poset rather than once per root system.
+    Every part multiset is checked, not only class representatives:
+    outside type A, members of one class can differ in dimension at
+    k >= 3.  The closed-form top's class is read from the poset, looked
+    up once per poset rather than once per root system.
     """
     top = poset.top_index
     labels = poset.labels
@@ -324,19 +309,17 @@ def verify_max_dim(poset: TuplePoset, rs: RootSystem) -> DimensionReport:
         violations.append(
             {"item": "closed-form top representative lands off the top class",
              "kind": "top_class"})
-    dims = [tensor_dim(rs, cls.rep) for cls in poset.classes]
-    top_dim = dims[top]
-    for c, d in enumerate(dims):
-        if c != top and not d < top_dim:
+    members = member_dims(poset, rs)
+    top_dim = members[top][0]
+    for c, (cls, (dim, *rest)) in enumerate(zip(poset.classes, members)):
+        if c != top and not dim < top_dim:
             violations.append(
-                {"item": f"dim({labels[c]}) = {d} !< top {top_dim}",
+                {"item": f"dim({labels[c]}) = {dim} !< top {top_dim}",
                  "kind": "max_dim"})
+        for ms, d in zip(cls.multisets[1:], rest):
+            if not d < top_dim:
+                violations.append(
+                    {"item": f"dim({_member_text(ms)}) = {d} !< top {top_dim}",
+                     "kind": "max_dim_member"})
     return DimensionReport("max_dim", rs.name, poset.lam.omega, poset.k,
-                           violations, partial(_max_dim_details, labels, dims, top))
-
-
-def _max_dim_details(labels, dims, top) -> list:
-    top_dim = dims[top]
-    return [{"item": f"top {labels[top]}", "dim": top_dim, "ok": True}] + [
-        {"item": labels[c], "dim": d, "ok": d < top_dim}
-        for c, d in enumerate(dims) if c != top]
+                           violations)

@@ -27,6 +27,7 @@ from .weights import Weight
 
 FAMILIES = ("A", "B", "C", "D")
 _MIN_RANK = {"A": 1, "B": 2, "C": 1, "D": 3}
+_SPIN_NODES = {"A": 0, "B": 1, "C": 0, "D": 2}
 
 
 @dataclass(frozen=True)
@@ -92,15 +93,15 @@ class RootSystem:
     @cached_property
     def part_dims(self) -> dict[tuple[int, ...], int]:
         """Dimension of each embedded base weight met so far, keyed by its
-        omega tuple; dimensions.tensor_dim fills it with weyl_dim values."""
+        omega tuple; dimensions.tensor_dim and dimensions.member_dims fill
+        it with weyl_dim values."""
         return {}
 
     @cached_property
     def part_brackets(self) -> dict[tuple[int, ...], tuple[int, ...]]:
         """Shifted pairings of each embedded base weight met so far against
         every coroot, in coroot order, keyed by its omega tuple;
-        dimensions.pair_ledger and dimensions.grand_product_identity fill
-        it with bracket values."""
+        the ledger routes of dimensions fill it with bracket values."""
         return {}
 
     @cached_property
@@ -293,15 +294,23 @@ def expected_table_report(family: str, rank: int) -> dict:
     }
 
 
+def parse_system_name(text: str) -> tuple[str, int]:
+    """('C', 2) from 'C2', checked as root_system checks it, building nothing."""
+    name = text.strip()
+    if len(name) < 2 or name[0] not in FAMILIES or not name[1:].isdigit():
+        raise ValueError(f"cannot parse root system {text!r}")
+    family, rank = name[0], int(name[1:])
+    _check_family_rank(family, rank)
+    return family, rank
+
+
 @lru_cache(maxsize=None)
 def root_system(family: str, rank: int | None = None) -> RootSystem:
     """Build a root system, accepting root_system('C', 2) or root_system('C2')."""
     if rank is None:
-        name = family.strip()
-        if len(name) < 2 or name[0] not in FAMILIES or not name[1:].isdigit():
-            raise ValueError(f"cannot parse root system {family!r}")
-        family, rank = name[0], int(name[1:])
-    _check_family_rank(family, rank)
+        family, rank = parse_system_name(family)
+    else:
+        _check_family_rank(family, rank)
     coeffs = sorted(generated_positive_coroots(family, rank),
                     key=lambda c: (sum(c), c))
     return RootSystem(family, rank, tuple(Coroot(c) for c in coeffs))
@@ -311,11 +320,15 @@ def root_system(family: str, rank: int | None = None) -> RootSystem:
 
 def base_rank(rs: RootSystem) -> int:
     """Rank of the base lattice embedded into rs (spin nodes excluded)."""
-    if rs.family in ("A", "C"):
-        return rs.rank
-    if rs.family == "B":
-        return rs.rank - 1
-    return rs.rank - 2
+    return rs.rank - _SPIN_NODES[rs.family]
+
+
+def check_admissible(w: Weight, family: str, rank: int):
+    """Raise ValueError unless w lives on the base lattice of family+rank."""
+    base = rank - _SPIN_NODES[family]
+    if base != w.rank:
+        raise ValueError(f"rank-{w.rank} weight is not admissible for "
+                         f"{family}{rank} (expected base rank {base})")
 
 
 @dataclass(frozen=True)
@@ -340,10 +353,7 @@ class EmbeddedWeight:
 
 def iota(w: Weight, rs: RootSystem) -> EmbeddedWeight:
     """Embed a base-lattice weight, zero on the spin nodes."""
-    if base_rank(rs) != w.rank:
-        raise ValueError(
-            f"rank-{w.rank} weight is not admissible for {rs.name} "
-            f"(expected base rank {base_rank(rs)})")
+    check_admissible(w, rs.family, rs.rank)
     return EmbeddedWeight(rs, w.omega + (0,) * (rs.rank - w.rank))
 
 

@@ -9,11 +9,14 @@ is kept the same way: it embeds every part and recomputes every bracket
 and the rho product on each call, where the library reads the bracket
 table and ``RootSystem.rho_product``.
 
-``coroot_ledger_rows``, ``monotone_rows`` and ``max_dim_rows`` build the
-detail rows and violations of the three dimension verifiers eagerly, in
-one loop each, with every class label formatted per row as str(rep) and
-the closed-form top looked up per call; the library builds detail rows
-only when they are read and caches the closed-form top on the poset.
+``coroot_ledger_rows``, ``monotone_rows`` and ``max_dim_rows`` rebuild
+the violations of the three dimension verifiers eagerly, one detail row
+per ledger row, cover or tuple beside them, in one loop each: every
+ledger through ``pair_ledger`` above, every dimension through
+``WeightTuple`` and ``tensor_dim``, every class label formatted per row
+as str(rep) and the closed-form top looked up per call.  The library
+compares per-class integer vectors, reports violations only and caches
+the closed-form top on the poset.
 """
 
 from weyl_order import (Coroot, LedgerRow, RootSystem, Weight, WeightTuple,
@@ -58,8 +61,10 @@ def coroot_ledger_rows(poset, rs: RootSystem):
     for a, b in poset.hasse_edges:
         low, high = poset.classes[a].rep, poset.classes[b].rep
         for row in pair_ledger(rs, low, high):
-            entry = row.as_dict()
-            entry["item"] = f"{low} -> {high} : {row.label}"
+            entry = {"item": f"{low} -> {high} : {row.label}",
+                     "label": row.label, "low": row.low, "high": row.high,
+                     "guaranteed": row.guaranteed,
+                     "in_product": row.in_product, "ok": row.ok}
             details.append(entry)
             if not row.ok:
                 violations.append({"item": entry["item"], "kind": "ledger_row",
@@ -90,7 +95,8 @@ def monotone_rows(poset, rs: RootSystem):
 
 
 def max_dim_rows(poset, rs: RootSystem):
-    """(details, violations) of verify_max_dim, built in one pass."""
+    """(details, violations) of verify_max_dim, built in one pass over
+    every part multiset of every class."""
     details, violations = [], []
     top = poset.top_index
     if poset.class_of(maximal_element(poset.lam, poset.k)) != top:
@@ -101,14 +107,17 @@ def max_dim_rows(poset, rs: RootSystem):
     details.append({"item": f"top {poset.classes[top].rep}",
                     "dim": top_dim, "ok": True})
     for c, cls in enumerate(poset.classes):
-        if c == top:
-            continue
-        d = tensor_dim(rs, cls.rep)
-        ok = d < top_dim
-        details.append({"item": str(cls.rep), "dim": d, "ok": ok})
-        if not ok:
-            violations.append({"item": f"dim({cls.rep}) = {d} !< top {top_dim}",
-                               "kind": "max_dim"})
+        for ms in cls.multisets:
+            member = WeightTuple(tuple(Weight(p) for p in ms))
+            if member == cls.rep and c == top:
+                continue
+            d = tensor_dim(rs, member)
+            ok = d < top_dim
+            details.append({"item": str(member), "dim": d, "ok": ok})
+            if not ok:
+                violations.append(
+                    {"item": f"dim({member}) = {d} !< top {top_dim}",
+                     "kind": "max_dim" if member == cls.rep else "max_dim_member"})
     return details, violations
 
 

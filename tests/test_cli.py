@@ -271,13 +271,6 @@ class TestVerify:
             for module in (posets, cli, dimensions):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, wrapped)
-        detail_rows = []
-        real_as_dict = dimensions.LedgerRow.as_dict
-
-        def as_dict(row):
-            detail_rows.append(row)
-            return real_as_dict(row)
-        monkeypatch.setattr(dimensions.LedgerRow, "as_dict", as_dict)
         cfg = SweepConfig(max_coord=2, max_k=3)
         rows = cli.run_sweep(cfg)
         assert rows and all(r["ok"] for r in rows)
@@ -285,7 +278,6 @@ class TestVerify:
         assert set(calls) == {(name, lam, k) for lam, k in fibers
                               for name in ("minimal_element", "maximal_element")}
         assert set(calls.values()) == {1}
-        assert detail_rows == []
 
     def test_extremes_row_reports_a_cover_walk_off_the_order(self):
         poset = build_poset(Weight((2, 2)), 3)
@@ -368,6 +360,20 @@ class TestFailureModes:
         code, _, err = run(capsys, "dim", "--type", "E8",
                            "--tuple", "1,0/0,0")
         assert code == 2
+
+    @pytest.mark.parametrize("system,base", [("C120", 120), ("A99999999", 99999999),
+                                             ("D4", 2), ("B3", 2)])
+    def test_rank_mismatch_builds_no_root_system(self, capsys, monkeypatch,
+                                                 system, base):
+        # a huge type is rejected on its name alone, before any coroot
+        calls = []
+        monkeypatch.setattr(cli, "root_system",
+                            lambda *a: calls.append(a) or root_system(*a))
+        code, _, err = run(capsys, "dim", "--type", system, "--tuple", "1/0")
+        assert code == 2
+        assert err == (f"error: rank-1 weight is not admissible for {system} "
+                       f"(expected base rank {base})\n")
+        assert calls == []
 
     def test_guard_exit_code(self, tmp_path, capsys):
         code, _, err = run(capsys, "poset", "--lambda", "4,4", "--k", "2",

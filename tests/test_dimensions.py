@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import weyl_order.dimensions as dimensions
 import weyl_order.roots as roots
 from weyl_order import (
-    LedgerRow,
     OrderVerdict,
     RebalanceVerdict,
     RootSystem,
@@ -17,6 +16,7 @@ from weyl_order import (
     base_rank,
     bracket,
     build_poset,
+    compare,
     four_factor_rebalance,
     grand_product_identity,
     group_coroots,
@@ -72,13 +72,13 @@ class TestWeylDim:
         with pytest.raises(ValueError):
             weyl_dim(EmbeddedWeight(root_system("A2"), (1, -1)))
 
-    def test_inexact_division_raises(self, monkeypatch):
-        # a broken shift makes the quotient inexact; that is an error, not
-        # an assert that python -O would strip
-        import weyl_order.dimensions as dimensions
-        monkeypatch.setattr(dimensions, "rho_value", lambda h: 2)
+    def test_inexact_division_raises(self):
+        # a system holding only h1+h2 gives (1,0) the quotient 3 / 2; that
+        # is an error, not an assert that python -O would strip
+        from weyl_order.roots import Coroot, EmbeddedWeight
+        rs = RootSystem("A", 2, (Coroot((1, 1)),))
         with pytest.raises(ArithmeticError):
-            weyl_dim(iota(Weight((1, 0)), root_system("A2")))
+            weyl_dim(EmbeddedWeight(rs, (1, 0)))
 
     def test_embedding_rank_mismatch(self):
         with pytest.raises(ValueError):
@@ -229,10 +229,13 @@ class TestPairLedger:
                         assert r.ok
 
     def test_row_dict(self):
-        row = pair_ledger(root_system("C2"), X, Y)[0]
-        d = row.as_dict()
-        assert set(d) == {"label", "low", "high", "guaranteed",
-                          "in_product", "ok"}
+        # one row per ledger_plan entry, coroot rows first, with its flags
+        rs = root_system("C2")
+        rows = pair_ledger(rs, X, Y)
+        coroot_rows, grouped_rows = rs.ledger_plan
+        assert [(r.label, r.guaranteed, r.in_product) for r in rows] == \
+            list(coroot_rows) + [(label, True, True)
+                                 for label, _, _ in grouped_rows]
 
 
 def fresh_system(name):
@@ -281,7 +284,7 @@ class TestLedgerAgainstOracle:
             poset = build_poset(Weight(coords), 2)
             report = verify_coroot_inequalities_k2(poset, rs)
             details, violations = ledger_oracle.coroot_ledger_rows(poset, rs)
-            assert report.details == details
+            assert details and all(row["ok"] for row in details)
             assert report.violations == violations == []
 
     @pytest.mark.parametrize("name", RANK_TWO_SYSTEMS)
@@ -314,20 +317,14 @@ class TestLedgerAgainstOracle:
             with pytest.raises(ValueError):
                 route(rs, T((1,), (0,)))
 
-    def test_violation_items_match_the_oracle(self, monkeypatch):
-        # a ledger whose guaranteed rows all lose, fed to both routes
-        real = ledger_oracle.pair_ledger
-
-        def losing(rs, low, high):
-            return [LedgerRow(r.label, r.low, r.low - 1, r.guaranteed,
-                              r.in_product) for r in real(rs, low, high)]
-        monkeypatch.setattr(dimensions, "pair_ledger", losing)
-        monkeypatch.setattr(ledger_oracle, "pair_ledger", losing)
+    def test_violation_items_match_the_oracle(self):
+        # every cover walked downward: guaranteed rows lose, and both
+        # routes read the same reversed edges
         rs = root_system("C2")
         poset = build_poset(Weight((3, 2)), 2)
+        poset.__dict__["hasse_edges"] = [(b, a) for a, b in poset.hasse_edges]
         report = verify_coroot_inequalities_k2(poset, rs)
-        details, violations = ledger_oracle.coroot_ledger_rows(poset, rs)
-        assert report.details == details
+        _, violations = ledger_oracle.coroot_ledger_rows(poset, rs)
         assert report.violations == violations
         assert len(violations) > len(poset.hasse_edges)
 
@@ -403,6 +400,21 @@ class TestBracketTable:
         assert {"item": f"{low} -> {high} : {label}", "kind": "ledger_row",
                 "low": want_low, "high": 0} in report.violations
 
+    def test_a_corrupt_dimension_breaks_the_product_identity(self):
+        rs = fresh_system("C2")
+        poset = build_poset(Weight((2, 1)), 2)
+        assert verify_coroot_inequalities_k2(poset, rs).ok  # warms the tables
+        rs.part_dims[(0, 0)] = 2
+        want = []
+        for cls, label in zip(poset.classes, poset.labels):
+            lhs, rhs = ledger_oracle.grand_product_identity(rs, cls.rep)
+            if lhs != rhs:
+                want.append({"item": f"product identity at {label}",
+                             "kind": "identity", "lhs": lhs, "rhs": rhs})
+        report = verify_coroot_inequalities_k2(poset, rs)
+        assert want and [v for v in report.violations
+                         if v["kind"] == "identity"] == want
+
 
 class TestGrandProduct:
     def test_frozen(self):
@@ -475,24 +487,30 @@ class TestRebalanceGain:
 class TestVerifiers:
     def test_monotone_on_running_fiber(self):
         poset = build_poset(Weight((2, 1)), 2)
-        report = verify_monotone_k2(poset, root_system("C2"))
-        assert report.ok
-        assert report.details and not report.violations
-        # one detail row per cover: 2 of the chain's 3 strict pairs
-        assert len(report.details) == len(poset.hasse_edges) == 2
+        rs = root_system("C2")
+        report = verify_monotone_k2(poset, rs)
+        assert report.ok and report.violations == []
+        # the chain X < Y < Z: 2 covers of its 3 strict pairs, each rising
+        dims = [d for d, in dimensions.member_dims(poset, rs)]
+        assert sorted(dims) == [35, 50, 64]
+        assert len(poset.hasse_edges) == 2
+        assert all(dims[a] < dims[b] for a, b in poset.hasse_edges)
 
     def test_coroot_inequalities(self):
+        rs = root_system("C2")
         report = verify_coroot_inequalities_k2(build_poset(Weight((2, 1)), 2),
-                                               root_system("C2"))
+                                               rs)
         assert report.ok
-        labels = {d["label"] for d in report.details if "label" in d}
-        assert "h1 & h1+2h2" in labels
+        _, grouped_rows = rs.ledger_plan
+        assert [label for label, _, _ in grouped_rows] == ["h1 & h1+2h2"]
 
     def test_max_dim_tiny_a1(self):
         # dims along the (3), k = 3 chain are 4, 6, 8: strict to the top
-        report = verify_max_dim(build_poset(Weight((3,)), 3), root_system("A1"))
-        assert report.ok
-        dims = sorted(d["dim"] for d in report.details)
+        poset = build_poset(Weight((3,)), 3)
+        rs = root_system("A1")
+        assert verify_max_dim(poset, rs).ok
+        dims = sorted(d for row in dimensions.member_dims(poset, rs)
+                      for d in row)
         assert dims == [4, 6, 8]
 
     def test_max_dim_c3_smoke(self):
@@ -538,7 +556,8 @@ class TestVerifiers:
 
 
 class TestDetailRowsAgainstOracle:
-    """Lazily built detail rows against the eager one-pass builders."""
+    """Verifier violations against the eager one-pass builders, which
+    build every detail row."""
 
     ROUTES = ((verify_monotone_k2, ledger_oracle.monotone_rows),
               (verify_coroot_inequalities_k2, ledger_oracle.coroot_ledger_rows),
@@ -550,8 +569,8 @@ class TestDetailRowsAgainstOracle:
         for poset in small_k2_posets():
             for verify, oracle in self.ROUTES:
                 report = verify(poset, rs)
-                assert (report.details, report.violations) == \
-                    oracle(poset, rs), (name, poset.lam, verify.__name__)
+                assert report.violations == oracle(poset, rs)[1], \
+                    (name, poset.lam, verify.__name__)
 
     @pytest.mark.parametrize("name", RANK_TWO_SYSTEMS)
     def test_max_dim_at_k3_and_k4(self, name):
@@ -560,8 +579,11 @@ class TestDetailRowsAgainstOracle:
             for k in (3, 4):
                 poset = build_poset(Weight(coords), k)
                 report = verify_max_dim(poset, rs)
-                assert (report.details, report.violations) == \
-                    ledger_oracle.max_dim_rows(poset, rs), (name, coords, k)
+                details, violations = ledger_oracle.max_dim_rows(poset, rs)
+                # one detail row per part multiset, the top's own included
+                assert len(details) == sum(len(cls.multisets)
+                                           for cls in poset.classes)
+                assert report.violations == violations, (name, coords, k)
 
     @pytest.mark.parametrize("coords,k", [((2, 2), 2), ((3, 2), 3)])
     @pytest.mark.parametrize("above", [0, 1])
@@ -572,35 +594,77 @@ class TestDetailRowsAgainstOracle:
         poset = build_poset(Weight(coords), k)
         rs = root_system("C2")
         top = tensor_dim(rs, poset.classes[poset.top_index].rep)
-        skewed = bumped_tensor_dim(poset, poset.bottom_index, top + above)
-        monkeypatch.setattr(dimensions, "tensor_dim", skewed)
-        monkeypatch.setattr(ledger_oracle, "tensor_dim", skewed)
+        monkeypatch.setattr(dimensions, "member_dims", bumped_member_dims(
+            poset.bottom_index, top + above))
+        monkeypatch.setattr(ledger_oracle, "tensor_dim", bumped_tensor_dim(
+            poset, poset.bottom_index, top + above))
         routes = self.ROUTES[::2] if k == 2 else self.ROUTES[2:]
         for verify, oracle in routes:
             report = verify(poset, rs)
             assert report.violations
-            assert (report.details, report.violations) == oracle(poset, rs)
+            assert report.violations == oracle(poset, rs)[1]
 
-    def test_details_are_built_on_first_read(self):
+    def test_reports_pickle_and_compare_by_value(self):
         poset = build_poset(Weight((2, 2)), 2)
         rs = root_system("C2")
         for verify in (verify_monotone_k2, verify_coroot_inequalities_k2,
                        verify_max_dim):
             report = verify(poset, rs)
-            assert "details" not in report.__dict__
             copy = pickle.loads(pickle.dumps(report))
-            assert report.details and report.details is report.details
             assert report == copy == verify(poset, rs)
             assert report != verify(poset, root_system("A2"))
 
 
-def monotone_failures(poset, rs):
+class TestMaxDimOverEveryMember:
+    def test_window_class_members_differ_in_dimension_outside_type_a(self):
+        # (3,3) at k = 3: one window class holds two part multisets, equal
+        # in dimension over A2, 2000 against 1960 over C2
+        poset = build_poset(Weight((3, 3)), 3)
+        c = 12
+        assert poset.classes[c].multisets == (((1, 2), (2, 0), (0, 1)),
+                                              ((2, 1), (0, 2), (1, 0)))
+        first, second = (WeightTuple(tuple(map(Weight, ms)))
+                         for ms in poset.classes[c].multisets)
+        assert compare(first, second) is OrderVerdict.EQUIV
+        for name, dims in (("A2", [270, 270]), ("C2", [2000, 1960])):
+            rs = root_system(name)
+            assert dimensions.member_dims(poset, rs)[c] == dims
+            assert [tensor_dim(rs, first), tensor_dim(rs, second)] == dims
+            assert verify_max_dim(poset, rs).ok
+
+    @pytest.mark.parametrize("above", [0, 1])
+    def test_a_member_at_or_past_the_top_is_named(self, monkeypatch, above):
+        # the second multiset of that class raised to the top's dimension
+        # or past it: both routes report that member, and only it
+        poset = build_poset(Weight((3, 3)), 3)
+        rs = root_system("C2")
+        c = 12
+        member = WeightTuple(tuple(map(Weight, poset.classes[c].multisets[1])))
+        top = tensor_dim(rs, poset.classes[poset.top_index].rep)
+        real_dims = dimensions.member_dims
+
+        def raised_dims(poset, rs):
+            dims = real_dims(poset, rs)
+            dims[c][1] = top + above
+            return dims
+        monkeypatch.setattr(dimensions, "member_dims", raised_dims)
+        monkeypatch.setattr(
+            ledger_oracle, "tensor_dim",
+            lambda rs, x: top + above if x == member else tensor_dim(rs, x))
+        want = [{"item": f"dim({member}) = {top + above} !< top {top}",
+                 "kind": "max_dim_member"}]
+        assert verify_max_dim(poset, rs).violations == want
+        assert ledger_oracle.max_dim_rows(poset, rs)[1] == want
+
+
+def monotone_failures(poset, rs, dim=tensor_dim):
     """(cover route, strict-pair route): the pairs whose dimensions do not
     rise, the first as verify_monotone_k2 reports them, the second from
-    every strict pair of the order oracle."""
+    every strict pair of the order oracle, with dim(rs, rep) as each
+    class's dimension."""
     report = verify_monotone_k2(poset, rs)
     by_covers = [v for v in report.violations if v["kind"] == "monotone"]
-    dims = [dimensions.tensor_dim(rs, cls.rep) for cls in poset.classes]
+    dims = [dim(rs, cls.rep) for cls in poset.classes]
     by_pairs = [(a, b) for a, b in strict_pairs(poset)
                 if not dims[a] < dims[b]]
     return by_covers, by_pairs
@@ -608,11 +672,21 @@ def monotone_failures(poset, rs):
 
 def bumped_tensor_dim(poset, c, value):
     """tensor_dim with every tuple of class c sent to value."""
-    real = dimensions.tensor_dim
     target = poset.classes[c].stat_vector
 
     def bumped(rs, x):
-        return value if x.stat_vector == target else real(rs, x)
+        return value if x.stat_vector == target else tensor_dim(rs, x)
+    return bumped
+
+
+def bumped_member_dims(c, value):
+    """dimensions.member_dims with every multiset of class c sent to value."""
+    real = dimensions.member_dims
+
+    def bumped(poset, rs):
+        dims = real(poset, rs)
+        dims[c] = [value] * len(dims[c])
+        return dims
     return bumped
 
 
@@ -628,15 +702,17 @@ class TestMonotoneAlongCovers:
         rs = root_system(data.draw(st.sampled_from(self.SYSTEMS[rank])))
         poset = build_poset(lam, 2)
         with pytest.MonkeyPatch.context() as mp:
+            dim = tensor_dim
             if data.draw(st.booleans()):
                 # one class moved to a random dimension: the order may or
                 # may not survive, and both routes must say the same
                 c = data.draw(st.integers(0, len(poset) - 1))
                 value = data.draw(st.integers(0, 2 * tensor_dim(
                     rs, poset.classes[poset.top_index].rep)))
-                mp.setattr(dimensions, "tensor_dim",
-                           bumped_tensor_dim(poset, c, value))
-            by_covers, by_pairs = monotone_failures(poset, rs)
+                mp.setattr(dimensions, "member_dims",
+                           bumped_member_dims(c, value))
+                dim = bumped_tensor_dim(poset, c, value)
+            by_covers, by_pairs = monotone_failures(poset, rs, dim)
         assert bool(by_covers) == bool(by_pairs)
 
     def test_both_routes_catch_a_non_monotone_dimension(self, monkeypatch):
@@ -645,10 +721,11 @@ class TestMonotoneAlongCovers:
         assert monotone_failures(poset, rs) == ([], [])
         # the bottom class jumps above the top: every pair out of it fails
         top = tensor_dim(rs, poset.classes[poset.top_index].rep)
-        monkeypatch.setattr(dimensions, "tensor_dim",
-                            bumped_tensor_dim(poset, poset.bottom_index, top + 1))
-        by_covers, by_pairs = monotone_failures(poset, rs)
         bottom = poset.bottom_index
+        monkeypatch.setattr(dimensions, "member_dims",
+                            bumped_member_dims(bottom, top + 1))
+        by_covers, by_pairs = monotone_failures(
+            poset, rs, bumped_tensor_dim(poset, bottom, top + 1))
         assert by_pairs == [(bottom, b) for b in range(len(poset))
                             if b != bottom]
         covers = [b for a, b in poset.hasse_edges if a == bottom]
@@ -663,16 +740,24 @@ class TestMonotoneAlongCovers:
         c = next(c for c, cls in enumerate(poset.classes)
                  if len(cls.multisets) == 2)
         other = WeightTuple(tuple(Weight(p) for p in poset.classes[c].multisets[1]))
-        real = dimensions.tensor_dim
+        real = dimensions.member_dims
         seen = []
 
-        def skewed(rs, x):
-            seen.append(x)
-            return real(rs, x) + (x == other)
-        monkeypatch.setattr(dimensions, "tensor_dim", skewed)
+        def skewed(poset, rs):
+            dims = real(poset, rs)
+            seen.append(dims)
+            dims[c][1] += 1
+            return dims
+        monkeypatch.setattr(dimensions, "member_dims", skewed)
         report = verify_monotone_k2(poset, rs)
         assert [v for v in report.violations if v["kind"] == "class_dim"] == \
             [{"item": f"class {c} member {other}", "kind": "class_dim"}]
-        # one dimension per representative, then one per multiset
-        assert len(seen) == len(poset) + sum(len(cls.multisets)
-                                            for cls in poset.classes)
+        # one product per multiset, the representative's included, each
+        # the dimension of the multiset's sorted tuple, here and over C2,
+        # where the two members differ
+        [dims] = seen
+        dims[c][1] -= 1
+        for rs in (rs, root_system("C2")):
+            assert real(poset, rs) == [
+                [tensor_dim(rs, WeightTuple(tuple(map(Weight, ms))))
+                 for ms in cls.multisets] for cls in poset.classes]
