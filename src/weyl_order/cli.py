@@ -30,7 +30,7 @@ from .posets import (DEFAULT_GUARD, GuardExceeded, build_poset, count_tuples,
                      minimal_element, poset_size_k2)
 from .roots import (FAMILIES, base_rank, check_admissible,
                     coroot_table_report, expected_table_report, iota,
-                    parse_system_name, root_system)
+                    parse_system_name, root_system, spin_nodes)
 from .tuples import WeightTuple
 from .weights import Weight
 
@@ -123,7 +123,7 @@ class SweepConfig:
 
     def ambient_rank(self, family: str) -> int:
         # base rank 2 throughout the sweep
-        return {"A": 2, "C": 2, "B": 3, "D": 4}[family]
+        return 2 + spin_nodes(family)
 
 
 def _sweep_lams(max_coord: int) -> list[tuple[int, ...]]:

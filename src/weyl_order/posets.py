@@ -16,7 +16,9 @@ multiplicities read as run lengths of equal adjacent parts; its
 representative is the only ``WeightTuple`` built, from one shared
 ``Weight`` per distinct part, and its ordered members are expanded only
 when asked for.  The quotient carries the coordinatewise order from
-:mod:`weyl_order.tuples`.
+:mod:`weyl_order.tuples` as one list of strict-order masks (``_above``);
+the Hasse walk, the transitivity check and both extremes read it, the
+minimal classes being the bits set in no mask.
 
 The quotient always has a unique bottom class, the one containing
 (lam, 0, ..., 0), and a unique top class whose representative spreads
@@ -46,7 +48,8 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
+from operator import or_
 
 from .tuples import (OrderVerdict, WeightTuple, _part_window_values,
                      _sorted_prefix_stats, _verdict_from_vectors)
@@ -203,40 +206,31 @@ class TuplePoset:
                                      self.classes[b].stat_vector)
 
     @cached_property
-    def _strict_masks(self) -> tuple[list[int], list[int]]:
-        """(below, above): below[c] has bit d set when class d < class c.
+    def _above(self) -> list[int]:
+        """The strict order: above[c] has bit d set when class c < class d.
 
         Built from rank masks, one stat coordinate at a time: sorting the
         classes by that coordinate and walking its groups of equal values
-        gives, for each class c, the mask of classes whose value is <= c's
-        (the running OR through c's group) and the mask of those whose
-        value is >= c's (the complement of the running OR before it).  ANDing
-        these over all coordinates leaves le[c], the classes <= c, and
-        ge[c], the classes >= c.  Distinct classes have distinct stat
-        vectors, so removing c's own bit gives the strict masks.
+        upwards, the complement of the running OR before c's group is the
+        mask of classes whose value is >= c's.  Distinct classes have
+        distinct stat vectors, so ANDing these over all coordinates into
+        the mask of every class but c leaves above[c].
 
         Classes are indexed in lex order of stat vectors, a linear
-        extension of the order: every bit of below[c] is < c and every
-        bit of above[c] is > c.
+        extension of the order: every bit of above[c] is > c.
         """
         m = len(self.classes)
         full = (1 << m) - 1
-        le = [full] * m
-        ge = [full] * m
+        above = [full ^ (1 << c) for c in range(m)]
         for column in zip(*(cls.stat_vector for cls in self.classes)):
             value = column.__getitem__
             seen = 0  # classes met so far, walking this coordinate upwards
             for _, group in itertools.groupby(sorted(range(m), key=value), key=value):
-                group = list(group)
                 at_least = full ^ seen
                 for c in group:
                     seen |= 1 << c
-                for c in group:
-                    le[c] &= seen
-                    ge[c] &= at_least
-        below = [mask ^ (1 << c) for c, mask in enumerate(le)]
-        above = [mask ^ (1 << c) for c, mask in enumerate(ge)]
-        return below, above
+                    above[c] &= at_least
+        return above
 
     @cached_property
     def hasse_edges(self) -> tuple[tuple[int, int], ...]:
@@ -244,7 +238,7 @@ class TuplePoset:
 
         A cover walk: for each a, pop the lowest class b left in rest =
         above[a], emit (a, b), and drop above[b] from rest.  It relies on
-        index order being a linear extension (see _strict_masks).  A class
+        index order being a linear extension (see _above).  A class
         strictly between a and b has a smaller index than b, so it was
         either popped first, and then b lies above it and was dropped, or
         dropped itself as lying above an earlier pop, and then so was b.
@@ -252,7 +246,7 @@ class TuplePoset:
         class of above[a], so it is never dropped.  The cost is a few mask
         operations per cover, not one per strict pair.
         """
-        _, above = self._strict_masks
+        above = self._above
         edges = []
         for a, rest in enumerate(above):
             while rest:
@@ -282,7 +276,7 @@ class TuplePoset:
         proves the order transitive and checks the cover walk against the
         masks, at one mask step per cover.
         """
-        _, above = self._strict_masks
+        above = self._above
         up = [0] * len(above)
         for a, b in sorted(self.hasse_edges, reverse=True):
             up[a] |= 1 << b | up[b]
@@ -290,16 +284,16 @@ class TuplePoset:
 
     @cached_property
     def bottom_index(self) -> int:
-        below, _ = self._strict_masks
-        mins = [c for c in range(len(self.classes)) if below[c] == 0]
+        """The unique minimal class: the one bit set in no above mask."""
+        has_below = reduce(or_, self._above, 0)
+        mins = [c for c in range(len(self.classes)) if not has_below >> c & 1]
         if len(mins) != 1:
             raise ValueError(f"expected a unique minimal class, found {mins}")
         return mins[0]
 
     @cached_property
     def top_index(self) -> int:
-        _, above = self._strict_masks
-        maxs = [c for c in range(len(self.classes)) if above[c] == 0]
+        maxs = [c for c, mask in enumerate(self._above) if mask == 0]
         if len(maxs) != 1:
             raise ValueError(f"expected a unique maximal class, found {maxs}")
         return maxs[0]
@@ -421,9 +415,11 @@ def _part_multisets(lam: tuple[int, ...], k: int):
       rest); that band is a slice of the list, read from a table;
     * box step: with two parts left, p ranges over the box
       0 <= p <= rest, the last part is rest - p, and a pair is kept when
-      start <= pos[p] <= pos[rest - p], in increasing pos[p].
+      start <= pos[p] <= pos[rest - p], in increasing pos[p];
+    * zero cut: once rest is zero, only the zero part (last in the list)
+      fits, so the walk is at most |lam| + 1 levels deep, whatever k is.
 
-    Both only drop branches that yield nothing, so the multisets and
+    These only drop branches that yield nothing, so the multisets and
     their order are those of scanning every part at every level.
     """
     parts = sorted(itertools.product(*(range(m + 1) for m in lam)),
@@ -436,6 +432,9 @@ def _part_multisets(lam: tuple[int, ...], k: int):
     upto = [bisect.bisect_right(negated, -s) for s in range(sum(lam) + 2)]
 
     def walk(start, rest, left, prefix):
+        if not any(rest):  # only the zero part fits, and it sorts last
+            yield prefix + (rest,) * left
+            return
         if left == 1:
             if position[rest] >= start:
                 yield prefix + (rest,)

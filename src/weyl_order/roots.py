@@ -306,11 +306,12 @@ def parse_system_name(text: str) -> tuple[str, int]:
 
 @lru_cache(maxsize=None)
 def root_system(family: str, rank: int | None = None) -> RootSystem:
-    """Build a root system, accepting root_system('C', 2) or root_system('C2')."""
+    """Build a root system, accepting root_system('C', 2) or root_system('C2').
+
+    Both spellings return the one cached system, with its tables."""
     if rank is None:
-        family, rank = parse_system_name(family)
-    else:
-        _check_family_rank(family, rank)
+        return root_system(*parse_system_name(family))
+    _check_family_rank(family, rank)
     coeffs = sorted(generated_positive_coroots(family, rank),
                     key=lambda c: (sum(c), c))
     return RootSystem(family, rank, tuple(Coroot(c) for c in coeffs))
@@ -318,14 +319,20 @@ def root_system(family: str, rank: int | None = None) -> RootSystem:
 
 # -- embedding of the rank-n base lattice ---------------------------------
 
+def spin_nodes(family: str) -> int:
+    """Nodes of the family's diagram left out of the embedded base lattice:
+    a system's rank is its base rank plus this."""
+    return _SPIN_NODES[family]
+
+
 def base_rank(rs: RootSystem) -> int:
     """Rank of the base lattice embedded into rs (spin nodes excluded)."""
-    return rs.rank - _SPIN_NODES[rs.family]
+    return rs.rank - spin_nodes(rs.family)
 
 
 def check_admissible(w: Weight, family: str, rank: int):
     """Raise ValueError unless w lives on the base lattice of family+rank."""
-    base = rank - _SPIN_NODES[family]
+    base = rank - spin_nodes(family)
     if base != w.rank:
         raise ValueError(f"rank-{w.rank} weight is not admissible for "
                          f"{family}{rank} (expected base rank {base})")

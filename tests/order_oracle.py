@@ -1,11 +1,13 @@
 """Reference order and Hasse reduction: the pairwise route the masks replace.
 
-``TuplePoset._strict_masks`` builds the strict order from per-coordinate
-rank masks and ``TuplePoset.hasse_edges`` finds the covers by a walk over
-them.  This fixture keeps the quadratic route those stand for: one
-``verdict`` per unordered pair of classes, then every strict pair tested
-for a class strictly between.  ``strict_pairs`` walks every strict pair
-of the masks, the route the sweep checks took before they walked covers.
+``TuplePoset._above`` builds the strict order from per-coordinate rank
+masks, ``TuplePoset.hasse_edges`` finds the covers by a walk over them,
+and ``TuplePoset.bottom_index`` reads the minimal classes off the OR of
+all of them.  This fixture keeps the quadratic route those stand for:
+one ``verdict`` per unordered pair of classes, filling both the below
+and the above masks, then every strict pair tested for a class strictly
+between.  ``strict_pairs`` walks every strict pair of the masks, the
+route the sweep checks took before they walked covers.
 """
 
 from weyl_order import OrderVerdict
@@ -42,8 +44,7 @@ def hasse_edges_pairwise(poset):
 
 def strict_pairs(poset):
     """Each (a, b) with class a below class b, in (a, b) order; a < b."""
-    _, above = poset._strict_masks
-    for a, mask in enumerate(above):
+    for a, mask in enumerate(poset._above):
         while mask:
             low = mask & -mask
             yield a, low.bit_length() - 1

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import weyl_order.dimensions as dimensions
-from weyl_order import Weight, build_poset, cli, root_system
+from weyl_order import Weight, base_rank, build_poset, cli, root_system
 from weyl_order.cli import SweepConfig, sweep_items
 
 
@@ -57,6 +57,16 @@ class TestSingleShot:
         assert out.strip() == "35 * 1 = 35"
         payload = json.loads((tmp_path / "dim_C2.json").read_text())
         assert payload["dim"] == 35 and payload["part_dims"] == [35, 1]
+
+    @pytest.mark.parametrize("argv", [
+        ("poset", "--lambda", "0,0", "--k", "1000"),
+        ("covers", "--lambda", "1", "--k", "2000"),
+    ])
+    def test_large_k_within_the_guard_exits_0(self, tmp_path, capsys, argv):
+        # one and 2000 ordered tuples: the guard passes, and the fiber walk
+        # must not recurse once per part
+        code, _, err = run(capsys, *argv, "--out-dir", str(tmp_path))
+        assert code == 0, err
 
     def test_size(self, capsys):
         code, out, _ = run(capsys, "size", "--lambda", "2,1", "--k", "2")
@@ -320,6 +330,18 @@ class TestVerify:
         fibers = {(it[3], it[4]) for it in items if it[3] is not None}
         assert set(built) == fibers
         assert set(built.values()) == {1}
+
+    def test_large_k_fiber_checks_report_no_violation(self):
+        items = [(kind, fam, rank, (1, 0), 1000, 10**6, False)
+                 for fam, rank in (("A", 2), ("C", 2))
+                 for kind in ("extremes", "max_dim")]
+        assert [r["violations"] for r in cli.run_fiber(items)] == [[]] * 4
+
+    def test_ambient_systems_have_base_rank_two(self):
+        cfg = SweepConfig()
+        assert [cfg.ambient_rank(f) for f in "ACBD"] == [2, 2, 3, 4]
+        for fam in cfg.families:
+            assert base_rank(root_system(fam, cfg.ambient_rank(fam))) == 2
 
     def test_grouped_rows_match_items_run_alone(self):
         # reference route: each item in a group of its own, on a fresh poset

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from weyl_order import (
     CoverKind,
+    EquivClass,
     GuardExceeded,
     OrderVerdict,
+    TuplePoset,
     Weight,
     WeightTuple,
     build_poset,
@@ -282,6 +284,22 @@ class TestPartWalk:
         lam = data.draw(st.tuples(*[st.integers(0, 7 - rank)] * rank))
         k = data.draw(st.integers(1, 7 - rank))
         assert_walk_matches_scan(lam, k)
+
+    def test_large_k_pads_the_small_k_walk_with_zero_parts(self):
+        # a multiset holds at most |lam| nonzero parts, so past k = |lam|
+        # only zero parts are added; the walk appends them instead of
+        # recursing once per part, which would pass the recursion limit
+        for lam in [(0, 0), (1,), (1, 0), (1, 1), (2, 1), (1, 0, 1)]:
+            zero = (0,) * len(lam)
+            small = list(_part_multisets(lam, max(sum(lam), 1)))
+            assert list(_part_multisets(lam, 3000)) == \
+                [ms + (zero,) * (3000 - len(ms)) for ms in small], lam
+
+    def test_zero_lambda_at_large_k_is_one_class(self):
+        poset = build_poset(Weight((0, 0)), 3000)
+        assert len(poset) == 1
+        assert poset.classes[0].size == 1
+        assert poset.bottom_index == poset.top_index == 0
 
 
 class TestSizeFormula:
@@ -587,14 +605,34 @@ class TestSharedOrder:
         rank = data.draw(st.integers(1, 3))
         lam = Weight(data.draw(st.tuples(*[st.integers(0, 3)] * rank)))
         poset = build_poset(lam, data.draw(st.sampled_from((2, 3, 4))))
-        below, above = poset._strict_masks
-        assert (below, above) == strict_masks_pairwise(poset)
+        below, above = strict_masks_pairwise(poset)
+        assert poset._above == above
         assert poset.hasse_edges == hasse_edges_pairwise(poset)
+        # the extremes: no class below the bottom, none above the top
+        assert [c for c, mask in enumerate(below) if mask == 0] == \
+            [poset.bottom_index]
+        assert [c for c, mask in enumerate(above) if mask == 0] == \
+            [poset.top_index]
         # index order is a linear extension, which the cover walk relies on
         for c, mask in enumerate(below):
             assert mask < 1 << c
-        for c, mask in enumerate(above):
+        for c, mask in enumerate(poset._above):
             assert mask & ((1 << (c + 1)) - 1) == 0
+
+    def test_incomparable_extremes_raise(self):
+        # two classes with incomparable stat vectors: each is minimal and
+        # maximal, so neither extreme is unique
+        lam = Weight((1, 0))
+        classes = tuple(
+            EquivClass(rep=T((1, 0), (0, 0)), stat_vector=sv, size=1,
+                       multisets=(((1, 0), (0, 0)),))
+            for sv in ((0, 1), (1, 0)))
+        poset = TuplePoset(lam=lam, k=2, classes=classes)
+        assert poset._above == [0, 0]
+        with pytest.raises(ValueError, match=r"unique minimal class, found \[0, 1\]"):
+            poset.bottom_index
+        with pytest.raises(ValueError, match=r"unique maximal class, found \[0, 1\]"):
+            poset.top_index
 
     def test_transitive_ok_checks_the_covers_against_the_masks(self):
         for coords, k in [((2, 1), 2), ((2, 2), 3), ((1, 1, 1), 2)]:
@@ -606,10 +644,9 @@ class TestSharedOrder:
                 assert not poset.transitive_ok(), (coords, k, edges[drop])
             # an edge to a class below a, or incomparable with it, appended
             # out of order
-            _, above = poset._strict_masks
             m = len(poset)
             strays = [(a, b) for a in range(m) for b in range(m)
-                      if a != b and not above[a] >> b & 1]
+                      if a != b and not poset._above[a] >> b & 1]
             assert strays
             for edge in strays:
                 poset.__dict__["hasse_edges"] = edges + (edge,)

@@ -117,6 +117,10 @@ class TestRootSystemObject:
     def test_parsing_and_cache_identity(self):
         assert root_system("C2") == root_system("C", 2)
         assert root_system("C2") is root_system("C2")  # cached
+        # both spellings share one system, so each table is filled once
+        assert root_system("C2") is root_system("C", 2)
+        assert root_system(" C2 ") is root_system("C", 2)
+        assert root_system("C2").part_dims is root_system("C", 2).part_dims
         assert root_system("C2").name == "C2"
         with pytest.raises(ValueError):
             root_system("E8")
