@@ -6,11 +6,9 @@ classical root systems and checks that dimension products respect the
 order.  Everything runs on plain integers.
 """
 
-from .weights import (Weight, Permutation, act, dominant_representative,
-                      sorting_permutation)
-from .tuples import (OrderVerdict, WeightTuple, canonical_form, compare,
-                     compare_prec, coroot_stat_vector, pi_project, sk_permute,
-                     stat_labels, windows)
+from .weights import Weight, Permutation
+from .tuples import (OrderVerdict, WeightTuple, compare, compare_prec,
+                     coroot_stat_vector, stat_labels, windows)
 from .roots import (Coroot, EmbeddedWeight, RootSystem, base_rank,
                     cartan_matrix, closed_form_coroot_table,
                     coroot_table_report, expected_table_report,
@@ -31,11 +29,9 @@ from .dimensions import (DimensionReport, LedgerRow, RebalanceVerdict,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Weight", "Permutation", "act", "dominant_representative",
-    "sorting_permutation",
-    "OrderVerdict", "WeightTuple", "canonical_form", "compare",
-    "compare_prec", "coroot_stat_vector", "pi_project", "sk_permute",
-    "stat_labels", "windows",
+    "Weight", "Permutation",
+    "OrderVerdict", "WeightTuple", "compare", "compare_prec",
+    "coroot_stat_vector", "stat_labels", "windows",
     "Coroot", "EmbeddedWeight", "RootSystem", "base_rank", "cartan_matrix",
     "closed_form_coroot_table", "coroot_table_report",
     "expected_table_report", "generated_positive_coroots", "group_coroots",

@@ -294,8 +294,6 @@ def cmd_poset(args) -> int:
 
 def cmd_max(args) -> int:
     lam = parse_weight(args.lam)
-    if not lam.is_dominant:
-        raise ValueError(f"{lam} is not dominant")
     bottom = minimal_element(lam, args.k)
     top = maximal_element(lam, args.k)
     print(f"bottom {bottom}")

@@ -68,16 +68,21 @@ class GuardExceeded(RuntimeError):
 DEFAULT_GUARD = 10**6
 
 
+def _check_lam_k(lam: Weight, k: int) -> None:
+    """The fiber rule: a non-dominant lam or a k below 1 raises ValueError."""
+    if not lam.is_dominant:
+        raise ValueError(f"{lam} is not dominant")
+    if k < 1:
+        raise ValueError("k must be positive")
+
+
 def count_tuples(lam: Weight, k: int) -> int:
     """Number of ordered k-tuples of dominant weights summing to lam.
 
     Coordinates split independently, so this is a product of binomials.
     A non-dominant lam or a k below 1 raises ValueError.
     """
-    if not lam.is_dominant:
-        raise ValueError(f"{lam} is not dominant")
-    if k < 1:
-        raise ValueError("k must be positive")
+    _check_lam_k(lam, k)
     out = 1
     for m in lam.omega:
         out *= math.comb(m + k - 1, k - 1)
@@ -85,13 +90,12 @@ def count_tuples(lam: Weight, k: int) -> int:
 
 
 def compositions(total: int, k: int):
-    """All k-part compositions of total into nonnegative integers."""
-    if k == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in compositions(total - head, k - 1):
-            yield (head,) + rest
+    """All k-part compositions of total into nonnegative integers, in
+    lexicographic order: stars and bars, the k - 1 bars placed among
+    total + k - 1 slots, so no recursion and any k works."""
+    slots = total + k - 1
+    for bars in itertools.combinations(range(slots), k - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, slots)))
 
 
 def _check_fiber(lam: Weight, k: int, guard: int) -> None:
@@ -113,7 +117,12 @@ def enumerate_tuples(lam: Weight, k: int, guard: int = DEFAULT_GUARD):
 
 
 def minimal_element(lam: Weight, k: int) -> WeightTuple:
-    """(lam, 0, ..., 0), the bottom of the quotient."""
+    """(lam, 0, ..., 0), the bottom of the quotient.
+
+    A non-dominant lam or a k below 1 raises ValueError, as in
+    ``count_tuples``.
+    """
+    _check_lam_k(lam, k)
     zero = Weight.zero(lam.rank)
     return WeightTuple((lam,) + (zero,) * (k - 1))
 
@@ -123,8 +132,10 @@ def maximal_element(lam: Weight, k: int) -> WeightTuple:
 
     Writing b_i = p_i * k + r_i, part number j receives p_i + 1 in epsilon
     coordinate i when j <= r_i and p_i otherwise.  Dominance of each part
-    follows from b being weakly decreasing.
+    follows from b being weakly decreasing.  A non-dominant lam or a k
+    below 1 raises ValueError, as in ``count_tuples``.
     """
+    _check_lam_k(lam, k)
     eps = lam.eps()
     parts = []
     for j in range(1, k + 1):
@@ -556,8 +567,8 @@ def _sorting_coset(values: tuple[int, ...]):
     A sorter sends each slot to a slot holding the same value in the
     sorted vector; ties admit several, a coset of the stabilizer.  The
     image-lex first sorter gives each slot the lowest free target slot of
-    its value: it is the stable descending argsort, inverted, the images
-    of ``sorting_permutation(values)``, and it is yielded without a walk.
+    its value: it is the stable descending argsort, inverted, and it is
+    yielded without a walk.
     Only when a caller asks for a second sorter does the walk start: each
     value keeps its list of target slots, and slot by slot the unused
     ones are tried in increasing order, so the sorters come out in

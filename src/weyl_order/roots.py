@@ -20,6 +20,7 @@ The validated list used everywhere else is the generated one.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -35,7 +36,7 @@ class Coroot:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(operator.index, self.coeffs)))
 
     @property
     def height(self) -> int:
@@ -348,7 +349,7 @@ class EmbeddedWeight:
     def __post_init__(self):
         if len(self.coords) != self.system.rank:
             raise ValueError("coordinate length disagrees with rank")
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+        object.__setattr__(self, "coords", tuple(map(operator.index, self.coords)))
 
     @property
     def is_dominant(self) -> bool:

@@ -2,7 +2,7 @@
 
 A ``WeightTuple`` is an ordered k-tuple of dominant weights of one rank.
 For a window (i, j) with 1 <= i <= j <= n, each part contributes the sum
-of its epsilon coordinates b_i + ... + b_j; the statistic r_{(i,j),l} is
+of its omega coordinates a_i + ... + a_j; the statistic r_{(i,j),l} is
 the smallest total obtainable by picking l of the k parts, which equals
 the sum of the l smallest per-part window values.
 
@@ -17,10 +17,13 @@ against each positive coroot.
 
 Both orders score a tuple by one rule, kept in one place: per column (a
 window or a coroot), sort the parts' values and take running sums
-(``_sorted_prefix_stats``).  ``_part_window_values`` reads a part's
-window values off its omega prefix sums; ``WeightTuple.stat_vector`` and
-``build_poset`` both go through it, and ``coroot_stat_vector`` feeds the
-coroot pairings to the same sums.
+(``_sorted_prefix_stats``).  ``_part_window_values`` is the one place
+that reads a part's window values, off its omega prefix sums;
+``WeightTuple.stat_vector`` and ``build_poset`` both go through it, and
+``coroot_stat_vector`` feeds the coroot pairings to the same sums.  The
+module holds no second route: the window-by-window values, the
+subset-minimum statistic and the part reorderings and projections live
+in the tests as references.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 from .roots import RootSystem, base_rank, iota, pairing
-from .weights import Permutation, Weight
+from .weights import Weight
 
 
 class OrderVerdict(enum.Enum):
@@ -39,13 +42,6 @@ class OrderVerdict(enum.Enum):
     EQUIV = "equiv"
     GREATER = "greater"
     INCOMPARABLE = "incomparable"
-
-    def flip(self) -> "OrderVerdict":
-        if self is OrderVerdict.LESS:
-            return OrderVerdict.GREATER
-        if self is OrderVerdict.GREATER:
-            return OrderVerdict.LESS
-        return self
 
 
 def _verdict_from_vectors(a, b) -> OrderVerdict:
@@ -121,12 +117,6 @@ class WeightTuple:
             total = total + p
         return total
 
-    def window_values(self, i: int, j: int) -> tuple[int, ...]:
-        """Per-part window sums, in part order (not sorted)."""
-        if not (1 <= i <= j <= self.rank):
-            raise ValueError(f"window ({i},{j}) out of range for rank {self.rank}")
-        return tuple(p.window(i, j) for p in self.parts)
-
     @cached_property
     def stat_vector(self) -> tuple[int, ...]:
         return _sorted_prefix_stats(_part_window_values(p.omega)
@@ -186,38 +176,3 @@ def compare_prec(x: WeightTuple, y: WeightTuple, rs: RootSystem) -> OrderVerdict
         raise ValueError(f"{rs.name} does not embed rank {x.rank}")
     return _verdict_from_vectors(coroot_stat_vector(x, rs),
                                  coroot_stat_vector(y, rs))
-
-
-def sk_permute(x: WeightTuple, perm: Permutation) -> WeightTuple:
-    """Reorder the parts; the stat vector is invariant under this."""
-    if perm.degree != x.k:
-        raise ValueError(f"permutation degree {perm.degree} != k={x.k}")
-    return WeightTuple(tuple(perm.permute(list(x.parts))))
-
-
-def canonical_form(x: WeightTuple) -> WeightTuple:
-    """Parts rearranged into weakly decreasing epsilon-lex order, stably."""
-    order = sorted(range(x.k), key=lambda p: (x.parts[p].eps(), -p), reverse=True)
-    return WeightTuple(tuple(x.parts[p] for p in order))
-
-
-def pi_project(x: WeightTuple, i: int, j: int) -> WeightTuple:
-    """Collapse each part to its (i, j) window value, as a rank-1 tuple.
-
-    The projected tuple's stats at window (1, 1) reproduce r_{(i,j),l}
-    of the original for every l.
-    """
-    vals = x.window_values(i, j)
-    return WeightTuple(tuple(Weight((v,)) for v in vals))
-
-
-def r_stat_by_subsets(x: WeightTuple, i: int, j: int, ell: int) -> int:
-    """Reference evaluation: explicit minimum over all ell-part subsets.
-
-    Exponential in k; kept as a cross-check for the sorted-prefix fast path.
-    """
-    if not (1 <= ell <= x.k):
-        raise ValueError(f"ell={ell} out of range for k={x.k}")
-    vals = x.window_values(i, j)
-    return min(sum(vals[p] for p in pick)
-               for pick in itertools.combinations(range(x.k), ell))

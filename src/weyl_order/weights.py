@@ -6,19 +6,23 @@ A weight is stored by its coordinates over the fundamental weights
     eps_i coordinate  b_i = a_i + a_{i+1} + ... + a_n,
 
 with inverse a_i = b_i - b_{i+1} (b_{n+1} = 0).  A weight is dominant
-when every omega coordinate is non-negative.
+when every omega coordinate is non-negative.  Coordinates are integers:
+each one is coerced with ``operator.index``, so a float or a string
+raises ``TypeError`` instead of being truncated.
 
-The symmetric group acts by permuting epsilon coordinates.  Plain S_n
-permutes the unpadded epsilon vector.  For normal forms we use the
-extended convention: pad the epsilon vector with a trailing zero, act
-with S_{n+1}, and read weights modulo the all-ones vector (the sl_{n+1}
+The cover classifier of :mod:`weyl_order.posets` works in the extended
+convention: pad the epsilon vector with a trailing zero, let S_{n+1}
+permute it, and read weights modulo the all-ones vector (the sl_{n+1}
 weight lattice).  Omega coordinates are consecutive differences of the
 padded vector, so the uniform shift never matters.  A ``Weight`` caches
-its padded epsilon tuple on first use; the cache is not a field.
+its padded epsilon tuple on first use; the cache is not a field.  A
+``Permutation`` is the sorting witness the classifier reports: it is
+validated, and it prints in cycle notation.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -33,7 +37,7 @@ class Weight:
     def __post_init__(self):
         if not self.omega:
             raise ValueError("weight needs rank >= 1")
-        object.__setattr__(self, "omega", tuple(int(c) for c in self.omega))
+        object.__setattr__(self, "omega", tuple(map(operator.index, self.omega)))
 
     @property
     def rank(self) -> int:
@@ -62,12 +66,6 @@ class Weight:
         """Epsilon coordinates with a trailing zero, computed once per
         Weight object."""
         return self._eps_padded
-
-    def window(self, i: int, j: int) -> int:
-        """Sum of omega coordinates a_i + ... + a_j, 1-based inclusive."""
-        if not 1 <= i <= j <= self.rank:
-            raise ValueError(f"window ({i},{j}) out of range for rank {self.rank}")
-        return sum(self.omega[i - 1 : j])
 
     @classmethod
     def zero(cls, rank: int) -> "Weight":
@@ -132,42 +130,6 @@ class Permutation:
     def __call__(self, i: int) -> int:
         return self.images[i]
 
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self . other)(i) = self(other(i))."""
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        return Permutation(tuple(self.images[other.images[i]] for i in range(self.degree)))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for i, img in enumerate(self.images):
-            inv[img] = i
-        return Permutation(tuple(inv))
-
-    @property
-    def is_identity(self) -> bool:
-        return all(i == img for i, img in enumerate(self.images))
-
-    def permute(self, values: tuple) -> tuple:
-        """Move the entry at slot i to slot self(i)."""
-        out = [None] * self.degree
-        for i, v in enumerate(values):
-            out[self.images[i]] = v
-        return tuple(out)
-
-    @classmethod
-    def identity(cls, degree: int) -> "Permutation":
-        return cls(tuple(range(degree)))
-
-    @classmethod
-    def transposition(cls, i: int, degree: int) -> "Permutation":
-        """Adjacent swap of positions i, i+1 (1-based i)."""
-        if not 1 <= i < degree:
-            raise ValueError(f"s_{i},{i + 1} undefined at degree {degree}")
-        images = list(range(degree))
-        images[i - 1], images[i] = images[i], images[i - 1]
-        return cls(tuple(images))
-
     def cycle_notation(self) -> str:
         seen, cycles = set(), []
         for start in range(self.degree):
@@ -182,38 +144,3 @@ class Permutation:
             if len(cyc) > 1:
                 cycles.append("(" + " ".join(str(c + 1) for c in cyc) + ")")
         return "".join(cycles) or "id"
-
-
-def act(perm: Permutation, w: Weight) -> Weight:
-    """Permute epsilon coordinates; degree n acts plainly, n+1 padded."""
-    if perm.degree == w.rank:
-        coords = perm.permute(w.eps())
-        return Weight.from_eps(coords)
-    if perm.degree == w.rank + 1:
-        padded = perm.permute(w.eps_padded())
-        # consecutive differences are shift invariant, so no renormalisation
-        return Weight(tuple(padded[i] - padded[i + 1] for i in range(w.rank)))
-    raise ValueError(f"degree {perm.degree} cannot act on rank {w.rank}")
-
-
-def sorting_permutation(values: tuple[int, ...]) -> Permutation:
-    """Stable permutation sending the vector to weakly decreasing order."""
-    order = sorted(range(len(values)), key=lambda i: (-values[i], i))
-    images = [0] * len(values)
-    for new_pos, old_pos in enumerate(order):
-        images[old_pos] = new_pos
-    return Permutation(tuple(images))
-
-
-def dominant_representative(w: Weight) -> tuple[Weight, Permutation]:
-    """Dominant weight in the padded S_{n+1} orbit, plus the sorting witness.
-
-    Sorting the padded epsilon vector into weakly decreasing order makes
-    every consecutive difference non-negative, so the representative always
-    exists and is unique as a multiset normal form.
-    """
-    sigma = sorting_permutation(w.eps_padded())
-    rep = act(sigma, w)
-    if not rep.is_dominant:
-        raise ArithmeticError(f"sorting {w} gave the non-dominant {rep}")
-    return rep, sigma

@@ -12,14 +12,16 @@ sorted by images, where the package walks the sorters lazily.
 
 import itertools
 
-from weyl_order import (CoverKind, CoverWitness, Permutation, Weight, WeightTuple,
-                        act, canonical_form, sorting_permutation)
+from weyl_order import CoverKind, CoverWitness, Permutation, Weight, WeightTuple
+
+from weight_actions import (act, canonical_form, compose, inverse, permute,
+                            sorting_permutation)
 
 
 def sorting_coset_by_stabilizer(values):
     """All permutations arranging values weakly decreasing, identity-first."""
     sigma = sorting_permutation(values)
-    sorted_vals = sigma.permute(list(values))
+    sorted_vals = permute(sigma, values)
     blocks = []
     t = 0
     while t < len(sorted_vals):
@@ -34,7 +36,7 @@ def sorting_coset_by_stabilizer(values):
         for block, arr in zip(blocks, arrangement):
             for src, dst in zip(block, arr):
                 stab_images[src] = dst
-        coset.add(Permutation(tuple(stab_images)).compose(sigma))
+        coset.add(compose(Permutation(tuple(stab_images)), sigma))
     return sorted(coset, key=lambda p: p.images)
 
 
@@ -45,7 +47,7 @@ def _fundamental_chunk_witness(lam1, lam2, mu1, mu2, sigma):
         keep = act(sigma, mu1 - lam2)
         if drop.omega[i - 1] <= 0 or keep.omega[i - 1] <= 0:
             continue
-        for reading, rho in (("inverse", sigma.inverse()), ("forward", sigma)):
+        for reading, rho in (("inverse", inverse(sigma)), ("forward", sigma)):
             if mu1 == lam1 - act(rho, Weight.fundamental(i, n)):
                 return CoverWitness(sigma=sigma, orientation=(mu1, mu2),
                                     index=i, reading=reading)
@@ -55,7 +57,7 @@ def _fundamental_chunk_witness(lam1, lam2, mu1, mu2, sigma):
 def _coordinate_mix_witness(lam1, lam2, mu1, mu2, sigma):
     n = lam1.rank
     s1, s2 = act(sigma, lam1), act(sigma, lam2)
-    inv = sigma.inverse()
+    inv = inverse(sigma)
     for mix in itertools.product((1, 2), repeat=n):
         mixed = Weight(tuple((s1 if src == 1 else s2).omega[i]
                              for i, src in enumerate(mix)))

@@ -1,10 +1,12 @@
-"""Reference routes for ``build_poset``: the window-by-window stat
-vector, the ordered-tuple grouping the multiset walk replaces, and the
-full scan the output-sensitive walk replaces.
+"""Reference routes for ``build_poset`` and ``enumerate_tuples``: the
+window-by-window stat vector, the ordered-tuple grouping the multiset
+walk replaces, the full scan the output-sensitive walk replaces, and the
+recursive compositions that stars and bars replaces.
 
 ``stat_vector_by_windows`` scores a tuple one window at a time through
-``Weight.window``, with no prefix sums and none of the library's stat
-helpers, which ``WeightTuple.stat_vector`` and ``build_poset`` share.
+``weight_actions.window_values``, with no prefix sums and none of the
+library's stat helpers, which ``WeightTuple.stat_vector`` and
+``build_poset`` share.
 ``build_poset`` walks part multisets and never orders the parts.
 ``classes_by_enumeration`` keeps the grouping it stands for: every
 ordered tuple from ``enumerate_tuples``, one reference stat vector each,
@@ -20,14 +22,16 @@ import itertools
 from weyl_order import Weight, enumerate_tuples, windows
 from weyl_order.posets import _tuple_sort_key
 
+from weight_actions import window_values
+
 
 def stat_vector_by_windows(x):
     """r_{(i,j),ell} for every window (i, j) and ell = 1..k, in
     ``stat_labels`` order: the sum of the ell smallest part values
-    ``Weight.window(i, j)``."""
+    ``weight_actions.window(part, i, j)``."""
     out = []
     for i, j in windows(x.rank):
-        vals = sorted(x.window_values(i, j))
+        vals = sorted(window_values(x, i, j))
         acc = 0
         for ell in range(x.k):
             acc += vals[ell]
@@ -72,3 +76,14 @@ def part_multisets_by_scan(lam: tuple[int, ...], k: int):
             if min(after) >= 0:
                 yield from walk(i, after, left - 1, prefix + (p,))
     return walk(0, tuple(lam), k, ())
+
+
+def compositions_by_recursion(total: int, k: int):
+    """All k-part compositions of total into nonnegative integers, head
+    first: one recursion level per part."""
+    if k == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in compositions_by_recursion(total - head, k - 1):
+            yield (head,) + rest

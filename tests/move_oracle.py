@@ -17,8 +17,9 @@ rank masks and the cover walk behind ``TuplePoset.hasse_edges``.
 
 import itertools
 
-from weyl_order import (OrderVerdict, Permutation, Weight, WeightTuple, act,
-                        canonical_form)
+from weyl_order import OrderVerdict, Permutation, Weight, WeightTuple
+
+from weight_actions import act, canonical_form, inverse, permute
 
 
 def _permutations(degree):
@@ -36,7 +37,7 @@ def fundamental_orbits(rank):
 def sorters(values):
     """Every permutation arranging values weakly decreasing."""
     return [sigma for sigma in _permutations(len(values))
-            if list(sigma.permute(values)) == sorted(values, reverse=True)]
+            if list(permute(sigma, values)) == sorted(values, reverse=True)]
 
 
 def move_targets(low, chunks):
@@ -49,7 +50,7 @@ def move_targets(low, chunks):
         firsts.add(lam1 + c)
     for sigma in sorters((lam1 - lam2).eps_padded()):
         s1, s2 = act(sigma, lam1).omega, act(sigma, lam2).omega
-        inv = sigma.inverse()
+        inv = inverse(sigma)
         for mix in itertools.product((0, 1), repeat=lam1.rank):
             mixed = Weight(tuple((s1, s2)[src][t] for t, src in enumerate(mix)))
             firsts.add(act(inv, mixed))

@@ -15,6 +15,7 @@ import pytest
 
 from freudenthal_oracle import freudenthal_dim
 from stat_reader import r_stat
+from weight_actions import pi_project, sk_permute
 from weyl_order import (
     CoverKind,
     OrderVerdict,
@@ -30,11 +31,9 @@ from weyl_order import (
     expected_table_report,
     four_factor_rebalance,
     maximal_element,
-    pi_project,
     poset_size_k2,
     rebalance_gain,
     root_system,
-    sk_permute,
     tensor_dim,
     verify_max_dim,
     weyl_dim,

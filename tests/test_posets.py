@@ -17,7 +17,6 @@ from weyl_order import (
     Weight,
     WeightTuple,
     build_poset,
-    canonical_form,
     classify_cover,
     compare,
     count_tuples,
@@ -26,15 +25,16 @@ from weyl_order import (
     maximal_element,
     minimal_element,
     poset_size_k2,
-    sorting_permutation,
 )
 from weyl_order.posets import (_part_multisets, _sorting_coset, _tuple_sort_key,
                                compositions, json_array, json_object)
 
 from cover_oracle import classify_cover_by_search, sorting_coset_by_stabilizer
-from fiber_oracle import (classes_by_enumeration, part_multisets_by_scan,
-                          stat_vector_by_windows)
+from fiber_oracle import (classes_by_enumeration, compositions_by_recursion,
+                          part_multisets_by_scan, stat_vector_by_windows)
 from move_oracle import covers_by_moves
+from weight_actions import (act, canonical_form, inverse, is_identity,
+                            sorting_permutation)
 from order_oracle import (hasse_edges_pairwise, strict_masks_pairwise,
                           strict_pairs)
 
@@ -55,6 +55,19 @@ class TestEnumeration:
     def test_compositions(self):
         assert sorted(compositions(2, 2)) == [(0, 2), (1, 1), (2, 0)]
         assert len(list(compositions(4, 3))) == 15
+
+    def test_compositions_match_the_recursive_reference(self):
+        # same sequence in the same order, not only the same set
+        for total in range(7):
+            for k in range(1, 7):
+                assert list(compositions(total, k)) == \
+                    list(compositions_by_recursion(total, k)), (total, k)
+
+    def test_deep_k_needs_no_recursion(self):
+        # one recursion level per part used to overflow the stack here
+        assert list(compositions(0, 1200)) == [(0,) * 1200]
+        (only,) = enumerate_tuples(Weight((0, 0)), 1200)
+        assert only.k == 1200 and set(only.parts) == {Weight((0, 0))}
 
     def test_enumeration_agrees_with_count(self):
         for coords in [(2,), (2, 1), (1, 1, 1), (0, 3)]:
@@ -85,6 +98,17 @@ class TestExtremes:
     def test_minimal_element(self):
         assert minimal_element(Weight((2, 1)), 3) == \
             T((2, 1), (0, 0), (0, 0))
+
+    @pytest.mark.parametrize("closed_form", [minimal_element, maximal_element])
+    def test_extremes_apply_the_count_rule(self, closed_form):
+        # the same ValueError, with the same message, as count_tuples
+        for lam, k in [(Weight((2, 1)), 0), (Weight((2, 1)), -1),
+                       (Weight((1, -1)), 2)]:
+            with pytest.raises(ValueError) as want:
+                count_tuples(lam, k)
+            with pytest.raises(ValueError) as got:
+                closed_form(lam, k)
+            assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("coords,k,expected", [
         ((2, 1), 2, ((1, 1), (1, 0))),
@@ -383,7 +407,7 @@ class TestCoverClassification:
         low, mid, high = T((2, 1), (0, 0)), T((2, 0), (0, 1)), T((1, 1), (1, 0))
         kind, w = classify_cover(low, mid)
         assert kind is CoverKind.TYPE_II
-        assert w.sigma.is_identity and w.mix == (1, 2)
+        assert is_identity(w.sigma) and w.mix == (1, 2)
         kind, w = classify_cover(mid, high)
         assert kind is CoverKind.TYPE_II
         assert w.sigma.cycle_notation() == "(2 3)" and w.mix == (1, 2)
@@ -391,7 +415,7 @@ class TestCoverClassification:
     def test_chunk_transfer_cover(self):
         kind, w = classify_cover(T((2, 0), (0, 0)), T((1, 0), (1, 0)))
         assert kind is CoverKind.TYPE_I
-        assert w.sigma.is_identity
+        assert is_identity(w.sigma)
         assert w.index == 1 and w.reading == "inverse"
         assert "i=1" in w.describe()
 
@@ -415,7 +439,6 @@ class TestCoverClassification:
 
     def test_witness_reconstructs_the_cover(self):
         # a first-kind witness names the transferred chunk explicitly
-        from weyl_order import act
         for coords in [(2, 0), (3, 1), (2, 2)]:
             poset = build_poset(Weight(coords), 2)
             for c in range(len(poset.classes)):
@@ -424,7 +447,7 @@ class TestCoverClassification:
                         continue
                     w = e.witness
                     lam1 = canonical_form(poset.classes[e.low].rep).parts[0]
-                    rho_ = w.sigma.inverse() if w.reading == "inverse" else w.sigma
+                    rho_ = inverse(w.sigma) if w.reading == "inverse" else w.sigma
                     chunk = act(rho_, Weight.fundamental(w.index, 2))
                     assert w.orientation[0] == lam1 - chunk
 

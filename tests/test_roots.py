@@ -14,6 +14,7 @@ import pytest
 import freudenthal_oracle as fo
 from weyl_order import (
     Coroot,
+    EmbeddedWeight,
     Weight,
     base_rank,
     cartan_matrix,
@@ -27,6 +28,8 @@ from weyl_order import (
     rho_value,
     root_system,
 )
+
+from weight_actions import window
 
 ALL_SYSTEMS = [("A", n) for n in (2, 3, 4)] + \
               [("B", n) for n in (2, 3, 4)] + \
@@ -107,6 +110,11 @@ class TestCorootShape:
         assert Coroot((2, 2, 1)).window_partner_coeffs() is None  # i = j
         assert Coroot((1, 1, 1)).window_partner_coeffs() is None  # height 1
 
+    def test_coefficients_must_be_integers(self):
+        for bad in ((1.5, 2, 2), ("1", 2, 2)):
+            with pytest.raises(TypeError):
+                Coroot(bad)
+
     def test_str(self):
         assert str(Coroot((1, 2, 2))) == "h1+2h2+2h3"
         assert str(Coroot((0, 1, 0))) == "h2"
@@ -183,6 +191,12 @@ class TestEmbedding:
         with pytest.raises(ValueError):
             iota(Weight((1, 0, 0)), root_system("B3"))
 
+    def test_coordinates_must_be_integers(self):
+        C2 = root_system("C2")
+        for bad in ((1.5, 2), ("1", 2)):
+            with pytest.raises(TypeError):
+                EmbeddedWeight(C2, bad)
+
     def test_dominance_flag(self):
         B3 = root_system("B3")
         assert iota(Weight((2, 0)), B3).is_dominant
@@ -210,9 +224,9 @@ class TestEmbedding:
         B3 = root_system("B3")
         w = Weight((2, 1))
         assert pairing(iota(w, B3), B3.coroot_by_coeffs((2, 2, 1))) == \
-            2 * w.window(1, 2)
+            2 * window(w, 1, 2)
         assert pairing(iota(w, B3), B3.coroot_by_coeffs((0, 2, 1))) == \
-            2 * w.window(2, 2)
+            2 * window(w, 2, 2)
 
     def test_rho(self):
         C2 = root_system("C2")

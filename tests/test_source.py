@@ -1,9 +1,24 @@
-"""Library invariants raise real exceptions: ``python -O`` strips asserts."""
+"""Source-level checks on the library: real exceptions, and one public
+route per decision."""
 
 import ast
 from pathlib import Path
 
+import pytest
+
+import weyl_order
+from weyl_order import OrderVerdict, Permutation, Weight, WeightTuple
+from weyl_order import tuples as tuples_mod
+from weyl_order import weights as weights_mod
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "weyl_order"
+
+# the second routes kept in tests/weight_actions.py, under their old
+# library names
+MOVED = ("act", "sorting_permutation", "dominant_representative",
+         "sk_permute", "canonical_form", "pi_project", "r_stat_by_subsets",
+         "compose", "inverse", "is_identity", "identity", "transposition",
+         "permute", "window", "window_values", "flip")
 
 
 def test_library_has_no_assert_statement():
@@ -13,3 +28,17 @@ def test_library_has_no_assert_statement():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_public_names_are_unique_and_resolve():
+    names = weyl_order.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(weyl_order, n)] == []
+
+
+@pytest.mark.parametrize("owner", [
+    weyl_order, weights_mod, tuples_mod,
+    Permutation, Weight, WeightTuple, OrderVerdict,
+], ids=lambda owner: owner.__name__)
+def test_moved_names_are_gone_from_the_library(owner):
+    assert [n for n in MOVED if hasattr(owner, n)] == []
