@@ -18,13 +18,14 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dimensions import (tensor_dim, verify_coroot_inequalities_k2,
-                         verify_max_dim, verify_monotone_k2, weyl_dim)
+from .dimensions import (verify_coroot_inequalities_k2, verify_max_dim,
+                         verify_monotone_k2, weyl_dim)
 from .posets import (DEFAULT_GUARD, GuardExceeded, build_poset, count_tuples,
                      json_array, json_object, maximal_element,
                      minimal_element, poset_size_k2)
@@ -66,9 +67,11 @@ def at_least_two(text: str) -> int:
 
 def family_list(text: str) -> tuple[str, ...]:
     families = tuple(text.split(","))
-    for fam in families:
+    for i, fam in enumerate(families):
         if fam not in FAMILIES:
             raise argparse.ArgumentTypeError(f"unknown family {fam!r}")
+        if fam in families[:i]:
+            raise argparse.ArgumentTypeError(f"repeated family {fam!r}")
     return families
 
 
@@ -347,7 +350,7 @@ def cmd_dim(args) -> int:
     check_admissible(tup.parts[0], family, rank)  # before any coroot is built
     rs = root_system(family, rank)
     dims = [weyl_dim(iota(p, rs)) for p in tup.parts]
-    total = tensor_dim(rs, tup)
+    total = math.prod(dims)
     print(f"{' * '.join(str(d) for d in dims)} = {total}")
     if args.json:
         _write_json(Path(args.out_dir) / f"dim_{rs.name}.json",

@@ -17,16 +17,17 @@ reads two exact per-system tables: ``RootSystem.ledger_plan`` (row
 labels, flags and grouped-row indices) and ``RootSystem.part_brackets``
 (each part's shifted pairings against every coroot, filled on a miss);
 ``grand_product_identity`` reads the same bracket table and the cached
-``RootSystem.rho_product``.
+``RootSystem.rho_product``.  ``pair_ledger`` and the two ``*_k2``
+verifiers refuse any other k through one check.
 
 The three verifiers work on per-class integers and report violations
 only.  ``member_dims`` gives each class's dimension products, one per
-part multiset, read from ``RootSystem.part_dims``; the ledger verifier
-computes each class's two-factor vector once and compares integers per
-cover edge.  A ``WeightTuple`` is built only to format a violation.
-Classes are labelled with ``TuplePoset.labels``, formatted once per
-poset, and ``verify_max_dim`` reads the closed-form top's class off the
-poset, where it is cached.
+part multiset, read from ``RootSystem.part_dims``; a k = 2 class has
+one.  The ledger verifier computes each class's two-factor vector once
+and compares integers per cover edge.  A ``WeightTuple`` is built only
+to format a violation.  Classes are labelled with ``TuplePoset.labels``,
+formatted once per poset, and ``verify_max_dim`` reads the closed-form
+top's class off the poset, where it is cached.
 """
 
 from __future__ import annotations
@@ -117,6 +118,13 @@ def four_factor_rebalance(a: int, b: int, c: int, d: int) -> RebalanceVerdict:
 
 # -- per-coroot ledgers for k = 2 -------------------------------------------
 
+def _require_k2(name: str, *ks: int) -> None:
+    """Any k but 2 raises ValueError naming the function and that k."""
+    for k in ks:
+        if k != 2:
+            raise ValueError(f"{name} is defined for k = 2 only, got k = {k}")
+
+
 @dataclass(frozen=True)
 class LedgerRow:
     """One inequality row comparing a low tuple against a high one.
@@ -165,8 +173,7 @@ def pair_ledger(rs: RootSystem, low: WeightTuple, high: WeightTuple) -> list[Led
     rs.part_brackets; a grouped row multiplies two coroots' two-factor
     products.
     """
-    if low.k != 2 or high.k != 2:
-        raise ValueError("the coroot ledger is defined for k = 2 tuples")
+    _require_k2("pair_ledger", low.k, high.k)
     lo, hi = _two_factor(rs, low), _two_factor(rs, high)
     coroot_rows, grouped_rows = rs.ledger_plan
     rows = [LedgerRow(label, lv, hv, guaranteed, in_product)
@@ -224,25 +231,16 @@ def member_dims(poset: TuplePoset, rs: RootSystem) -> list[list[int]]:
              for ms in cls.multisets] for cls in poset.classes]
 
 
-def _member_text(ms) -> str:
-    return str(WeightTuple(tuple(map(Weight, ms))))
-
-
 def verify_monotone_k2(poset: TuplePoset, rs: RootSystem) -> DimensionReport:
     """Strictly smaller class in the window order means strictly smaller dim.
 
     Checked on cover edges; every strict pair is a chain of covers, so
-    that is enough.  Also confirms every part multiset of a class shares
-    the representative's dimension product: reordering parts never
-    changes a product of part dimensions.
+    that is enough.  A k = 2 class is one part multiset, so its one
+    product is the class's dimension.
     """
+    _require_k2("verify_monotone_k2", poset.k)
     members = member_dims(poset, rs)
     violations = []
-    for c, (cls, (dim, *rest)) in enumerate(zip(poset.classes, members)):
-        for ms, d in zip(cls.multisets[1:], rest):
-            if d != dim:
-                violations.append({"item": f"class {c} member {_member_text(ms)}",
-                                   "kind": "class_dim"})
     labels = poset.labels
     for a, b in poset.hasse_edges:
         low, high = members[a][0], members[b][0]
@@ -264,6 +262,7 @@ def verify_coroot_inequalities_k2(poset: TuplePoset,
     every edge then compares integers on the guaranteed coroot rows and
     the grouped products of rs.ledger_plan, in pair_ledger's row order.
     """
+    _require_k2("verify_coroot_inequalities_k2", poset.k)
     labels = poset.labels
     coroot_rows, grouped_rows = rs.ledger_plan
     guaranteed = [(t, label) for t, (label, sure, _) in enumerate(coroot_rows)
@@ -274,7 +273,7 @@ def verify_coroot_inequalities_k2(poset: TuplePoset,
                                     member_dims(poset, rs)):
         vec = _two_factor(rs, cls.rep)
         vecs.append(vec)
-        lhs, rhs = math.prod(vec), dim * rs.rho_product ** len(cls.rep.parts)
+        lhs, rhs = math.prod(vec), dim * rs.rho_product ** 2
         if lhs != rhs:
             violations.append(
                 {"item": f"product identity at {label}", "kind": "identity",
@@ -319,7 +318,8 @@ def verify_max_dim(poset: TuplePoset, rs: RootSystem) -> DimensionReport:
         for ms, d in zip(cls.multisets[1:], rest):
             if not d < top_dim:
                 violations.append(
-                    {"item": f"dim({_member_text(ms)}) = {d} !< top {top_dim}",
+                    {"item": f"dim({WeightTuple(tuple(map(Weight, ms)))}) = "
+                             f"{d} !< top {top_dim}",
                      "kind": "max_dim_member"})
     return DimensionReport("max_dim", rs.name, poset.lam.omega, poset.k,
                            violations)

@@ -34,8 +34,10 @@ padded epsilon integer tuples, which each shared part ``Weight`` computes
 once and caches, and walks the sorters lazily as image tuples: the first
 sorter is a stable argsort, and the recursive walk starts only when a
 second one is asked for.  Only the witness it returns is built as
-objects.  Off k = 2 the exporters read the Hasse edges directly, all
-unclassified.  ``TuplePoset.json_text`` writes the poset JSON file as
+objects.  ``TuplePoset.cover_edges`` classifies every Hasse edge at
+every k, and ``to_json`` reads it; off k = 2 only the text writers,
+``json_text`` and ``to_dot``, skip the classifier and read the Hasse
+edges, all unclassified.  ``json_text`` writes the poset JSON file as
 text, the bytes ``json.dumps(to_json(), sort_keys=True, indent=2)``
 gives, through the ``json_array`` and ``json_object`` layout helpers.
 """
@@ -270,10 +272,7 @@ class TuplePoset:
 
     @cached_property
     def cover_edges(self) -> tuple[CoverEdge, ...]:
-        """The Hasse edges, each classified once (only k = 2 classifies)."""
-        if self.k != 2:
-            return tuple(CoverEdge(a, b, CoverKind.UNCLASSIFIED)
-                         for a, b in self.hasse_edges)
+        """The Hasse edges, each through classify_cover once, at every k."""
         reps = [cls.rep for cls in self.classes]
         return tuple(CoverEdge(a, b, *classify_cover(reps[a], reps[b]))
                      for a, b in self.hasse_edges)
@@ -331,17 +330,14 @@ class TuplePoset:
         return {cls.stat_vector: c for c, cls in enumerate(self.classes)}
 
     def class_of(self, x: WeightTuple) -> int:
-        try:
-            return self._index_of[x.stat_vector]
-        except KeyError:
-            raise ValueError(f"{x} does not belong to this poset") from None
+        """x's class.  A tuple of another k raises; with equal k, equal stat
+        vectors force the same rank and lam, so no other fiber matches."""
+        index = self._index_of.get(x.stat_vector) if x.k == self.k else None
+        if index is None:
+            raise ValueError(f"{x} does not belong to this poset")
+        return index
 
     def to_json(self) -> dict:
-        if self.k == 2:
-            hasse = [[e.low, e.high, e.kind.value] for e in self.cover_edges]
-        else:
-            unclassified = CoverKind.UNCLASSIFIED.value
-            hasse = [[a, b, unclassified] for a, b in self.hasse_edges]
         return {
             "lambda": list(self.lam.omega),
             "k": self.k,
@@ -352,7 +348,7 @@ class TuplePoset:
                  "stats": list(cls.stat_vector)}
                 for cls in self.classes
             ],
-            "hasse": hasse,
+            "hasse": [[e.low, e.high, e.kind.value] for e in self.cover_edges],
         }
 
     def json_text(self) -> str:

@@ -316,6 +316,16 @@ class TestVerify:
         assert code == 2
         assert "unknown family" in err
 
+    @pytest.mark.parametrize("families", ["A,A", "C,A,B,A"])
+    def test_repeated_family(self, tmp_path, capsys, families):
+        # a repeated family would run each of its checks twice
+        code, _, err = run(capsys, "verify", "--families", families,
+                           "--max-coord", "1", "--max-k", "2",
+                           "--out-dir", str(tmp_path))
+        assert code == 2
+        assert "repeated family 'A'" in err
+        assert not (tmp_path / "verify_report.json").exists()
+
     def test_sweep_builds_each_fiber_once(self, monkeypatch):
         built = Counter()
         real = cli.build_poset
@@ -519,6 +529,7 @@ class TestDeskSweepScript:
         (("--max-coord", "0"), "--max-coord"),
         (("--max-k", "1"), "--max-k"),
         (("--families", "A,Q"), "unknown family"),
+        (("--families", "A,A"), "repeated family 'A'"),
     ])
     def test_bad_arguments_exit_2(self, tmp_path, capsys, argv, needle):
         with pytest.raises(SystemExit) as exc:

@@ -732,32 +732,43 @@ class TestMonotoneAlongCovers:
         assert len(by_covers) == len(covers) > 0
         assert not verify_monotone_k2(poset, rs).ok
 
-    def test_class_dimension_is_checked_once_per_multiset(self, monkeypatch):
-        # (3,3) at k = 3 has a class of two part multisets; a dimension that
-        # differs on the second one's sorted tuple is a class_dim violation
+    def test_class_dimension_is_checked_once_per_multiset(self):
+        # (3,3) at k = 3 has a class of two part multisets: member_dims
+        # gives one product per multiset, the representative's included,
+        # each the dimension of the multiset's sorted tuple, over A2 and
+        # over C2, where the two members differ
         poset = build_poset(Weight((3, 3)), 3)
-        rs = root_system("A2")
-        c = next(c for c, cls in enumerate(poset.classes)
-                 if len(cls.multisets) == 2)
-        other = WeightTuple(tuple(Weight(p) for p in poset.classes[c].multisets[1]))
-        real = dimensions.member_dims
-        seen = []
-
-        def skewed(poset, rs):
-            dims = real(poset, rs)
-            seen.append(dims)
-            dims[c][1] += 1
-            return dims
-        monkeypatch.setattr(dimensions, "member_dims", skewed)
-        report = verify_monotone_k2(poset, rs)
-        assert [v for v in report.violations if v["kind"] == "class_dim"] == \
-            [{"item": f"class {c} member {other}", "kind": "class_dim"}]
-        # one product per multiset, the representative's included, each
-        # the dimension of the multiset's sorted tuple, here and over C2,
-        # where the two members differ
-        [dims] = seen
-        dims[c][1] -= 1
-        for rs in (rs, root_system("C2")):
-            assert real(poset, rs) == [
+        assert any(len(cls.multisets) == 2 for cls in poset.classes)
+        for rs in (root_system("A2"), root_system("C2")):
+            assert dimensions.member_dims(poset, rs) == [
                 [tensor_dim(rs, WeightTuple(tuple(map(Weight, ms))))
                  for ms in cls.multisets] for cls in poset.classes]
+
+
+class TestKTwoRule:
+    """The ledger and the two *_k2 verifiers hold at k = 2 only."""
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_other_k_is_refused_with_one_message(self, k):
+        rs = root_system("C2")
+        poset = build_poset(Weight((3, 3)), k)
+        rep = poset.classes[0].rep
+        calls = [("pair_ledger", lambda: pair_ledger(rs, rep, rep)),
+                 ("pair_ledger", lambda: pair_ledger(rs, X, rep)),
+                 ("pair_ledger", lambda: pair_ledger(rs, rep, X)),
+                 ("verify_monotone_k2", lambda: verify_monotone_k2(poset, rs)),
+                 ("verify_coroot_inequalities_k2",
+                  lambda: verify_coroot_inequalities_k2(poset, rs))]
+        for name, call in calls:
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == \
+                f"{name} is defined for k = 2 only, got k = {k}"
+
+    def test_every_k2_class_is_one_multiset(self):
+        # the monotone verifier reads one product per k = 2 class
+        for rank in (1, 2, 3):
+            for coords in itertools.product(range(4), repeat=rank):
+                poset = build_poset(Weight(coords), 2)
+                assert all(len(cls.multisets) == 1 for cls in poset.classes), \
+                    coords

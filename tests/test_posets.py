@@ -187,6 +187,17 @@ class TestBuildPoset:
         with pytest.raises(ValueError):
             poset.class_of(T((1, 1), (1, 1)))
 
+    @pytest.mark.parametrize("coords,k,x", [
+        # each tuple's stat vector is that of the fiber's only class
+        ((0,), 3, T((0, 0))),
+        ((0, 0), 2, T((0, 0, 0))),
+    ])
+    def test_class_of_rejects_a_tuple_of_another_k(self, coords, k, x):
+        poset = build_poset(Weight(coords), k)
+        assert x.stat_vector == poset.classes[0].stat_vector
+        with pytest.raises(ValueError, match="does not belong to this poset"):
+            poset.class_of(x)
+
     def test_classes_are_compare_equivalent(self):
         poset = build_poset(Weight((2, 2)), 3)
         for c, cls in enumerate(poset.classes):
@@ -694,11 +705,14 @@ class TestSharedOrder:
 
 class TestExports:
     def test_exports_off_k2_build_no_cover_edges(self):
+        # to_dot reads the Hasse edges off k = 2; to_json reads cover_edges,
+        # which the classifier leaves all unclassified there
         poset = build_poset(Weight((2, 1, 1)), 3)
-        hasse = poset.to_json()["hasse"]
         dot = poset.to_dot()
         assert "cover_edges" not in poset.__dict__
+        hasse = poset.to_json()["hasse"]
         assert hasse == [[e.low, e.high, e.kind.value] for e in poset.cover_edges]
+        assert hasse == [[a, b, "unclassified"] for a, b in poset.hasse_edges]
         assert dot.count("[style=dotted]") == len(poset.hasse_edges) > 0
 
     def test_writers_off_k2_do_no_work_per_edge_kind(self, monkeypatch):

@@ -42,3 +42,19 @@ def test_public_names_are_unique_and_resolve():
 ], ids=lambda owner: owner.__name__)
 def test_moved_names_are_gone_from_the_library(owner):
     assert [n for n in MOVED if hasattr(owner, n)] == []
+
+
+def test_posets_tests_k_against_two_only_in_the_text_writers():
+    # cover_edges and to_json go through classify_cover at every k; only
+    # the two text writers skip it off k = 2
+    tree = ast.parse((SRC / "posets.py").read_text())
+    found = []
+    for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+        for fn in (n for n in cls.body if isinstance(n, ast.FunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Compare):
+                    sides = [ast.unparse(x) for x in (node.left, *node.comparators)]
+                    if "self.k" in sides and "2" in sides:
+                        found.append(f"{cls.name}.{fn.name}")
+    assert found
+    assert set(found) <= {"TuplePoset.json_text", "TuplePoset.to_dot"}
