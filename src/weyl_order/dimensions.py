@@ -227,8 +227,16 @@ def member_dims(poset: TuplePoset, rs: RootSystem) -> list[list[int]]:
     tensor_dim reads.
     """
     table = rs.part_dims
-    return [[math.prod(table.get(p) or _part_dim(rs, p) for p in ms)
-             for ms in cls.multisets] for cls in poset.classes]
+    out = []
+    for cls in poset.classes:
+        dims = []
+        for ms in cls.multisets:
+            d = 1
+            for p in ms:
+                d *= table.get(p) or _part_dim(rs, p)
+            dims.append(d)
+        out.append(dims)
+    return out
 
 
 def verify_monotone_k2(poset: TuplePoset, rs: RootSystem) -> DimensionReport:

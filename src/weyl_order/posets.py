@@ -18,7 +18,11 @@ representative is the only ``WeightTuple`` built, from one shared
 when asked for.  The quotient carries the coordinatewise order from
 :mod:`weyl_order.tuples` as one list of strict-order masks (``_above``);
 the Hasse walk, the transitivity check and both extremes read it, the
-minimal classes being the bits set in no mask.
+minimal classes being the bits set in no mask.  The masks skip every
+stat coordinate that holds one value over all classes: such a coordinate
+ranks every class equal, so it clears no bit.  Every l = k coordinate is
+one (the k smallest of k parts are all of them, summing to lam's window
+value), which is 6 of 18 coordinates on (6,6,6) at k = 3.
 
 The quotient always has a unique bottom class, the one containing
 (lam, 0, ..., 0), and a unique top class whose representative spreads
@@ -39,7 +43,8 @@ every k, and ``to_json`` reads it; off k = 2 only the text writers,
 ``json_text`` and ``to_dot``, skip the classifier and read the Hasse
 edges, all unclassified.  ``json_text`` writes the poset JSON file as
 text, the bytes ``json.dumps(to_json(), sort_keys=True, indent=2)``
-gives, through the ``json_array`` and ``json_object`` layout helpers.
+gives, through the ``json_array`` and ``json_object`` layout helpers;
+each class entry is one concatenation of its fixed layout pieces.
 """
 
 from __future__ import annotations
@@ -229,6 +234,10 @@ class TuplePoset:
         distinct stat vectors, so ANDing these over all coordinates into
         the mask of every class but c leaves above[c].
 
+        A coordinate that holds one value over all classes is skipped: its
+        one group's mask is full, so it would clear no bit.  Every l = k
+        coordinate is such a column, since it sums the whole window of lam.
+
         Classes are indexed in lex order of stat vectors, a linear
         extension of the order: every bit of above[c] is > c.
         """
@@ -236,6 +245,8 @@ class TuplePoset:
         full = (1 << m) - 1
         above = [full ^ (1 << c) for c in range(m)]
         for column in zip(*(cls.stat_vector for cls in self.classes)):
+            if column.count(column[0]) == m:
+                continue
             value = column.__getitem__
             seen = 0  # classes met so far, walking this coordinate upwards
             for _, group in itertools.groupby(sorted(range(m), key=value), key=value):
@@ -361,13 +372,18 @@ class TuplePoset:
             return json_object((("omega", json_array(map(str, w.omega), 12)),
                                 ("rank", str(w.rank))), 10)
 
+        # a class entry is json_object of rep (json_object of k and the
+        # parts array), size and the stats array at indent 4, spelled out
+        # as one concatenation; neither array is ever empty
+        head = ('{\n      "rep": {\n        "k": ' + str(self.k)
+                + ',\n        "parts": [\n          ')
+
         def entry(cls: EquivClass) -> str:
-            rep = json_object((("k", str(self.k)),
-                               ("parts", json_array(map(part, cls.rep.parts), 8))),
-                              6)
-            return json_object((("rep", rep), ("size", str(cls.size)),
-                                ("stats", json_array(map(str, cls.stat_vector), 6))),
-                               4)
+            return (head + ",\n          ".join(map(part, cls.rep.parts))
+                    + '\n        ]\n      },\n      "size": ' + str(cls.size)
+                    + ',\n      "stats": [\n        '
+                    + ",\n        ".join(map(str, cls.stat_vector))
+                    + "\n      ]\n    }")
 
         # an edge is json_array([a, b, kind], 4), spelled out: one format
         # per edge instead of two joins; off k = 2 every kind text is the

@@ -89,17 +89,22 @@ class WeightTuple:
     parts: tuple[Weight, ...]
 
     def __post_init__(self):
+        # plain loops, one check at a time: no generator, set or list is
+        # built for a valid tuple
         parts = tuple(self.parts)
         if not parts:
             raise ValueError("a weight tuple needs at least one part")
-        if any(not isinstance(p, Weight) for p in parts):
-            raise TypeError("parts must be Weight instances")
-        ranks = {p.rank for p in parts}
-        if len(ranks) != 1:
-            raise ValueError(f"parts have mixed ranks {sorted(ranks)}")
-        bad = [p for p in parts if not p.is_dominant]
-        if bad:
-            raise ValueError(f"non-dominant part {bad[0]}")
+        for p in parts:
+            if not isinstance(p, Weight):
+                raise TypeError("parts must be Weight instances")
+        rank = parts[0].rank
+        for p in parts:
+            if p.rank != rank:
+                ranks = sorted({q.rank for q in parts})
+                raise ValueError(f"parts have mixed ranks {ranks}")
+        for p in parts:
+            if not p.is_dominant:
+                raise ValueError(f"non-dominant part {p}")
         object.__setattr__(self, "parts", parts)
 
     @property

@@ -15,9 +15,9 @@ convention: pad the epsilon vector with a trailing zero, let S_{n+1}
 permute it, and read weights modulo the all-ones vector (the sl_{n+1}
 weight lattice).  Omega coordinates are consecutive differences of the
 padded vector, so the uniform shift never matters.  A ``Weight`` caches
-its padded epsilon tuple on first use; the cache is not a field.  A
-``Permutation`` is the sorting witness the classifier reports: it is
-validated, and it prints in cycle notation.
+its padded epsilon tuple and its dominance on first use; neither cache
+is a field.  A ``Permutation`` is the sorting witness the classifier
+reports: it is validated, and it prints in cycle notation.
 """
 
 from __future__ import annotations
@@ -43,8 +43,10 @@ class Weight:
     def rank(self) -> int:
         return len(self.omega)
 
-    @property
+    @cached_property
     def is_dominant(self) -> bool:
+        # cached like _eps_padded: a part shared by many tuples is checked
+        # once per Weight object
         return all(c >= 0 for c in self.omega)
 
     def eps(self) -> tuple[int, ...]:

@@ -28,6 +28,7 @@ from weyl_order import (
 )
 from weyl_order.posets import (_part_multisets, _sorting_coset, _tuple_sort_key,
                                compositions, json_array, json_object)
+from weyl_order.tuples import _part_window_values, stat_labels, windows
 
 from cover_oracle import classify_cover_by_search, sorting_coset_by_stabilizer
 from fiber_oracle import (classes_by_enumeration, compositions_by_recursion,
@@ -557,6 +558,24 @@ class TestCoverClassification:
         assert len(calls) == len(set(calls)) == len(parts) == 729
         assert set(calls) == parts
 
+    def test_dominance_computed_once_per_part(self, monkeypatch):
+        lam = Weight((2,) * 6)
+        calls = []
+        prop = Weight.__dict__["is_dominant"]
+        real = prop.func
+
+        def counting(w):
+            calls.append(w)
+            return real(w)
+        monkeypatch.setattr(prop, "func", counting)
+        poset = build_poset(lam, 2)
+        parts = {id(p) for cls in poset.classes for p in cls.rep.parts}
+        # lam is checked once by the guard, and each of the 729 shared
+        # representative parts once for all the tuples it sits in
+        seen = [id(w) for w in calls]
+        assert len(seen) == len(set(seen)) == len(parts) + 1 == 730
+        assert set(seen) == parts | {id(lam)}
+
     def test_k3_falls_through(self):
         poset = build_poset(Weight((1, 1)), 3)
         kinds = {e.kind for c in range(len(poset.classes))
@@ -652,6 +671,29 @@ class TestSharedOrder:
             assert mask < 1 << c
         for c, mask in enumerate(poset._above):
             assert mask & ((1 << (c + 1)) - 1) == 0
+
+    def test_all_columns_constant(self):
+        # one class: every column is constant, so every one is skipped
+        for coords, k in [((2, 1), 1), ((3,), 1), ((0, 0), 3), ((0, 0, 0), 3)]:
+            poset = build_poset(Weight(coords), k)
+            assert len(poset) == 1
+            assert poset._above == [0]
+            assert poset.bottom_index == poset.top_index == 0
+            assert poset.hasse_edges == ()
+
+    @pytest.mark.parametrize("coords, k", [((3, 3, 3), 3), ((1,) * 6, 2),
+                                           ((2, 1), 2), ((2, 2), 4)])
+    def test_constant_columns_are_skipped_exactly(self, coords, k):
+        lam = Weight(coords)
+        poset = build_poset(lam, k)
+        columns = list(zip(*(cls.stat_vector for cls in poset.classes)))
+        window_sums = dict(zip(windows(lam.rank), _part_window_values(lam.omega)))
+        for (i, j, ell), column in zip(stat_labels(lam.rank, k), columns):
+            if ell == k:
+                # the k smallest of k parts are all of them: lam's window
+                assert set(column) == {window_sums[i, j]}
+        assert poset._above == strict_masks_pairwise(poset)[1]
+        assert poset.hasse_edges == hasse_edges_pairwise(poset)
 
     def test_incomparable_extremes_raise(self):
         # two classes with incomparable stat vectors: each is minimal and

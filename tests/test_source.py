@@ -58,3 +58,16 @@ def test_posets_tests_k_against_two_only_in_the_text_writers():
                         found.append(f"{cls.name}.{fn.name}")
     assert found
     assert set(found) <= {"TuplePoset.json_text", "TuplePoset.to_dot"}
+
+
+def test_library_builds_objects_only_through_their_constructors():
+    # no object.__new__ or other __new__ route: every Weight, WeightTuple
+    # and the rest goes through its validating __init__ / __post_init__
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    found = [f"{path.name}:{node.lineno}" for path in paths
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if (isinstance(node, ast.Attribute) and node.attr == "__new__")
+             or (isinstance(node, ast.Name) and node.id == "__new__")
+             or (isinstance(node, ast.FunctionDef) and node.name == "__new__")]
+    assert found == []

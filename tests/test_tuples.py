@@ -65,14 +65,25 @@ class TestConstruction:
         assert str(X) == "(2,1)/(0,0)"
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^a weight tuple needs at least one part$"):
             WeightTuple(())
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="^parts must be Weight instances$"):
             WeightTuple(((1, 0),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^parts have mixed ranks \[1, 2\]$"):
             T((1, 0), (1,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^non-dominant part \(1,-1\)$"):
             T((1, -1), (0, 1))
+        # the first bad part is named
+        with pytest.raises(ValueError, match=r"^non-dominant part \(1,-1\)$"):
+            T((0, 1), (1, -1), (-2, 3))
+
+    def test_validation_order(self):
+        # every part is type-checked before any rank is read, and the ranks
+        # before any dominance
+        with pytest.raises(TypeError, match="^parts must be Weight instances$"):
+            WeightTuple((Weight((1, 0)), Weight((1,)), (0,)))
+        with pytest.raises(ValueError, match=r"^parts have mixed ranks \[1, 2, 3\]$"):
+            T((-1, 0), (1,), (0, 0, 1))
 
     def test_json_round_trip(self):
         data = X.to_json()

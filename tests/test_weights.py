@@ -63,6 +63,16 @@ class TestWeightBasics:
         assert Weight((0, 2)).is_dominant
         assert not Weight((-1, 2)).is_dominant
 
+    def test_cached_dominance_is_not_a_field(self):
+        for omega in ((0, 2), (-1, 2)):
+            read, fresh = Weight(omega), Weight(omega)
+            read.is_dominant
+            assert "is_dominant" in read.__dict__
+            assert "is_dominant" not in fresh.__dict__
+            assert read == fresh and hash(read) == hash(fresh)
+            assert repr(read) == repr(fresh) == f"Weight(omega={omega})"
+            assert read.to_json() == fresh.to_json()
+
     def test_json_round_trip(self):
         w = Weight((4, 0, 1))
         assert Weight.from_json(w.to_json()) == w
