@@ -19,10 +19,9 @@ from .posets import (CoverEdge, CoverKind, CoverWitness, DEFAULT_GUARD,
                      classify_cover, count_tuples, covers_of,
                      enumerate_tuples, maximal_element, minimal_element,
                      poset_size_k2)
-from .dimensions import (DimensionReport, LedgerRow, RebalanceVerdict,
-                         bracket, four_factor_rebalance,
-                         grand_product_identity, pair_ledger, rebalance_gain,
-                         tensor_dim,
+from .dimensions import (LedgerRow, RebalanceVerdict, bracket,
+                         four_factor_rebalance, grand_product_identity,
+                         pair_ledger, rebalance_gain, tensor_dim,
                          verify_coroot_inequalities_k2, verify_max_dim,
                          verify_monotone_k2, weyl_dim)
 
@@ -40,7 +39,7 @@ __all__ = [
     "GuardExceeded", "TuplePoset", "build_poset", "classify_cover",
     "count_tuples", "covers_of", "enumerate_tuples", "maximal_element",
     "minimal_element", "poset_size_k2",
-    "DimensionReport", "LedgerRow", "RebalanceVerdict", "bracket",
+    "LedgerRow", "RebalanceVerdict", "bracket",
     "four_factor_rebalance", "grand_product_identity", "pair_ledger",
     "rebalance_gain", "tensor_dim",
     "verify_coroot_inequalities_k2", "verify_max_dim", "verify_monotone_k2",

@@ -20,21 +20,24 @@ labels, flags and grouped-row indices) and ``RootSystem.part_brackets``
 ``RootSystem.rho_product``.  ``pair_ledger`` and the two ``*_k2``
 verifiers refuse any other k through one check.
 
-The three verifiers work on per-class integers and report violations
-only.  ``member_dims`` gives each class's dimension products, one per
-part multiset, read from ``RootSystem.part_dims``; a k = 2 class has
-one.  The ledger verifier computes each class's two-factor vector once
-and compares integers per cover edge.  A ``WeightTuple`` is built only
-to format a violation.  Classes are labelled with ``TuplePoset.labels``,
-formatted once per poset, and ``verify_max_dim`` reads the closed-form
-top's class off the poset, where it is cached.
+The three verifiers work on per-class integers and return their
+violations, a list of dicts, empty when the claim holds.
+``member_dims`` gives each class's dimension products, one per part
+multiset, read from ``RootSystem.part_dims``; a k = 2 class has one.
+The ledger verifier computes each class's two-factor vector once,
+compares integers per cover edge, and checks each representative
+through ``grand_product_identity``, the one route for that identity.
+Class labels (``TuplePoset.labels``, formatted once per poset) and any
+``WeightTuple`` are read only to word a violation, so a clean check
+formats no text.  ``verify_max_dim`` reads the closed-form top's class
+off the poset, where it is cached.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .posets import TuplePoset
 from .roots import (Coroot, EmbeddedWeight, RootSystem, iota, pairing,
@@ -197,27 +200,7 @@ def grand_product_identity(rs: RootSystem, x: WeightTuple) -> tuple[int, int]:
     return total, tensor_dim(rs, x) * rs.rho_product ** len(x.parts)
 
 
-# -- sweep reports -----------------------------------------------------------
-
-@dataclass(frozen=True)
-class DimensionReport:
-    """One verifier's verdict on one fiber and root system: its violations."""
-
-    check: str
-    system: str
-    lam: tuple[int, ...]
-    k: int
-    violations: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def to_json(self) -> dict:
-        return {"check": self.check, "system": self.system,
-                "lambda": list(self.lam), "k": self.k, "ok": self.ok,
-                "violations": self.violations}
-
+# -- sweep verifiers ---------------------------------------------------------
 
 def member_dims(poset: TuplePoset, rs: RootSystem) -> list[list[int]]:
     """Per class, the dimension product of each part multiset, in the
@@ -239,7 +222,7 @@ def member_dims(poset: TuplePoset, rs: RootSystem) -> list[list[int]]:
     return out
 
 
-def verify_monotone_k2(poset: TuplePoset, rs: RootSystem) -> DimensionReport:
+def verify_monotone_k2(poset: TuplePoset, rs: RootSystem) -> list[dict]:
     """Strictly smaller class in the window order means strictly smaller dim.
 
     Checked on cover edges; every strict pair is a chain of covers, so
@@ -249,43 +232,38 @@ def verify_monotone_k2(poset: TuplePoset, rs: RootSystem) -> DimensionReport:
     _require_k2("verify_monotone_k2", poset.k)
     members = member_dims(poset, rs)
     violations = []
-    labels = poset.labels
     for a, b in poset.hasse_edges:
         low, high = members[a][0], members[b][0]
         if not low < high:
+            labels = poset.labels  # formatted only to word a violation
             violations.append(
                 {"item": f"dim({labels[a]}) = {low} !< dim({labels[b]}) = {high}",
                  "kind": "monotone"})
-    return DimensionReport("monotone_k2", rs.name, poset.lam.omega, poset.k,
-                           violations)
+    return violations
 
 
 def verify_coroot_inequalities_k2(poset: TuplePoset,
-                                  rs: RootSystem) -> DimensionReport:
+                                  rs: RootSystem) -> list[dict]:
     """Ledger rows across every cover edge of the k = 2 quotient.
 
-    Guaranteed rows must not lose; the grand bracket product must equal
-    the dimension product times the squared rho product for every
-    representative.  Each class's two-factor vector is computed once;
-    every edge then compares integers on the guaranteed coroot rows and
-    the grouped products of rs.ledger_plan, in pair_ledger's row order.
+    Guaranteed rows must not lose; grand_product_identity must hold for
+    every representative.  Each class's two-factor vector is computed
+    once; every edge then compares integers on the guaranteed coroot rows
+    and the grouped products of rs.ledger_plan, in pair_ledger's row order.
     """
     _require_k2("verify_coroot_inequalities_k2", poset.k)
-    labels = poset.labels
     coroot_rows, grouped_rows = rs.ledger_plan
     guaranteed = [(t, label) for t, (label, sure, _) in enumerate(coroot_rows)
                   if sure]
     vecs = []
     violations = []
-    for cls, label, (dim, *_) in zip(poset.classes, labels,
-                                    member_dims(poset, rs)):
-        vec = _two_factor(rs, cls.rep)
-        vecs.append(vec)
-        lhs, rhs = math.prod(vec), dim * rs.rho_product ** 2
+    for c, cls in enumerate(poset.classes):
+        vecs.append(_two_factor(rs, cls.rep))
+        lhs, rhs = grand_product_identity(rs, cls.rep)
         if lhs != rhs:
             violations.append(
-                {"item": f"product identity at {label}", "kind": "identity",
-                 "lhs": lhs, "rhs": rhs})
+                {"item": f"product identity at {poset.labels[c]}",
+                 "kind": "identity", "lhs": lhs, "rhs": rhs})
     for a, b in poset.hasse_edges:
         lo, hi = vecs[a], vecs[b]
         rows = [(label, lo[t], hi[t]) for t, label in guaranteed]
@@ -293,14 +271,14 @@ def verify_coroot_inequalities_k2(poset: TuplePoset,
                  for label, i, j in grouped_rows]
         for label, low, high in rows:
             if low > high:
+                labels = poset.labels
                 violations.append(
                     {"item": f"{labels[a]} -> {labels[b]} : {label}",
                      "kind": "ledger_row", "low": low, "high": high})
-    return DimensionReport("coroot_ledger_k2", rs.name, poset.lam.omega,
-                           poset.k, violations)
+    return violations
 
 
-def verify_max_dim(poset: TuplePoset, rs: RootSystem) -> DimensionReport:
+def verify_max_dim(poset: TuplePoset, rs: RootSystem) -> list[dict]:
     """The top class's representative holds the strict dimension maximum
     of the whole fiber.
 
@@ -310,7 +288,6 @@ def verify_max_dim(poset: TuplePoset, rs: RootSystem) -> DimensionReport:
     up once per poset rather than once per root system.
     """
     top = poset.top_index
-    labels = poset.labels
     violations = []
     if poset.closed_form_top_index != top:
         violations.append(
@@ -321,7 +298,7 @@ def verify_max_dim(poset: TuplePoset, rs: RootSystem) -> DimensionReport:
     for c, (cls, (dim, *rest)) in enumerate(zip(poset.classes, members)):
         if c != top and not dim < top_dim:
             violations.append(
-                {"item": f"dim({labels[c]}) = {dim} !< top {top_dim}",
+                {"item": f"dim({poset.labels[c]}) = {dim} !< top {top_dim}",
                  "kind": "max_dim"})
         for ms, d in zip(cls.multisets[1:], rest):
             if not d < top_dim:
@@ -329,5 +306,4 @@ def verify_max_dim(poset: TuplePoset, rs: RootSystem) -> DimensionReport:
                     {"item": f"dim({WeightTuple(tuple(map(Weight, ms)))}) = "
                              f"{d} !< top {top_dim}",
                      "kind": "max_dim_member"})
-    return DimensionReport("max_dim", rs.name, poset.lam.omega, poset.k,
-                           violations)
+    return violations

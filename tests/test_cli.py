@@ -297,6 +297,15 @@ class TestVerify:
         row = cli.run_sweep_item(item, lambda: poset)
         assert row["violations"] == ["strict order is not transitive"]
 
+    def test_unknown_check_kind_is_a_failed_row(self):
+        poset = build_poset(Weight((2, 1)), 2)
+        item = ("no_such_check", "C", 2, (2, 1), 2, 10**6, False)
+        row = cli.run_sweep_item(item, lambda: poset)
+        assert row == {"item": "no_such_check:C2:lam=2,1:k=2", "ok": False,
+                       "skipped": False,
+                       "violations": ["unexpected error: KeyError: "
+                                      "'no_such_check'"]}
+
     def test_each_part_dimension_is_computed_once(self, monkeypatch):
         root_system.cache_clear()  # start from empty per-system tables
         calls = Counter()

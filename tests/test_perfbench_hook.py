@@ -2,16 +2,18 @@
 
 ``perfbench/child.py`` wraps public functions and ``TuplePoset``
 attributes by name.  A rename in ``src/`` that it does not follow would
-first crash the benchmark's trace run; this test loads the hook as the
-benchmark does, installs every span, runs one small poset through the
-wrapped names and undoes the patches.  It only reads ``perfbench/``.
+first crash the benchmark's trace run; these tests load the hook as the
+benchmark does, install every span, run one small poset, then one small
+verify sweep, through the wrapped names and undo the patches.  They only
+read ``perfbench/``.
 """
 
 import importlib.util
 from pathlib import Path
 
 import weyl_order
-from weyl_order import posets
+from weyl_order import cli, dimensions, posets
+from weyl_order.cli import SweepConfig
 
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 
@@ -49,3 +51,19 @@ def test_install_spans_wraps_and_undoes():
     assert weyl_order.build_poset is build
     for attr, value in originals.items():
         assert posets.TuplePoset.__dict__[attr] is value
+
+
+def test_install_spans_covers_the_verify_path():
+    child = load_child()
+    tracer, patches = child.Tracer(), child.Patches()
+    check, verify = cli.run_sweep_item, dimensions.verify_max_dim
+    try:
+        child.install_spans(tracer, patches)
+        rows = cli.run_sweep(SweepConfig(families=("C",), max_coord=1, max_k=2))
+    finally:
+        patches.undo()
+    assert rows and all(r["ok"] for r in rows)
+    assert {"cli.check", "dimensions.verify_max_dim"} <= set(tracer.names)
+    assert tracer.counts["cli.check.calls"] == len(rows)
+    assert cli.run_sweep_item is check
+    assert cli.verify_max_dim is dimensions.verify_max_dim is verify

@@ -506,6 +506,27 @@ class TestCoverClassification:
             kinds.append(got[0])
         assert (kinds.count(CoverKind.TYPE_I), kinds.count(CoverKind.TYPE_II)) == (858, 504)
 
+    def test_a_late_sorter_witnesses_an_incomparable_pair(self):
+        # an incomparable pair of the (2,2,2,2) k = 2 poset: its delta
+        # (0,2,2,0,0) has 12 sorters and only the 11th witnesses, so a
+        # classifier that stopped at the first sorter would miss it
+        low, high = T((0, 1, 2, 1), (2, 1, 0, 1)), T((1, 0, 2, 2), (1, 2, 0, 0))
+        poset = build_poset(Weight((2, 2, 2, 2)), 2)
+        a, b = poset.class_of(low), poset.class_of(high)
+        assert (poset.classes[a].rep, poset.classes[b].rep) == (low, high)
+        assert not {(a, b), (b, a)} & set(strict_pairs(poset))
+        got = classify_cover(low, high)
+        assert self.fields(got) == self.fields(classify_cover_by_search(low, high))
+        kind, w = got
+        assert kind is CoverKind.TYPE_I
+        assert w.sigma.cycle_notation() == "(1 5 4 3)"
+        assert w.sigma.images == (4, 1, 0, 2, 3)
+        assert (w.index, w.reading) == (2, "forward")
+        assert w.orientation == (Weight((1, 0, 2, 2)), Weight((1, 2, 0, 0)))
+        sorters = list(_sorting_coset((0, 2, 2, 0, 0)))
+        assert len(sorters) == 12 and sorters.index(w.sigma.images) == 10
+        assert sorters[0] != w.sigma.images
+
     def test_one_sorter_drawn_per_rank_six_cover(self, monkeypatch):
         import weyl_order.posets as posets
         drawn = []
