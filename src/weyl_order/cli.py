@@ -17,6 +17,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -101,11 +102,19 @@ def _make_out_dir(path: Path):
         raise _unwritable(path, e) from None
 
 
-def _write_text(path: Path, text: str, newline: str | None = None):
-    """Write one output file, creating its directory."""
+def _write_text(path: Path, text, newline: str | None = None):
+    """Write one output file, creating its directory.  text is one string
+    or an iterable of string pieces, written in turn, so a file streamed
+    as pieces is never held whole."""
     _make_out_dir(path)
+    pieces = iter((text,) if isinstance(text, str) else text)
     try:
-        path.write_text(text, newline=newline)
+        with path.open("w", newline=newline) as fh:
+            # a text write costs a few hundred ns, a join item a few ns, so
+            # the pieces go out 64 at a time (under 64 KiB for pieces under
+            # 1 KiB)
+            while block := list(itertools.islice(pieces, 64)):
+                fh.write("".join(block))
     except OSError as e:
         raise _unwritable(path, e) from None
 
@@ -285,9 +294,13 @@ def cmd_poset(args) -> int:
     poset = build_poset(lam, args.k, _guard_from(args))
     out_dir = Path(args.out_dir)
     stem = f"poset_lam{_slug(lam)}_k{args.k}"
-    _write_text(out_dir / f"{stem}.json", poset.json_text())
+    # the chunk calls compute the edges, kinds and labels, so whatever can
+    # raise does so before a file is opened
+    files = {f"{stem}.json": poset.json_chunks()}
     if args.dot:
-        _write_text(out_dir / f"{stem}.dot", poset.to_dot())
+        files[f"{stem}.dot"] = poset.dot_chunks()
+    for name, pieces in files.items():
+        _write_text(out_dir / name, pieces)
     print(f"{lam} k={args.k}: {len(poset.classes)} classes, "
           f"{len(poset.hasse_edges)} cover edges")
     return 0

@@ -39,12 +39,15 @@ once and caches, and walks the sorters lazily as image tuples: the first
 sorter is a stable argsort, and the recursive walk starts only when a
 second one is asked for.  Only the witness it returns is built as
 objects.  ``TuplePoset.cover_edges`` classifies every Hasse edge at
-every k, and ``to_json`` reads it; off k = 2 only the text writers,
-``json_text`` and ``to_dot``, skip the classifier and read the Hasse
-edges, all unclassified.  ``json_text`` writes the poset JSON file as
-text, the bytes ``json.dumps(to_json(), sort_keys=True, indent=2)``
-gives, through the ``json_array`` and ``json_object`` layout helpers;
-each class entry is one concatenation of its fixed layout pieces.
+every k, and ``to_json`` reads it; off k = 2 only the text writers skip
+the classifier and read the Hasse edges, all unclassified, through the
+one edge iterator ``_writer_edges``.  ``json_chunks`` yields the poset
+JSON file in pieces, the bytes ``json.dumps(to_json(), sort_keys=True,
+indent=2)`` gives, through the ``json_array`` and ``json_object`` layout
+helpers; each class entry is one concatenation of its fixed layout
+pieces.  ``dot_chunks`` yields the Graphviz file line by line.  A writer
+streams either file without holding it whole; ``json_text`` and
+``to_dot`` join the pieces into one string.
 """
 
 from __future__ import annotations
@@ -188,15 +191,24 @@ def _tuple_sort_key(x: WeightTuple):
 
 # -- JSON text, laid out as json.dumps(..., sort_keys=True, indent=2) -------
 
+def _json_array_chunks(items, indent: int):
+    """json_array's text in pieces: the opening bracket with the first
+    element, each later element with its comma, then the closing bracket;
+    an array with no element is the one piece []."""
+    inner = "\n" + " " * (indent + 2)
+    sep = "[" + inner
+    for item in items:
+        yield sep + item
+        sep = "," + inner
+    yield "[]" if sep[0] == "[" else "\n" + " " * indent + "]"
+
+
 def json_array(items, indent: int) -> str:
     """A JSON array whose opening bracket sits indent spaces in.
 
-    items are the element texts, already laid out for indent + 2; no
-    element text is empty, so an empty join means [].
+    items are the element texts, already laid out for indent + 2.
     """
-    inner = "\n" + " " * (indent + 2)
-    body = ("," + inner).join(items)
-    return "[" + inner + body + "\n" + " " * indent + "]" if body else "[]"
+    return "".join(_json_array_chunks(items, indent))
 
 
 def json_object(fields, indent: int) -> str:
@@ -362,11 +374,27 @@ class TuplePoset:
             "hasse": [[e.low, e.high, e.kind.value] for e in self.cover_edges],
         }
 
-    def json_text(self) -> str:
-        """The poset JSON file: the bytes of json.dumps(self.to_json(),
-        sort_keys=True, indent=2) plus a newline, written straight from
-        the classes without the dict tree.  Each distinct part is laid out
-        once; kind values go through json.dumps."""
+    def _writer_edges(self, texts: dict[CoverKind, str]):
+        """(low, high, texts[kind]) for each Hasse edge, for the two text
+        writers: the one place that skips the classifier off k = 2.  At
+        k = 2 the kinds come from cover_edges; at any other k every edge is
+        unclassified, so its one text is looked up once, not per edge.  The
+        edges are computed on the call, before the first one is read."""
+        if self.k == 2:
+            return ((e.low, e.high, texts[e.kind]) for e in self.cover_edges)
+        text = texts[CoverKind.UNCLASSIFIED]
+        return ((a, b, text) for a, b in self.hasse_edges)
+
+    def json_chunks(self):
+        """The poset JSON file in pieces, for a writer to stream: joined,
+        they are the bytes of json.dumps(self.to_json(), sort_keys=True,
+        indent=2) plus a newline, written straight from the classes without
+        the dict tree.  The pieces are the head, one per class entry, one
+        per Hasse edge and the tail, so no piece holds two entries.  Each
+        distinct part is laid out once; kind values go through json.dumps.
+        The Hasse edges, and at k = 2 their kinds, are computed on the call,
+        not while the pieces are read, so a writer that calls this before
+        opening its file leaves no half-written file when they raise."""
         @cache
         def part(w: Weight) -> str:
             return json_object((("omega", json_array(map(str, w.omega), 12)),
@@ -386,40 +414,43 @@ class TuplePoset:
                     + "\n      ]\n    }")
 
         # an edge is json_array([a, b, kind], 4), spelled out: one format
-        # per edge instead of two joins; off k = 2 every kind text is the
-        # same, so those edges are read straight off hasse_edges
-        kind_text = {kind: json.dumps(kind.value) for kind in CoverKind}
-        if self.k == 2:
-            edges = (f"[\n      {e.low},\n      {e.high},\n"
-                     f"      {kind_text[e.kind]}\n    ]" for e in self.cover_edges)
-        else:
-            text = kind_text[CoverKind.UNCLASSIFIED]
-            edges = (f"[\n      {a},\n      {b},\n      {text}\n    ]"
-                     for a, b in self.hasse_edges)
-        return json_object((
-            ("classes", json_array(map(entry, self.classes), 2)),
-            ("hasse", json_array(edges, 2)),
-            ("k", str(self.k)),
-            ("lambda", json_array(map(str, self.lam.omega), 2)),
-            ("num_classes", str(len(self.classes))),
-        ), 0) + "\n"
+        # per edge instead of two joins
+        edges = self._writer_edges({kind: json.dumps(kind.value)
+                                    for kind in CoverKind})
+        # the top-level object's fields in sorted key order, as json_object
+        # lays them out at indent 0
+        return itertools.chain(
+            ('{\n  "classes": ',),
+            _json_array_chunks(map(entry, self.classes), 2),
+            (',\n  "hasse": ',),
+            _json_array_chunks((f"[\n      {a},\n      {b},\n      {text}\n    ]"
+                                for a, b, text in edges), 2),
+            (',\n  "k": ' + str(self.k)
+             + ',\n  "lambda": ' + json_array(map(str, self.lam.omega), 2)
+             + ',\n  "num_classes": ' + str(len(self.classes)) + "\n}\n",))
+
+    def json_text(self) -> str:
+        """The poset JSON file as one string: json_chunks joined."""
+        return "".join(self.json_chunks())
+
+    def dot_chunks(self):
+        """The Graphviz file of the Hasse diagram in pieces: the head, one
+        line per class, one per Hasse edge, styled by its kind, and the
+        tail.  The labels, the Hasse edges and at k = 2 their kinds are
+        computed on the call, as in json_chunks."""
+        labels = self.labels
+        edges = self._writer_edges({CoverKind.TYPE_I: "solid",
+                                    CoverKind.TYPE_II: "dashed",
+                                    CoverKind.UNCLASSIFIED: "dotted"})
+        return itertools.chain(
+            ("digraph tuple_poset {\n  rankdir=BT;\n",),
+            (f'  n{c} [label="{label}"];\n' for c, label in enumerate(labels)),
+            (f"  n{a} -> n{b} [style={style}];\n" for a, b, style in edges),
+            ("}\n",))
 
     def to_dot(self) -> str:
-        styles = {CoverKind.TYPE_I: "solid",
-                  CoverKind.TYPE_II: "dashed",
-                  CoverKind.UNCLASSIFIED: "dotted"}
-        lines = ["digraph tuple_poset {", "  rankdir=BT;"]
-        for c, label in enumerate(self.labels):
-            lines.append(f'  n{c} [label="{label}"];')
-        if self.k == 2:
-            lines += (f"  n{e.low} -> n{e.high} [style={styles[e.kind]}];"
-                      for e in self.cover_edges)
-        else:
-            style = styles[CoverKind.UNCLASSIFIED]
-            lines += (f"  n{a} -> n{b} [style={style}];"
-                      for a, b in self.hasse_edges)
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        """The Graphviz file as one string: dot_chunks joined."""
+        return "".join(self.dot_chunks())
 
 
 def _part_multisets(lam: tuple[int, ...], k: int):

@@ -498,6 +498,59 @@ class TestFailureModes:
         assert "Traceback" not in err
         assert blocker.read_text() == "not a directory\n"
 
+    def test_poset_into_a_regular_file_names_file_and_out_dir(self, tmp_path,
+                                                              capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory\n")
+        code, _, err = run(capsys, "poset", "--lambda", "2,1", "--dot",
+                           "--out-dir", str(blocker))
+        assert code == 2
+        assert err.startswith("error: cannot write poset_lam2-1_k2.json "
+                              f"under --out-dir {str(blocker)!r}: ")
+        assert blocker.read_text() == "not a directory\n"
+
+    def test_a_streamed_file_that_cannot_be_opened_is_exit_2(self, tmp_path,
+                                                             capsys):
+        # the directory exists, but a directory sits where the DOT file goes
+        (tmp_path / "poset_lam2-1_k2.dot").mkdir()
+        code, _, err = run(capsys, "poset", "--lambda", "2,1", "--dot",
+                           "--out-dir", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: cannot write poset_lam2-1_k2.dot "
+                              f"under --out-dir {str(tmp_path)!r}: ")
+        assert "Traceback" not in err
+
+    def test_a_failure_while_computing_leaves_no_poset_file(self, tmp_path,
+                                                            capsys,
+                                                            monkeypatch):
+        import weyl_order.posets as posets
+
+        def refuse(low, high):
+            raise ValueError("no classification")
+        monkeypatch.setattr(posets, "classify_cover", refuse)
+        code, _, err = run(capsys, "poset", "--lambda", "2,1", "--k", "2",
+                           "--dot", "--out-dir", str(tmp_path))
+        assert code == 2
+        assert err == "error: no classification\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_verify_csv_is_written_without_newline_translation(
+            self, tmp_path, capsys, monkeypatch):
+        opened = {}
+        real = Path.open
+
+        def spy(path, *args, **kwargs):
+            opened[path.name] = kwargs.get("newline", "unset")
+            return real(path, *args, **kwargs)
+        monkeypatch.setattr(Path, "open", spy)
+        code, *_ = run(capsys, "verify", "--families", "A", "--max-coord", "1",
+                       "--max-k", "2", "--out-dir", str(tmp_path))
+        assert code == 0
+        assert opened["verify_report.csv"] == ""
+        assert opened["verify_report.json"] is None
+        assert (tmp_path / "verify_report.csv").read_bytes().startswith(
+            b"item,ok,skipped\r\n")
+
     @pytest.mark.parametrize("under_file", [False, True])
     def test_verify_checks_out_dir_before_the_sweep(self, tmp_path, capsys,
                                                     monkeypatch, under_file):

@@ -878,3 +878,72 @@ class TestJsonText:
                   ("d", "null")]
         assert json_object(fields, 0) == \
             json.dumps(payload, sort_keys=True, indent=2)
+
+
+def dot_by_lines(poset):
+    # the DOT file rebuilt from to_json, whose kinds come from the
+    # classifier at every k, so the writers' k = 2 shortcut is checked too
+    styles = {"type_one": "solid", "type_two": "dashed",
+              "unclassified": "dotted"}
+    lines = ["digraph tuple_poset {", "  rankdir=BT;"]
+    lines += [f'  n{c} [label="{cls.rep}"];'
+              for c, cls in enumerate(poset.classes)]
+    lines += [f"  n{a} -> n{b} [style={styles[kind]}];"
+              for a, b, kind in poset.to_json()["hasse"]]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+class TestChunks:
+    """The streamed writers: small pieces that join to the oracle texts."""
+
+    def test_grid_of_rank_at_most_three(self):
+        # TestJsonText's grid, which checks json_text against json.dumps;
+        # k = 1 gives one class and an empty hasse
+        for rank in (1, 2, 3):
+            for lam in itertools.product(range(4), repeat=rank):
+                for k in range(1, 5):
+                    poset = build_poset(Weight(lam), k)
+                    json_pieces = list(poset.json_chunks())
+                    dot_pieces = list(poset.dot_chunks())
+                    assert all(json_pieces) and all(dot_pieces), (lam, k)
+                    text, dot = "".join(json_pieces), "".join(dot_pieces)
+                    assert text == poset.json_text(), (lam, k)
+                    assert dot == poset.to_dot(), (lam, k)
+                    assert dot == dot_by_lines(poset), (lam, k)
+
+    def test_one_piece_per_class_and_edge(self):
+        for lam, k in (((2, 1), 1), ((2, 1), 2), ((2, 1, 1), 3)):
+            poset = build_poset(Weight(lam), k)
+            m, edges = len(poset), len(poset.hasse_edges)
+            # the head, the classes and their closing bracket, the hasse
+            # key, the edges and their closing bracket (an empty hasse is
+            # the one piece []), the tail
+            assert len(list(poset.json_chunks())) == \
+                1 + (m + 1) + 1 + (edges + 1 if edges else 1) + 1
+            assert len(list(poset.dot_chunks())) == 1 + m + edges + 1
+        empty = list(build_poset(Weight((2, 1)), 1).json_chunks())
+        assert empty[-3:-1] == [',\n  "hasse": ', "[]"]
+
+    def test_pieces_are_small_and_writing_streams(self, tmp_path):
+        # (6,6,6) at k = 3: a 4.0 MB JSON file and a 1.0 MB DOT file; held
+        # whole, the JSON alone peaks at about 16 MiB of tracemalloc
+        import tracemalloc
+
+        from weyl_order import cli
+        poset = build_poset(Weight((6, 6, 6)), 3)
+        poset.hasse_edges, poset.labels  # built outside the measured write
+        assert max(map(len, poset.json_chunks())) <= 1024
+        assert max(map(len, poset.dot_chunks())) <= 1024
+        tracemalloc.start()
+        try:
+            cli._write_text(tmp_path / "poset.json", poset.json_chunks())
+            cli._write_text(tmp_path / "poset.dot", poset.dot_chunks())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        # digests, not texts: a failing == would diff megabytes
+        for name, text in (("poset.json", poset.json_text()),
+                           ("poset.dot", poset.to_dot())):
+            assert sha256((tmp_path / name).read_bytes()).digest() == \
+                sha256(text.encode()).digest(), name
