@@ -291,9 +291,11 @@ def cmd_verify(args) -> int:
 
 def cmd_poset(args) -> int:
     lam = parse_weight(args.lam)
-    poset = build_poset(lam, args.k, _guard_from(args))
+    guard = _guard_from(args)
     out_dir = Path(args.out_dir)
     stem = f"poset_lam{_slug(lam)}_k{args.k}"
+    _make_out_dir(out_dir / f"{stem}.json")  # before the poset, not after
+    poset = build_poset(lam, args.k, guard)
     # the chunk calls compute the edges, kinds and labels, so whatever can
     # raise does so before a file is opened
     files = {f"{stem}.json": poset.json_chunks()}
@@ -338,7 +340,11 @@ def covers_json_text(lam: Weight, k: int, records: list[dict]) -> str:
 
 def cmd_covers(args) -> int:
     lam = parse_weight(args.lam)
-    poset = build_poset(lam, args.k, _guard_from(args))
+    guard = _guard_from(args)
+    path = Path(args.out_dir) / f"covers_lam{_slug(lam)}_k{args.k}.json"
+    if args.json:
+        _make_out_dir(path)  # before the poset and the cover lines
+    poset = build_poset(lam, args.k, guard)
     labels = poset.labels
     records = []
     for edge in poset.cover_edges:
@@ -350,8 +356,7 @@ def cmd_covers(args) -> int:
         print(f"{rec['low']} -> {rec['high']} [{rec['kind']}]"
               + (f" ({rec['witness']})" if rec["witness"] else ""))
     if args.json:
-        _write_text(Path(args.out_dir) / f"covers_lam{_slug(lam)}_k{args.k}.json",
-                    covers_json_text(lam, args.k, records))
+        _write_text(path, covers_json_text(lam, args.k, records))
     return 0
 
 

@@ -37,11 +37,17 @@ coordinates after a sorting change of frame, and an explicit
 padded epsilon integer tuples, which each shared part ``Weight`` computes
 once and caches, and walks the sorters lazily as image tuples: the first
 sorter is a stable argsort, and the recursive walk starts only when a
-second one is asked for.  Only the witness it returns is built as
-objects.  ``TuplePoset.cover_edges`` classifies every Hasse edge at
-every k, and ``to_json`` reads it; off k = 2 only the text writers skip
-the classifier and read the Hasse edges, all unclassified, through the
-one edge iterator ``_writer_edges``.  ``json_chunks`` yields the poset
+second one is asked for.  What depends on the lower pair alone (e1, e2,
+delta, and each sorter walked with its inverse, the sorted-frame omegas
+of e1 and e2 and its witness ``Permutation``) is computed once per lower
+representative and kept on it, so the covers of one class share it and
+their witnesses share one permutation per sorter, whose cycle notation
+is walked once.  ``TuplePoset.cover_edges`` classifies every Hasse edge
+at every k, drops that per-class data once done, and ``to_json`` reads
+it; ``covers_of`` bisects it, in (low, high) order, to one class's
+slice.  Off k = 2 only the text writers skip the classifier and read the
+Hasse edges, all unclassified, through the one edge iterator
+``_writer_edges``.  ``json_chunks`` yields the poset
 JSON file in pieces, the bytes ``json.dumps(to_json(), sort_keys=True,
 indent=2)`` gives, through the ``json_array`` and ``json_object`` layout
 helpers; each class entry is one concatenation of its fixed layout
@@ -59,7 +65,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
-from operator import or_
+from operator import attrgetter, or_, sub
 
 from .tuples import (OrderVerdict, WeightTuple, _part_window_values,
                      _sorted_prefix_stats, _verdict_from_vectors)
@@ -295,10 +301,15 @@ class TuplePoset:
 
     @cached_property
     def cover_edges(self) -> tuple[CoverEdge, ...]:
-        """The Hasse edges, each through classify_cover once, at every k."""
+        """The Hasse edges, each through classify_cover once, at every k;
+        the lower-pair data it keeps on the representatives is dropped
+        once every edge is classified."""
         reps = [cls.rep for cls in self.classes]
-        return tuple(CoverEdge(a, b, *classify_cover(reps[a], reps[b]))
-                     for a, b in self.hasse_edges)
+        edges = tuple(CoverEdge(a, b, *classify_cover(reps[a], reps[b]))
+                      for a, b in self.hasse_edges)
+        for rep in reps:
+            rep.__dict__.pop(_LOWER_PAIR, None)
+        return edges
 
     def transitive_ok(self) -> bool:
         """The up-closure of the Hasse edges must equal the strict order.
@@ -661,16 +672,61 @@ def _sorted_omega(x: tuple[int, ...], q: list[int]) -> list[int]:
     return [x[q[t]] - x[q[t + 1]] for t in range(len(q) - 1)]
 
 
+class _Sorter:
+    """One sorter of a lower pair's delta and what the classifier reads
+    off it: sigma, the one Permutation that every witness reading this
+    sorter shares, its inverse q, and the sorted-frame omega vectors s1
+    and s2 of e1 and e2."""
+
+    __slots__ = ("sigma", "q", "s1", "s2")
+
+    def __init__(self, images: tuple[int, ...], e1, e2):
+        self.sigma = Permutation(images)
+        self.q = q = _inverse(images)
+        self.s1, self.s2 = _sorted_omega(e1, q), _sorted_omega(e2, q)
+
+
+class _LowerPair:
+    """What a k = 2 lower representative gives every cover above it: its
+    parts' padded epsilon tuples in canonical order (e1 >= e2), delta =
+    e1 - e2, and the sorters of delta walked so far.  It holds no
+    generator: past the kept sorters, ``sorters`` restarts the
+    deterministic walk and skips them."""
+
+    __slots__ = ("e1", "e2", "delta", "walked", "complete")
+
+    def __init__(self, low: WeightTuple):
+        self.e1, self.e2 = sorted((p.eps_padded() for p in low.parts),
+                                  reverse=True)
+        self.delta = tuple(map(sub, self.e1, self.e2))
+        self.walked: list[_Sorter] = []
+        self.complete = False
+
+    def sorters(self):
+        """Every sorter of delta in image-lex order, each built once."""
+        yield from self.walked
+        if self.complete:
+            return
+        fresh = _sorting_coset(self.delta)
+        for images in itertools.islice(fresh, len(self.walked), None):
+            sorter = _Sorter(images, self.e1, self.e2)
+            self.walked.append(sorter)
+            yield sorter
+        self.complete = True
+
+
+_LOWER_PAIR = "_lower_pair"  # the representative's __dict__ key
+
+
 def classify_cover(low: WeightTuple, high: WeightTuple) -> tuple[CoverKind, CoverWitness | None]:
     """Classify a k = 2 cover between class representatives.
 
     Everything is read off padded epsilon int tuples, cached on each part
-    ``Weight``: representatives share one ``Weight`` per distinct part, so
-    a part's tuple is computed once for all its edges.  The lower pair is
-    taken in canonical order (e1 >= e2); sigma ranges over the sorters of
-    delta = e1 - e2 in image-lex order, and the upper pair (f1 for mu1)
-    over both orientations.  With q = sigma^-1, slot t of the sorted frame
-    holds x[q[t]], and its omega coordinate t is x[q[t]] - x[q[t + 1]].
+    ``Weight``.  The lower pair is taken in canonical order (e1 >= e2);
+    sigma ranges over the sorters of delta = e1 - e2 in image-lex order,
+    and the upper pair (f1 for mu1) over both orientations.  With q =
+    sigma^-1, slot t of the sorted frame holds x[q[t]], and its omega
+    coordinate t is x[q[t]] - x[q[t + 1]].
 
     First kind: part 1 hands part 2 the chunk e1 - f1 and keeps f1 - e2.
     The chunk must take two values a step apart; i counts its raised
@@ -680,54 +736,66 @@ def classify_cover(low: WeightTuple, high: WeightTuple) -> tuple[CoverKind, Cove
     that order.  Second kind: in the sorted frame mu1 picks each omega
     coordinate from one of the two lower parts, part 1 wherever it fits.
     First-kind witnesses take precedence over the whole coset; tuples
-    longer than 2 fall through to UNCLASSIFIED.  Only the returned
-    witness builds a Permutation.  The first sorter comes from an argsort,
+    longer than 2 fall through to UNCLASSIFIED.
+
+    What depends on the lower pair alone is built once per lower
+    representative and kept on it (``_LowerPair``), witnesses sharing one
+    ``Permutation`` per sorter.  The first sorter comes from an argsort,
     not the walk (see ``_sorting_coset``); on (2,2,2,2,2,2) it witnesses
-    all 1362 covers.
+    all 1362 covers, so each of its 364 lower classes draws one sorter.
     """
     if low.k != 2 or high.k != 2:
         return CoverKind.UNCLASSIFIED, None
     if low.rank != high.rank:
         raise ValueError(f"rank mismatch: {low.rank} vs {high.rank}")
-    e1, e2 = sorted((p.eps_padded() for p in low.parts), reverse=True)
-    delta = tuple(a - b for a, b in zip(e1, e2))
+    # kept in the representative's __dict__ like a cached property: not
+    # a field, so equality and hashing still read the parts alone
+    pair = low.__dict__.get(_LOWER_PAIR)
+    if pair is None:
+        pair = low.__dict__[_LOWER_PAIR] = _LowerPair(low)
+    e1, e2 = pair.e1, pair.e2
     h1, h2 = high.parts
     frames = [(h1, h2, h1.eps_padded())]
     if h1 != h2:
         frames.append((h2, h1, h2.eps_padded()))
     chunks = []
     for mu1, mu2, f1 in frames:
-        chunk = [a - b for a, b in zip(e1, f1)]
+        chunk = list(map(sub, e1, f1))
         top = max(chunk)
         if set(chunk) == {top, top - 1}:
-            keep = [a - b for a, b in zip(f1, e2)]
+            keep = list(map(sub, f1, e2))
             raised = {p for p, b in enumerate(chunk) if b == top}
             chunks.append((chunk, keep, raised, mu1, mu2))
     if chunks:
-        for images in _sorting_coset(delta):
-            q = _inverse(images)
+        for sorter in pair.sorters():
+            q = sorter.q
             for chunk, keep, raised, mu1, mu2 in chunks:
                 i = len(raised)
                 a, b = q[i - 1], q[i]
                 if chunk[a] <= chunk[b] or keep[a] <= keep[b]:
                     continue
-                for reading, slots in (("inverse", q[:i]), ("forward", images[:i])):
+                for reading, slots in (("inverse", q[:i]),
+                                       ("forward", sorter.sigma.images[:i])):
                     if raised == set(slots):
                         return CoverKind.TYPE_I, CoverWitness(
-                            sigma=Permutation(images), orientation=(mu1, mu2),
+                            sigma=sorter.sigma, orientation=(mu1, mu2),
                             index=i, reading=reading)
-    for images in _sorting_coset(delta):
-        q = _inverse(images)
-        s1, s2 = _sorted_omega(e1, q), _sorted_omega(e2, q)
+    for sorter in pair.sorters():
+        q, s1, s2 = sorter.q, sorter.s1, sorter.s2
         for mu1, mu2, f1 in frames:
             mix = tuple(1 if c == a else 2 if c == b else 0
                         for c, a, b in zip(_sorted_omega(f1, q), s1, s2))
             if 0 not in mix:
                 return CoverKind.TYPE_II, CoverWitness(
-                    sigma=Permutation(images), orientation=(mu1, mu2), mix=mix)
+                    sigma=sorter.sigma, orientation=(mu1, mu2), mix=mix)
     return CoverKind.UNCLASSIFIED, None
 
 
 def covers_of(poset: TuplePoset, index: int) -> list[CoverEdge]:
-    """Classified cover edges going up from one class."""
-    return [e for e in poset.cover_edges if e.low == index]
+    """Classified cover edges going up from one class.
+
+    cover_edges is in (low, high) order, so the class's edges are one
+    slice, found by bisection: O(log E + covers), not a scan of all E."""
+    edges, low = poset.cover_edges, attrgetter("low")
+    start = bisect.bisect_left(edges, index, key=low)
+    return list(edges[start:bisect.bisect_right(edges, index, start, key=low)])

@@ -17,7 +17,10 @@ weight lattice).  Omega coordinates are consecutive differences of the
 padded vector, so the uniform shift never matters.  A ``Weight`` caches
 its padded epsilon tuple and its dominance on first use; neither cache
 is a field.  A ``Permutation`` is the sorting witness the classifier
-reports: it is validated, and it prints in cycle notation.
+reports: it is validated, and it prints in cycle notation, which it
+computes on first use and caches the same way, since the classifier
+shares one witness permutation per sorter of a lower class; equality,
+hashing, repr and pickling still read the images alone.
 """
 
 from __future__ import annotations
@@ -132,7 +135,16 @@ class Permutation:
     def __call__(self, i: int) -> int:
         return self.images[i]
 
-    def cycle_notation(self) -> str:
+    def __reduce__(self):
+        # pickled through the constructor from images alone, so a cached
+        # cycle notation never travels with the object
+        return Permutation, (self.images,)
+
+    @cached_property
+    def _cycle_notation(self) -> str:
+        # cached like Weight._eps_padded: the classifier hands one
+        # Permutation to every witness that reads the same sorter, so the
+        # cycles are walked once per object; not a field
         seen, cycles = set(), []
         for start in range(self.degree):
             if start in seen:
@@ -146,3 +158,8 @@ class Permutation:
             if len(cyc) > 1:
                 cycles.append("(" + " ".join(str(c + 1) for c in cyc) + ")")
         return "".join(cycles) or "id"
+
+    def cycle_notation(self) -> str:
+        """The cycles of length >= 2, 1-based, or "id"; computed once per
+        Permutation object."""
+        return self._cycle_notation

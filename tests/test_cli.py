@@ -566,6 +566,38 @@ class TestFailureModes:
         assert "--out-dir" in err and str(out_dir) in err
         assert blocker.read_text() == "not a directory\n"
 
+    @pytest.mark.parametrize("argv", [
+        ("poset", "--lambda", "2,1,0", "--k", "2"),
+        ("poset", "--lambda", "2,1,0", "--k", "2", "--dot"),
+        ("covers", "--lambda", "2,1,0", "--k", "2", "--json"),
+    ])
+    @pytest.mark.parametrize("under_file", [False, True])
+    def test_out_dir_is_checked_before_the_poset(self, tmp_path, capsys,
+                                                 monkeypatch, argv, under_file):
+        # no poset is built and no cover line printed for a file that
+        # cannot be written
+        def refuse(*args, **kwargs):
+            raise AssertionError("the poset was built before --out-dir was checked")
+        monkeypatch.setattr(cli, "build_poset", refuse)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory\n")
+        out_dir = blocker / "x" if under_file else blocker
+        code, out, err = run(capsys, *argv, "--out-dir", str(out_dir))
+        assert code == 2
+        assert err.startswith("error: cannot write ")
+        assert "--out-dir" in err and str(out_dir) in err
+        assert out == ""
+        assert blocker.read_text() == "not a directory\n"
+
+    def test_covers_without_json_needs_no_out_dir(self, tmp_path, capsys):
+        # only --json writes a file, so only --json checks the directory
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory\n")
+        code, out, err = run(capsys, "covers", "--lambda", "2,1,0", "--k", "2",
+                             "--out-dir", str(blocker / "x"))
+        assert (code, err) == (0, "")
+        assert out.count("\n") == len(build_poset(Weight((2, 1, 0)), 2).hasse_edges)
+
     def test_argparse_error_becomes_exit_2(self, capsys):
         assert cli.main(["poset"]) == 2  # --lambda is required
         capsys.readouterr()

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -538,7 +539,12 @@ class TestCoverClassification:
                 yield images
         monkeypatch.setattr(posets, "_sorting_coset", counting)
         poset = build_poset(Weight((2,) * 6), 2)
-        assert len(poset.cover_edges) == len(drawn) == 1362
+        edges = poset.cover_edges
+        lows = {e.low for e in edges}
+        assert (len(edges), len(lows)) == (1362, 364)
+        # the covers of one lower class share its walked sorters, and the
+        # first sorter witnesses every cover here: one draw per class
+        assert len(drawn) == len(lows)
 
     def test_lazy_sorters_match_stabilizer_coset(self):
         # every vector of length <= 5 over {0, 1, 2}, then the all-tie
@@ -602,6 +608,125 @@ class TestCoverClassification:
         kinds = {e.kind for c in range(len(poset.classes))
                  for e in covers_of(poset, c)}
         assert kinds == {CoverKind.UNCLASSIFIED}
+
+
+class TestPerClassCoverData:
+    """classify_cover keeps what a lower representative gives all its
+    covers (e1, e2, delta and the sorters walked, each with its witness
+    Permutation) on the representative; these pin that fast path against
+    the search oracle and against call order."""
+
+    @staticmethod
+    def assert_matches_search(poset):
+        reps = [cls.rep for cls in poset.classes]
+        assert [(e.low, e.high) for e in poset.cover_edges] == \
+            list(poset.hasse_edges)
+        for e in poset.cover_edges:
+            want = classify_cover_by_search(reps[e.low], reps[e.high])
+            assert (e.kind, e.witness) == want, (e.low, e.high)
+            if e.witness is not None:
+                assert e.witness.describe() == want[1].describe()
+
+    def test_cover_edges_match_search_on_small_fibers(self):
+        # every nonzero k = 2 fiber of rank <= 3 with coordinates <= 3
+        fibers = [c for n in (1, 2, 3) for c in itertools.product(range(4), repeat=n)
+                  if any(c)]
+        assert len(fibers) == 81
+        for coords in fibers:
+            self.assert_matches_search(build_poset(Weight(coords), 2))
+
+    def test_cover_edges_match_search_on_2222(self):
+        self.assert_matches_search(build_poset(Weight((2, 2, 2, 2)), 2))
+
+    def test_a_late_sorter_extends_the_kept_ones(self):
+        # the incomparable pair of (2,2,2,2) whose 11th sorter witnesses,
+        # classified between covers of its lower class: the walk resumes
+        # past the kept first sorter, and the covers still read the first
+        poset = build_poset(Weight((2, 2, 2, 2)), 2)
+        reps = [cls.rep for cls in poset.classes]
+        a = poset.class_of(T((0, 1, 2, 1), (2, 1, 0, 1)))
+        b = poset.class_of(T((1, 0, 2, 2), (1, 2, 0, 0)))
+        ups = [h for low, h in poset.hasse_edges if low == a]
+        assert ups
+        for high in ups + [b] + ups + [b]:
+            assert classify_cover(reps[a], reps[high]) == \
+                classify_cover_by_search(reps[a], reps[high]), high
+        kept = reps[a].__dict__["_lower_pair"]
+        assert [s.sigma.images for s in kept.walked] == \
+            list(_sorting_coset(kept.delta))[:11]
+
+    @staticmethod
+    def classify(poset, pairs):
+        reps = [cls.rep for cls in poset.classes]
+        return {(a, b): classify_cover(reps[a], reps[b]) for a, b in pairs}
+
+    @pytest.mark.parametrize("coords", [(2, 2, 2, 2), (3, 2, 1), (1,) * 5])
+    def test_call_order_does_not_change_a_classification(self, coords):
+        # every ordered pair of classes on one fresh poset, forwards, and
+        # on another, backwards: covers, incomparable and reversed pairs
+        # walk different numbers of sorters
+        forward, backward = (build_poset(Weight(coords), 2) for _ in range(2))
+        m = len(forward)
+        pairs = [(a, b) for a in range(m) for b in range(m) if a != b]
+        assert self.classify(forward, pairs) == \
+            self.classify(backward, pairs[::-1])
+
+    @pytest.mark.parametrize("coords", [(2, 2, 2, 2), (2,) * 6])
+    def test_edges_classified_backwards_match_cover_edges(self, coords):
+        poset, fresh = (build_poset(Weight(coords), 2) for _ in range(2))
+        backwards = self.classify(fresh, fresh.hasse_edges[::-1])
+        assert [(e.kind, e.witness) for e in poset.cover_edges] == \
+            [backwards[edge] for edge in poset.hasse_edges]
+
+    def test_covers_of_a_class_share_one_permutation_per_sorter(self):
+        poset = build_poset(Weight((2,) * 6), 2)
+        sigma = {}
+        for e in poset.cover_edges:
+            assert sigma.setdefault((e.low, e.witness.sigma.images),
+                                    e.witness.sigma) is e.witness.sigma
+        # the first sorter witnesses every cover: one object per class
+        assert len(sigma) == len({id(s) for s in sigma.values()}) == 364
+
+    def test_cycle_walk_runs_once_per_shared_permutation(self, monkeypatch):
+        from weyl_order import Permutation
+        poset = build_poset(Weight((2,) * 6), 2)
+        witnesses = [e.witness for e in poset.cover_edges]
+        prop = Permutation.__dict__["_cycle_notation"]
+        real = prop.func
+        walked = []
+
+        def counting(p):
+            walked.append(id(p))
+            return real(p)
+        monkeypatch.setattr(prop, "func", counting)
+        texts = [w.describe() for w in witnesses]
+        assert len(walked) == len(set(walked)) == \
+            len({id(w.sigma) for w in witnesses}) == 364
+        # a fresh permutation per witness words every one the same
+        assert texts == [dataclasses.replace(w, sigma=Permutation(w.sigma.images))
+                         .describe() for w in witnesses]
+
+    def test_pair_data_does_not_outlive_cover_edges(self):
+        # the witnesses keep the shared permutations; the per-class pair
+        # data is dropped once every cover is classified
+        poset = build_poset(Weight((2, 2, 2)), 2)
+        assert poset.cover_edges
+        assert [c for c, cls in enumerate(poset.classes)
+                if "_lower_pair" in cls.rep.__dict__] == []
+
+
+class TestCoversOf:
+    @pytest.mark.parametrize("coords, k", [((2, 2, 2, 2), 2), ((3, 2), 2),
+                                           ((2, 1), 3)])
+    def test_bisection_equals_the_scan(self, coords, k):
+        poset = build_poset(Weight(coords), k)
+        for c in range(len(poset)):
+            assert covers_of(poset, c) == \
+                [e for e in poset.cover_edges if e.low == c], c
+        assert covers_of(poset, poset.top_index) == []
+        assert covers_of(poset, len(poset)) == []
+        assert sum(len(covers_of(poset, c)) for c in range(len(poset))) == \
+            len(poset.cover_edges) > 0
 
 
 class TestMoveCovers:

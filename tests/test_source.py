@@ -61,6 +61,28 @@ def test_posets_tests_k_against_two_only_in_the_text_writers():
     assert set(found) <= {"TuplePoset._writer_edges"}
 
 
+def test_posets_keeps_no_module_level_cache():
+    # per-class cover data lives on the representative, not in a
+    # module-level cache or lru_cache keyed by pairs; the caches built
+    # inside a function are dropped with its call
+    def is_cache(node):
+        if isinstance(node, ast.Call):
+            node = node.func
+        return ast.unparse(node) in {"cache", "lru_cache", "functools.cache",
+                                     "functools.lru_cache"}
+    tree = ast.parse((SRC / "posets.py").read_text())
+    found = [f"posets.py:{node.lineno}" for node in tree.body
+             if (isinstance(node, ast.FunctionDef)
+                 and any(is_cache(d) for d in node.decorator_list))
+             or (isinstance(node, (ast.Assign, ast.AnnAssign))
+                 and node.value is not None and is_cache(node.value))]
+    assert found == []
+    # the check sees a decorated function and a wrapped one
+    sample = ast.parse("@cache\ndef f(x): pass\ng = functools.lru_cache(h)\n")
+    assert [is_cache(n.decorator_list[0] if isinstance(n, ast.FunctionDef)
+                     else n.value) for n in sample.body] == [True, True]
+
+
 def test_library_builds_objects_only_through_their_constructors():
     # no object.__new__ or other __new__ route: every Weight, WeightTuple
     # and the rest goes through its validating __init__ / __post_init__

@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -114,6 +117,21 @@ class TestPermutation:
         assert identity(4).cycle_notation() == "id"
         assert transposition(2, 4).cycle_notation() == "(2 3)"
         assert Permutation((1, 2, 0)).cycle_notation() == "(1 2 3)"
+
+    def test_cycle_notation_is_cached_outside_the_fields(self):
+        # the cache is not a field: equality, hash, repr and pickling read
+        # the images alone, as for Weight's cached epsilon tuple
+        walked, fresh = Permutation((1, 2, 0, 4, 3)), Permutation((1, 2, 0, 4, 3))
+        assert walked.cycle_notation() == "(1 2 3)(4 5)"
+        assert "_cycle_notation" in walked.__dict__
+        assert "_cycle_notation" not in fresh.__dict__
+        assert [f.name for f in dataclasses.fields(Permutation)] == ["images"]
+        assert walked == fresh and hash(walked) == hash(fresh)
+        assert repr(walked) == repr(fresh) == "Permutation(images=(1, 2, 0, 4, 3))"
+        assert pickle.dumps(walked) == pickle.dumps(fresh)
+        back = pickle.loads(pickle.dumps(walked))
+        assert back == walked and "_cycle_notation" not in back.__dict__
+        assert back.cycle_notation() == walked.cycle_notation()
 
     def test_transposition_bounds(self):
         with pytest.raises(ValueError):
