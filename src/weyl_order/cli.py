@@ -111,8 +111,8 @@ def _write_text(path: Path, text, newline: str | None = None):
     try:
         with path.open("w", newline=newline) as fh:
             # a text write costs a few hundred ns, a join item a few ns, so
-            # the pieces go out 64 at a time (under 64 KiB for pieces under
-            # 1 KiB)
+            # the pieces go out 64 at a time (a poset piece holds at most
+            # one class entry or cover row: under 3 KiB on (6,6,6) at k = 3)
             while block := list(itertools.islice(pieces, 64)):
                 fh.write("".join(block))
     except OSError as e:
@@ -304,7 +304,7 @@ def cmd_poset(args) -> int:
     for name, pieces in files.items():
         _write_text(out_dir / name, pieces)
     print(f"{lam} k={args.k}: {len(poset.classes)} classes, "
-          f"{len(poset.hasse_edges)} cover edges")
+          f"{sum(map(len, poset.cover_rows))} cover edges")
     return 0
 
 

@@ -12,13 +12,13 @@ only the parts whose epsilon_1 lies in the band ceil(|rest| / left) ..
 |rest| (a slice of the part list), and with two parts left it reads the
 pairs off the box of parts below the remainder.  A class's size is the
 sum of the multinomials k! / prod(mult!) of its multisets, the
-multiplicities read as run lengths of equal adjacent parts; its
-representative is the only ``WeightTuple`` built, from one shared
-``Weight`` per distinct part, and its ordered members are expanded only
-when asked for.  The quotient carries the coordinatewise order from
-:mod:`weyl_order.tuples` as one list of strict-order masks (``_above``);
-the Hasse walk, the transitivity check and both extremes read it, the
-minimal classes being the bits set in no mask.  The masks skip every
+multiplicities read as run lengths of equal adjacent parts.  A class
+holds integers only; its representative ``WeightTuple`` is built when
+first read, from one shared ``Weight`` per distinct part.  The quotient
+carries the coordinatewise order from :mod:`weyl_order.tuples` as one
+list of strict-order masks (``_above``); the cover walk (one row of
+covering classes per class, ``cover_rows``) and both extremes read it,
+the minimal classes being the bits set in no mask.  The masks skip every
 stat coordinate that holds one value over all classes: such a coordinate
 ranks every class equal, so it clears no bit.  Every l = k coordinate is
 one (the k smallest of k parts are all of them, summing to lam's window
@@ -45,15 +45,14 @@ their witnesses share one permutation per sorter, whose cycle notation
 is walked once.  ``TuplePoset.cover_edges`` classifies every Hasse edge
 at every k, drops that per-class data once done, and ``to_json`` reads
 it; ``covers_of`` bisects it, in (low, high) order, to one class's
-slice.  Off k = 2 only the text writers skip the classifier and read the
-Hasse edges, all unclassified, through the one edge iterator
-``_writer_edges``.  ``json_chunks`` yields the poset
-JSON file in pieces, the bytes ``json.dumps(to_json(), sort_keys=True,
-indent=2)`` gives, through the ``json_array`` and ``json_object`` layout
-helpers; each class entry is one concatenation of its fixed layout
-pieces.  ``dot_chunks`` yields the Graphviz file line by line.  A writer
-streams either file without holding it whole; ``json_text`` and
-``to_dot`` join the pieces into one string.
+slice.  Off k = 2 only the text writers skip the classifier, in their one
+edge iterator ``_edge_pieces``: every edge is unclassified, so a cover
+row is one text piece, one join over its upper indices.
+``json_chunks`` and ``dot_chunks`` yield the poset JSON file (the bytes
+``json.dumps(to_json(), sort_keys=True, indent=2)`` gives, each class
+entry one concatenation, each distinct part omega laid out once) and the
+Graphviz file in pieces, which a writer streams without holding either
+file whole; ``json_text`` and ``to_dot`` join them.
 """
 
 from __future__ import annotations
@@ -63,13 +62,14 @@ import enum
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property, reduce
 from operator import attrgetter, or_, sub
+from typing import Callable
 
 from .tuples import (OrderVerdict, WeightTuple, _part_window_values,
                      _sorted_prefix_stats, _verdict_from_vectors)
-from .weights import Permutation, Weight
+from .weights import Permutation, Weight, _omega_text
 
 
 class GuardExceeded(RuntimeError):
@@ -172,27 +172,27 @@ class EquivClass:
 
     multisets lists the class's part multisets, each a tuple of omega
     tuples weakly decreasing in epsilon-lex order, the multisets in
-    descending ``_tuple_sort_key`` order; rep is the first one, the
-    largest member.  size counts ordered tuples, the sum over the
-    multisets of k! / prod(mult!).
+    descending order of their parts' epsilon tuples.  size counts ordered
+    tuples, the sum over the multisets of k! / prod(mult!).  rep, the first
+    multiset as a ``WeightTuple``, is built on first read, its parts
+    through weight, which is not compared, hashed or shown: the classes of
+    a poset share one cache, so one ``Weight`` per distinct part.
     """
 
-    rep: WeightTuple
     stat_vector: tuple[int, ...]
     size: int
     multisets: tuple[Multiset, ...]
+    weight: Callable[[tuple[int, ...]], Weight] = field(
+        default=Weight, compare=False, repr=False)
 
     @cached_property
-    def members(self) -> tuple[WeightTuple, ...]:
-        """Every ordered tuple of the class, in ``_tuple_sort_key`` order."""
-        orderings = {order for ms in self.multisets
-                     for order in itertools.permutations(ms)}
-        return tuple(sorted((WeightTuple(tuple(Weight(p) for p in order))
-                             for order in orderings), key=_tuple_sort_key))
+    def rep(self) -> WeightTuple:
+        return WeightTuple(tuple(map(self.weight, self.multisets[0])))
 
-
-def _tuple_sort_key(x: WeightTuple):
-    return tuple(p.eps() for p in x.parts)
+    def __reduce__(self):
+        # pickled from the compared fields: the poset's shared cache stays
+        # behind, and the representative is rebuilt when read
+        return EquivClass, (self.stat_vector, self.size, self.multisets)
 
 
 # -- JSON text, laid out as json.dumps(..., sort_keys=True, indent=2) -------
@@ -275,29 +275,36 @@ class TuplePoset:
         return above
 
     @cached_property
-    def hasse_edges(self) -> tuple[tuple[int, int], ...]:
-        """(low, high) pairs with nothing strictly between, in (a, b) order.
+    def cover_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Per class a, the classes covering a, in increasing order.
 
-        A cover walk: for each a, pop the lowest class b left in rest =
-        above[a], emit (a, b), and drop above[b] from rest.  It relies on
-        index order being a linear extension (see _above).  A class
-        strictly between a and b has a smaller index than b, so it was
-        either popped first, and then b lies above it and was dropped, or
-        dropped itself as lying above an earlier pop, and then so was b.
-        Hence every popped b is a cover; a cover is never above another
-        class of above[a], so it is never dropped.  The cost is a few mask
-        operations per cover, not one per strict pair.
+        A cover walk: pop the lowest class b left in rest = above[a], put
+        it in a's row, and drop above[b] from rest.  Index order is a
+        linear extension (see _above), so a class strictly between a and b
+        was either popped first, and b dropped as lying above it, or itself
+        dropped as lying above an earlier pop, and then so was b.  Hence
+        every popped b is a cover, and no cover is ever dropped.  The cost
+        is a few mask operations per cover, not one per strict pair.
         """
         above = self._above
-        edges = []
-        for a, rest in enumerate(above):
+        rows = []
+        for rest in above:
+            row = []
             while rest:
                 low = rest & -rest
                 b = low.bit_length() - 1
-                edges.append((a, b))
+                row.append(b)
                 rest ^= low
                 rest &= ~above[b]
-        return tuple(edges)
+            rows.append(tuple(row))
+        return tuple(rows)
+
+    @cached_property
+    def hasse_edges(self) -> tuple[tuple[int, int], ...]:
+        """(low, high) pairs with nothing strictly between, in (a, b)
+        order: the cover rows flattened, for callers that want pairs."""
+        return tuple((a, b) for a, row in enumerate(self.cover_rows)
+                     for b in row)
 
     @cached_property
     def cover_edges(self) -> tuple[CoverEdge, ...]:
@@ -312,18 +319,18 @@ class TuplePoset:
         return edges
 
     def transitive_ok(self) -> bool:
-        """The up-closure of the Hasse edges must equal the strict order.
+        """The up-closure of the cover rows must equal the strict order.
 
-        Built in decreasing order of a, up[a] holds the classes reached
-        from a along covers (an edge with b <= a never matches above[a],
-        whose bits are > a).  Reachability is transitive, so equality
-        proves the order transitive and checks the cover walk against the
-        masks, at one mask step per cover.
+        Built in decreasing a, up[a] holds the classes reached from a along
+        covers (an entry b <= a never matches above[a], whose bits are > a).
+        Reachability is transitive, so equality proves the order transitive
+        and checks the cover walk against the masks, at one step per cover.
         """
-        above = self._above
+        above, rows = self._above, self.cover_rows
         up = [0] * len(above)
-        for a, b in sorted(self.hasse_edges, reverse=True):
-            up[a] |= 1 << b | up[b]
+        for a in reversed(range(len(above))):
+            for b in rows[a]:
+                up[a] |= 1 << b | up[b]
         return up == above
 
     @cached_property
@@ -354,10 +361,12 @@ class TuplePoset:
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
-        """str(rep) of each class, for exporters and reports: the parts'
-        strings joined by "/", each distinct part formatted once."""
-        text = cache(str)
-        return tuple("/".join(map(text, cls.rep.parts)) for cls in self.classes)
+        """str(rep) of each class, for exporters and reports, read off the
+        omega tuples of its first multiset: the parts' texts joined by "/",
+        each distinct omega formatted once, no ``Weight`` built."""
+        text = cache(_omega_text)
+        return tuple("/".join(map(text, cls.multisets[0]))
+                     for cls in self.classes)
 
     @cached_property
     def _index_of(self) -> dict[tuple[int, ...], int]:
@@ -385,31 +394,37 @@ class TuplePoset:
             "hasse": [[e.low, e.high, e.kind.value] for e in self.cover_edges],
         }
 
-    def _writer_edges(self, texts: dict[CoverKind, str]):
-        """(low, high, texts[kind]) for each Hasse edge, for the two text
-        writers: the one place that skips the classifier off k = 2.  At
-        k = 2 the kinds come from cover_edges; at any other k every edge is
-        unclassified, so its one text is looked up once, not per edge.  The
-        edges are computed on the call, before the first one is read."""
+    def _edge_pieces(self, head: str, mid: str, tails: dict[CoverKind, str],
+                     sep: str = ""):
+        """The text writers' Hasse edges in pieces, edge (a, b) of kind K
+        written head + a + mid + b + tails[K]: the one place that skips the
+        classifier off k = 2.  At k = 2 the kinds come from cover_edges, one
+        piece per edge.  At any other k every edge is unclassified, and a
+        nonempty cover row is one piece, one join over its upper indices
+        with sep between edges.  The edges are computed on the call."""
         if self.k == 2:
-            return ((e.low, e.high, texts[e.kind]) for e in self.cover_edges)
-        text = texts[CoverKind.UNCLASSIFIED]
-        return ((a, b, text) for a, b in self.hasse_edges)
+            return (f"{head}{e.low}{mid}{e.high}{tails[e.kind]}"
+                    for e in self.cover_edges)
+        tail = tails[CoverKind.UNCLASSIFIED]
+        rows = ((head + str(a) + mid, highs)
+                for a, highs in enumerate(self.cover_rows) if highs)
+        return (low + (tail + sep + low).join(map(str, highs)) + tail
+                for low, highs in rows)
 
     def json_chunks(self):
         """The poset JSON file in pieces, for a writer to stream: joined,
         they are the bytes of json.dumps(self.to_json(), sort_keys=True,
         indent=2) plus a newline, written straight from the classes without
-        the dict tree.  The pieces are the head, one per class entry, one
-        per Hasse edge and the tail, so no piece holds two entries.  Each
-        distinct part is laid out once; kind values go through json.dumps.
-        The Hasse edges, and at k = 2 their kinds, are computed on the call,
-        not while the pieces are read, so a writer that calls this before
-        opening its file leaves no half-written file when they raise."""
+        the dict tree.  The pieces are the head, one per class entry, the
+        edge pieces of _edge_pieces and the tail.  Each distinct part omega
+        is laid out once; kind values go through json.dumps.  The Hasse
+        edges, and at k = 2 their kinds, are computed on the call, so a
+        writer that calls this before opening its file leaves no
+        half-written file when they raise."""
         @cache
-        def part(w: Weight) -> str:
-            return json_object((("omega", json_array(map(str, w.omega), 12)),
-                                ("rank", str(w.rank))), 10)
+        def part(omega: tuple[int, ...]) -> str:
+            return json_object((("omega", json_array(map(str, omega), 12)),
+                                ("rank", str(len(omega)))), 10)
 
         # a class entry is json_object of rep (json_object of k and the
         # parts array), size and the stats array at indent 4, spelled out
@@ -418,24 +433,25 @@ class TuplePoset:
                 + ',\n        "parts": [\n          ')
 
         def entry(cls: EquivClass) -> str:
-            return (head + ",\n          ".join(map(part, cls.rep.parts))
+            return (head + ",\n          ".join(map(part, cls.multisets[0]))
                     + '\n        ]\n      },\n      "size": ' + str(cls.size)
                     + ',\n      "stats": [\n        '
                     + ",\n        ".join(map(str, cls.stat_vector))
                     + "\n      ]\n    }")
 
-        # an edge is json_array([a, b, kind], 4), spelled out: one format
-        # per edge instead of two joins
-        edges = self._writer_edges({kind: json.dumps(kind.value)
-                                    for kind in CoverKind})
+        # an edge is json_array([a, b, kind], 4) spelled out, and edges are
+        # separated as _json_array_chunks separates elements at indent 2
+        edges = self._edge_pieces("[\n      ", ",\n      ",
+                                  {kind: ",\n      " + json.dumps(kind.value)
+                                   + "\n    ]" for kind in CoverKind},
+                                  ",\n    ")
         # the top-level object's fields in sorted key order, as json_object
         # lays them out at indent 0
         return itertools.chain(
             ('{\n  "classes": ',),
             _json_array_chunks(map(entry, self.classes), 2),
             (',\n  "hasse": ',),
-            _json_array_chunks((f"[\n      {a},\n      {b},\n      {text}\n    ]"
-                                for a, b, text in edges), 2),
+            _json_array_chunks(edges, 2),
             (',\n  "k": ' + str(self.k)
              + ',\n  "lambda": ' + json_array(map(str, self.lam.omega), 2)
              + ',\n  "num_classes": ' + str(len(self.classes)) + "\n}\n",))
@@ -446,17 +462,18 @@ class TuplePoset:
 
     def dot_chunks(self):
         """The Graphviz file of the Hasse diagram in pieces: the head, one
-        line per class, one per Hasse edge, styled by its kind, and the
-        tail.  The labels, the Hasse edges and at k = 2 their kinds are
-        computed on the call, as in json_chunks."""
+        line per class, the edge pieces of _edge_pieces, each edge a line
+        styled by its kind, and the tail.  The labels, the Hasse edges and
+        at k = 2 their kinds are computed on the call, as in json_chunks."""
         labels = self.labels
-        edges = self._writer_edges({CoverKind.TYPE_I: "solid",
-                                    CoverKind.TYPE_II: "dashed",
-                                    CoverKind.UNCLASSIFIED: "dotted"})
+        edges = self._edge_pieces("  n", " -> n", {
+            CoverKind.TYPE_I: " [style=solid];\n",
+            CoverKind.TYPE_II: " [style=dashed];\n",
+            CoverKind.UNCLASSIFIED: " [style=dotted];\n"})
         return itertools.chain(
             ("digraph tuple_poset {\n  rankdir=BT;\n",),
             (f'  n{c} [label="{label}"];\n' for c, label in enumerate(labels)),
-            (f"  n{a} -> n{b} [style={style}];\n" for a, b, style in edges),
+            edges,
             ("}\n",))
 
     def to_dot(self) -> str:
@@ -468,10 +485,11 @@ def _part_multisets(lam: tuple[int, ...], k: int):
     """Yield each multiset of k dominant parts summing to lam, once.
 
     A multiset is a tuple of omega tuples weakly decreasing in epsilon-lex
-    order, and they come in descending ``_tuple_sort_key`` order.  The
-    parts are the dominant omega tuples <= lam coordinatewise, listed by
-    descending epsilon-lex key, and each part sits no earlier in that list
-    than the one before it.  Only parts that can still fit are tried:
+    order, and they come in descending order of their parts' epsilon
+    tuples.  The parts are the dominant omega tuples <= lam coordinatewise,
+    listed by descending epsilon-lex key, and each part sits no earlier in
+    that list than the one before it.  Only parts that can still fit are
+    tried:
 
     * band cut: epsilon_1 (the omega sum) is non-increasing along the
       list, so with ``left`` parts still to place on the remainder
@@ -543,12 +561,12 @@ def build_poset(lam: Weight, k: int, guard: int = DEFAULT_GUARD) -> TuplePoset:
     multiset's stat vector comes from them through the same two helpers
     of :mod:`weyl_order.tuples` that ``WeightTuple.stat_vector`` uses
     (``_part_window_values``, ``_sorted_prefix_stats``).  The walk runs in
-    descending ``_tuple_sort_key`` order, so the first multiset of each
-    class is its largest member, the representative.  A class's size sums
-    k! / prod(mult!) over its multisets, the multiplicities read as run
-    lengths of equal adjacent parts.  Each distinct part becomes one
-    ``Weight``, shared by the representatives.  The guard still counts
-    ordered tuples.
+    descending order of the parts' epsilon tuples, so the first multiset
+    of each class is its largest member, the representative.  A class's
+    size sums k! / prod(mult!) over its multisets, the multiplicities read
+    as run lengths of equal adjacent parts.  No ``WeightTuple`` is built:
+    the classes share one ``Weight`` cache, from which a representative
+    read later takes its parts.  The guard still counts ordered tuples.
     """
     _check_fiber(lam, k, guard)
     window_values = cache(_part_window_values)
@@ -562,9 +580,8 @@ def build_poset(lam: Weight, k: int, guard: int = DEFAULT_GUARD) -> TuplePoset:
     for sv in sorted(by_stats):
         multisets = tuple(by_stats[sv])
         size = sum(_orderings(ms, k_orderings) for ms in multisets)
-        rep = WeightTuple(tuple(map(weight, multisets[0])))
-        classes.append(EquivClass(rep=rep, stat_vector=sv, size=size,
-                                  multisets=multisets))
+        classes.append(EquivClass(stat_vector=sv, size=size,
+                                  multisets=multisets, weight=weight))
     return TuplePoset(lam=lam, k=k, classes=tuple(classes))
 
 

@@ -16,11 +16,12 @@ permute it, and read weights modulo the all-ones vector (the sl_{n+1}
 weight lattice).  Omega coordinates are consecutive differences of the
 padded vector, so the uniform shift never matters.  A ``Weight`` caches
 its padded epsilon tuple and its dominance on first use; neither cache
-is a field.  A ``Permutation`` is the sorting witness the classifier
-reports: it is validated, and it prints in cycle notation, which it
-computes on first use and caches the same way, since the classifier
-shares one witness permutation per sorter of a lower class; equality,
-hashing, repr and pickling still read the images alone.
+is a field, and a ``Weight`` pickles from omega alone.  A ``Permutation``
+is the sorting witness the classifier reports: it is validated, and it
+prints in cycle notation, which it computes on first use and caches the
+same way, since the classifier shares one witness permutation per sorter
+of a lower class; equality, hashing, repr and pickling still read the
+images alone.
 """
 
 from __future__ import annotations
@@ -45,6 +46,11 @@ class Weight:
     @property
     def rank(self) -> int:
         return len(self.omega)
+
+    def __reduce__(self):
+        # pickled through the constructor from omega alone, so a cached
+        # padded epsilon tuple or dominance never travels with the object
+        return Weight, (self.omega,)
 
     @cached_property
     def is_dominant(self) -> bool:
@@ -114,7 +120,12 @@ class Weight:
         return w
 
     def __str__(self) -> str:
-        return "(" + ",".join(str(c) for c in self.omega) + ")"
+        return _omega_text(self.omega)
+
+
+def _omega_text(omega: tuple[int, ...]) -> str:
+    """A weight's text, read off its omega coordinates alone."""
+    return "(" + ",".join(map(str, omega)) + ")"
 
 
 @dataclass(frozen=True)

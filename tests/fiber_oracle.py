@@ -15,14 +15,31 @@ representative.
 ``part_multisets_by_scan`` is the multiset walk before the band cut and
 the box step: every part at or after the previous one is tried at every
 level, and only a negative remainder cuts a branch.
+``members`` expands a class's part multisets into its ordered tuples,
+sorted by ``tuple_sort_key``, the parts' epsilon tuples: the library
+keeps the multisets alone.
 """
 
 import itertools
 
-from weyl_order import Weight, enumerate_tuples, windows
-from weyl_order.posets import _tuple_sort_key
+from weyl_order import Weight, WeightTuple, enumerate_tuples, windows
 
 from weight_actions import window_values
+
+
+def tuple_sort_key(x):
+    """A tuple's parts' epsilon tuples: build_poset walks the multisets
+    in descending order of this key."""
+    return tuple(p.eps() for p in x.parts)
+
+
+def members(cls):
+    """Every ordered tuple of an ``EquivClass``, in ``tuple_sort_key``
+    order: each distinct ordering of each of its part multisets."""
+    orderings = {order for ms in cls.multisets
+                 for order in itertools.permutations(ms)}
+    return tuple(sorted((WeightTuple(tuple(map(Weight, order)))
+                         for order in orderings), key=tuple_sort_key))
 
 
 def stat_vector_by_windows(x):
@@ -46,7 +63,7 @@ def classes_by_enumeration(lam, k):
         by_stats.setdefault(stat_vector_by_windows(tup), []).append(tup)
     classes = []
     for sv in sorted(by_stats):
-        members = tuple(sorted(by_stats[sv], key=_tuple_sort_key))
+        members = tuple(sorted(by_stats[sv], key=tuple_sort_key))
         classes.append((sv, members[-1], members))
     return classes
 
@@ -55,7 +72,7 @@ def part_multisets_by_scan(lam: tuple[int, ...], k: int):
     """Yield each multiset of k dominant parts summing to lam, once.
 
     A multiset is a tuple of omega tuples weakly decreasing in epsilon-lex
-    order, and they come in descending ``_tuple_sort_key`` order.  The
+    order, and they come in descending ``tuple_sort_key`` order.  The
     parts are the dominant omega tuples <= lam coordinatewise, listed by
     descending epsilon-lex key; each part sits no earlier in that list
     than the one before it, a branch whose remainder goes negative is

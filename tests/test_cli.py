@@ -32,6 +32,27 @@ class TestSingleShot:
         dot = (tmp_path / "poset_lam2-1_k2.dot").read_text()
         assert dot.startswith("digraph")
 
+    def test_poset_off_k2_builds_no_weight_tuple(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # off k = 2 both files are written from the classes' omega tuples
+        # and the cover rows: no representative is built
+        from weyl_order import WeightTuple
+
+        def refuse(self):
+            raise AssertionError("the poset command built a WeightTuple")
+        monkeypatch.setattr(WeightTuple, "__post_init__", refuse)
+        code, out, _ = run(capsys, "poset", "--lambda", "2,2,1", "--k", "3",
+                           "--out-dir", str(tmp_path), "--dot")
+        assert code == 0
+        monkeypatch.undo()
+        poset = build_poset(Weight((2, 2, 1)), 3)
+        assert f"{len(poset)} classes, {len(poset.hasse_edges)} cover edges" \
+            in out
+        assert (tmp_path / "poset_lam2-2-1_k3.json").read_text() == \
+            poset.json_text()
+        assert (tmp_path / "poset_lam2-2-1_k3.dot").read_text() == \
+            poset.to_dot()
+
     def test_max(self, tmp_path, capsys):
         code, out, _ = run(capsys, "max", "--lambda", "2,1", "--k", "2",
                            "--out-dir", str(tmp_path), "--json")
@@ -293,7 +314,8 @@ class TestVerify:
         poset = build_poset(Weight((2, 2)), 3)
         item = ("extremes", "A", 2, (2, 2), 3, 10**6, False)
         assert cli.run_sweep_item(item, lambda: poset)["violations"] == []
-        poset.__dict__["hasse_edges"] = poset.hasse_edges[1:]
+        rows = poset.cover_rows
+        poset.__dict__["cover_rows"] = (rows[0][1:],) + rows[1:]
         row = cli.run_sweep_item(item, lambda: poset)
         assert row["violations"] == ["strict order is not transitive"]
 

@@ -532,18 +532,24 @@ class TestVerifiers:
     def test_one_label_per_class_across_reports(self, monkeypatch):
         # a poset serves every family and check of its fiber; clean checks
         # format no label, and the exporter formats them once, with the
-        # text str(rep) gives, each distinct part formatted once
+        # text str(rep) gives, read off the omega tuples: each distinct
+        # omega formatted once, and no Weight formatted
+        import weyl_order.posets as posets_mod
         posets = [build_poset(Weight(coords), k)
                   for coords, k in [((2, 2), 2), ((3, 2), 3), ((2, 2), 4)]]
-        wants = [tuple(str(cls.rep) for cls in poset.classes)
-                 for poset in posets]
+        wants = [tuple(str(cls.rep) for cls in build_poset(p.lam, p.k).classes)
+                 for p in posets]
         formatted = []
-        real = Weight.__str__
+        real = posets_mod._omega_text
 
-        def counting(w):
-            formatted.append(w)
-            return real(w)
-        monkeypatch.setattr(Weight, "__str__", counting)
+        def counting(omega):
+            formatted.append(omega)
+            return real(omega)
+        monkeypatch.setattr(posets_mod, "_omega_text", counting)
+
+        def refuse(w):
+            raise AssertionError(f"a label formatted the Weight {w.omega}")
+        monkeypatch.setattr(Weight, "__str__", refuse)
         for poset, want in zip(posets, wants):
             formatted.clear()
             verifiers = [verify_max_dim]
@@ -556,9 +562,10 @@ class TestVerifiers:
             assert formatted == [] and "labels" not in poset.__dict__
             poset.to_dot()
             assert poset.labels == want
-            parts = {p for cls in poset.classes for p in cls.rep.parts}
-            assert sorted(formatted, key=lambda w: w.omega) == \
-                sorted(parts, key=lambda w: w.omega)
+            omegas = {p for cls in poset.classes for p in cls.multisets[0]}
+            assert sorted(formatted) == sorted(omegas)
+            if poset.k != 2:
+                assert all("rep" not in cls.__dict__ for cls in poset.classes)
 
 
 class TestDetailRowsAgainstOracle:

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 from collections import Counter
 from hashlib import sha256
 
@@ -27,13 +28,14 @@ from weyl_order import (
     minimal_element,
     poset_size_k2,
 )
-from weyl_order.posets import (_part_multisets, _sorting_coset, _tuple_sort_key,
-                               compositions, json_array, json_object)
+from weyl_order.posets import (_part_multisets, _sorting_coset, compositions,
+                               json_array, json_object)
 from weyl_order.tuples import _part_window_values, stat_labels, windows
 
 from cover_oracle import classify_cover_by_search, sorting_coset_by_stabilizer
 from fiber_oracle import (classes_by_enumeration, compositions_by_recursion,
-                          part_multisets_by_scan, stat_vector_by_windows)
+                          members, part_multisets_by_scan,
+                          stat_vector_by_windows, tuple_sort_key)
 from move_oracle import covers_by_moves
 from weight_actions import (act, canonical_form, inverse, is_identity,
                             sorting_permutation)
@@ -203,7 +205,7 @@ class TestBuildPoset:
     def test_classes_are_compare_equivalent(self):
         poset = build_poset(Weight((2, 2)), 3)
         for c, cls in enumerate(poset.classes):
-            for m in cls.members:
+            for m in members(cls):
                 assert compare(m, cls.rep) is OrderVerdict.EQUIV
                 assert poset.class_of(m) == c
         for a, b in itertools.combinations(range(len(poset.classes)), 2):
@@ -213,8 +215,8 @@ class TestBuildPoset:
         for coords in [(2, 2), (2, 1, 1)]:
             for k in (2, 3, 4):
                 for cls in build_poset(Weight(coords), k).classes:
-                    assert cls.rep == max((canonical_form(m) for m in cls.members),
-                                          key=_tuple_sort_key)
+                    assert cls.rep == max(map(canonical_form, members(cls)),
+                                          key=tuple_sort_key)
 
     def test_classes_partition_the_fiber(self):
         for coords in [(0,), (0, 0), (3,), (2, 1), (0, 2, 1), (1, 1, 1, 1)]:
@@ -233,10 +235,10 @@ class TestBuildPoset:
         want = classes_by_enumeration(lam, k)
         classes = build_poset(lam, k).classes
         assert [c.stat_vector for c in classes] == [sv for sv, _, _ in want]
-        for cls, (_, rep, members) in zip(classes, want):
+        for cls, (_, rep, want_members) in zip(classes, want):
             assert cls.rep == rep
-            assert cls.size == len(members)
-            assert cls.members == members
+            assert cls.size == len(want_members)
+            assert members(cls) == want_members
 
     def test_stat_vectors_match_window_reference(self):
         # lambda = 0 and k = 1 included; build_poset and
@@ -246,14 +248,15 @@ class TestBuildPoset:
             for coords in itertools.product(range(4), repeat=rank):
                 for k in (1, 2, 3, 4):
                     for cls in build_poset(Weight(coords), k).classes:
-                        for m in cls.members:
+                        for m in members(cls):
                             want = stat_vector_by_windows(m)
                             assert cls.stat_vector == want, (coords, k)
                             assert m.stat_vector == want, (coords, k)
 
     def test_build_orders_no_parts(self, monkeypatch):
-        # the walk never calls the ordered-tuple route, and the one
-        # WeightTuple it builds per class is the representative
+        # the walk never calls the ordered-tuple route and builds no
+        # WeightTuple: a representative is built when first read, from the
+        # class's first multiset, its parts shared across the poset
         import weyl_order.posets as posets
 
         def refuse(*args, **kwargs):
@@ -271,7 +274,28 @@ class TestBuildPoset:
         for coords, k in [((2, 1), 2), ((5, 5), 6), ((2, 2, 2), 3), ((0, 0), 1)]:
             built.clear()
             poset = build_poset(Weight(coords), k)
-            assert [id(x) for x in built] == [id(c.rep) for c in poset.classes]
+            assert built == []
+            reps = [cls.rep for cls in poset.classes]
+            again = [cls.rep for cls in poset.classes]  # cached, not rebuilt
+            assert list(map(id, built)) == list(map(id, reps)) == \
+                list(map(id, again))
+            assert reps == [WeightTuple(tuple(map(Weight, cls.multisets[0])))
+                            for cls in poset.classes]
+            parts = {p.omega: p for rep in reps for p in rep.parts}
+            assert all(p is parts[p.omega] for rep in reps for p in rep.parts)
+
+    def test_a_poset_pickles_without_its_weight_cache(self):
+        # the classes share one Weight cache, which stays behind: a class
+        # pickles from its fields, and its representative is rebuilt on read
+        import pickle
+        poset = build_poset(Weight((2, 2)), 3)
+        poset.cover_rows, poset.labels
+        reps = [cls.rep for cls in poset.classes]
+        back = pickle.loads(pickle.dumps(poset))
+        assert back == poset and back.cover_rows == poset.cover_rows
+        assert all("rep" not in cls.__dict__ for cls in back.classes)
+        assert [cls.rep for cls in back.classes] == reps
+        assert back.json_text() == poset.json_text()
 
 
 def assert_walk_matches_scan(lam, k):
@@ -357,7 +381,8 @@ class TestOrbitStructure:
         for coords in itertools.product(range(4), repeat=2):
             poset = build_poset(Weight(coords), 2)
             for cls in poset.classes:
-                parts = {tuple(p.omega for p in m.parts) for m in cls.members}
+                parts = {tuple(p.omega for p in m.parts)
+                         for m in members(cls)}
                 a = next(iter(parts))
                 assert parts == {a, (a[1], a[0])}
                 assert cls.size in (1, 2)
@@ -368,7 +393,8 @@ class TestOrbitStructure:
         poset = build_poset(Weight((3, 3)), 3)
         cls = poset.classes[poset.class_of(T((1, 2), (2, 0), (0, 1)))]
         assert cls.size == 12
-        multisets = {frozenset(p.omega for p in m.parts) for m in cls.members}
+        multisets = {frozenset(p.omega for p in m.parts)
+                     for m in members(cls)}
         assert multisets == {
             frozenset({(1, 2), (2, 0), (0, 1)}),
             frozenset({(2, 1), (0, 2), (1, 0)})}
@@ -846,8 +872,7 @@ class TestSharedOrder:
         # maximal, so neither extreme is unique
         lam = Weight((1, 0))
         classes = tuple(
-            EquivClass(rep=T((1, 0), (0, 0)), stat_vector=sv, size=1,
-                       multisets=(((1, 0), (0, 0)),))
+            EquivClass(stat_vector=sv, size=1, multisets=(((1, 0), (0, 0)),))
             for sv in ((0, 1), (1, 0)))
         poset = TuplePoset(lam=lam, k=2, classes=classes)
         assert poset._above == [0, 0]
@@ -859,20 +884,24 @@ class TestSharedOrder:
     def test_transitive_ok_checks_the_covers_against_the_masks(self):
         for coords, k in [((2, 1), 2), ((2, 2), 3), ((1, 1, 1), 2)]:
             poset = build_poset(Weight(coords), k)
-            edges = poset.hasse_edges
+            rows = poset.cover_rows
             assert poset.transitive_ok()
-            for drop in range(len(edges)):
-                poset.__dict__["hasse_edges"] = edges[:drop] + edges[drop + 1:]
-                assert not poset.transitive_ok(), (coords, k, edges[drop])
+
+            def corrupt(a, row):
+                poset.__dict__["cover_rows"] = rows[:a] + (row,) + rows[a + 1:]
+            for a, row in enumerate(rows):
+                for drop in range(len(row)):
+                    corrupt(a, row[:drop] + row[drop + 1:])
+                    assert not poset.transitive_ok(), (coords, k, a, row[drop])
             # an edge to a class below a, or incomparable with it, appended
             # out of order
             m = len(poset)
             strays = [(a, b) for a in range(m) for b in range(m)
                       if a != b and not poset._above[a] >> b & 1]
             assert strays
-            for edge in strays:
-                poset.__dict__["hasse_edges"] = edges + (edge,)
-                assert not poset.transitive_ok(), (coords, k, edge)
+            for a, b in strays:
+                corrupt(a, rows[a] + (b,))
+                assert not poset.transitive_ok(), (coords, k, (a, b))
 
     def test_each_cover_is_classified_once(self, monkeypatch):
         import weyl_order.posets as posets
@@ -1018,6 +1047,51 @@ def dot_by_lines(poset):
     return "\n".join(lines + ["}"]) + "\n"
 
 
+def assert_one_class_row_per_piece(poset):
+    """No piece of either file holds two class entries, the edges of two
+    low classes, or a class entry and an edge.  The patterns find the low
+    class of each JSON hasse element (its bracket opens six spaces before
+    the low index) and of each DOT edge line."""
+    json_edge = re.compile(r"\[\n      (\d+),\n")
+    dot_edge = re.compile(r"^  n(\d+) -> ", re.M)
+    for pieces, edge, entry in ((poset.json_chunks(), json_edge, '"rep": '),
+                                (poset.dot_chunks(), dot_edge, " [label=")):
+        for piece in pieces:
+            lows = set(edge.findall(piece))
+            assert len(lows) + piece.count(entry) <= 1, piece[:200]
+
+
+class TestCoverRows:
+    """The per-class cover rows, the one cover walk, against the pairwise
+    Hasse reduction, and the row-piece writers against the per-edge
+    reference writers."""
+
+    def test_rows_flatten_to_the_pairwise_hasse_edges(self):
+        for rank in (1, 2, 3):
+            for lam in itertools.product(range(3), repeat=rank):
+                for k in (1, 2, 3, 4):
+                    poset = build_poset(Weight(lam), k)
+                    rows = poset.cover_rows
+                    assert len(rows) == len(poset), (lam, k)
+                    assert all(list(row) == sorted(set(row)) for row in rows)
+                    flat = tuple((a, b) for a, row in enumerate(rows)
+                                 for b in row)
+                    assert flat == poset.hasse_edges == \
+                        hasse_edges_pairwise(poset), (lam, k)
+
+    @pytest.mark.parametrize("lam,k", [((6, 6, 6), 3), ((5, 5), 6),
+                                       ((2, 2, 2, 2, 2, 2), 2)])
+    def test_dot_matches_the_per_edge_writer_on_the_benchmark_fibers(self, lam,
+                                                                     k):
+        # TestJsonText checks the JSON of these fibers against json.dumps;
+        # off k = 2 their cover rows hold up to 48 edges in one piece
+        poset = build_poset(Weight(lam), k)
+        want = dot_by_lines(poset)
+        got = poset.to_dot()
+        assert (len(got), sha256(got.encode()).digest()) == \
+            (len(want), sha256(want.encode()).digest())
+
+
 class TestChunks:
     """The streamed writers: small pieces that join to the oracle texts."""
 
@@ -1037,15 +1111,20 @@ class TestChunks:
                     assert dot == dot_by_lines(poset), (lam, k)
 
     def test_one_piece_per_class_and_edge(self):
-        for lam, k in (((2, 1), 1), ((2, 1), 2), ((2, 1, 1), 3)):
+        # off k = 2 the edges of one cover row are one piece; at k = 2,
+        # where the kinds differ, each edge is one
+        for lam, k in (((2, 1), 1), ((2, 1), 2), ((2, 1, 1), 3), ((3, 3), 3)):
             poset = build_poset(Weight(lam), k)
-            m, edges = len(poset), len(poset.hasse_edges)
+            m = len(poset)
+            edges = (len(poset.hasse_edges) if k == 2
+                     else sum(1 for row in poset.cover_rows if row))
             # the head, the classes and their closing bracket, the hasse
-            # key, the edges and their closing bracket (an empty hasse is
-            # the one piece []), the tail
+            # key, the edge pieces and their closing bracket (an empty
+            # hasse is the one piece []), the tail
             assert len(list(poset.json_chunks())) == \
                 1 + (m + 1) + 1 + (edges + 1 if edges else 1) + 1
             assert len(list(poset.dot_chunks())) == 1 + m + edges + 1
+        assert max(map(len, build_poset(Weight((3, 3)), 3).cover_rows)) > 1
         empty = list(build_poset(Weight((2, 1)), 1).json_chunks())
         assert empty[-3:-1] == [',\n  "hasse": ', "[]"]
 
@@ -1056,9 +1135,8 @@ class TestChunks:
 
         from weyl_order import cli
         poset = build_poset(Weight((6, 6, 6)), 3)
-        poset.hasse_edges, poset.labels  # built outside the measured write
-        assert max(map(len, poset.json_chunks())) <= 1024
-        assert max(map(len, poset.dot_chunks())) <= 1024
+        poset.cover_rows, poset.labels  # built outside the measured write
+        assert_one_class_row_per_piece(poset)
         tracemalloc.start()
         try:
             cli._write_text(tmp_path / "poset.json", poset.json_chunks())

@@ -58,7 +58,35 @@ def test_posets_tests_k_against_two_only_in_the_text_writers():
                     if "self.k" in sides and "2" in sides:
                         found.append(f"{cls.name}.{fn.name}")
     assert found
-    assert set(found) <= {"TuplePoset._writer_edges"}
+    assert set(found) <= {"TuplePoset._edge_pieces"}
+
+
+def test_build_poset_builds_no_weight_tuple():
+    # the classes hold omega tuples; a representative WeightTuple is built
+    # only when a caller reads EquivClass.rep
+    tree = ast.parse((SRC / "posets.py").read_text())
+    build = next(n for n in tree.body if isinstance(n, ast.FunctionDef)
+                 and n.name == "build_poset")
+    called = {ast.unparse(node.func) for node in ast.walk(build)
+              if isinstance(node, ast.Call)}
+    assert "EquivClass" in called and "WeightTuple" not in called
+
+
+def test_test_only_routes_are_gone_from_the_library():
+    # the ordered members of a class and their sort key live in
+    # tests/fiber_oracle.py; the library keeps the multisets alone
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    gone = {"members", "_tuple_sort_key"}  # a local may still be "members"
+    found = [f"{path.name}:{node.lineno}" for path in paths
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if (isinstance(node, ast.FunctionDef) and node.name in gone)
+             or (isinstance(node, ast.Attribute) and node.attr in gone)
+             or (isinstance(node, ast.Name) and node.id == "_tuple_sort_key")]
+    assert found == []
+    from weyl_order import posets
+    assert not hasattr(posets.EquivClass, "members")
+    assert not hasattr(posets, "_tuple_sort_key")
 
 
 def test_posets_keeps_no_module_level_cache():

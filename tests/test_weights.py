@@ -76,6 +76,24 @@ class TestWeightBasics:
             assert repr(read) == repr(fresh) == f"Weight(omega={omega})"
             assert read.to_json() == fresh.to_json()
 
+    def test_caches_are_kept_outside_the_fields(self):
+        # the padded epsilon tuple and dominance are cached outside the
+        # fields: equality, hash, repr and pickling read omega alone, as for
+        # Permutation's cached cycle notation
+        read, fresh = Weight((2, 0, 1)), Weight((2, 0, 1))
+        assert read.eps_padded() == (3, 1, 1, 0) and read.is_dominant
+        assert {"_eps_padded", "is_dominant"} <= read.__dict__.keys()
+        assert "_eps_padded" not in fresh.__dict__
+        assert "is_dominant" not in fresh.__dict__
+        assert [f.name for f in dataclasses.fields(Weight)] == ["omega"]
+        assert read == fresh and hash(read) == hash(fresh)
+        assert repr(read) == repr(fresh) == "Weight(omega=(2, 0, 1))"
+        assert pickle.dumps(read) == pickle.dumps(fresh)
+        back = pickle.loads(pickle.dumps(read))
+        assert back == read and back.__dict__ == {"omega": (2, 0, 1)}
+        assert back.eps_padded() == read.eps_padded()
+        assert back.is_dominant
+
     def test_json_round_trip(self):
         w = Weight((4, 0, 1))
         assert Weight.from_json(w.to_json()) == w

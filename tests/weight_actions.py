@@ -1,8 +1,8 @@
 """The S_{n+1} action algebra and the reference tuple transforms.
 
 The package decides part order and the sorting frame in one place each
-(``posets._tuple_sort_key``, ``posets._sorting_coset`` and the sort
-inside ``classify_cover``), and window and stat values in one place
+(the order of ``posets._part_multisets``, ``posets._sorting_coset`` and
+the sort inside ``classify_cover``), and window and stat values in one place
 each (``tuples._part_window_values``, ``tuples._sorted_prefix_stats``).
 This module keeps the second routes those decisions stand for, as plain
 functions over the package's ``Permutation``, ``Weight``,
