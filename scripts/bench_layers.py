@@ -1,0 +1,153 @@
+#!/usr/bin/env python3
+"""Time the poset layers on the benchmark fibers and write BENCH_<label>.json.
+
+For the fiber of each ``perfbench`` workload (for ``sweep``, the largest
+fiber of its grid) it records the best of ``--repeat`` wall times of
+``build_poset``, the strict order (``TuplePoset._below``), the cover walk
+(``cover_rows``), at k = 2 the classified covers (``cover_edges``), and
+the two file writers (``json_chunks`` and ``dot_chunks``, every piece
+read).  Each layer is timed on a poset whose earlier layers are already
+built, so no time holds another layer's.  It also records the
+tracemalloc peak of the cover walk next to the bytes of the masks it
+walks, the sizes (classes, covers, characters written) and where the
+numbers come from: git commit, whether ``src/`` differs from it, Python
+version, nproc and the ``src/`` line count.  Standard library only.
+
+Example:
+    PYTHONPATH=src python scripts/bench_layers.py --label after --repeat 7
+"""
+
+import argparse
+import json
+import os
+import platform
+import re
+import subprocess
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+from weyl_order import Weight, build_poset
+from weyl_order.cli import positive_int
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# the fibers of perfbench/run.py's workloads, by workload name
+FIBERS = {
+    "sweep": ((5, 5), 4),
+    "poset_k3": ((6, 6, 6), 3),
+    "poset_k6": ((5, 5), 6),
+    "covers_k2": ((2, 2, 2, 2, 2, 2), 2),
+}
+
+
+def label_text(text: str) -> str:
+    """A label is a file-name piece: letters, digits, '.', '_' or '-'."""
+    if not re.fullmatch(r"[A-Za-z0-9._-]+", text):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a label (letters, digits, '.', '_', '-')")
+    return text
+
+
+def timed(fn):
+    t0 = time.perf_counter()
+    out = fn()
+    return time.perf_counter() - t0, out
+
+
+def layer_times(lam: Weight, k: int) -> tuple[dict, dict]:
+    """One pass over the layers of a fresh poset: (seconds, sizes)."""
+    seconds, sizes = {}, {}
+    seconds["build_poset"], poset = timed(lambda: build_poset(lam, k))
+    seconds["_below"], _ = timed(lambda: poset._below)
+    seconds["cover_rows"], rows = timed(lambda: poset.cover_rows)
+    if k == 2:
+        poset.hasse_edges  # the flattened pairs, not timed
+        seconds["cover_edges"], _ = timed(lambda: poset.cover_edges)
+    seconds["json_chunks"], sizes["json_chars"] = timed(
+        lambda: sum(map(len, poset.json_chunks())))
+    seconds["dot_chunks"], sizes["dot_chars"] = timed(
+        lambda: sum(map(len, poset.dot_chunks())))
+    sizes["classes"] = len(poset)
+    sizes["covers"] = sum(map(len, rows))
+    return seconds, sizes
+
+
+def cover_walk_memory(lam: Weight, k: int) -> dict:
+    """The tracemalloc peak of cover_rows, with the order built first, and
+    the bytes of the masks it walks."""
+    poset = build_poset(lam, k)
+    below_bytes = sum(map(sys.getsizeof, poset._below))
+    tracemalloc.start()
+    try:
+        poset.cover_rows
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {"cover_rows_peak_bytes": peak, "below_bytes": below_bytes}
+
+
+def measure_fiber(coords: tuple[int, ...], k: int, repeat: int) -> dict:
+    lam = Weight(coords)
+    best: dict = {}
+    for _ in range(repeat):
+        seconds, sizes = layer_times(lam, k)
+        for name, s in seconds.items():
+            best[name] = min(s, best.get(name, s))
+    return {"lambda": list(coords), "k": k, **sizes,
+            "seconds_min": {name: round(s, 6) for name, s in best.items()},
+            **cover_walk_memory(lam, k)}
+
+
+def git(*args: str) -> str | None:
+    try:
+        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
+                              text=True, timeout=30, check=True).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        return None
+
+
+def provenance() -> dict:
+    status = git("status", "--porcelain", "--", "src")
+    try:
+        nproc = len(os.sched_getaffinity(0))
+    except AttributeError:
+        nproc = os.cpu_count()
+    return {"git_commit": git("rev-parse", "HEAD"),
+            "src_differs_from_commit": None if status is None else status != "",
+            "python": platform.python_version(), "nproc": nproc,
+            "src_lines": sum(len(p.read_text().splitlines())
+                             for p in sorted((ROOT / "src").rglob("*.py")))}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--label", type=label_text, required=True,
+                    help="names the file BENCH_<label>.json")
+    ap.add_argument("--repeat", type=positive_int, default=7,
+                    help="passes per fiber; each time is the best of them")
+    ap.add_argument("--out-dir", type=Path, default=ROOT)
+    args = ap.parse_args(argv)
+    try:  # before the timing, not after
+        args.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        ap.error(f"--out-dir {str(args.out_dir)!r}: cannot create it: "
+                 f"{e.strerror or e}")
+    out = args.out_dir / f"BENCH_{args.label}.json"
+    if out.is_dir():
+        ap.error(f"--out-dir {str(args.out_dir)!r}: {out.name} is a directory")
+
+    fibers = {}
+    for name, (coords, k) in FIBERS.items():
+        fibers[name] = measure_fiber(coords, k, args.repeat)
+        print(name, json.dumps(fibers[name]["seconds_min"]))
+    payload = {"label": args.label, "repeat": args.repeat,
+               "provenance": provenance(), "fibers": fibers}
+    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

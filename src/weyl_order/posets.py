@@ -16,13 +16,16 @@ multiplicities read as run lengths of equal adjacent parts.  A class
 holds integers only; its representative ``WeightTuple`` is built when
 first read, from one shared ``Weight`` per distinct part.  The quotient
 carries the coordinatewise order from :mod:`weyl_order.tuples` as one
-list of strict-order masks (``_above``); the cover walk (one row of
-covering classes per class, ``cover_rows``) and both extremes read it,
-the minimal classes being the bits set in no mask.  The masks skip every
-stat coordinate that holds one value over all classes: such a coordinate
-ranks every class equal, so it clears no bit.  Every l = k coordinate is
-one (the k smallest of k parts are all of them, summing to lam's window
-value), which is 6 of 18 coordinates on (6,6,6) at k = 3.
+list of strict-order masks (``_below``, bit d of ``_below[c]`` set when
+class d < class c), each class's mask one AND of "at most" masks, one
+per stat coordinate.  The cover walk (one row of covering classes per
+class, ``cover_rows``) pops the highest bit of each mask, and both
+extremes read the masks, the maximal classes being the bits set in no
+mask.  The masks skip every stat coordinate that holds one value over
+all classes: such a coordinate ranks every class equal, so it clears no
+bit.  Every l = k coordinate is one (the k smallest of k parts are all
+of them, summing to lam's window value), which is 6 of 18 coordinates on
+(6,6,6) at k = 3.
 
 The quotient always has a unique bottom class, the one containing
 (lam, 0, ..., 0), and a unique top class whose representative spreads
@@ -50,9 +53,10 @@ edge iterator ``_edge_pieces``: every edge is unclassified, so a cover
 row is one text piece, one join over its upper indices.
 ``json_chunks`` and ``dot_chunks`` yield the poset JSON file (the bytes
 ``json.dumps(to_json(), sort_keys=True, indent=2)`` gives, each class
-entry one concatenation, each distinct part omega laid out once) and the
-Graphviz file in pieces, which a writer streams without holding either
-file whole; ``json_text`` and ``to_dot`` join them.
+entry and each distinct part one concatenation, the part laid out once)
+and the Graphviz file in pieces, which a writer streams without holding
+either file whole, formatting each class index and stat value once per
+call; ``json_text`` and ``to_dot`` join them.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property, reduce
-from operator import attrgetter, or_, sub
+from operator import and_, attrgetter, or_, sub
 from typing import Callable
 
 from .tuples import (OrderVerdict, WeightTuple, _part_window_values,
@@ -242,61 +246,65 @@ class TuplePoset:
                                      self.classes[b].stat_vector)
 
     @cached_property
-    def _above(self) -> list[int]:
-        """The strict order: above[c] has bit d set when class c < class d.
+    def _below(self) -> list[int]:
+        """The strict order: below[c] has bit d set when class d < class c.
 
-        Built from rank masks, one stat coordinate at a time: sorting the
-        classes by that coordinate and walking its groups of equal values
-        upwards, the complement of the running OR before c's group is the
-        mask of classes whose value is >= c's.  Distinct classes have
-        distinct stat vectors, so ANDing these over all coordinates into
-        the mask of every class but c leaves above[c].
+        Built from "at most" masks, one stat coordinate at a time: walking
+        that coordinate's distinct values upwards with a running OR of
+        their classes gives, per value v, the mask of classes whose value
+        is <= v.  Distinct classes have distinct stat vectors, so the AND
+        of c's masks over all coordinates is c and the classes below it;
+        dropping c's own bit leaves below[c].
 
         A coordinate that holds one value over all classes is skipped: its
-        one group's mask is full, so it would clear no bit.  Every l = k
-        coordinate is such a column, since it sums the whole window of lam.
+        one mask is full, so it would clear no bit.  Every l = k coordinate
+        is such a column, since it sums the whole window of lam.
 
         Classes are indexed in lex order of stat vectors, a linear
-        extension of the order: every bit of above[c] is > c.
+        extension of the order: every bit of below[c] is < c.
         """
         m = len(self.classes)
-        full = (1 << m) - 1
-        above = [full ^ (1 << c) for c in range(m)]
+        columns = []  # per non-constant coordinate, each class's at-most mask
         for column in zip(*(cls.stat_vector for cls in self.classes)):
             if column.count(column[0]) == m:
                 continue
-            value = column.__getitem__
-            seen = 0  # classes met so far, walking this coordinate upwards
-            for _, group in itertools.groupby(sorted(range(m), key=value), key=value):
-                at_least = full ^ seen
-                for c in group:
-                    seen |= 1 << c
-                    above[c] &= at_least
-        return above
+            at_most: dict[int, int] = {}
+            for c, v in enumerate(column):
+                at_most[v] = at_most.get(v, 0) | 1 << c
+            seen = 0
+            for v in sorted(at_most):
+                seen = at_most[v] = seen | at_most[v]
+            columns.append(map(at_most.__getitem__, column))
+        if not columns:  # every coordinate constant: one class
+            return [0] * m
+        return [reduce(and_, masks) ^ 1 << c
+                for c, masks in enumerate(zip(*columns))]
 
     @cached_property
     def cover_rows(self) -> tuple[tuple[int, ...], ...]:
         """Per class a, the classes covering a, in increasing order.
 
-        A cover walk: pop the lowest class b left in rest = above[a], put
-        it in a's row, and drop above[b] from rest.  Index order is a
-        linear extension (see _above), so a class strictly between a and b
-        was either popped first, and b dropped as lying above it, or itself
-        dropped as lying above an earlier pop, and then so was b.  Hence
-        every popped b is a cover, and no cover is ever dropped.  The cost
-        is a few mask operations per cover, not one per strict pair.
+        A cover walk, class c by class c upwards: pop the highest class a
+        left in rest = below[c], append c to a's row, and drop a and
+        below[a] from rest.  Index order is a linear extension (see
+        _below), so a class strictly between a and c would sit in rest
+        above a: it was either popped first, and a dropped as lying below
+        it, or itself dropped as lying below an earlier pop, and then so
+        was a.  Hence every popped a is covered by c, and no cover is ever
+        dropped.  The top bit is read with bit_length, which builds no
+        integer, and rest only shrinks below it, so the cost is a few
+        operations on at most c-bit masks per cover, not one per strict
+        pair.  Rows fill in increasing c, so each comes out sorted.
         """
-        above = self._above
-        rows = []
-        for rest in above:
-            row = []
+        below = self._below
+        rows = [[] for _ in below]
+        for c, rest in enumerate(below):
             while rest:
-                low = rest & -rest
-                b = low.bit_length() - 1
-                row.append(b)
-                rest ^= low
-                rest &= ~above[b]
-            rows.append(tuple(row))
+                a = rest.bit_length() - 1
+                rows[a].append(c)
+                rest ^= rest & below[a] | 1 << a
+        for a, row in enumerate(rows):  # one row's list freed at a time
+            rows[a] = tuple(row)
         return tuple(rows)
 
     @cached_property
@@ -319,32 +327,35 @@ class TuplePoset:
         return edges
 
     def transitive_ok(self) -> bool:
-        """The up-closure of the cover rows must equal the strict order.
+        """The down-closure of the cover rows must equal the strict order.
 
-        Built in decreasing a, up[a] holds the classes reached from a along
-        covers (an entry b <= a never matches above[a], whose bits are > a).
+        Built in increasing a, down[c] holds the classes reached from c
+        down along covers (an entry c <= a in a's row puts bit a into
+        down[c], which below[c], whose bits are < c, never holds).
         Reachability is transitive, so equality proves the order transitive
         and checks the cover walk against the masks, at one step per cover.
         """
-        above, rows = self._above, self.cover_rows
-        up = [0] * len(above)
-        for a in reversed(range(len(above))):
-            for b in rows[a]:
-                up[a] |= 1 << b | up[b]
-        return up == above
+        below, rows = self._below, self.cover_rows
+        down = [0] * len(below)
+        for a, row in enumerate(rows):
+            reached = 1 << a | down[a]
+            for c in row:
+                down[c] |= reached
+        return down == below
 
     @cached_property
     def bottom_index(self) -> int:
-        """The unique minimal class: the one bit set in no above mask."""
-        has_below = reduce(or_, self._above, 0)
-        mins = [c for c in range(len(self.classes)) if not has_below >> c & 1]
+        """The unique minimal class: the one with an empty below mask."""
+        mins = [c for c, mask in enumerate(self._below) if mask == 0]
         if len(mins) != 1:
             raise ValueError(f"expected a unique minimal class, found {mins}")
         return mins[0]
 
     @cached_property
     def top_index(self) -> int:
-        maxs = [c for c, mask in enumerate(self._above) if mask == 0]
+        """The unique maximal class: the one bit set in no below mask."""
+        has_above = reduce(or_, self._below, 0)
+        maxs = [c for c in range(len(self.classes)) if not has_above >> c & 1]
         if len(maxs) != 1:
             raise ValueError(f"expected a unique maximal class, found {maxs}")
         return maxs[0]
@@ -394,21 +405,29 @@ class TuplePoset:
             "hasse": [[e.low, e.high, e.kind.value] for e in self.cover_edges],
         }
 
-    def _edge_pieces(self, head: str, mid: str, tails: dict[CoverKind, str],
-                     sep: str = ""):
+    def _int_texts(self) -> list[str]:
+        """str(i) for 0 <= i < n, n past every class index and stat value:
+        a stat value sums window values of dominant parts, at most lam's
+        window value, so it lies in 0 .. sum(lam.omega).  The writers
+        format their integers through it, each integer once per call."""
+        return list(map(str, range(max(len(self), sum(self.lam.omega) + 1))))
+
+    def _edge_pieces(self, text: Callable[[int], str], head: str, mid: str,
+                     tails: dict[CoverKind, str], sep: str = ""):
         """The text writers' Hasse edges in pieces, edge (a, b) of kind K
-        written head + a + mid + b + tails[K]: the one place that skips the
-        classifier off k = 2.  At k = 2 the kinds come from cover_edges, one
-        piece per edge.  At any other k every edge is unclassified, and a
-        nonempty cover row is one piece, one join over its upper indices
-        with sep between edges.  The edges are computed on the call."""
+        written head + a + mid + b + tails[K], the indices through text:
+        the one place that skips the classifier off k = 2.  At k = 2 the
+        kinds come from cover_edges, one piece per edge.  At any other k
+        every edge is unclassified, and a nonempty cover row is one piece,
+        one join over its upper indices with sep between edges.  The edges
+        are computed on the call."""
         if self.k == 2:
-            return (f"{head}{e.low}{mid}{e.high}{tails[e.kind]}"
+            return (f"{head}{text(e.low)}{mid}{text(e.high)}{tails[e.kind]}"
                     for e in self.cover_edges)
         tail = tails[CoverKind.UNCLASSIFIED]
-        rows = ((head + str(a) + mid, highs)
+        rows = ((head + text(a) + mid, highs)
                 for a, highs in enumerate(self.cover_rows) if highs)
-        return (low + (tail + sep + low).join(map(str, highs)) + tail
+        return (low + (tail + sep + low).join(map(text, highs)) + tail
                 for low, highs in rows)
 
     def json_chunks(self):
@@ -417,15 +436,21 @@ class TuplePoset:
         indent=2) plus a newline, written straight from the classes without
         the dict tree.  The pieces are the head, one per class entry, the
         edge pieces of _edge_pieces and the tail.  Each distinct part omega
-        is laid out once; kind values go through json.dumps.  The Hasse
-        edges, and at k = 2 their kinds, are computed on the call, so a
-        writer that calls this before opening its file leaves no
-        half-written file when they raise."""
+        and each integer of the stats and the edges is formatted once; kind
+        values go through json.dumps.  The Hasse edges, and at k = 2 their
+        kinds, are computed on the call, so a writer that calls this before
+        opening its file leaves no half-written file when they raise."""
+        # a part is json_object of its omega array (json_array at indent
+        # 12) and its rank at indent 10, spelled out as one concatenation;
+        # a weight has rank >= 1, so the array is never empty
         @cache
         def part(omega: tuple[int, ...]) -> str:
-            return json_object((("omega", json_array(map(str, omega), 12)),
-                                ("rank", str(len(omega)))), 10)
+            return ('{\n            "omega": [\n              '
+                    + ",\n              ".join(map(str, omega))
+                    + '\n            ],\n            "rank": ' + str(len(omega))
+                    + "\n          }")
 
+        text = self._int_texts().__getitem__
         # a class entry is json_object of rep (json_object of k and the
         # parts array), size and the stats array at indent 4, spelled out
         # as one concatenation; neither array is ever empty
@@ -436,12 +461,12 @@ class TuplePoset:
             return (head + ",\n          ".join(map(part, cls.multisets[0]))
                     + '\n        ]\n      },\n      "size": ' + str(cls.size)
                     + ',\n      "stats": [\n        '
-                    + ",\n        ".join(map(str, cls.stat_vector))
+                    + ",\n        ".join(map(text, cls.stat_vector))
                     + "\n      ]\n    }")
 
         # an edge is json_array([a, b, kind], 4) spelled out, and edges are
         # separated as _json_array_chunks separates elements at indent 2
-        edges = self._edge_pieces("[\n      ", ",\n      ",
+        edges = self._edge_pieces(text, "[\n      ", ",\n      ",
                                   {kind: ",\n      " + json.dumps(kind.value)
                                    + "\n    ]" for kind in CoverKind},
                                   ",\n    ")
@@ -465,8 +490,8 @@ class TuplePoset:
         line per class, the edge pieces of _edge_pieces, each edge a line
         styled by its kind, and the tail.  The labels, the Hasse edges and
         at k = 2 their kinds are computed on the call, as in json_chunks."""
-        labels = self.labels
-        edges = self._edge_pieces("  n", " -> n", {
+        labels, text = self.labels, self._int_texts().__getitem__
+        edges = self._edge_pieces(text, "  n", " -> n", {
             CoverKind.TYPE_I: " [style=solid];\n",
             CoverKind.TYPE_II: " [style=dashed];\n",
             CoverKind.UNCLASSIFIED: " [style=dotted];\n"})

@@ -1,9 +1,9 @@
 """Reference order and Hasse reduction: the pairwise route the masks replace.
 
-``TuplePoset._above`` builds the strict order from per-coordinate rank
-masks, ``TuplePoset.hasse_edges`` finds the covers by a walk over them,
-and ``TuplePoset.bottom_index`` reads the minimal classes off the OR of
-all of them.  This fixture keeps the quadratic route those stand for:
+``TuplePoset._below`` builds the strict order from per-coordinate "at
+most" masks, ``TuplePoset.cover_rows`` finds the covers by a walk over
+them, and ``TuplePoset.top_index`` reads the maximal classes off the OR
+of all of them.  This fixture keeps the quadratic route those stand for:
 one ``verdict`` per unordered pair of classes, filling both the below
 and the above masks, then every strict pair tested for a class strictly
 between.  ``strict_pairs`` walks every strict pair of the masks, the
@@ -44,8 +44,10 @@ def hasse_edges_pairwise(poset):
 
 def strict_pairs(poset):
     """Each (a, b) with class a below class b, in (a, b) order; a < b."""
-    for a, mask in enumerate(poset._above):
+    pairs = []
+    for b, mask in enumerate(poset._below):
         while mask:
             low = mask & -mask
-            yield a, low.bit_length() - 1
+            pairs.append((low.bit_length() - 1, b))
             mask ^= low
+    return sorted(pairs)

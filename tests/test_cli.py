@@ -730,3 +730,65 @@ class TestPosetSizeTableScript:
         assert out.read_text().splitlines() == [
             "lambda,tuples_k2,classes_k2,closed_form_k2",
             "0,1,1,1", "1,2,1,1", "2,3,2,2"]
+
+
+class TestBenchLayersScript:
+    @staticmethod
+    def script():
+        return load_script("bench_layers")
+
+    def test_one_pass_writes_every_layer(self, tmp_path, capsys):
+        script = self.script()
+        assert script.main(["--label", "smoke", "--repeat", "1",
+                            "--out-dir", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+        assert payload["label"] == "smoke" and payload["repeat"] == 1
+        assert set(payload["provenance"]) == {
+            "git_commit", "src_differs_from_commit", "python", "nproc",
+            "src_lines"}
+        assert payload["provenance"]["src_lines"] > 0
+        fibers = payload["fibers"]
+        assert set(fibers) == set(script.FIBERS)
+        layers = {"build_poset", "_below", "cover_rows", "json_chunks",
+                  "dot_chunks"}
+        for name, fiber in fibers.items():
+            want = layers | {"cover_edges"} if fiber["k"] == 2 else layers
+            assert set(fiber["seconds_min"]) == want, name
+            assert all(s >= 0 for s in fiber["seconds_min"].values())
+            poset = build_poset(Weight(tuple(fiber["lambda"])), fiber["k"])
+            assert (fiber["classes"], fiber["covers"]) == \
+                (len(poset), len(poset.hasse_edges))
+            assert (fiber["json_chars"], fiber["dot_chars"]) == \
+                (len(poset.json_text()), len(poset.to_dot()))
+        k3 = fibers["poset_k3"]
+        assert (k3["classes"], k3["covers"]) == (3675, 27173)
+        assert 0 < k3["cover_rows_peak_bytes"] < k3["below_bytes"]
+        assert "wrote" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv,needle", [
+        (("--label", "a/b"), "--label"),
+        (("--label", ""), "--label"),
+        (("--label", "x", "--repeat", "0"), "--repeat"),
+    ])
+    def test_bad_arguments_exit_2(self, tmp_path, capsys, argv, needle):
+        with pytest.raises(SystemExit) as exc:
+            self.script().main(list(argv) + ["--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert needle in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unusable_out_dir_exits_2_before_timing(self, tmp_path, capsys,
+                                                    monkeypatch):
+        script = self.script()
+
+        def refuse(*args):
+            raise AssertionError("a fiber was timed before --out-dir was checked")
+        monkeypatch.setattr(script, "measure_fiber", refuse)
+        (tmp_path / "file").write_text("")
+        (tmp_path / "BENCH_x.json").mkdir()
+        for out_dir in (tmp_path / "file", tmp_path / "file" / "d", tmp_path):
+            with pytest.raises(SystemExit) as exc:
+                script.main(["--label", "x", "--out-dir", str(out_dir)])
+            assert exc.value.code == 2
+            out = capsys.readouterr()
+            assert "--out-dir" in out.err and out.out == ""

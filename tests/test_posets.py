@@ -831,7 +831,7 @@ class TestSharedOrder:
         lam = Weight(data.draw(st.tuples(*[st.integers(0, 3)] * rank)))
         poset = build_poset(lam, data.draw(st.sampled_from((2, 3, 4))))
         below, above = strict_masks_pairwise(poset)
-        assert poset._above == above
+        assert poset._below == below
         assert poset.hasse_edges == hasse_edges_pairwise(poset)
         # the extremes: no class below the bottom, none above the top
         assert [c for c, mask in enumerate(below) if mask == 0] == \
@@ -839,9 +839,9 @@ class TestSharedOrder:
         assert [c for c, mask in enumerate(above) if mask == 0] == \
             [poset.top_index]
         # index order is a linear extension, which the cover walk relies on
-        for c, mask in enumerate(below):
+        for c, mask in enumerate(poset._below):
             assert mask < 1 << c
-        for c, mask in enumerate(poset._above):
+        for c, mask in enumerate(above):
             assert mask & ((1 << (c + 1)) - 1) == 0
 
     def test_all_columns_constant(self):
@@ -849,7 +849,7 @@ class TestSharedOrder:
         for coords, k in [((2, 1), 1), ((3,), 1), ((0, 0), 3), ((0, 0, 0), 3)]:
             poset = build_poset(Weight(coords), k)
             assert len(poset) == 1
-            assert poset._above == [0]
+            assert poset._below == [0]
             assert poset.bottom_index == poset.top_index == 0
             assert poset.hasse_edges == ()
 
@@ -864,7 +864,7 @@ class TestSharedOrder:
             if ell == k:
                 # the k smallest of k parts are all of them: lam's window
                 assert set(column) == {window_sums[i, j]}
-        assert poset._above == strict_masks_pairwise(poset)[1]
+        assert poset._below == strict_masks_pairwise(poset)[0]
         assert poset.hasse_edges == hasse_edges_pairwise(poset)
 
     def test_incomparable_extremes_raise(self):
@@ -875,7 +875,7 @@ class TestSharedOrder:
             EquivClass(stat_vector=sv, size=1, multisets=(((1, 0), (0, 0)),))
             for sv in ((0, 1), (1, 0)))
         poset = TuplePoset(lam=lam, k=2, classes=classes)
-        assert poset._above == [0, 0]
+        assert poset._below == [0, 0]
         with pytest.raises(ValueError, match=r"unique minimal class, found \[0, 1\]"):
             poset.bottom_index
         with pytest.raises(ValueError, match=r"unique maximal class, found \[0, 1\]"):
@@ -897,11 +897,28 @@ class TestSharedOrder:
             # out of order
             m = len(poset)
             strays = [(a, b) for a in range(m) for b in range(m)
-                      if a != b and not poset._above[a] >> b & 1]
+                      if a != b and not poset._below[b] >> a & 1]
             assert strays
             for a, b in strays:
                 corrupt(a, rows[a] + (b,))
                 assert not poset.transitive_ok(), (coords, k, (a, b))
+
+    def test_cover_walk_holds_less_than_the_masks(self):
+        # with the order built, the walk allocates its rows and one shrinking
+        # mask at a time: a second list of m masks, however built, would
+        # hold about as much as the order itself
+        import sys
+        import tracemalloc
+        poset = build_poset(Weight((6, 6, 6)), 3)
+        masks = sum(map(sys.getsizeof, poset._below))
+        tracemalloc.start()
+        try:
+            rows = poset.cover_rows
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, rows)) == 27173
+        assert peak < masks, (peak, masks)
 
     def test_each_cover_is_classified_once(self, monkeypatch):
         import weyl_order.posets as posets
