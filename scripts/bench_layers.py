@@ -13,12 +13,23 @@ walks, the sizes (classes, covers, characters written) and where the
 numbers come from: git commit, whether ``src/`` differs from it, Python
 version, nproc and the ``src/`` line count.  Standard library only.
 
+The host's speed moves between runs, so a burst of a fixed probe loop
+runs right before and right after each pass.  Per fiber the file holds
+``probe_s``, the best probe time over its passes, and next to the raw
+``seconds_min`` the ``seconds_scaled_min``: those best times scaled to
+the speed at which one probe takes ``REF_PROBE_S``, as ``perfbench``
+reports its times at a reference speed.  Scaled times of runs taken
+minutes apart agree better than raw ones, but on a shared host a slow
+phase can hit the layers harder than the probe, so a before/after claim
+still wants the two trees' runs interleaved.
+
 Example:
     PYTHONPATH=src python scripts/bench_layers.py --label after --repeat 7
 """
 
 import argparse
 import json
+import operator
 import os
 import platform
 import re
@@ -40,6 +51,32 @@ FIBERS = {
     "poset_k6": ((5, 5), 6),
     "covers_k2": ((2, 2, 2, 2, 2, 2), 2),
 }
+
+
+# The probe: a fixed loop of the kinds of work the package does (tuple
+# hashing, list stores, coordinatewise comparison of two vectors, OR into
+# a mask of a few thousand bits) that keeps nothing it allocates, so its
+# time tracks the host's speed.  REF_PROBE_S is about its usual time on a
+# shared 2-vCPU Xeon under Python 3.11.
+PROBE_LOOPS = 300
+PROBE_BURST = 10
+REF_PROBE_S = 100e-6
+_LOW, _HIGH = tuple(range(12)), tuple(range(1, 13))
+
+
+def probe_once() -> float:
+    slots, mask, s = [0] * 256, 0, 0
+    t0 = time.perf_counter()
+    for i in range(PROBE_LOOPS):
+        s = (s + hash((i, s)) + slots[i & 255]) & 0xFFFF
+        slots[i & 255] = s
+        if i & 3 == 0 and all(map(operator.le, _LOW, _HIGH)):
+            mask |= 1 << (i * 23 % 3700)
+    return time.perf_counter() - t0
+
+
+def probe_burst() -> list[float]:
+    return [probe_once() for _ in range(PROBE_BURST)]
 
 
 def label_text(text: str) -> str:
@@ -89,14 +126,25 @@ def cover_walk_memory(lam: Weight, k: int) -> dict:
 
 
 def measure_fiber(coords: tuple[int, ...], k: int, repeat: int) -> dict:
+    """repeat passes, each between two probe bursts: per layer the best
+    time, raw and scaled by REF_PROBE_S over the best probe time (a best
+    time is the host's speed at its fastest, for the probe as for the
+    layers)."""
     lam = Weight(coords)
     best: dict = {}
+    probes = []
     for _ in range(repeat):
+        probes += probe_burst()
         seconds, sizes = layer_times(lam, k)
+        probes += probe_burst()
         for name, s in seconds.items():
             best[name] = min(s, best.get(name, s))
+    probe = min(probes)
     return {"lambda": list(coords), "k": k, **sizes,
+            "probe_s": round(probe, 9),
             "seconds_min": {name: round(s, 6) for name, s in best.items()},
+            "seconds_scaled_min": {name: round(s * REF_PROBE_S / probe, 6)
+                                   for name, s in best.items()},
             **cover_walk_memory(lam, k)}
 
 
@@ -141,8 +189,9 @@ def main(argv=None) -> int:
     fibers = {}
     for name, (coords, k) in FIBERS.items():
         fibers[name] = measure_fiber(coords, k, args.repeat)
-        print(name, json.dumps(fibers[name]["seconds_min"]))
+        print(name, json.dumps(fibers[name]["seconds_scaled_min"]))
     payload = {"label": args.label, "repeat": args.repeat,
+               "ref_probe_s": REF_PROBE_S,
                "provenance": provenance(), "fibers": fibers}
     out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out}")

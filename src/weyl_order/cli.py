@@ -8,7 +8,9 @@ Exit codes: 0 success, 1 verify found violations, 2 argument or parse
 problems (an --out-dir that cannot be written included), 3 enumeration
 guard exceeded.  The tuple budget of poset, covers and verify can also
 be set through the WEYL_ORDER_GUARD environment variable; an explicit
---guard wins over it.
+--guard wins over it.  max and dim, which no guard covers, take fixed
+limits instead (MAX_K, MAX_DIM_RANK), checked before any part or coroot
+is built; past one, the command exits 2.
 """
 
 from __future__ import annotations
@@ -35,6 +37,20 @@ from .roots import (FAMILIES, base_rank, check_admissible,
                     parse_system_name, root_system, spin_nodes)
 from .tuples import WeightTuple
 from .weights import Weight
+
+
+# Work bounds of the commands no tuple guard covers.  max builds k parts,
+# about 9 us each, and holds them all; dim builds the positive coroots of
+# its system, about n^2 of them at rank n, in time growing about as n^3
+# (a fresh dim --type C32 takes about 0.35 s, C64 2 s).
+MAX_K = 10_000
+MAX_DIM_RANK = 32
+
+
+def check_bound(name: str, value: int, limit: int) -> None:
+    """Raise ValueError, naming the input, when value is past limit."""
+    if value > limit:
+        raise ValueError(f"{name} is over the limit of {limit}")
 
 
 def parse_weight(text: str) -> Weight:
@@ -309,6 +325,7 @@ def cmd_poset(args) -> int:
 
 
 def cmd_max(args) -> int:
+    check_bound(f"--k {args.k}", args.k, MAX_K)
     lam = parse_weight(args.lam)
     bottom = minimal_element(lam, args.k)
     top = maximal_element(lam, args.k)
@@ -364,6 +381,7 @@ def cmd_dim(args) -> int:
     family, rank = parse_system_name(args.type)
     tup = parse_tuple(args.tuple)
     check_admissible(tup.parts[0], family, rank)  # before any coroot is built
+    check_bound(f"--type {args.type} (rank {rank})", rank, MAX_DIM_RANK)
     rs = root_system(family, rank)
     dims = [weyl_dim(iota(p, rs)) for p in tup.parts]
     total = math.prod(dims)

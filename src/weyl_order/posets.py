@@ -10,7 +10,11 @@ sorted-prefix sums), and groups the multisets into equivalence classes
 by stat vector.  The walk is output-sensitive: at each level it tries
 only the parts whose epsilon_1 lies in the band ceil(|rest| / left) ..
 |rest| (a slice of the part list), and with two parts left it reads the
-pairs off the box of parts below the remainder.  A class's size is the
+pairs off the box of parts below the remainder.  There it works on
+integer codes: a part's code is its mixed-radix number (radix lam_i + 1
+per coordinate), one list indexed by code gives each part's position,
+and the partner of a part is the code of the remainder minus its own,
+with no tuple built or hashed per candidate.  A class's size is the
 sum of the multinomials k! / prod(mult!) of its multisets, the
 multiplicities read as run lengths of equal adjacent parts.  A class
 holds integers only; its representative ``WeightTuple`` is built when
@@ -523,59 +527,91 @@ def _part_multisets(lam: tuple[int, ...], k: int):
       rest); that band is a slice of the list, read from a table;
     * box step: with two parts left, p ranges over the box
       0 <= p <= rest, the last part is rest - p, and a pair is kept when
-      start <= pos[p] <= pos[rest - p], in increasing pos[p];
+      start <= pos(p) <= pos(rest - p), in increasing pos(p);
     * zero cut: once rest is zero, only the zero part (last in the list)
       fits, so the walk is at most |lam| + 1 levels deep, whatever k is.
+
+    The box step reads positions off integer codes, not tuples.  A part's
+    code is its mixed-radix number, digit i in radix lam_i + 1 with the
+    first coordinate most significant, which is its index in
+    ``itertools.product`` order; ``pos[code]`` is its index in the part
+    list.  The box's codes are built column by column, and rest - p is
+    coded code(rest) - code(p), since p <= rest coordinatewise and no
+    digit borrows.  The walk carries code(rest) next to rest, so the last
+    part and the zero cut read it too.
 
     These only drop branches that yield nothing, so the multisets and
     their order are those of scanning every part at every level.
     """
-    parts = sorted(itertools.product(*(range(m + 1) for m in lam)),
-                   key=lambda p: tuple(itertools.accumulate(reversed(p)))[::-1],
-                   reverse=True)
-    position = {p: i for i, p in enumerate(parts)}
+    box = list(itertools.product(*(range(m + 1) for m in lam)))
+
+    def eps_key(code):  # the part's epsilon tuple
+        return tuple(itertools.accumulate(reversed(box[code])))[::-1]
+    code_of = sorted(range(len(box)), key=eps_key, reverse=True)
+    parts = [box[c] for c in code_of]
+    pos = [0] * len(box)
+    for i, c in enumerate(code_of):
+        pos[c] = i
+    place = [1]  # place[i]: the place value of digit i
+    for m in reversed(lam[1:]):
+        place.insert(0, place[0] * (m + 1))
     # upto[s]: the number of parts with epsilon_1 >= s, so the parts with
     # lo <= epsilon_1 <= hi are parts[upto[hi + 1]:upto[lo]]
     negated = [-sum(p) for p in parts]
     upto = [bisect.bisect_right(negated, -s) for s in range(sum(lam) + 2)]
 
-    def walk(start, rest, left, prefix):
-        if not any(rest):  # only the zero part fits, and it sorts last
+    def walk(start, rest, code, left, prefix):
+        if not code:  # only the zero part fits, and it sorts last
             yield prefix + (rest,) * left
             return
         if left == 1:
-            if position[rest] >= start:
+            if pos[code] >= start:
                 yield prefix + (rest,)
             return
         if left == 2:
+            codes = [0]
+            for r, w in zip(rest, place):
+                codes = [c + x for c in codes for x in range(0, (r + 1) * w, w)]
             pairs = []
-            for p in itertools.product(*(range(r + 1) for r in rest)):
-                i = position[p]
+            for x in codes:
+                i = pos[x]
                 if i >= start:
-                    q = tuple(r - c for r, c in zip(rest, p))
-                    if position[q] >= i:
-                        pairs.append((i, p, q))
+                    j = pos[code - x]
+                    if j >= i:
+                        pairs.append((i, j))
             pairs.sort()
-            for _, p, q in pairs:
-                yield prefix + (p, q)
+            for i, j in pairs:
+                yield prefix + (parts[i], parts[j])
             return
         size = sum(rest)
         for i in range(max(start, upto[size + 1]), upto[-(-size // left)]):
             p = parts[i]
-            after = tuple(r - c for r, c in zip(rest, p))
+            after = tuple(map(sub, rest, p))
             if min(after) >= 0:
-                yield from walk(i, after, left - 1, prefix + (p,))
-    return walk(0, tuple(lam), k, ())
+                yield from walk(i, after, code - code_of[i], left - 1,
+                                prefix + (p,))
+    return walk(0, tuple(lam), len(box) - 1, k, ())
 
 
 def _orderings(ms: Multiset, k_orderings: int) -> int:
     """k! / prod(mult!) for a multiset: equal parts sit together in ms, so
     each run of length m multiplies the denominator by 2, 3, ..., m."""
+    if len(set(ms)) == len(ms):  # no part repeats
+        return k_orderings
     denominator = run = 1
     for a, b in zip(ms, ms[1:]):
         run = run + 1 if a == b else 1
         denominator *= run
     return k_orderings // denominator
+
+
+class _WindowValues(dict):
+    """Each part's window values by omega tuple, computed on its first
+    lookup: a hit is a plain dict lookup, cheaper than a cache wrapper."""
+
+    def __missing__(self, omega):
+        self[omega] = values = _part_window_values(omega)
+        return values
 
 
 def build_poset(lam: Weight, k: int, guard: int = DEFAULT_GUARD) -> TuplePoset:
@@ -594,7 +630,7 @@ def build_poset(lam: Weight, k: int, guard: int = DEFAULT_GUARD) -> TuplePoset:
     read later takes its parts.  The guard still counts ordered tuples.
     """
     _check_fiber(lam, k, guard)
-    window_values = cache(_part_window_values)
+    window_values = _WindowValues().__getitem__
     by_stats: dict[tuple[int, ...], list[Multiset]] = {}
     for ms in _part_multisets(lam.omega, k):
         sv = _sorted_prefix_stats(map(window_values, ms))
@@ -605,8 +641,8 @@ def build_poset(lam: Weight, k: int, guard: int = DEFAULT_GUARD) -> TuplePoset:
     for sv in sorted(by_stats):
         multisets = tuple(by_stats[sv])
         size = sum(_orderings(ms, k_orderings) for ms in multisets)
-        classes.append(EquivClass(stat_vector=sv, size=size,
-                                  multisets=multisets, weight=weight))
+        # positional: keywords cost about a quarter of the init
+        classes.append(EquivClass(sv, size, multisets, weight))
     return TuplePoset(lam=lam, k=k, classes=tuple(classes))
 
 

@@ -29,9 +29,9 @@ in the tests as references.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import accumulate, chain
 
 from .roots import RootSystem, base_rank, iota, pairing
 from .weights import Weight
@@ -71,17 +71,14 @@ _window_spans = cache(windows)  # never mutated; a list per part doubled the cos
 def _part_window_values(omega: tuple[int, ...]) -> tuple[int, ...]:
     """One part's window values a_i + ... + a_j, in ``windows`` order,
     read off its omega prefix sums."""
-    prefix = (0, *itertools.accumulate(omega))
+    prefix = (0, *accumulate(omega))
     return tuple(prefix[j] - prefix[i - 1] for i, j in _window_spans(len(omega)))
 
 
 def _sorted_prefix_stats(rows) -> tuple[int, ...]:
     """The stat vector of per-part rows of column values: per column, the
     running sums of its values sorted ascending."""
-    out = []
-    for column in zip(*rows):
-        out.extend(itertools.accumulate(sorted(column)))
-    return tuple(out)
+    return tuple(chain.from_iterable(map(accumulate, map(sorted, zip(*rows)))))
 
 
 @dataclass(frozen=True)

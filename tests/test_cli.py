@@ -438,6 +438,51 @@ class TestFailureModes:
                        f"(expected base rank {base})\n")
         assert calls == []
 
+    @pytest.mark.parametrize("value,limit", [(0, 0), (9, 10), (10, 10)])
+    def test_bound_passes_up_to_its_limit(self, value, limit):
+        assert cli.check_bound("--k 10", value, limit) is None
+
+    @pytest.mark.parametrize("value,limit", [(1, 0), (11, 10), (10**9, 10)])
+    def test_bound_past_its_limit_names_the_input(self, value, limit):
+        with pytest.raises(ValueError, match=rf"^--k {value} is over the "
+                                             rf"limit of {limit}$"):
+            cli.check_bound(f"--k {value}", value, limit)
+
+    def test_max_past_its_k_limit_builds_no_part(self, tmp_path, capsys,
+                                                 monkeypatch):
+        def refuse(*args):
+            raise AssertionError("max built a part past its k limit")
+        monkeypatch.setattr(cli, "minimal_element", refuse)
+        k = cli.MAX_K + 1
+        code, out, err = run(capsys, "max", "--lambda", "1", "--k", str(k),
+                             "--json", "--out-dir", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err == f"error: --k {k} is over the limit of {cli.MAX_K}\n"
+        assert list(tmp_path.iterdir()) == []
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "MAX_K", 2)
+        assert run(capsys, "max", "--lambda", "2,1", "--k", "2")[0] == 0
+        assert run(capsys, "max", "--lambda", "2,1", "--k", "3")[0] == 2
+
+    def test_dim_past_its_rank_limit_builds_no_root_system(self, capsys,
+                                                           monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "root_system",
+                            lambda *a: calls.append(a) or root_system(*a))
+        rank = cli.MAX_DIM_RANK + 1
+        part = ",".join(["1"] * rank)
+        code, out, err = run(capsys, "dim", "--type", f"A{rank}",
+                             "--tuple", f"{part}/{part}")
+        assert code == 2 and out == ""
+        assert err == (f"error: --type A{rank} (rank {rank}) is over the "
+                       f"limit of {cli.MAX_DIM_RANK}\n")
+        monkeypatch.setattr(cli, "MAX_DIM_RANK", 2)
+        code, _, err = run(capsys, "dim", "--type", "B3", "--tuple", "1,0/0,1")
+        assert code == 2 and "--type B3 (rank 3)" in err
+        assert calls == []
+        assert run(capsys, "dim", "--type", "C2", "--tuple", "2,1/0,0")[0] == 0
+        assert calls == [("C", 2)]
+
     def test_guard_exit_code(self, tmp_path, capsys):
         code, _, err = run(capsys, "poset", "--lambda", "4,4", "--k", "2",
                            "--guard", "10", "--out-dir", str(tmp_path))
@@ -743,6 +788,7 @@ class TestBenchLayersScript:
                             "--out-dir", str(tmp_path)]) == 0
         payload = json.loads((tmp_path / "BENCH_smoke.json").read_text())
         assert payload["label"] == "smoke" and payload["repeat"] == 1
+        assert payload["ref_probe_s"] == script.REF_PROBE_S
         assert set(payload["provenance"]) == {
             "git_commit", "src_differs_from_commit", "python", "nproc",
             "src_lines"}
@@ -755,6 +801,12 @@ class TestBenchLayersScript:
             want = layers | {"cover_edges"} if fiber["k"] == 2 else layers
             assert set(fiber["seconds_min"]) == want, name
             assert all(s >= 0 for s in fiber["seconds_min"].values())
+            # the best times, scaled by the reference over the best probe
+            assert fiber["probe_s"] > 0
+            factor = script.REF_PROBE_S / fiber["probe_s"]
+            assert fiber["seconds_scaled_min"] == {
+                layer: pytest.approx(s * factor, rel=1e-3, abs=2e-6)
+                for layer, s in fiber["seconds_min"].items()}, name
             poset = build_poset(Weight(tuple(fiber["lambda"])), fiber["k"])
             assert (fiber["classes"], fiber["covers"]) == \
                 (len(poset), len(poset.hasse_edges))

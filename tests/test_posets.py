@@ -363,6 +363,27 @@ class TestPartWalk:
         assert poset.bottom_index == poset.top_index == 0
 
 
+class TestPartCodes:
+    """The walk's mixed-radix part codes where a radix could go wrong: a
+    zero coordinate (radix 1) first, in the middle or last, and one
+    coordinate much larger than the rest."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("lam", [(0, 7, 0), (9, 0, 2), (1, 0, 0, 5),
+                                     (0, 0, 4)])
+    def test_walk_matches_scan(self, lam, k):
+        assert_walk_matches_scan(lam, k)
+
+    @pytest.mark.parametrize("lam,k", [((9, 0, 2), 3), ((1, 0, 0, 5), 4)])
+    def test_classes_match_enumeration(self, lam, k):
+        want = classes_by_enumeration(Weight(lam), k)
+        classes = build_poset(Weight(lam), k).classes
+        assert [(c.stat_vector, c.rep, c.size) for c in classes] == \
+            [(sv, rep, len(tuples)) for sv, rep, tuples in want]
+        for cls, (_, _, tuples) in zip(classes, want):
+            assert members(cls) == tuples
+
+
 class TestSizeFormula:
     def test_frozen(self):
         assert poset_size_k2(Weight((2, 1))) == 3
