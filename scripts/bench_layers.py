@@ -4,10 +4,13 @@
 For the fiber of each ``perfbench`` workload (for ``sweep``, the largest
 fiber of its grid) it records the best of ``--repeat`` wall times of
 ``build_poset``, the strict order (``TuplePoset._below``), the cover walk
-(``cover_rows``), at k = 2 the classified covers (``cover_edges``), and
-the two file writers (``json_chunks`` and ``dot_chunks``, every piece
-read).  Each layer is timed on a poset whose earlier layers are already
-built, so no time holds another layer's.  It also records the
+(``cover_rows``), at k = 2 the covers classified by kind alone (the
+decision list ``_cover_decisions``, all the poset writers read) and the
+witness objects built from it (``cover_edges``), and the two file
+writers (``json_chunks`` and ``dot_chunks``, every piece read).  Each
+layer is timed on a poset whose earlier layers are already built, so no
+time holds another layer's: at k = 2 the two cover layers add up to what
+``cover_edges`` costs on its own.  It also records the
 tracemalloc peak of the cover walk next to the bytes of the masks it
 walks, the sizes (classes, covers, characters written) and where the
 numbers come from: git commit, whether ``src/`` differs from it, Python
@@ -100,7 +103,7 @@ def layer_times(lam: Weight, k: int) -> tuple[dict, dict]:
     seconds["_below"], _ = timed(lambda: poset._below)
     seconds["cover_rows"], rows = timed(lambda: poset.cover_rows)
     if k == 2:
-        poset.hasse_edges  # the flattened pairs, not timed
+        seconds["cover_decisions"], _ = timed(lambda: poset._cover_decisions)
         seconds["cover_edges"], _ = timed(lambda: poset.cover_edges)
     seconds["json_chunks"], sizes["json_chars"] = timed(
         lambda: sum(map(len, poset.json_chunks())))

@@ -29,9 +29,10 @@ from pathlib import Path
 
 from .dimensions import (verify_coroot_inequalities_k2, verify_max_dim,
                          verify_monotone_k2, weyl_dim)
-from .posets import (DEFAULT_GUARD, GuardExceeded, build_poset, count_tuples,
-                     json_array, json_object, maximal_element,
-                     minimal_element, poset_size_k2)
+from .posets import (DEFAULT_GUARD, CoverKind, GuardExceeded,
+                     _json_array_chunks, build_poset, count_tuples,
+                     json_array, maximal_element, minimal_element,
+                     poset_size_k2)
 from .roots import (FAMILIES, base_rank, check_admissible,
                     coroot_table_report, expected_table_report, iota,
                     parse_system_name, root_system, spin_nodes)
@@ -339,20 +340,37 @@ def cmd_max(args) -> int:
     return 0
 
 
+def _cover_record(low: str, high: str, kind: str, witness: str) -> str:
+    """One record of the covers file from its fields' JSON texts:
+    json_object of the four fields at indent 4, spelled out as one
+    concatenation."""
+    return ('{\n      "high": ' + high + ',\n      "kind": ' + kind
+            + ',\n      "low": ' + low + ',\n      "witness": ' + witness
+            + "\n    }")
+
+
+def _covers_chunks(lam: Weight, k: int, records):
+    """The covers file in pieces around its record texts, for a writer to
+    stream: json_object's layout of the three fields at indent 0, in
+    sorted key order, with the records laid out as json_array lays them
+    out at indent 2."""
+    return itertools.chain(
+        ('{\n  "covers": ',),
+        _json_array_chunks(records, 2),
+        (',\n  "k": ' + str(k) + ',\n  "lambda": '
+         + json_array(map(str, lam.omega), 2) + "\n}\n",))
+
+
 def covers_json_text(lam: Weight, k: int, records: list[dict]) -> str:
     """The covers JSON file: the bytes of json.dumps({"covers": records,
     "k": k, "lambda": list(lam.omega)}, sort_keys=True, indent=2) plus a
     newline.  Every string value, and a null witness, goes through
     json.dumps, each distinct one once."""
     text = functools.cache(json.dumps)
-    covers = (json_object([(key, text(rec[key])) for key in
-                           ("high", "kind", "low", "witness")], 4)
-              for rec in records)
-    return json_object((
-        ("covers", json_array(covers, 2)),
-        ("k", str(k)),
-        ("lambda", json_array(map(str, lam.omega), 2)),
-    ), 0) + "\n"
+    return "".join(_covers_chunks(lam, k, (
+        _cover_record(*(text(rec[key]) for key in ("low", "high", "kind",
+                                                   "witness")))
+        for rec in records)))
 
 
 def cmd_covers(args) -> int:
@@ -362,18 +380,28 @@ def cmd_covers(args) -> int:
     if args.json:
         _make_out_dir(path)  # before the poset and the cover lines
     poset = build_poset(lam, args.k, guard)
+    # each cover's line and its record text in one pass, the records as
+    # covers_json_text lays them out: each label quoted once per class,
+    # each kind once, a witness's text once per cover
     labels = poset.labels
-    records = []
+    quoted = list(map(json.dumps, labels))
+    kinds = {kind: (kind.value, json.dumps(kind.value)) for kind in CoverKind}
+    lines, records = [], []
     for edge in poset.cover_edges:
-        rec = {"low": labels[edge.low],
-               "high": labels[edge.high],
-               "kind": edge.kind.value,
-               "witness": edge.witness.describe() if edge.witness else None}
-        records.append(rec)
-        print(f"{rec['low']} -> {rec['high']} [{rec['kind']}]"
-              + (f" ({rec['witness']})" if rec["witness"] else ""))
+        low, high = edge.low, edge.high
+        value, kind = kinds[edge.kind]
+        line = f"{labels[low]} -> {labels[high]} [{value}]"
+        if edge.witness is None:
+            lines.append(line + "\n")
+            witness = "null"
+        else:
+            text = edge.witness.describe()
+            lines.append(f"{line} ({text})\n")
+            witness = json.dumps(text)
+        records.append(_cover_record(quoted[low], quoted[high], kind, witness))
+    sys.stdout.write("".join(lines))
     if args.json:
-        _write_text(path, covers_json_text(lam, args.k, records))
+        _write_text(path, _covers_chunks(lam, args.k, records))
     return 0
 
 

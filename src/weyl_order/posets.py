@@ -40,21 +40,28 @@ Cover edges of the k = 2 quotient carry a classification: a first kind where
 one part surrenders a whole (permuted) fundamental-weight chunk to the
 other, a second kind where the two new parts mix the old parts'
 coordinates after a sorting change of frame, and an explicit
-``UNCLASSIFIED`` fallback for anything else.  ``classify_cover`` works on
-padded epsilon integer tuples, which each shared part ``Weight`` computes
-once and caches, and walks the sorters lazily as image tuples: the first
-sorter is a stable argsort, and the recursive walk starts only when a
-second one is asked for.  What depends on the lower pair alone (e1, e2,
-delta, and each sorter walked with its inverse, the sorted-frame omegas
-of e1 and e2 and its witness ``Permutation``) is computed once per lower
-representative and kept on it, so the covers of one class share it and
-their witnesses share one permutation per sorter, whose cycle notation
-is walked once.  ``TuplePoset.cover_edges`` classifies every Hasse edge
-at every k, drops that per-class data once done, and ``to_json`` reads
-it; ``covers_of`` bisects it, in (low, high) order, to one class's
-slice.  Off k = 2 only the text writers skip the classifier, in their one
-edge iterator ``_edge_pieces``: every edge is unclassified, so a cover
-row is one text piece, one join over its upper indices.
+``UNCLASSIFIED`` fallback for anything else.  ``_decide`` is the one
+place the rule is decided: from a lower pair's data and the upper pair of
+part ``Weight``s it returns the kind and the witness fields as a plain
+tuple.  It works on padded epsilon integer tuples, which each shared part
+``Weight`` computes once and caches, and walks the sorters lazily as
+image tuples: the first sorter is a stable argsort, and the recursive
+walk starts only when a second one is asked for.  What depends on the
+lower pair alone (e1, e2, delta, and each sorter walked with its inverse,
+its prefix masks and the sorted-frame omegas of e1 and e2) is computed
+once per lower class, and a sorter builds its witness ``Permutation``
+only when a witness is read.  A poset decides its covers once, one cover
+row at a time, into a cached decision list, each lower class's parts
+taken from the classes' shared ``Weight`` cache, so no representative
+``WeightTuple`` is built.  Off k = 2 every decision is unclassified.
+``TuplePoset.cover_edges`` builds ``CoverEdge`` and ``CoverWitness``
+objects from that list, the witnesses of one sorter sharing its
+``Permutation``; ``covers_of`` bisects them, in (low, high) order, to one
+class's slice, and ``to_json`` reads them.  ``classify_cover`` wraps the
+same rule for one pair of tuples.  The text writers read the kinds off
+the list in their one edge iterator ``_edge_pieces``, with no witness or
+edge object built; off k = 2 every edge is unclassified, so a cover row
+is one text piece, one join over its upper indices.
 ``json_chunks`` and ``dot_chunks`` yield the poset JSON file (the bytes
 ``json.dumps(to_json(), sort_keys=True, indent=2)`` gives, each class
 entry and each distinct part one concatenation, the part laid out once)
@@ -72,7 +79,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property, reduce
-from operator import and_, attrgetter, or_, sub
+from operator import and_, attrgetter, eq, itemgetter, or_, sub
 from typing import Callable
 
 from .tuples import (OrderVerdict, WeightTuple, _part_window_values,
@@ -319,16 +326,22 @@ class TuplePoset:
                      for b in row)
 
     @cached_property
+    def _cover_decisions(self) -> tuple[tuple[tuple, ...], ...]:
+        """Per cover row, each edge's decision (see ``_decide``), at every
+        k: the one list that cover_edges and the text writers read, so
+        every Hasse edge is decided once."""
+        return _decide_rows(self.k, self.classes, self.cover_rows)
+
+    @cached_property
     def cover_edges(self) -> tuple[CoverEdge, ...]:
-        """The Hasse edges, each through classify_cover once, at every k;
-        the lower-pair data it keeps on the representatives is dropped
-        once every edge is classified."""
-        reps = [cls.rep for cls in self.classes]
-        edges = tuple(CoverEdge(a, b, *classify_cover(reps[a], reps[b]))
-                      for a, b in self.hasse_edges)
-        for rep in reps:
-            rep.__dict__.pop(_LOWER_PAIR, None)
-        return edges
+        """The Hasse edges in (low, high) order, each with its kind and
+        witness read off the decision list; the witnesses of one sorter
+        share its Permutation."""
+        return tuple(
+            CoverEdge(a, b, kind, _witness(*witness))
+            for a, (highs, row) in enumerate(zip(self.cover_rows,
+                                                 self._cover_decisions))
+            for b, (kind, *witness) in zip(highs, row))
 
     def transitive_ok(self) -> bool:
         """The down-closure of the cover rows must equal the strict order.
@@ -421,13 +434,16 @@ class TuplePoset:
         """The text writers' Hasse edges in pieces, edge (a, b) of kind K
         written head + a + mid + b + tails[K], the indices through text:
         the one place that skips the classifier off k = 2.  At k = 2 the
-        kinds come from cover_edges, one piece per edge.  At any other k
-        every edge is unclassified, and a nonempty cover row is one piece,
-        one join over its upper indices with sep between edges.  The edges
-        are computed on the call."""
+        kinds come straight off the decision list, one piece per edge, and
+        no witness or edge object is built.  At any other k every edge is
+        unclassified, and a nonempty cover row is one piece, one join over
+        its upper indices with sep between edges.  The edges, and at k = 2
+        their decisions, are computed on the call."""
         if self.k == 2:
-            return (f"{head}{text(e.low)}{mid}{text(e.high)}{tails[e.kind]}"
-                    for e in self.cover_edges)
+            rows = zip(self.cover_rows, self._cover_decisions)
+            return (f"{head}{text(a)}{mid}{text(b)}{tails[decision[0]]}"
+                    for a, (highs, row) in enumerate(rows)
+                    for b, decision in zip(highs, row))
         tail = tails[CoverKind.UNCLASSIFIED]
         rows = ((head + text(a) + mid, highs)
                 for a, highs in enumerate(self.cover_rows) if highs)
@@ -510,6 +526,23 @@ class TuplePoset:
         return "".join(self.dot_chunks())
 
 
+def _part_box(lam: tuple[int, ...]):
+    """The box of omega tuples <= lam, every one a dominant part: the
+    parts by descending epsilon-lex key, the code of each (its index in
+    ``itertools.product`` order), and per code its position among the
+    parts."""
+    box = list(itertools.product(*(range(m + 1) for m in lam)))
+
+    def eps_key(code):  # the part's epsilon tuple
+        return tuple(itertools.accumulate(reversed(box[code])))[::-1]
+    code_of = sorted(range(len(box)), key=eps_key, reverse=True)
+    parts = [box[c] for c in code_of]
+    pos = [0] * len(box)
+    for i, c in enumerate(code_of):
+        pos[c] = i
+    return parts, code_of, pos
+
+
 def _part_multisets(lam: tuple[int, ...], k: int):
     """Yield each multiset of k dominant parts summing to lam, once.
 
@@ -541,17 +574,12 @@ def _part_multisets(lam: tuple[int, ...], k: int):
     part and the zero cut read it too.
 
     These only drop branches that yield nothing, so the multisets and
-    their order are those of scanning every part at every level.
+    their order are those of scanning every part at every level.  At
+    k = 1 the one multiset (lam,) is returned before any part is listed.
     """
-    box = list(itertools.product(*(range(m + 1) for m in lam)))
-
-    def eps_key(code):  # the part's epsilon tuple
-        return tuple(itertools.accumulate(reversed(box[code])))[::-1]
-    code_of = sorted(range(len(box)), key=eps_key, reverse=True)
-    parts = [box[c] for c in code_of]
-    pos = [0] * len(box)
-    for i, c in enumerate(code_of):
-        pos[c] = i
+    if k == 1:
+        return iter(((tuple(lam),),))
+    parts, code_of, pos = _part_box(lam)
     place = [1]  # place[i]: the place value of digit i
     for m in reversed(lam[1:]):
         place.insert(0, place[0] * (m + 1))
@@ -590,7 +618,7 @@ def _part_multisets(lam: tuple[int, ...], k: int):
             if min(after) >= 0:
                 yield from walk(i, after, code - code_of[i], left - 1,
                                 prefix + (p,))
-    return walk(0, tuple(lam), len(box) - 1, k, ())
+    return walk(0, tuple(lam), len(pos) - 1, k, ())
 
 
 def _orderings(ms: Multiset, k_orderings: int) -> int:
@@ -744,39 +772,63 @@ def _inverse(images: tuple[int, ...]) -> list[int]:
     return q
 
 
-def _sorted_omega(x: tuple[int, ...], q: list[int]) -> list[int]:
-    """Omega coordinates of the padded epsilon vector x in the sorted
-    frame of the sorter whose inverse is q."""
-    return [x[q[t]] - x[q[t + 1]] for t in range(len(q) - 1)]
+def _steps(xs) -> list[int]:
+    """Consecutive differences xs[t] - xs[t + 1]: the omega coordinates
+    of a padded epsilon vector laid out in some frame."""
+    return list(map(sub, xs, xs[1:]))
+
+
+def _prefix_masks(slots) -> list[int]:
+    """masks[i]: the bit mask of the first i slots, for i = 0 .. len."""
+    masks = [mask := 0]
+    for p in slots:
+        mask |= 1 << p
+        masks.append(mask)
+    return masks
 
 
 class _Sorter:
     """One sorter of a lower pair's delta and what the classifier reads
-    off it: sigma, the one Permutation that every witness reading this
-    sorter shares, its inverse q, and the sorted-frame omega vectors s1
-    and s2 of e1 and e2."""
+    off it: its images, its inverse q, ``sort``, which lays a padded
+    vector x out in the sorted frame (slot t holds x[q[t]]), the prefix
+    masks of both readings (``inverse_masks[i]`` the slots {q[t] : t < i},
+    ``forward_masks[i]`` the slots {sigma(t) : t < i}), and the
+    sorted-frame omega vectors s1 and s2 of e1 and e2.  sigma, the one
+    Permutation that every witness reading this sorter shares, is built
+    on first read."""
 
-    __slots__ = ("sigma", "q", "s1", "s2")
+    __slots__ = ("images", "q", "sort", "inverse_masks", "forward_masks",
+                 "s1", "s2", "_sigma")
 
     def __init__(self, images: tuple[int, ...], e1, e2):
-        self.sigma = Permutation(images)
+        self.images = images
         self.q = q = _inverse(images)
-        self.s1, self.s2 = _sorted_omega(e1, q), _sorted_omega(e2, q)
+        self.sort = sort = itemgetter(*q)  # q has >= 2 slots: a tuple out
+        self.inverse_masks = _prefix_masks(q)
+        self.forward_masks = _prefix_masks(images)
+        self.s1, self.s2 = _steps(sort(e1)), _steps(sort(e2))
+        self._sigma = None
+
+    @property
+    def sigma(self) -> Permutation:
+        if self._sigma is None:
+            self._sigma = Permutation(self.images)
+        return self._sigma
 
 
 class _LowerPair:
-    """What a k = 2 lower representative gives every cover above it: its
-    parts' padded epsilon tuples in canonical order (e1 >= e2), delta =
-    e1 - e2, and the sorters of delta walked so far.  It holds no
-    generator: past the kept sorters, ``sorters`` restarts the
+    """What a k = 2 lower class gives every cover above it: its parts'
+    padded epsilon tuples in canonical order (e1 >= e2), delta = e1 - e2,
+    the bit of each slot, and the sorters of delta walked so far.  It
+    holds no generator: past the kept sorters, ``sorters`` restarts the
     deterministic walk and skips them."""
 
-    __slots__ = ("e1", "e2", "delta", "walked", "complete")
+    __slots__ = ("e1", "e2", "delta", "bits", "walked", "complete")
 
-    def __init__(self, low: WeightTuple):
-        self.e1, self.e2 = sorted((p.eps_padded() for p in low.parts),
-                                  reverse=True)
+    def __init__(self, x: tuple[int, ...], y: tuple[int, ...]):
+        self.e1, self.e2 = (x, y) if x >= y else (y, x)
         self.delta = tuple(map(sub, self.e1, self.e2))
+        self.bits = [1 << p for p in range(len(x))]
         self.walked: list[_Sorter] = []
         self.complete = False
 
@@ -793,34 +845,116 @@ class _LowerPair:
         self.complete = True
 
 
+# A decision is a plain tuple: the kind, then the witness fields with the
+# sorter in place of its Permutation (sorter, orientation, index, reading,
+# mix), all None for an unclassified edge.
+_UNCLASSIFIED = (CoverKind.UNCLASSIFIED, None, None, None, None, None)
+
+
+def _decide(pair: _LowerPair, h1: Weight, h2: Weight) -> tuple:
+    """The k = 2 cover rule, the one place it is decided: the cover from
+    the lower pair to the upper pair (h1, h2) of part Weights.
+
+    sigma ranges over the sorters of delta in image-lex order, and the
+    upper pair (f1 for mu1) over both orientations.  With q = sigma^-1,
+    slot t of the sorted frame holds x[q[t]], and its omega coordinate t
+    is x[q[t]] - x[q[t + 1]].
+
+    First kind: part 1 hands part 2 the chunk e1 - f1 and keeps f1 - e2.
+    The chunk must take two values a step apart; i counts its raised
+    slots.  It is rho * omega_i, positive at i on both sides in the
+    sorted frame, when the raised slots are {q[t] : t < i} (rho =
+    sigma^-1, "inverse") or {sigma(t) : t < i} (rho = sigma, "forward"),
+    tried in that order: the raised set is one bit mask, compared with
+    the sorter's prefix masks.  Second kind: in the sorted frame mu1
+    picks each omega coordinate from one of the two lower parts, part 1
+    wherever it fits.  First-kind witnesses take precedence over the
+    whole coset.
+    """
+    e1, e2 = pair.e1, pair.e2
+    f1, f2 = h1.eps_padded(), h2.eps_padded()
+    frames = [(h1, h2, f1)]
+    if f1 != f2:
+        frames.append((h2, h1, f2))
+    chunks = []
+    for mu1, mu2, f in frames:
+        chunk = list(map(sub, e1, f))
+        top = max(chunk)
+        if top - min(chunk) == 1:  # two values a step apart
+            raised = sum(itertools.compress(pair.bits, map(top.__eq__, chunk)))
+            chunks.append((chunk, f, raised, chunk.count(top), mu1, mu2))
+    if chunks:
+        for sorter in pair.sorters():
+            q = sorter.q
+            for chunk, f, raised, i, mu1, mu2 in chunks:
+                a, b = q[i - 1], q[i]
+                if chunk[a] <= chunk[b] or f[a] - e2[a] <= f[b] - e2[b]:
+                    continue
+                if raised == sorter.inverse_masks[i]:
+                    return (CoverKind.TYPE_I, sorter, (mu1, mu2), i,
+                            "inverse", None)
+                if raised == sorter.forward_masks[i]:
+                    return (CoverKind.TYPE_I, sorter, (mu1, mu2), i,
+                            "forward", None)
+    for sorter in pair.sorters():
+        for mu1, mu2, f in frames:
+            c = _steps(sorter.sort(f))
+            from1 = list(map(eq, c, sorter.s1))
+            if all(map(or_, from1, map(eq, c, sorter.s2))):
+                # 1 where part 1's coordinate fits, else 2
+                mix = tuple(map(sub, itertools.repeat(2), from1))
+                return CoverKind.TYPE_II, sorter, (mu1, mu2), None, None, mix
+    return _UNCLASSIFIED
+
+
+def _witness(sorter: _Sorter | None, orientation, index, reading,
+             mix) -> CoverWitness | None:
+    """A decision's witness, its sigma the sorter's shared Permutation."""
+    if sorter is None:
+        return None
+    return CoverWitness(sorter.sigma, orientation, index, reading, mix)
+
+
+def _decide_rows(k: int, classes, rows) -> tuple[tuple[tuple, ...], ...]:
+    """Each cover row's decisions, one row at a time.
+
+    Off k = 2 every edge is unclassified.  At k = 2 each lower class with
+    a cover gets one local ``_LowerPair``, and each class's parts come
+    from the classes' shared ``Weight`` cache, so no representative
+    ``WeightTuple`` is built and each part's padded epsilon tuple is
+    computed once."""
+    if k != 2:
+        return tuple((_UNCLASSIFIED,) * len(row) for row in rows)
+    parts = [tuple(map(cls.weight, cls.multisets[0])) for cls in classes]
+    decisions = []
+    for (w1, w2), row in zip(parts, rows):
+        if row:
+            pair = _LowerPair(w1.eps_padded(), w2.eps_padded())
+            decisions.append(tuple([_decide(pair, *parts[b]) for b in row]))
+        else:
+            decisions.append(())
+    return tuple(decisions)
+
+
 _LOWER_PAIR = "_lower_pair"  # the representative's __dict__ key
 
 
 def classify_cover(low: WeightTuple, high: WeightTuple) -> tuple[CoverKind, CoverWitness | None]:
     """Classify a k = 2 cover between class representatives.
 
-    Everything is read off padded epsilon int tuples, cached on each part
-    ``Weight``.  The lower pair is taken in canonical order (e1 >= e2);
-    sigma ranges over the sorters of delta = e1 - e2 in image-lex order,
-    and the upper pair (f1 for mu1) over both orientations.  With q =
-    sigma^-1, slot t of the sorted frame holds x[q[t]], and its omega
-    coordinate t is x[q[t]] - x[q[t + 1]].
-
-    First kind: part 1 hands part 2 the chunk e1 - f1 and keeps f1 - e2.
-    The chunk must take two values a step apart; i counts its raised
-    slots.  It is rho * omega_i, positive at i on both sides in the sorted
-    frame, when the raised slots are {q[t] : t < i} (rho = sigma^-1,
-    "inverse") or {sigma(t) : t < i} (rho = sigma, "forward"), tried in
-    that order.  Second kind: in the sorted frame mu1 picks each omega
-    coordinate from one of the two lower parts, part 1 wherever it fits.
-    First-kind witnesses take precedence over the whole coset; tuples
-    longer than 2 fall through to UNCLASSIFIED.
+    The rule is ``_decide``'s (see there): everything is read off padded
+    epsilon int tuples, cached on each part ``Weight``, and the lower pair
+    is taken in canonical order (e1 >= e2).  This wraps it for one pair of
+    tuples and builds the witness; tuples longer than 2 fall through to
+    UNCLASSIFIED.
 
     What depends on the lower pair alone is built once per lower
     representative and kept on it (``_LowerPair``), witnesses sharing one
     ``Permutation`` per sorter.  The first sorter comes from an argsort,
     not the walk (see ``_sorting_coset``); on (2,2,2,2,2,2) it witnesses
     all 1362 covers, so each of its 364 lower classes draws one sorter.
+    ``TuplePoset.cover_edges`` and the poset writers do not call this:
+    they read one decision list, built row by row from the classes.
     """
     if low.k != 2 or high.k != 2:
         return CoverKind.UNCLASSIFIED, None
@@ -830,43 +964,10 @@ def classify_cover(low: WeightTuple, high: WeightTuple) -> tuple[CoverKind, Cove
     # a field, so equality and hashing still read the parts alone
     pair = low.__dict__.get(_LOWER_PAIR)
     if pair is None:
-        pair = low.__dict__[_LOWER_PAIR] = _LowerPair(low)
-    e1, e2 = pair.e1, pair.e2
-    h1, h2 = high.parts
-    frames = [(h1, h2, h1.eps_padded())]
-    if h1 != h2:
-        frames.append((h2, h1, h2.eps_padded()))
-    chunks = []
-    for mu1, mu2, f1 in frames:
-        chunk = list(map(sub, e1, f1))
-        top = max(chunk)
-        if set(chunk) == {top, top - 1}:
-            keep = list(map(sub, f1, e2))
-            raised = {p for p, b in enumerate(chunk) if b == top}
-            chunks.append((chunk, keep, raised, mu1, mu2))
-    if chunks:
-        for sorter in pair.sorters():
-            q = sorter.q
-            for chunk, keep, raised, mu1, mu2 in chunks:
-                i = len(raised)
-                a, b = q[i - 1], q[i]
-                if chunk[a] <= chunk[b] or keep[a] <= keep[b]:
-                    continue
-                for reading, slots in (("inverse", q[:i]),
-                                       ("forward", sorter.sigma.images[:i])):
-                    if raised == set(slots):
-                        return CoverKind.TYPE_I, CoverWitness(
-                            sigma=sorter.sigma, orientation=(mu1, mu2),
-                            index=i, reading=reading)
-    for sorter in pair.sorters():
-        q, s1, s2 = sorter.q, sorter.s1, sorter.s2
-        for mu1, mu2, f1 in frames:
-            mix = tuple(1 if c == a else 2 if c == b else 0
-                        for c, a, b in zip(_sorted_omega(f1, q), s1, s2))
-            if 0 not in mix:
-                return CoverKind.TYPE_II, CoverWitness(
-                    sigma=sorter.sigma, orientation=(mu1, mu2), mix=mix)
-    return CoverKind.UNCLASSIFIED, None
+        pair = low.__dict__[_LOWER_PAIR] = _LowerPair(
+            *(p.eps_padded() for p in low.parts))
+    kind, *witness = _decide(pair, *high.parts)
+    return kind, _witness(*witness)
 
 
 def covers_of(poset: TuplePoset, index: int) -> list[CoverEdge]:

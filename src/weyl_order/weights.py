@@ -29,6 +29,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable
 
 
@@ -60,11 +61,7 @@ class Weight:
 
     def eps(self) -> tuple[int, ...]:
         """Epsilon coordinates (partial sums), unpadded."""
-        out, acc = [], 0
-        for c in reversed(self.omega):
-            acc += c
-            out.append(acc)
-        return tuple(reversed(out))
+        return tuple(accumulate(reversed(self.omega)))[::-1]
 
     @cached_property
     def _eps_padded(self) -> tuple[int, ...]:

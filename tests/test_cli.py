@@ -193,6 +193,36 @@ class TestJsonFiles:
                 "68a982f761f93ac910def299701f10142f5a831c08ef92cfa93c6928e03ebe3f",
         }
 
+    @pytest.mark.parametrize("lam, digest", [
+        ("3,0,2",
+         "c7b087e42cd3e0f6e2a2e406707579064e23c1d9ae0046c84925036fb5a91113"),
+        ("2,2,2,2",
+         "5fe3c2c9cc5708ffb757e143a4a3d8d8138543339d121303f1093b3e0fc0bcaf"),
+    ])
+    def test_covers_stdout_bytes_are_pinned(self, capsys, lam, digest):
+        code, out, err = run(capsys, "covers", "--lambda", lam, "--k", "2")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_poset_dot_at_k2_builds_no_witness_edge_or_tuple(
+            self, tmp_path, capsys, monkeypatch):
+        from weyl_order import (CoverEdge, CoverWitness, Permutation,
+                                WeightTuple)
+        built = Counter()
+        for cls in (CoverEdge, CoverWitness, Permutation, WeightTuple):
+            def counting(self, *args, _cls=cls, _init=cls.__init__, **kw):
+                built[_cls.__name__] += 1
+                _init(self, *args, **kw)
+            monkeypatch.setattr(cls, "__init__", counting)
+        argv = ["--lambda", "2,2,2,2", "--k", "2", "--out-dir", str(tmp_path)]
+        assert run(capsys, "poset", *argv, "--dot")[0] == 0
+        assert built == Counter()
+        dot = (tmp_path / "poset_lam2-2-2-2_k2.dot").read_text()
+        assert "[style=solid]" in dot and "[style=dashed]" in dot
+        # the count sees them where they are built: covers prints witnesses
+        assert run(capsys, "covers", *argv)[0] == 0
+        assert set(built) == {"CoverEdge", "CoverWitness", "Permutation"}
+
     def test_rank_six_k2_output_bytes_are_pinned(self, tmp_path, capsys):
         # the covers_k2 benchmark fiber: its witness texts depend on the
         # order in which the sorters are drawn
@@ -592,9 +622,9 @@ class TestFailureModes:
                                                             monkeypatch):
         import weyl_order.posets as posets
 
-        def refuse(low, high):
+        def refuse(pair, h1, h2):
             raise ValueError("no classification")
-        monkeypatch.setattr(posets, "classify_cover", refuse)
+        monkeypatch.setattr(posets, "_decide", refuse)
         code, _, err = run(capsys, "poset", "--lambda", "2,1", "--k", "2",
                            "--dot", "--out-dir", str(tmp_path))
         assert code == 2
@@ -798,7 +828,8 @@ class TestBenchLayersScript:
         layers = {"build_poset", "_below", "cover_rows", "json_chunks",
                   "dot_chunks"}
         for name, fiber in fibers.items():
-            want = layers | {"cover_edges"} if fiber["k"] == 2 else layers
+            want = layers | {"cover_decisions", "cover_edges"} \
+                if fiber["k"] == 2 else layers
             assert set(fiber["seconds_min"]) == want, name
             assert all(s >= 0 for s in fiber["seconds_min"].values())
             # the best times, scaled by the reference over the best probe

@@ -356,6 +356,20 @@ class TestPartWalk:
             assert list(_part_multisets(lam, 3000)) == \
                 [ms + (zero,) * (3000 - len(ms)) for ms in small], lam
 
+    def test_k1_lists_no_part(self, monkeypatch):
+        # one multiset, (lam,), whatever the box under lam would hold
+        import weyl_order.posets as posets
+
+        def refuse(lam):
+            raise AssertionError(f"the part box under {lam} was built")
+        monkeypatch.setattr(posets, "_part_box", refuse)
+        assert list(_part_multisets((60, 60, 60), 1)) == [((60, 60, 60),)]
+        assert list(_part_multisets((0, 0), 1)) == [((0, 0),)]
+        poset = build_poset(Weight((60, 60, 60)), 1)
+        assert [(cls.size, cls.multisets) for cls in poset.classes] == \
+            [(1, (((60, 60, 60),),))]
+        assert poset.cover_rows == ((),)
+
     def test_zero_lambda_at_large_k_is_one_class(self):
         poset = build_poset(Weight((0, 0)), 3000)
         assert len(poset) == 1
@@ -762,6 +776,48 @@ class TestPerClassCoverData:
                 if "_lower_pair" in cls.rep.__dict__] == []
 
 
+class TestDecisionList:
+    """The writers read the kinds off the decision list, cover_edges builds
+    the witnesses from it, and classify_cover wraps the same rule."""
+
+    STYLE = {"solid": "type_one", "dashed": "type_two",
+             "dotted": "unclassified"}
+
+    def writer_kinds(self, poset):
+        # both text files, read back as (low, high, kind) triples
+        from_json = [tuple(e) for e in json.loads(poset.json_text())["hasse"]]
+        from_dot = [(int(a), int(b), self.STYLE[style]) for a, b, style in
+                    re.findall(r"n(\d+) -> n(\d+) \[style=(\w+)\]",
+                               poset.to_dot())]
+        assert from_json == from_dot
+        return from_json
+
+    def test_writers_cover_edges_and_classify_cover_agree(self):
+        # every nonzero k = 2 fiber of rank <= 3 with coordinates <= 3
+        fibers = [c for n in (1, 2, 3)
+                  for c in itertools.product(range(4), repeat=n) if any(c)]
+        assert len(fibers) == 81
+        for coords in fibers:
+            poset = build_poset(Weight(coords), 2)
+            # the writers first, on a poset with no cover edge built
+            kinds = self.writer_kinds(poset)
+            assert "cover_edges" not in poset.__dict__
+            edges = poset.cover_edges
+            assert kinds == [(e.low, e.high, e.kind.value) for e in edges]
+            reps = [cls.rep for cls in poset.classes]
+            for e in edges:
+                kind, witness = classify_cover(reps[e.low], reps[e.high])
+                assert (e.kind, e.witness) == (kind, witness), (coords, e)
+                if witness is not None:
+                    assert e.witness.describe() == witness.describe()
+
+    def test_kinds_off_k2_are_unclassified(self):
+        poset = build_poset(Weight((2, 2)), 3)
+        assert poset.cover_edges
+        assert {(e.kind, e.witness) for e in poset.cover_edges} == \
+            {(CoverKind.UNCLASSIFIED, None)}
+
+
 class TestCoversOf:
     @pytest.mark.parametrize("coords, k", [((2, 2, 2, 2), 2), ((3, 2), 2),
                                            ((2, 1), 3)])
@@ -942,19 +998,21 @@ class TestSharedOrder:
         assert peak < masks, (peak, masks)
 
     def test_each_cover_is_classified_once(self, monkeypatch):
+        # the one decision list serves covers_of, to_json and both writers
         import weyl_order.posets as posets
         calls = []
-        real = posets.classify_cover
+        real = posets._decide
 
-        def counting(low, high):
-            calls.append((low, high))
-            return real(low, high)
-        monkeypatch.setattr(posets, "classify_cover", counting)
+        def counting(pair, h1, h2):
+            calls.append((pair.e1, pair.e2, h1, h2))
+            return real(pair, h1, h2)
+        monkeypatch.setattr(posets, "_decide", counting)
         poset = build_poset(Weight((3, 2)), 2)
         for c in range(len(poset)):
             covers_of(poset, c)
         poset.to_json()
         poset.to_dot()
+        poset.json_text()
         assert len(calls) == len(poset.hasse_edges) == len(set(calls)) > 0
 
 

@@ -45,9 +45,9 @@ def test_moved_names_are_gone_from_the_library(owner):
 
 
 def test_posets_tests_k_against_two_only_in_the_text_writers():
-    # cover_edges and to_json go through classify_cover at every k; only
-    # the text writers skip it off k = 2, and they decide that in their one
-    # edge iterator
+    # cover_edges and to_json read the decision list at every k, which the
+    # classifier fills off k = 2 as well; only the text writers skip it off
+    # k = 2, and they decide that in their one edge iterator
     tree = ast.parse((SRC / "posets.py").read_text())
     found = []
     for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
