@@ -12,9 +12,10 @@ layer is timed on a poset whose earlier layers are already built, so no
 time holds another layer's: at k = 2 the two cover layers add up to what
 ``cover_edges`` costs on its own.  It also records the
 tracemalloc peak of the cover walk next to the bytes of the masks it
-walks, the sizes (classes, covers, characters written) and where the
-numbers come from: git commit, whether ``src/`` differs from it, Python
-version, nproc and the ``src/`` line count.  Standard library only.
+walks and, at k = 2, the bytes the decision list keeps, the sizes
+(classes, covers, characters written) and where the numbers come from:
+git commit, whether ``src/`` differs from it, Python version, nproc and
+the ``src/`` line count.  Standard library only.
 
 The host's speed moves between runs, so a burst of a fixed probe loop
 runs right before and right after each pass.  Per fiber the file holds
@@ -116,16 +117,23 @@ def layer_times(lam: Weight, k: int) -> tuple[dict, dict]:
 
 def cover_walk_memory(lam: Weight, k: int) -> dict:
     """The tracemalloc peak of cover_rows, with the order built first, and
-    the bytes of the masks it walks."""
+    the bytes of the masks it walks; at k = 2 also the bytes the decision
+    list keeps (tracemalloc current once it is built, with the order and
+    the rows built first)."""
     poset = build_poset(lam, k)
     below_bytes = sum(map(sys.getsizeof, poset._below))
     tracemalloc.start()
     try:
         poset.cover_rows
-        peak = tracemalloc.get_traced_memory()[1]
+        out = {"cover_rows_peak_bytes": tracemalloc.get_traced_memory()[1],
+               "below_bytes": below_bytes}
+        if k == 2:
+            tracemalloc.clear_traces()  # count what is allocated from here
+            poset._cover_decisions
+            out["cover_decisions_bytes"] = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    return {"cover_rows_peak_bytes": peak, "below_bytes": below_bytes}
+    return out
 
 
 def measure_fiber(coords: tuple[int, ...], k: int, repeat: int) -> dict:

@@ -380,27 +380,22 @@ def cmd_covers(args) -> int:
     if args.json:
         _make_out_dir(path)  # before the poset and the cover lines
     poset = build_poset(lam, args.k, guard)
-    # each cover's line and its record text in one pass, the records as
-    # covers_json_text lays them out: each label quoted once per class,
-    # each kind once, a witness's text once per cover
+    edges = poset.cover_edges
+    texts = [None if e.witness is None else e.witness.describe()
+             for e in edges]
     labels = poset.labels
-    quoted = list(map(json.dumps, labels))
-    kinds = {kind: (kind.value, json.dumps(kind.value)) for kind in CoverKind}
-    lines, records = [], []
-    for edge in poset.cover_edges:
-        low, high = edge.low, edge.high
-        value, kind = kinds[edge.kind]
-        line = f"{labels[low]} -> {labels[high]} [{value}]"
-        if edge.witness is None:
-            lines.append(line + "\n")
-            witness = "null"
-        else:
-            text = edge.witness.describe()
-            lines.append(f"{line} ({text})\n")
-            witness = json.dumps(text)
-        records.append(_cover_record(quoted[low], quoted[high], kind, witness))
-    sys.stdout.write("".join(lines))
+    sys.stdout.write("".join(
+        f"{labels[e.low]} -> {labels[e.high]} [{e.kind.value}]"
+        + ("\n" if text is None else f" ({text})\n")
+        for e, text in zip(edges, texts)))
     if args.json:
+        # the records as covers_json_text lays them out: each label quoted
+        # once per class, each kind once, a witness's text once per cover
+        quoted = list(map(json.dumps, labels))
+        kinds = {kind: json.dumps(kind.value) for kind in CoverKind}
+        records = (_cover_record(quoted[e.low], quoted[e.high], kinds[e.kind],
+                                 json.dumps(text))
+                   for e, text in zip(edges, texts))
         _write_text(path, _covers_chunks(lam, args.k, records))
     return 0
 

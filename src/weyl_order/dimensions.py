@@ -169,22 +169,27 @@ def _two_factor(rs: RootSystem, x: WeightTuple) -> list[int]:
     return [a * b for a, b in zip(first, second)]
 
 
+def _ledger_rows(rs: RootSystem, lo, hi):
+    """The one ledger row layout, as (label, low, high, guaranteed,
+    in_product) tuples: a row per coroot, in coroot order, from the
+    two-factor vectors lo and hi, then the grouped rows of rs.ledger_plan,
+    each multiplying two coroots' two-factor products."""
+    coroot_rows, grouped_rows = rs.ledger_plan
+    for (label, guaranteed, in_product), low, high in zip(coroot_rows, lo, hi):
+        yield label, low, high, guaranteed, in_product
+    for label, i, j in grouped_rows:
+        yield label, lo[i] * lo[j], hi[i] * hi[j], True, True
+
+
 def pair_ledger(rs: RootSystem, low: WeightTuple, high: WeightTuple) -> list[LedgerRow]:
     """All ledger rows for a k = 2 pair, in coroot order then grouped rows.
 
     Labels and flags come from rs.ledger_plan, brackets from
-    rs.part_brackets; a grouped row multiplies two coroots' two-factor
-    products.
+    rs.part_brackets, the layout from _ledger_rows.
     """
     _require_k2("pair_ledger", low.k, high.k)
-    lo, hi = _two_factor(rs, low), _two_factor(rs, high)
-    coroot_rows, grouped_rows = rs.ledger_plan
-    rows = [LedgerRow(label, lv, hv, guaranteed, in_product)
-            for (label, guaranteed, in_product), lv, hv
-            in zip(coroot_rows, lo, hi)]
-    rows += [LedgerRow(label, lo[i] * lo[j], hi[i] * hi[j], True, True)
-             for label, i, j in grouped_rows]
-    return rows
+    return [LedgerRow(*row) for row in
+            _ledger_rows(rs, _two_factor(rs, low), _two_factor(rs, high))]
 
 
 def grand_product_identity(rs: RootSystem, x: WeightTuple) -> tuple[int, int]:
@@ -248,13 +253,10 @@ def verify_coroot_inequalities_k2(poset: TuplePoset,
 
     Guaranteed rows must not lose; grand_product_identity must hold for
     every representative.  Each class's two-factor vector is computed
-    once; every edge then compares integers on the guaranteed coroot rows
-    and the grouped products of rs.ledger_plan, in pair_ledger's row order.
+    once; every edge then compares integers on the guaranteed rows of
+    _ledger_rows, pair_ledger's layout.
     """
     _require_k2("verify_coroot_inequalities_k2", poset.k)
-    coroot_rows, grouped_rows = rs.ledger_plan
-    guaranteed = [(t, label) for t, (label, sure, _) in enumerate(coroot_rows)
-                  if sure]
     vecs = []
     violations = []
     for c, cls in enumerate(poset.classes):
@@ -265,12 +267,9 @@ def verify_coroot_inequalities_k2(poset: TuplePoset,
                 {"item": f"product identity at {poset.labels[c]}",
                  "kind": "identity", "lhs": lhs, "rhs": rhs})
     for a, b in poset.hasse_edges:
-        lo, hi = vecs[a], vecs[b]
-        rows = [(label, lo[t], hi[t]) for t, label in guaranteed]
-        rows += [(label, lo[i] * lo[j], hi[i] * hi[j])
-                 for label, i, j in grouped_rows]
-        for label, low, high in rows:
-            if low > high:
+        for label, low, high, guaranteed, _ in _ledger_rows(rs, vecs[a],
+                                                            vecs[b]):
+            if guaranteed and low > high:
                 labels = poset.labels
                 violations.append(
                     {"item": f"{labels[a]} -> {labels[b]} : {label}",

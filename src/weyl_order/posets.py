@@ -48,20 +48,22 @@ tuple.  It works on padded epsilon integer tuples, which each shared part
 image tuples: the first sorter is a stable argsort, and the recursive
 walk starts only when a second one is asked for.  What depends on the
 lower pair alone (e1, e2, delta, and each sorter walked with its inverse,
-its prefix masks and the sorted-frame omegas of e1 and e2) is computed
-once per lower class, and a sorter builds its witness ``Permutation``
-only when a witness is read.  A poset decides its covers once, one cover
-row at a time, into a cached decision list, each lower class's parts
-taken from the classes' shared ``Weight`` cache, so no representative
-``WeightTuple`` is built.  Off k = 2 every decision is unclassified.
+its prefix masks and the sorted-frame omegas of e1 and e2, next to the
+live walk) is computed once per cover row and dropped with it.  A poset
+decides its covers once, one cover row at a time, into a cached decision
+list, each lower class's parts taken from the classes' shared ``Weight``
+cache, so no representative ``WeightTuple`` is built; a decision holds
+its sorter's image tuple, not the sorter, so no cover data outlives its
+row but the list.  Off k = 2 every decision is unclassified.
 ``TuplePoset.cover_edges`` builds ``CoverEdge`` and ``CoverWitness``
-objects from that list, the witnesses of one sorter sharing its
-``Permutation``; ``covers_of`` bisects them, in (low, high) order, to one
-class's slice, and ``to_json`` reads them.  ``classify_cover`` wraps the
-same rule for one pair of tuples.  The text writers read the kinds off
-the list in their one edge iterator ``_edge_pieces``, with no witness or
-edge object built; off k = 2 every edge is unclassified, so a cover row
-is one text piece, one join over its upper indices.
+objects from that list, the witnesses of one lower class sharing one
+``Permutation`` per image tuple; ``covers_of`` bisects them, in (low,
+high) order, to one class's slice, and ``to_json`` reads them.
+``classify_cover`` wraps the same rule for one pair of tuples, with a
+lower pair of its own that it drops.  The text writers read the kinds
+off the list in their one edge iterator ``_edge_pieces``, with no
+witness or edge object built; off k = 2 every edge is unclassified, so a
+cover row is one text piece, one join over its upper indices.
 ``json_chunks`` and ``dot_chunks`` yield the poset JSON file (the bytes
 ``json.dumps(to_json(), sort_keys=True, indent=2)`` gives, each class
 entry and each distinct part one concatenation, the part laid out once)
@@ -335,13 +337,15 @@ class TuplePoset:
     @cached_property
     def cover_edges(self) -> tuple[CoverEdge, ...]:
         """The Hasse edges in (low, high) order, each with its kind and
-        witness read off the decision list; the witnesses of one sorter
-        share its Permutation."""
-        return tuple(
-            CoverEdge(a, b, kind, _witness(*witness))
-            for a, (highs, row) in enumerate(zip(self.cover_rows,
-                                                 self._cover_decisions))
-            for b, (kind, *witness) in zip(highs, row))
+        witness read off the decision list; the witnesses of one lower
+        class share one Permutation per sorter."""
+        edges = []
+        for a, (highs, row) in enumerate(zip(self.cover_rows,
+                                             self._cover_decisions)):
+            sigmas: dict = {}
+            edges += [CoverEdge(a, b, kind, _witness(sigmas, *witness))
+                      for b, (kind, *witness) in zip(highs, row)]
+        return tuple(edges)
 
     def transitive_ok(self) -> bool:
         """The down-closure of the cover rows must equal the strict order.
@@ -793,12 +797,11 @@ class _Sorter:
     vector x out in the sorted frame (slot t holds x[q[t]]), the prefix
     masks of both readings (``inverse_masks[i]`` the slots {q[t] : t < i},
     ``forward_masks[i]`` the slots {sigma(t) : t < i}), and the
-    sorted-frame omega vectors s1 and s2 of e1 and e2.  sigma, the one
-    Permutation that every witness reading this sorter shares, is built
-    on first read."""
+    sorted-frame omega vectors s1 and s2 of e1 and e2.  A decision keeps
+    only the images, so a sorter lives as long as its lower pair."""
 
     __slots__ = ("images", "q", "sort", "inverse_masks", "forward_masks",
-                 "s1", "s2", "_sigma")
+                 "s1", "s2")
 
     def __init__(self, images: tuple[int, ...], e1, e2):
         self.images = images
@@ -807,47 +810,38 @@ class _Sorter:
         self.inverse_masks = _prefix_masks(q)
         self.forward_masks = _prefix_masks(images)
         self.s1, self.s2 = _steps(sort(e1)), _steps(sort(e2))
-        self._sigma = None
-
-    @property
-    def sigma(self) -> Permutation:
-        if self._sigma is None:
-            self._sigma = Permutation(self.images)
-        return self._sigma
 
 
 class _LowerPair:
     """What a k = 2 lower class gives every cover above it: its parts'
     padded epsilon tuples in canonical order (e1 >= e2), delta = e1 - e2,
-    the bit of each slot, and the sorters of delta walked so far.  It
-    holds no generator: past the kept sorters, ``sorters`` restarts the
-    deterministic walk and skips them."""
+    the bit of each slot, the sorters of delta walked so far and the live
+    walk that yields the rest.  One is built per cover row, or per
+    ``classify_cover`` call, and dropped with it."""
 
-    __slots__ = ("e1", "e2", "delta", "bits", "walked", "complete")
+    __slots__ = ("e1", "e2", "delta", "bits", "walked", "fresh")
 
     def __init__(self, x: tuple[int, ...], y: tuple[int, ...]):
         self.e1, self.e2 = (x, y) if x >= y else (y, x)
         self.delta = tuple(map(sub, self.e1, self.e2))
         self.bits = [1 << p for p in range(len(x))]
         self.walked: list[_Sorter] = []
-        self.complete = False
+        self.fresh = _sorting_coset(self.delta)
 
     def sorters(self):
-        """Every sorter of delta in image-lex order, each built once."""
+        """Every sorter of delta in image-lex order, each built once: the
+        walked ones, then the walk resumed.  Callers iterate one at a
+        time; an abandoned loop leaves the walk where it stopped."""
         yield from self.walked
-        if self.complete:
-            return
-        fresh = _sorting_coset(self.delta)
-        for images in itertools.islice(fresh, len(self.walked), None):
+        for images in self.fresh:
             sorter = _Sorter(images, self.e1, self.e2)
             self.walked.append(sorter)
             yield sorter
-        self.complete = True
 
 
 # A decision is a plain tuple: the kind, then the witness fields with the
-# sorter in place of its Permutation (sorter, orientation, index, reading,
-# mix), all None for an unclassified edge.
+# sorter's image tuple in place of its Permutation (images, orientation,
+# index, reading, mix), all None for an unclassified edge.
 _UNCLASSIFIED = (CoverKind.UNCLASSIFIED, None, None, None, None, None)
 
 
@@ -891,10 +885,10 @@ def _decide(pair: _LowerPair, h1: Weight, h2: Weight) -> tuple:
                 if chunk[a] <= chunk[b] or f[a] - e2[a] <= f[b] - e2[b]:
                     continue
                 if raised == sorter.inverse_masks[i]:
-                    return (CoverKind.TYPE_I, sorter, (mu1, mu2), i,
+                    return (CoverKind.TYPE_I, sorter.images, (mu1, mu2), i,
                             "inverse", None)
                 if raised == sorter.forward_masks[i]:
-                    return (CoverKind.TYPE_I, sorter, (mu1, mu2), i,
+                    return (CoverKind.TYPE_I, sorter.images, (mu1, mu2), i,
                             "forward", None)
     for sorter in pair.sorters():
         for mu1, mu2, f in frames:
@@ -903,16 +897,22 @@ def _decide(pair: _LowerPair, h1: Weight, h2: Weight) -> tuple:
             if all(map(or_, from1, map(eq, c, sorter.s2))):
                 # 1 where part 1's coordinate fits, else 2
                 mix = tuple(map(sub, itertools.repeat(2), from1))
-                return CoverKind.TYPE_II, sorter, (mu1, mu2), None, None, mix
+                return (CoverKind.TYPE_II, sorter.images, (mu1, mu2), None,
+                        None, mix)
     return _UNCLASSIFIED
 
 
-def _witness(sorter: _Sorter | None, orientation, index, reading,
-             mix) -> CoverWitness | None:
-    """A decision's witness, its sigma the sorter's shared Permutation."""
-    if sorter is None:
+def _witness(sigmas: dict, images: tuple[int, ...] | None, orientation,
+             index, reading, mix) -> CoverWitness | None:
+    """A decision's witness.  Its sigma is the Permutation of the images,
+    built on first need into sigmas, which the caller keeps for one lower
+    class: its witnesses share one Permutation per sorter."""
+    if images is None:
         return None
-    return CoverWitness(sorter.sigma, orientation, index, reading, mix)
+    sigma = sigmas.get(images)
+    if sigma is None:
+        sigma = sigmas[images] = Permutation(images)
+    return CoverWitness(sigma, orientation, index, reading, mix)
 
 
 def _decide_rows(k: int, classes, rows) -> tuple[tuple[tuple, ...], ...]:
@@ -936,9 +936,6 @@ def _decide_rows(k: int, classes, rows) -> tuple[tuple[tuple, ...], ...]:
     return tuple(decisions)
 
 
-_LOWER_PAIR = "_lower_pair"  # the representative's __dict__ key
-
-
 def classify_cover(low: WeightTuple, high: WeightTuple) -> tuple[CoverKind, CoverWitness | None]:
     """Classify a k = 2 cover between class representatives.
 
@@ -946,13 +943,8 @@ def classify_cover(low: WeightTuple, high: WeightTuple) -> tuple[CoverKind, Cove
     epsilon int tuples, cached on each part ``Weight``, and the lower pair
     is taken in canonical order (e1 >= e2).  This wraps it for one pair of
     tuples and builds the witness; tuples longer than 2 fall through to
-    UNCLASSIFIED.
-
-    What depends on the lower pair alone is built once per lower
-    representative and kept on it (``_LowerPair``), witnesses sharing one
-    ``Permutation`` per sorter.  The first sorter comes from an argsort,
-    not the walk (see ``_sorting_coset``); on (2,2,2,2,2,2) it witnesses
-    all 1362 covers, so each of its 364 lower classes draws one sorter.
+    UNCLASSIFIED.  Each call builds its own ``_LowerPair`` and keeps
+    nothing, so no call leaves state on either tuple.
     ``TuplePoset.cover_edges`` and the poset writers do not call this:
     they read one decision list, built row by row from the classes.
     """
@@ -960,14 +952,9 @@ def classify_cover(low: WeightTuple, high: WeightTuple) -> tuple[CoverKind, Cove
         return CoverKind.UNCLASSIFIED, None
     if low.rank != high.rank:
         raise ValueError(f"rank mismatch: {low.rank} vs {high.rank}")
-    # kept in the representative's __dict__ like a cached property: not
-    # a field, so equality and hashing still read the parts alone
-    pair = low.__dict__.get(_LOWER_PAIR)
-    if pair is None:
-        pair = low.__dict__[_LOWER_PAIR] = _LowerPair(
-            *(p.eps_padded() for p in low.parts))
+    pair = _LowerPair(*(p.eps_padded() for p in low.parts))
     kind, *witness = _decide(pair, *high.parts)
-    return kind, _witness(*witness)
+    return kind, _witness({}, *witness)
 
 
 def covers_of(poset: TuplePoset, index: int) -> list[CoverEdge]:

@@ -204,6 +204,23 @@ class TestJsonFiles:
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_covers_builds_record_texts_only_with_json(
+            self, tmp_path, capsys, monkeypatch):
+        built = []
+        real = cli._cover_record
+
+        def counting(*fields):
+            built.append(fields)
+            return real(*fields)
+        monkeypatch.setattr(cli, "_cover_record", counting)
+        argv = ["--lambda", "2,2,2,2,2,2", "--k", "2", "--out-dir", str(tmp_path)]
+        code, plain, _ = run(capsys, "covers", *argv)
+        assert (code, len(built)) == (0, 0)
+        assert list(tmp_path.iterdir()) == []
+        code, with_json, _ = run(capsys, "covers", *argv, "--json")
+        assert (code, len(built)) == (0, 1362)
+        assert with_json == plain and len(plain.splitlines()) == 1362
+
     def test_poset_dot_at_k2_builds_no_witness_edge_or_tuple(
             self, tmp_path, capsys, monkeypatch):
         from weyl_order import (CoverEdge, CoverWitness, Permutation,
@@ -846,6 +863,10 @@ class TestBenchLayersScript:
         k3 = fibers["poset_k3"]
         assert (k3["classes"], k3["covers"]) == (3675, 27173)
         assert 0 < k3["cover_rows_peak_bytes"] < k3["below_bytes"]
+        # the bytes the decision list keeps, at k = 2 only
+        assert [name for name, fiber in fibers.items()
+                if "cover_decisions_bytes" in fiber] == ["covers_k2"]
+        assert fibers["covers_k2"]["cover_decisions_bytes"] > 0
         assert "wrote" in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv,needle", [

@@ -672,10 +672,11 @@ class TestCoverClassification:
 
 
 class TestPerClassCoverData:
-    """classify_cover keeps what a lower representative gives all its
-    covers (e1, e2, delta and the sorters walked, each with its witness
-    Permutation) on the representative; these pin that fast path against
-    the search oracle and against call order."""
+    """What a lower class gives all its covers (e1, e2, delta, the sorters
+    walked and the live walk) is built once per cover row and dropped with
+    it, and the witnesses of one lower class share one Permutation per
+    sorter; these pin that fast path against the search oracle and
+    against call order."""
 
     @staticmethod
     def assert_matches_search(poset):
@@ -699,22 +700,56 @@ class TestPerClassCoverData:
     def test_cover_edges_match_search_on_2222(self):
         self.assert_matches_search(build_poset(Weight((2, 2, 2, 2)), 2))
 
-    def test_a_late_sorter_extends_the_kept_ones(self):
+    def test_a_late_sorter_extends_the_kept_ones(self, monkeypatch):
         # the incomparable pair of (2,2,2,2) whose 11th sorter witnesses,
-        # classified between covers of its lower class: the walk resumes
-        # past the kept first sorter, and the covers still read the first
+        # decided between covers of its lower class on one local lower
+        # pair: the one walk resumes past the kept first sorter, and the
+        # covers still read the first
+        import weyl_order.posets as posets
+        walks, drawn = [], []
+        real = posets._sorting_coset
+
+        def counting(values):
+            walks.append(values)
+            for images in real(values):
+                drawn.append(images)
+                yield images
+        monkeypatch.setattr(posets, "_sorting_coset", counting)
         poset = build_poset(Weight((2, 2, 2, 2)), 2)
         reps = [cls.rep for cls in poset.classes]
         a = poset.class_of(T((0, 1, 2, 1), (2, 1, 0, 1)))
         b = poset.class_of(T((1, 0, 2, 2), (1, 2, 0, 0)))
         ups = [h for low, h in poset.hasse_edges if low == a]
         assert ups
+        pair = posets._LowerPair(*(p.eps_padded() for p in reps[a].parts))
         for high in ups + [b] + ups + [b]:
-            assert classify_cover(reps[a], reps[high]) == \
+            kind, *witness = posets._decide(pair, *reps[high].parts)
+            assert (kind, posets._witness({}, *witness)) == \
                 classify_cover_by_search(reps[a], reps[high]), high
-        kept = reps[a].__dict__["_lower_pair"]
-        assert [s.sigma.images for s in kept.walked] == \
-            list(_sorting_coset(kept.delta))[:11]
+        first11 = list(real(pair.delta))[:11]
+        assert [s.images for s in pair.walked] == first11
+        # one walk, each sorter drawn once: no restart past the kept ones
+        assert walks == [pair.delta] and drawn == first11
+
+    def test_no_cover_data_outlives_its_row(self):
+        # a decision holds its sorter's image tuple, not the sorter, and
+        # classify_cover leaves nothing on the lower representative
+        poset = build_poset(Weight((2, 2, 2, 2)), 2)
+        decisions = [d for row in poset._cover_decisions for d in row]
+        assert len(decisions) == len(poset.hasse_edges)
+        for kind, images, orientation, index, reading, mix in decisions:
+            assert isinstance(kind, CoverKind)
+            assert images is None or (
+                type(images) is tuple
+                and all(type(t) is int for t in images)), images
+            assert orientation is None or all(
+                type(w) is Weight for w in orientation)
+        assert {d[1] is None for d in decisions} == {False}
+        reps = [cls.rep for cls in poset.classes]
+        for low, high in poset.hasse_edges:
+            before = dict(reps[low].__dict__)
+            assert classify_cover(reps[low], reps[high])[1] is not None
+            assert reps[low].__dict__ == before
 
     @staticmethod
     def classify(poset, pairs):
@@ -766,14 +801,6 @@ class TestPerClassCoverData:
         # a fresh permutation per witness words every one the same
         assert texts == [dataclasses.replace(w, sigma=Permutation(w.sigma.images))
                          .describe() for w in witnesses]
-
-    def test_pair_data_does_not_outlive_cover_edges(self):
-        # the witnesses keep the shared permutations; the per-class pair
-        # data is dropped once every cover is classified
-        poset = build_poset(Weight((2, 2, 2)), 2)
-        assert poset.cover_edges
-        assert [c for c, cls in enumerate(poset.classes)
-                if "_lower_pair" in cls.rep.__dict__] == []
 
 
 class TestDecisionList:

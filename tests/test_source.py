@@ -90,9 +90,9 @@ def test_test_only_routes_are_gone_from_the_library():
 
 
 def test_posets_keeps_no_module_level_cache():
-    # per-class cover data lives on the representative, not in a
-    # module-level cache or lru_cache keyed by pairs; the caches built
-    # inside a function are dropped with its call
+    # per-class cover data lives in a local lower pair, dropped with its
+    # cover row or call, not in a module-level cache or lru_cache keyed by
+    # pairs; the caches built inside a function are dropped with its call
     def is_cache(node):
         if isinstance(node, ast.Call):
             node = node.func
