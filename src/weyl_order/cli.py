@@ -207,13 +207,11 @@ def run_sweep_item(item: tuple, poset) -> dict:
                      f"documented discrepancy: {got}")
             return out
 
-        lam = Weight(tuple(lam_omega))
-        rs = root_system(fam, rank)
         if kind == "size_k2":
-            enumerated = len(poset())
-            formula = poset_size_k2(lam)
-            if enumerated != formula:
-                fail(f"class count {enumerated} != closed form {formula}")
+            fiber = poset()
+            formula = poset_size_k2(fiber.lam)
+            if len(fiber) != formula:
+                fail(f"class count {len(fiber)} != closed form {formula}")
         elif kind == "extremes":
             fiber = poset()
             if fiber.closed_form_bottom_index != fiber.bottom_index:
@@ -227,7 +225,7 @@ def run_sweep_item(item: tuple, poset) -> dict:
             verifier = {"monotone_k2": verify_monotone_k2,
                         "ledger_k2": verify_coroot_inequalities_k2,
                         "max_dim": verify_max_dim}[kind]
-            for v in verifier(poset(), rs):
+            for v in verifier(poset(), root_system(fam, rank)):
                 fail(str(v))
     except GuardExceeded as e:
         out["skipped"] = True
@@ -341,9 +339,9 @@ def cmd_max(args) -> int:
 
 
 def _cover_record(low: str, high: str, kind: str, witness: str) -> str:
-    """One record of the covers file from its fields' JSON texts:
-    json_object of the four fields at indent 4, spelled out as one
-    concatenation."""
+    """One record of the covers file from its fields' JSON texts: the
+    object of the four fields in sorted key order, laid out as json.dumps
+    lays out an object at indent 4, spelled out as one concatenation."""
     return ('{\n      "high": ' + high + ',\n      "kind": ' + kind
             + ',\n      "low": ' + low + ',\n      "witness": ' + witness
             + "\n    }")
@@ -351,26 +349,14 @@ def _cover_record(low: str, high: str, kind: str, witness: str) -> str:
 
 def _covers_chunks(lam: Weight, k: int, records):
     """The covers file in pieces around its record texts, for a writer to
-    stream: json_object's layout of the three fields at indent 0, in
-    sorted key order, with the records laid out as json_array lays them
-    out at indent 2."""
+    stream: joined, the bytes of json.dumps({"covers": records, "k": k,
+    "lambda": list(lam.omega)}, sort_keys=True, indent=2) plus a newline,
+    the records laid out as json_array lays them out at indent 2."""
     return itertools.chain(
         ('{\n  "covers": ',),
         _json_array_chunks(records, 2),
         (',\n  "k": ' + str(k) + ',\n  "lambda": '
          + json_array(map(str, lam.omega), 2) + "\n}\n",))
-
-
-def covers_json_text(lam: Weight, k: int, records: list[dict]) -> str:
-    """The covers JSON file: the bytes of json.dumps({"covers": records,
-    "k": k, "lambda": list(lam.omega)}, sort_keys=True, indent=2) plus a
-    newline.  Every string value, and a null witness, goes through
-    json.dumps, each distinct one once."""
-    text = functools.cache(json.dumps)
-    return "".join(_covers_chunks(lam, k, (
-        _cover_record(*(text(rec[key]) for key in ("low", "high", "kind",
-                                                   "witness")))
-        for rec in records)))
 
 
 def cmd_covers(args) -> int:
@@ -389,8 +375,8 @@ def cmd_covers(args) -> int:
         + ("\n" if text is None else f" ({text})\n")
         for e, text in zip(edges, texts)))
     if args.json:
-        # the records as covers_json_text lays them out: each label quoted
-        # once per class, each kind once, a witness's text once per cover
+        # each label quoted once per class, each kind once, a witness's text
+        # once per cover
         quoted = list(map(json.dumps, labels))
         kinds = {kind: json.dumps(kind.value) for kind in CoverKind}
         records = (_cover_record(quoted[e.low], quoted[e.high], kinds[e.kind],

@@ -55,10 +55,10 @@ list, each lower class's parts taken from the classes' shared ``Weight``
 cache, so no representative ``WeightTuple`` is built; a decision holds
 its sorter's image tuple, not the sorter, so no cover data outlives its
 row but the list.  Off k = 2 every decision is unclassified.
-``TuplePoset.cover_edges`` builds ``CoverEdge`` and ``CoverWitness``
+One per-row builder makes a class's ``CoverEdge`` and ``CoverWitness``
 objects from that list, the witnesses of one lower class sharing one
-``Permutation`` per image tuple; ``covers_of`` bisects them, in (low,
-high) order, to one class's slice, and ``to_json`` reads them.
+``Permutation`` per image tuple: ``covers_of`` returns one class's row,
+and ``TuplePoset.cover_edges``, which ``to_json`` reads, joins the rows.
 ``classify_cover`` wraps the same rule for one pair of tuples, with a
 lower pair of its own that it drops.  The text writers read the kinds
 off the list in their one edge iterator ``_edge_pieces``, with no
@@ -234,19 +234,12 @@ def json_array(items, indent: int) -> str:
     return "".join(_json_array_chunks(items, indent))
 
 
-def json_object(fields, indent: int) -> str:
-    """A JSON object whose opening brace sits indent spaces in.
-
-    fields are (key, value text) pairs, sorted by key; the keys are plain
-    ASCII names of the schema, so quoting them is their JSON text.
-    """
-    inner = "\n" + " " * (indent + 2)
-    body = ("," + inner).join(f'"{key}": {text}' for key, text in fields)
-    return "{" + inner + body + "\n" + " " * indent + "}"
-
-
 @dataclass(frozen=True)
 class TuplePoset:
+    """The quotient of the fiber over lam at k: classes lists its classes
+    in lex order of stat vectors, as build_poset builds them.  The strict
+    order, the cover walk and class_of rely on that order."""
+
     lam: Weight
     k: int
     classes: tuple[EquivClass, ...]
@@ -334,18 +327,20 @@ class TuplePoset:
         every Hasse edge is decided once."""
         return _decide_rows(self.k, self.classes, self.cover_rows)
 
+    def _cover_row(self, a: int) -> list[CoverEdge]:
+        """Class a's cover edges in increasing high, each with its kind and
+        witness read off the decision list; the witnesses share one
+        Permutation per sorter."""
+        sigmas: dict = {}
+        return [CoverEdge(a, b, kind, _witness(sigmas, *witness))
+                for b, (kind, *witness) in zip(self.cover_rows[a],
+                                               self._cover_decisions[a])]
+
     @cached_property
     def cover_edges(self) -> tuple[CoverEdge, ...]:
-        """The Hasse edges in (low, high) order, each with its kind and
-        witness read off the decision list; the witnesses of one lower
-        class share one Permutation per sorter."""
-        edges = []
-        for a, (highs, row) in enumerate(zip(self.cover_rows,
-                                             self._cover_decisions)):
-            sigmas: dict = {}
-            edges += [CoverEdge(a, b, kind, _witness(sigmas, *witness))
-                      for b, (kind, *witness) in zip(highs, row)]
-        return tuple(edges)
+        """The Hasse edges in (low, high) order: the cover rows joined."""
+        return tuple(itertools.chain.from_iterable(
+            map(self._cover_row, range(len(self)))))
 
     def transitive_ok(self) -> bool:
         """The down-closure of the cover rows must equal the strict order.
@@ -400,17 +395,17 @@ class TuplePoset:
         return tuple("/".join(map(text, cls.multisets[0]))
                      for cls in self.classes)
 
-    @cached_property
-    def _index_of(self) -> dict[tuple[int, ...], int]:
-        return {cls.stat_vector: c for c, cls in enumerate(self.classes)}
-
     def class_of(self, x: WeightTuple) -> int:
-        """x's class.  A tuple of another k raises; with equal k, equal stat
+        """x's class, searched for in the classes, which are sorted by stat
+        vector.  A tuple of another k raises; with equal k, equal stat
         vectors force the same rank and lam, so no other fiber matches."""
-        index = self._index_of.get(x.stat_vector) if x.k == self.k else None
-        if index is None:
-            raise ValueError(f"{x} does not belong to this poset")
-        return index
+        if x.k == self.k:
+            sv = x.stat_vector
+            c = bisect.bisect_left(self.classes, sv,
+                                   key=attrgetter("stat_vector"))
+            if c < len(self.classes) and self.classes[c].stat_vector == sv:
+                return c
+        raise ValueError(f"{x} does not belong to this poset")
 
     def to_json(self) -> dict:
         return {
@@ -464,9 +459,9 @@ class TuplePoset:
         values go through json.dumps.  The Hasse edges, and at k = 2 their
         kinds, are computed on the call, so a writer that calls this before
         opening its file leaves no half-written file when they raise."""
-        # a part is json_object of its omega array (json_array at indent
-        # 12) and its rank at indent 10, spelled out as one concatenation;
-        # a weight has rank >= 1, so the array is never empty
+        # a part is the object of its omega array (json_array at indent 12)
+        # and its rank as json.dumps lays one out at indent 10, in one
+        # concatenation; a weight has rank >= 1, so the array is never empty
         @cache
         def part(omega: tuple[int, ...]) -> str:
             return ('{\n            "omega": [\n              '
@@ -475,9 +470,9 @@ class TuplePoset:
                     + "\n          }")
 
         text = self._int_texts().__getitem__
-        # a class entry is json_object of rep (json_object of k and the
-        # parts array), size and the stats array at indent 4, spelled out
-        # as one concatenation; neither array is ever empty
+        # a class entry is the object of rep (the object of k and the parts
+        # array), size and the stats array as json.dumps lays one out at
+        # indent 4, in one concatenation; neither array is ever empty
         head = ('{\n      "rep": {\n        "k": ' + str(self.k)
                 + ',\n        "parts": [\n          ')
 
@@ -494,7 +489,7 @@ class TuplePoset:
                                   {kind: ",\n      " + json.dumps(kind.value)
                                    + "\n    ]" for kind in CoverKind},
                                   ",\n    ")
-        # the top-level object's fields in sorted key order, as json_object
+        # the top-level object's fields in sorted key order, as json.dumps
         # lays them out at indent 0
         return itertools.chain(
             ('{\n  "classes": ',),
@@ -958,10 +953,6 @@ def classify_cover(low: WeightTuple, high: WeightTuple) -> tuple[CoverKind, Cove
 
 
 def covers_of(poset: TuplePoset, index: int) -> list[CoverEdge]:
-    """Classified cover edges going up from one class.
-
-    cover_edges is in (low, high) order, so the class's edges are one
-    slice, found by bisection: O(log E + covers), not a scan of all E."""
-    edges, low = poset.cover_edges, attrgetter("low")
-    start = bisect.bisect_left(edges, index, key=low)
-    return list(edges[start:bisect.bisect_right(edges, index, start, key=low)])
+    """Classified cover edges going up from one class: its cover row, built
+    alone, or [] for an index outside 0 .. len(poset) - 1."""
+    return poset._cover_row(index) if 0 <= index < len(poset) else []

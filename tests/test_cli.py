@@ -174,7 +174,12 @@ class TestJsonFiles:
                    {"low": "\u00e9\u2603", "high": "", "kind": "\n",
                     "witness": "\x00"}]
         want = self.dumps({"lambda": [2, 0], "k": 2, "covers": records})
-        assert cli.covers_json_text(Weight((2, 0)), 2, records) == want
+        # the route covers --json takes: each field's text through
+        # json.dumps, each record one _cover_record, the file _covers_chunks
+        texts = (cli._cover_record(*(json.dumps(rec[key]) for key in
+                                     ("low", "high", "kind", "witness")))
+                 for rec in records)
+        assert "".join(cli._covers_chunks(Weight((2, 0)), 2, texts)) == want
 
     def test_output_bytes_are_pinned(self, tmp_path, capsys):
         assert run(capsys, "poset", "--lambda", "2,1", "--k", "3", "--dot",
@@ -374,6 +379,19 @@ class TestVerify:
                        "skipped": False,
                        "violations": ["unexpected error: KeyError: "
                                       "'no_such_check'"]}
+
+    def test_only_the_verifier_rows_look_up_a_root_system(self, monkeypatch):
+        # size_k2 and extremes read the poset alone; the rows run fiber by
+        # fiber, so the calls come in another order than the worklist's
+        calls = []
+        monkeypatch.setattr(cli, "root_system",
+                            lambda *a: calls.append(a) or root_system(*a))
+        cfg = SweepConfig(families=("A", "C"), max_coord=2, max_k=3)
+        rows = cli.run_sweep(cfg)
+        assert all(r["ok"] for r in rows)
+        verifiers = [(it[1], it[2]) for it in sweep_items(cfg)
+                     if it[0] in ("monotone_k2", "ledger_k2", "max_dim")]
+        assert Counter(calls) == Counter(verifiers)
 
     def test_each_part_dimension_is_computed_once(self, monkeypatch):
         root_system.cache_clear()  # start from empty per-system tables

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from weyl_order import (
     CoverKind,
+    CoverWitness,
     EquivClass,
     GuardExceeded,
     OrderVerdict,
@@ -29,7 +30,7 @@ from weyl_order import (
     poset_size_k2,
 )
 from weyl_order.posets import (_part_multisets, _sorting_coset, compositions,
-                               json_array, json_object)
+                               json_array)
 from weyl_order.tuples import _part_window_values, stat_labels, windows
 
 from cover_oracle import classify_cover_by_search, sorting_coset_by_stabilizer
@@ -201,6 +202,41 @@ class TestBuildPoset:
         assert x.stat_vector == poset.classes[0].stat_vector
         with pytest.raises(ValueError, match="does not belong to this poset"):
             poset.class_of(x)
+
+    def test_class_of_equals_the_scan(self):
+        # class_of searches the sorted classes: every member multiset finds
+        # the class a scan finds, and a tuple of the same rank and k from
+        # another fiber, whose stat vector falls below the first class,
+        # above the last or between two, finds none; nor does a tuple of
+        # another k
+        grid = [c for n in (1, 2) for c in itertools.product(range(4), repeat=n)
+                if any(c)]
+        places = Counter()
+        for k in (2, 3):
+            posets = {coords: build_poset(Weight(coords), k) for coords in grid}
+            for coords, poset in posets.items():
+                vectors = [cls.stat_vector for cls in poset.classes]
+                for c, cls in enumerate(poset.classes):
+                    for ms in cls.multisets:
+                        x = WeightTuple(tuple(map(Weight, ms)))
+                        assert poset.class_of(x) == \
+                            vectors.index(x.stat_vector) == c
+                    longer = WeightTuple(cls.rep.parts
+                                         + (Weight.zero(len(coords)),))
+                    with pytest.raises(ValueError, match="does not belong"):
+                        poset.class_of(longer)
+                for other, foreign in posets.items():
+                    if len(other) != len(coords) or other == coords:
+                        continue
+                    for cls in foreign.classes:
+                        sv = cls.stat_vector
+                        assert sv not in vectors
+                        below = sum(v < sv for v in vectors)
+                        places["below" if below == 0 else "above"
+                               if below == len(vectors) else "between"] += 1
+                        with pytest.raises(ValueError, match="does not belong"):
+                            poset.class_of(cls.rep)
+        assert set(places) == {"below", "above", "between"}
 
     def test_classes_are_compare_equivalent(self):
         poset = build_poset(Weight((2, 2)), 3)
@@ -858,6 +894,28 @@ class TestCoversOf:
         assert sum(len(covers_of(poset, c)) for c in range(len(poset))) == \
             len(poset.cover_edges) > 0
 
+    def test_one_class_builds_its_row_alone(self, monkeypatch):
+        # on the covers_k2 fiber, whose 1362 covers are all classified, a
+        # class's covers build one witness per cover of its row, not the
+        # witnesses of every cover in the poset
+        poset = build_poset(Weight((2,) * 6), 2)
+        built = Counter()
+        init = CoverWitness.__init__
+
+        def counting(self, *args, **kw):
+            built["witness"] += 1
+            init(self, *args, **kw)
+        monkeypatch.setattr(CoverWitness, "__init__", counting)
+        total = 0
+        for c, row in enumerate(poset.cover_rows):
+            built.clear()
+            edges = covers_of(poset, c)
+            assert built["witness"] == len(edges) == len(row), c
+            total += len(row)
+        assert total == 1362
+        assert "cover_edges" not in poset.__dict__
+        assert covers_of(poset, -1) == [] == covers_of(poset, len(poset))
+
 
 class TestMoveCovers:
     """The k = 2 cover theorem: the covers of a class are exactly its
@@ -1149,12 +1207,10 @@ class TestJsonText:
             if isinstance(v, list):
                 return json_array((text(x, indent + 2) for x in v), indent)
             return json.dumps(v)
-        payload = {"a": value, "b": {"c": value}, "d": None}
-        fields = [("a", text(value, 2)),
-                  ("b", json_object([("c", text(value, 4))], 2)),
-                  ("d", "null")]
-        assert json_object(fields, 0) == \
-            json.dumps(payload, sort_keys=True, indent=2)
+        assert text(value, 0) == json.dumps(value, indent=2)
+        # nested in an object, the array's bracket sits two spaces in
+        assert '{\n  "a": ' + text(value, 2) + "\n}" == \
+            json.dumps({"a": value}, indent=2)
 
 
 def dot_by_lines(poset):

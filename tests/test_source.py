@@ -74,19 +74,26 @@ def test_build_poset_builds_no_weight_tuple():
 
 def test_test_only_routes_are_gone_from_the_library():
     # the ordered members of a class and their sort key live in
-    # tests/fiber_oracle.py; the library keeps the multisets alone
+    # tests/fiber_oracle.py; the library keeps the multisets alone.  No
+    # command writes through json_object or covers_json_text, and class_of
+    # searches the sorted classes instead of a dict (_index_of)
     paths = sorted(SRC.glob("*.py"))
     assert paths
-    gone = {"members", "_tuple_sort_key"}  # a local may still be "members"
+    gone = {"members", "_tuple_sort_key", "json_object", "covers_json_text",
+            "_index_of"}
+    names = gone - {"members"}  # a local may still be "members"
     found = [f"{path.name}:{node.lineno}" for path in paths
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if (isinstance(node, ast.FunctionDef) and node.name in gone)
              or (isinstance(node, ast.Attribute) and node.attr in gone)
-             or (isinstance(node, ast.Name) and node.id == "_tuple_sort_key")]
+             or (isinstance(node, ast.Name) and node.id in names)]
     assert found == []
-    from weyl_order import posets
+    from weyl_order import cli, posets
     assert not hasattr(posets.EquivClass, "members")
     assert not hasattr(posets, "_tuple_sort_key")
+    assert not hasattr(posets, "json_object")
+    assert not hasattr(posets.TuplePoset, "_index_of")
+    assert not hasattr(cli, "covers_json_text")
 
 
 def test_posets_keeps_no_module_level_cache():
