@@ -4,14 +4,14 @@
 For the fiber of each ``perfbench`` workload (for ``sweep``, the largest
 fiber of its grid) it records the best of ``--repeat`` wall times of
 ``build_poset``, the strict order (``TuplePoset._below``), the cover walk
-(``cover_rows``), at k = 2 the covers classified by kind alone (the
-decision list ``_cover_decisions``, all the poset writers read) and the
-witness objects built from it (``cover_edges``), and the two file
-writers (``json_chunks`` and ``dot_chunks``, every piece read).  Each
-layer is timed on a poset whose earlier layers are already built, so no
-time holds another layer's: at k = 2 the two cover layers add up to what
-``cover_edges`` costs on its own.  It also records the
-tracemalloc peak of the cover walk next to the bytes of the masks it
+(``cover_rows``), at k = 2 the covers classified by kind alone (every
+row of the decision list, ``_cover_decisions``, which all the poset
+writers read) and the witness objects built from it (``cover_edges``),
+and the two file writers (``json_chunks`` and ``dot_chunks``, every
+piece read).  Each layer is timed on a poset whose earlier layers are
+already built, so no time holds another layer's: at k = 2 the two cover
+layers add up to what ``cover_edges`` costs on its own.  It also records
+the tracemalloc peak of the cover walk next to the bytes of the masks it
 walks and, at k = 2, the bytes the decision list keeps, the sizes
 (classes, covers, characters written) and where the numbers come from:
 git commit, whether ``src/`` differs from it, Python version, nproc and

@@ -5,18 +5,24 @@ summing to a given dominant weight; it is the reference route.
 ``build_poset`` never orders the parts: a stat vector does not depend on
 their order, so it walks the multisets of parts as plain omega integer
 tuples, scores each multiset through the one stat route of
-:mod:`weyl_order.tuples` (window values off omega prefix sums, then
-sorted-prefix sums), and groups the multisets into equivalence classes
-by stat vector.  The walk is output-sensitive: at each level it tries
-only the parts whose epsilon_1 lies in the band ceil(|rest| / left) ..
-|rest| (a slice of the part list), and with two parts left it reads the
-pairs off the box of parts below the remainder.  There it works on
-integer codes: a part's code is its mixed-radix number (radix lam_i + 1
-per coordinate), one list indexed by code gives each part's position,
-and the partner of a part is the code of the remainder minus its own,
-with no tuple built or hashed per candidate.  A class's size is the
-sum of the multinomials k! / prod(mult!) of its multisets, the
-multiplicities read as run lengths of equal adjacent parts.  A class
+:mod:`weyl_order.tuples` (window values off omega prefix sums, then per
+column the sorted-prefix sums), and groups the multisets into
+equivalence classes by stat vector.  Few distinct columns occur (122
+among the 3691 x 6 columns of (6,6,6) at k = 3), so each call keeps a
+memo of the column rule keyed by the column tuple, next to one of each
+part's window values, and drops both when it returns.  The walk is
+output-sensitive: at each level it tries only the parts whose epsilon_1
+lies in the band ceil(|rest| / left) .. |rest| (a slice of the part
+list), and with two parts left it reads the pairs off the box of parts
+below the remainder.  The part list is the box of parts under lam,
+sorted on one integer per part: its epsilon tuple read as digits in
+base |lam| + 1.  The box step works on integer codes: a part's code is
+its mixed-radix number (radix lam_i + 1 per coordinate), one list
+indexed by code gives each part's position, and the partner of a part
+is the code of the remainder minus its own, with no tuple built or
+hashed per candidate.  A class's size is the sum of the multinomials
+k! / prod(mult!) of its multisets, the multiplicities read as run
+lengths of equal adjacent parts.  A class
 holds integers only; its representative ``WeightTuple`` is built when
 first read, from one shared ``Weight`` per distinct part.  The quotient
 carries the coordinatewise order from :mod:`weyl_order.tuples` as one
@@ -50,11 +56,13 @@ walk starts only when a second one is asked for.  What depends on the
 lower pair alone (e1, e2, delta, and each sorter walked with its inverse,
 its prefix masks and the sorted-frame omegas of e1 and e2, next to the
 live walk) is computed once per cover row and dropped with it.  A poset
-decides its covers once, one cover row at a time, into a cached decision
-list, each lower class's parts taken from the classes' shared ``Weight``
-cache, so no representative ``WeightTuple`` is built; a decision holds
-its sorter's image tuple, not the sorter, so no cover data outlives its
-row but the list.  Off k = 2 every decision is unclassified.
+decides each cover once, into one decision list that it fills row by
+row as readers ask for rows, so ``covers_of`` decides its own row alone;
+each class's parts are looked up once per poset (``_class_parts``)
+through the classes' shared ``Weight`` cache, so no representative
+``WeightTuple`` is built, and a decision holds its
+sorter's image tuple, not the sorter, so no cover data outlives its row
+but the list.  Off k = 2 every decision is unclassified.
 One per-row builder makes a class's ``CoverEdge`` and ``CoverWitness``
 objects from that list, the witnesses of one lower class sharing one
 ``Permutation`` per image tuple: ``covers_of`` returns one class's row,
@@ -84,8 +92,9 @@ from functools import cache, cached_property, reduce
 from operator import and_, attrgetter, eq, itemgetter, or_, sub
 from typing import Callable
 
-from .tuples import (OrderVerdict, WeightTuple, _part_window_values,
-                     _sorted_prefix_stats, _verdict_from_vectors)
+from .tuples import (OrderVerdict, WeightTuple, _column_stats,
+                     _part_window_values, _sorted_prefix_stats,
+                     _verdict_from_vectors)
 from .weights import Permutation, Weight, _omega_text
 
 
@@ -321,11 +330,34 @@ class TuplePoset:
                      for b in row)
 
     @cached_property
-    def _cover_decisions(self) -> tuple[tuple[tuple, ...], ...]:
-        """Per cover row, each edge's decision (see ``_decide``), at every
-        k: the one list that cover_edges and the text writers read, so
-        every Hasse edge is decided once."""
-        return _decide_rows(self.k, self.classes, self.cover_rows)
+    def _decided(self) -> list[tuple[tuple, ...] | None]:
+        """Per cover row, each edge's decision (see ``_decide``) once a
+        reader has asked for that row, else None: the one list that
+        covers_of, cover_edges and the text writers read, so every Hasse
+        edge is decided once, and a reader of one row decides that row
+        alone."""
+        return [None] * len(self.classes)
+
+    @cached_property
+    def _class_parts(self) -> list[tuple[Weight, ...]]:
+        """Each class's parts, its first multiset's omegas through the
+        classes' shared ``Weight`` cache: built on the first k = 2 cover
+        decision, so the rule reads a tuple per upper class, not a cache
+        lookup per part."""
+        return [tuple(map(cls.weight, cls.multisets[0]))
+                for cls in self.classes]
+
+    def _decisions(self, a: int) -> tuple[tuple, ...]:
+        """Cover row a's decisions, decided into the list on first read."""
+        row = self._decided[a]
+        if row is None:
+            row = self._decided[a] = _decide_row(self, a)
+        return row
+
+    @property
+    def _cover_decisions(self) -> list[tuple[tuple, ...]]:
+        """Every cover row's decisions, each row decided once."""
+        return list(map(self._decisions, range(len(self.classes))))
 
     def _cover_row(self, a: int) -> list[CoverEdge]:
         """Class a's cover edges in increasing high, each with its kind and
@@ -334,7 +366,7 @@ class TuplePoset:
         sigmas: dict = {}
         return [CoverEdge(a, b, kind, _witness(sigmas, *witness))
                 for b, (kind, *witness) in zip(self.cover_rows[a],
-                                               self._cover_decisions[a])]
+                                               self._decisions(a))]
 
     @cached_property
     def cover_edges(self) -> tuple[CoverEdge, ...]:
@@ -529,12 +561,22 @@ def _part_box(lam: tuple[int, ...]):
     """The box of omega tuples <= lam, every one a dominant part: the
     parts by descending epsilon-lex key, the code of each (its index in
     ``itertools.product`` order), and per code its position among the
-    parts."""
-    box = list(itertools.product(*(range(m + 1) for m in lam)))
+    parts.
 
-    def eps_key(code):  # the part's epsilon tuple
-        return tuple(itertools.accumulate(reversed(box[code])))[::-1]
-    code_of = sorted(range(len(box)), key=eps_key, reverse=True)
+    The sort key is one integer per part, not a tuple: its epsilon tuple
+    (epsilon_i = a_i + ... + a_n) read as digits in base |lam| + 1, most
+    significant first.  No epsilon coordinate exceeds |lam|, so every
+    digit is below the base and the integers order the parts as their
+    epsilon tuples do.  The key is linear in the omega digits (a_j weighs
+    base^(n-1) + ... + base^(n-j)), so the keys are built column by
+    column in ``itertools.product`` order, as the walk builds its codes."""
+    box = list(itertools.product(*(range(m + 1) for m in lam)))
+    base = sum(lam) + 1
+    keys = [0]
+    for m, w in zip(lam, itertools.accumulate(
+            base ** e for e in range(len(lam) - 1, -1, -1))):
+        keys = [c + x for c in keys for x in range(0, (m + 1) * w, w)]
+    code_of = sorted(range(len(box)), key=keys.__getitem__, reverse=True)
     parts = [box[c] for c in code_of]
     pos = [0] * len(box)
     for i, c in enumerate(code_of):
@@ -632,42 +674,52 @@ def _orderings(ms: Multiset, k_orderings: int) -> int:
     return k_orderings // denominator
 
 
-class _WindowValues(dict):
-    """Each part's window values by omega tuple, computed on its first
-    lookup: a hit is a plain dict lookup, cheaper than a cache wrapper."""
+class _PerCall(dict):
+    """fn's values by argument, each computed on its first lookup: a hit
+    is a plain dict lookup, cheaper than a cache wrapper.  A caller builds
+    one per call and drops it with the call."""
 
-    def __missing__(self, omega):
-        self[omega] = values = _part_window_values(omega)
-        return values
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        self[key] = value = self.fn(key)
+        return value
 
 
 def build_poset(lam: Weight, k: int, guard: int = DEFAULT_GUARD) -> TuplePoset:
     """Group the fiber over lam into classes, without ordering any parts.
 
-    The multisets come from ``_part_multisets`` (band cut, box step).
-    Each distinct part's window values are computed once, and a
-    multiset's stat vector comes from them through the same two helpers
-    of :mod:`weyl_order.tuples` that ``WeightTuple.stat_vector`` uses
-    (``_part_window_values``, ``_sorted_prefix_stats``).  The walk runs in
+    The multisets come from ``_part_multisets`` (band cut, box step).  A
+    multiset's stat vector comes from the same helpers of
+    :mod:`weyl_order.tuples` that ``WeightTuple.stat_vector`` uses
+    (``_part_window_values``, then ``_sorted_prefix_stats`` with the
+    column rule ``_column_stats``), each through a memo local to the
+    call: each distinct part's window values are computed once, and each
+    distinct column tuple is sorted and summed once (122 times for the
+    22,146 columns of (6,6,6) at k = 3).  Both memos are dropped when the
+    call returns.  The walk runs in
     descending order of the parts' epsilon tuples, so the first multiset
     of each class is its largest member, the representative.  A class's
     size sums k! / prod(mult!) over its multisets, the multiplicities read
-    as run lengths of equal adjacent parts.  No ``WeightTuple`` is built:
+    as run lengths of equal adjacent parts, in one ``map`` per class.  No
+    ``WeightTuple`` is built:
     the classes share one ``Weight`` cache, from which a representative
     read later takes its parts.  The guard still counts ordered tuples.
     """
     _check_fiber(lam, k, guard)
-    window_values = _WindowValues().__getitem__
+    window_values = _PerCall(_part_window_values).__getitem__
+    column_stats = _PerCall(_column_stats).__getitem__
     by_stats: dict[tuple[int, ...], list[Multiset]] = {}
     for ms in _part_multisets(lam.omega, k):
-        sv = _sorted_prefix_stats(map(window_values, ms))
+        sv = _sorted_prefix_stats(map(window_values, ms), column_stats)
         by_stats.setdefault(sv, []).append(ms)
-    k_orderings = math.factorial(k)
+    k_orderings = itertools.repeat(math.factorial(k))  # k! per multiset
     weight = cache(Weight)
     classes = []
     for sv in sorted(by_stats):
         multisets = tuple(by_stats[sv])
-        size = sum(_orderings(ms, k_orderings) for ms in multisets)
+        size = sum(map(_orderings, multisets, k_orderings))
         # positional: keywords cost about a quarter of the init
         classes.append(EquivClass(sv, size, multisets, weight))
     return TuplePoset(lam=lam, k=k, classes=tuple(classes))
@@ -910,25 +962,20 @@ def _witness(sigmas: dict, images: tuple[int, ...] | None, orientation,
     return CoverWitness(sigma, orientation, index, reading, mix)
 
 
-def _decide_rows(k: int, classes, rows) -> tuple[tuple[tuple, ...], ...]:
-    """Each cover row's decisions, one row at a time.
+def _decide_row(poset: TuplePoset, a: int) -> tuple[tuple, ...]:
+    """The decisions of class a's cover row in poset.
 
-    Off k = 2 every edge is unclassified.  At k = 2 each lower class with
-    a cover gets one local ``_LowerPair``, and each class's parts come
-    from the classes' shared ``Weight`` cache, so no representative
-    ``WeightTuple`` is built and each part's padded epsilon tuple is
-    computed once."""
-    if k != 2:
-        return tuple((_UNCLASSIFIED,) * len(row) for row in rows)
-    parts = [tuple(map(cls.weight, cls.multisets[0])) for cls in classes]
-    decisions = []
-    for (w1, w2), row in zip(parts, rows):
-        if row:
-            pair = _LowerPair(w1.eps_padded(), w2.eps_padded())
-            decisions.append(tuple([_decide(pair, *parts[b]) for b in row]))
-        else:
-            decisions.append(())
-    return tuple(decisions)
+    Off k = 2 every edge is unclassified.  At k = 2 a nonempty row gets
+    one local ``_LowerPair``, and the parts come from the poset's
+    ``_class_parts``, so no representative ``WeightTuple`` is built and
+    each part's padded epsilon tuple is computed once."""
+    row = poset.cover_rows[a]
+    if poset.k != 2 or not row:
+        return (_UNCLASSIFIED,) * len(row)
+    parts = poset._class_parts
+    w1, w2 = parts[a]
+    pair = _LowerPair(w1.eps_padded(), w2.eps_padded())
+    return tuple([_decide(pair, *parts[b]) for b in row])
 
 
 def classify_cover(low: WeightTuple, high: WeightTuple) -> tuple[CoverKind, CoverWitness | None]:
@@ -953,6 +1000,7 @@ def classify_cover(low: WeightTuple, high: WeightTuple) -> tuple[CoverKind, Cove
 
 
 def covers_of(poset: TuplePoset, index: int) -> list[CoverEdge]:
-    """Classified cover edges going up from one class: its cover row, built
-    alone, or [] for an index outside 0 .. len(poset) - 1."""
+    """Classified cover edges going up from one class: its cover row,
+    decided and built alone, or [] for an index outside
+    0 .. len(poset) - 1."""
     return poset._cover_row(index) if 0 <= index < len(poset) else []

@@ -29,8 +29,8 @@ from weyl_order import (
     minimal_element,
     poset_size_k2,
 )
-from weyl_order.posets import (_part_multisets, _sorting_coset, compositions,
-                               json_array)
+from weyl_order.posets import (_part_box, _part_multisets, _sorting_coset,
+                               compositions, json_array)
 from weyl_order.tuples import _part_window_values, stat_labels, windows
 
 from cover_oracle import classify_cover_by_search, sorting_coset_by_stabilizer
@@ -289,6 +289,32 @@ class TestBuildPoset:
                             assert cls.stat_vector == want, (coords, k)
                             assert m.stat_vector == want, (coords, k)
 
+    def test_each_distinct_column_is_scored_once_per_call(self, monkeypatch):
+        # (6,6,6) at k = 3: 3691 multisets by 6 windows, but 122 distinct
+        # column tuples; the column rule runs once per distinct column in
+        # each call, and a second call scores them all again, so no memo
+        # outlives its call
+        import weyl_order.posets as posets
+        lam, k = (6, 6, 6), 3
+        multisets = list(_part_multisets(lam, k))
+        columns = [column for ms in multisets
+                   for column in zip(*map(_part_window_values, ms))]
+        assert len(columns) == 3691 * 6 == 22146
+        assert len(set(columns)) == 122
+        scored = []
+        real = posets._column_stats
+
+        def counting(column):
+            scored.append(column)
+            return real(column)
+        monkeypatch.setattr(posets, "_column_stats", counting)
+        first = build_poset(Weight(lam), k)
+        assert len(scored) == len(set(scored)) == 122
+        assert set(scored) == set(columns)
+        scored.clear()
+        assert build_poset(Weight(lam), k) == first
+        assert len(scored) == 122
+
     def test_build_orders_no_parts(self, monkeypatch):
         # the walk never calls the ordered-tuple route and builds no
         # WeightTuple: a representative is built when first read, from the
@@ -417,6 +443,25 @@ class TestPartCodes:
     """The walk's mixed-radix part codes where a radix could go wrong: a
     zero coordinate (radix 1) first, in the middle or last, and one
     coordinate much larger than the rest."""
+
+    @staticmethod
+    def assert_parts_by_descending_eps(lam):
+        parts, code_of, pos = _part_box(lam)
+        box = list(itertools.product(*(range(m + 1) for m in lam)))
+        assert parts == sorted(box, key=lambda p: Weight(p).eps(),
+                               reverse=True), lam
+        assert [box[c] for c in code_of] == parts, lam
+        assert [pos[c] for c in code_of] == list(range(len(box))), lam
+
+    def test_integer_keys_sort_the_box_by_epsilon(self):
+        # lambda = 0 included
+        for rank in (1, 2, 3, 4):
+            for lam in itertools.product(range(4), repeat=rank):
+                self.assert_parts_by_descending_eps(lam)
+
+    @pytest.mark.parametrize("lam", [(0, 40, 0), (12, 0, 0, 1), (9, 0, 2)])
+    def test_integer_keys_with_one_large_coordinate(self, lam):
+        self.assert_parts_by_descending_eps(lam)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize("lam", [(0, 7, 0), (9, 0, 2), (1, 0, 0, 5),
@@ -1099,6 +1144,27 @@ class TestSharedOrder:
         poset.to_dot()
         poset.json_text()
         assert len(calls) == len(poset.hasse_edges) == len(set(calls)) > 0
+
+    def test_one_row_is_decided_alone(self, monkeypatch):
+        # on a fresh covers_k2 poset, covers_of decides its own row and no
+        # other; the writers decide the rest, each cover once
+        import weyl_order.posets as posets
+        calls = []
+        real = posets._decide
+
+        def counting(pair, h1, h2):
+            calls.append(h1)
+            return real(pair, h1, h2)
+        monkeypatch.setattr(posets, "_decide", counting)
+        poset = build_poset(Weight((2,) * 6), 2)
+        c = max(range(len(poset)), key=lambda a: len(poset.cover_rows[a]))
+        assert len(poset.cover_rows[c]) > 1
+        assert len(covers_of(poset, c)) == len(calls) == \
+            len(poset.cover_rows[c])
+        covers_of(poset, c)
+        assert len(calls) == len(poset.cover_rows[c])
+        poset.json_text()
+        assert len(calls) == 1362
 
 
 class TestExports:
