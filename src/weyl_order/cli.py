@@ -29,10 +29,10 @@ from pathlib import Path
 
 from .dimensions import (verify_coroot_inequalities_k2, verify_max_dim,
                          verify_monotone_k2, weyl_dim)
-from .posets import (DEFAULT_GUARD, CoverKind, GuardExceeded,
-                     _json_array_chunks, build_poset, count_tuples,
-                     json_array, maximal_element, minimal_element,
-                     poset_size_k2)
+from .posets import (_COUNT_CAP, _COUNT_DIGITS, _SLOT, DEFAULT_GUARD,
+                     CoverKind, GuardExceeded, _between, _check_fiber,
+                     _json_array_chunks, _layout, build_poset, count_tuples,
+                     maximal_element, minimal_element, poset_size_k2)
 from .roots import (FAMILIES, base_rank, check_admissible,
                     coroot_table_report, expected_table_report, iota,
                     parse_system_name, root_system, spin_nodes)
@@ -127,9 +127,9 @@ def _write_text(path: Path, text, newline: str | None = None):
     pieces = iter((text,) if isinstance(text, str) else text)
     try:
         with path.open("w", newline=newline) as fh:
-            # a text write costs a few hundred ns, a join item a few ns, so
-            # the pieces go out 64 at a time (a poset piece holds at most
-            # one class entry or cover row: under 3 KiB on (6,6,6) at k = 3)
+            # a text write costs far more than a join item, so the pieces
+            # go out 64 at a time (a poset piece holds at most one class
+            # entry or cover row)
             while block := list(itertools.islice(pieces, 64)):
                 fh.write("".join(block))
     except OSError as e:
@@ -338,25 +338,27 @@ def cmd_max(args) -> int:
     return 0
 
 
+# a covers record laid out at indent 4, its slots in sorted key order
+_RECORD = _layout(dict.fromkeys(("high", "kind", "low", "witness"), _SLOT), 4)
+
+
 def _cover_record(low: str, high: str, kind: str, witness: str) -> str:
     """One record of the covers file from its fields' JSON texts: the
-    object of the four fields in sorted key order, laid out as json.dumps
-    lays out an object at indent 4, spelled out as one concatenation."""
-    return ('{\n      "high": ' + high + ',\n      "kind": ' + kind
-            + ',\n      "low": ' + low + ',\n      "witness": ' + witness
-            + "\n    }")
+    ``_layout`` template of the four-field object, filled."""
+    return _RECORD % (high, kind, low, witness)
 
 
 def _covers_chunks(lam: Weight, k: int, records):
     """The covers file in pieces around its record texts, for a writer to
-    stream: joined, the bytes of json.dumps({"covers": records, "k": k,
-    "lambda": list(lam.omega)}, sort_keys=True, indent=2) plus a newline,
-    the records laid out as json_array lays them out at indent 2."""
-    return itertools.chain(
-        ('{\n  "covers": ',),
-        _json_array_chunks(records, 2),
-        (',\n  "k": ' + str(k) + ',\n  "lambda": '
-         + json_array(map(str, lam.omega), 2) + "\n}\n",))
+    stream: joined, the bytes json.dumps(..., sort_keys=True, indent=2)
+    gives the object of records (key "covers"), k and lam's omega list
+    (key "lambda"), plus a newline.  The file's fields are one ``_layout``
+    template whose one slot, the covers array, splits it into head and
+    tail."""
+    head, tail = _between(_layout(
+        {"covers": _SLOT, "k": k, "lambda": list(lam.omega)}, 0))
+    return itertools.chain((head,), _json_array_chunks(records, 2),
+                           (tail + "\n",))
 
 
 def cmd_covers(args) -> int:
@@ -404,6 +406,12 @@ def cmd_dim(args) -> int:
 
 def cmd_size(args) -> int:
     lam = parse_weight(args.lam)
+    try:  # the fiber rule and a count stopped past what prints
+        _check_fiber(lam, args.k, _COUNT_CAP)
+    except GuardExceeded:
+        raise ValueError(f"--lambda {args.lam} --k {args.k} give at least "
+                         f"10**{_COUNT_DIGITS} ordered tuples, past the "
+                         "limit of what size prints") from None
     ordered = count_tuples(lam, args.k)
     print(f"ordered tuples: {ordered}")
     if args.k == 2:

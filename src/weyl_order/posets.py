@@ -1,83 +1,42 @@
 """Posets of weight tuples with a fixed part-sum.
 
-``enumerate_tuples`` walks every ordered k-tuple of dominant weights
-summing to a given dominant weight; it is the reference route.
-``build_poset`` never orders the parts: a stat vector does not depend on
-their order, so it walks the multisets of parts as plain omega integer
-tuples, scores each multiset through the one stat route of
-:mod:`weyl_order.tuples` (window values off omega prefix sums, then per
-column the sorted-prefix sums), and groups the multisets into
-equivalence classes by stat vector.  Few distinct columns occur (122
-among the 3691 x 6 columns of (6,6,6) at k = 3), so each call keeps a
-memo of the column rule keyed by the column tuple, next to one of each
-part's window values, and drops both when it returns.  The walk is
-output-sensitive: at each level it tries only the parts whose epsilon_1
-lies in the band ceil(|rest| / left) .. |rest| (a slice of the part
-list), and with two parts left it reads the pairs off the box of parts
-below the remainder.  The part list is the box of parts under lam,
-sorted on one integer per part: its epsilon tuple read as digits in
-base |lam| + 1.  The box step works on integer codes: a part's code is
-its mixed-radix number (radix lam_i + 1 per coordinate), one list
-indexed by code gives each part's position, and the partner of a part
-is the code of the remainder minus its own, with no tuple built or
-hashed per candidate.  A class's size is the sum of the multinomials
-k! / prod(mult!) of its multisets, the multiplicities read as run
-lengths of equal adjacent parts.  A class
-holds integers only; its representative ``WeightTuple`` is built when
-first read, from one shared ``Weight`` per distinct part.  The quotient
-carries the coordinatewise order from :mod:`weyl_order.tuples` as one
-list of strict-order masks (``_below``, bit d of ``_below[c]`` set when
-class d < class c), each class's mask one AND of "at most" masks, one
-per stat coordinate.  The cover walk (one row of covering classes per
-class, ``cover_rows``) pops the highest bit of each mask, and both
-extremes read the masks, the maximal classes being the bits set in no
-mask.  The masks skip every stat coordinate that holds one value over
-all classes: such a coordinate ranks every class equal, so it clears no
-bit.  Every l = k coordinate is one (the k smallest of k parts are all
-of them, summing to lam's window value), which is 6 of 18 coordinates on
-(6,6,6) at k = 3.
+The fiber over a dominant lam at k is every ordered k-tuple of dominant
+weights summing to lam.  ``enumerate_tuples`` walks it, the reference
+route, and ``count_tuples`` counts it; the guard checks the count before
+any work starts (``_check_fiber``).  ``build_poset`` groups the fiber
+into classes of equal stat vector (:mod:`weyl_order.tuples`) without
+ordering any parts: it walks the multisets of parts as omega integer
+tuples (``_part_multisets``, over the sorted box of ``_part_box``) and
+scores each through memos local to the call.  A class holds integers
+only; its representative ``WeightTuple`` is built when first read, from
+one shared ``Weight`` per distinct part.
 
-The quotient always has a unique bottom class, the one containing
-(lam, 0, ..., 0), and a unique top class whose representative spreads
-each epsilon coordinate as evenly as possible across the k parts; a
-poset looks up the classes of these two closed-form tuples once and
-caches them (``closed_form_bottom_index``, ``closed_form_top_index``).
-Cover edges of the k = 2 quotient carry a classification: a first kind where
-one part surrenders a whole (permuted) fundamental-weight chunk to the
-other, a second kind where the two new parts mix the old parts'
-coordinates after a sorting change of frame, and an explicit
-``UNCLASSIFIED`` fallback for anything else.  ``_decide`` is the one
-place the rule is decided: from a lower pair's data and the upper pair of
-part ``Weight``s it returns the kind and the witness fields as a plain
-tuple.  It works on padded epsilon integer tuples, which each shared part
-``Weight`` computes once and caches, and walks the sorters lazily as
-image tuples: the first sorter is a stable argsort, and the recursive
-walk starts only when a second one is asked for.  What depends on the
-lower pair alone (e1, e2, delta, and each sorter walked with its inverse,
-its prefix masks and the sorted-frame omegas of e1 and e2, next to the
-live walk) is computed once per cover row and dropped with it.  A poset
-decides each cover once, into one decision list that it fills row by
-row as readers ask for rows, so ``covers_of`` decides its own row alone;
-each class's parts are looked up once per poset (``_class_parts``)
-through the classes' shared ``Weight`` cache, so no representative
-``WeightTuple`` is built, and a decision holds its
-sorter's image tuple, not the sorter, so no cover data outlives its row
-but the list.  Off k = 2 every decision is unclassified.
-One per-row builder makes a class's ``CoverEdge`` and ``CoverWitness``
-objects from that list, the witnesses of one lower class sharing one
-``Permutation`` per image tuple: ``covers_of`` returns one class's row,
-and ``TuplePoset.cover_edges``, which ``to_json`` reads, joins the rows.
-``classify_cover`` wraps the same rule for one pair of tuples, with a
-lower pair of its own that it drops.  The text writers read the kinds
-off the list in their one edge iterator ``_edge_pieces``, with no
-witness or edge object built; off k = 2 every edge is unclassified, so a
-cover row is one text piece, one join over its upper indices.
+A ``TuplePoset`` holds the coordinatewise order of the stat vectors as
+one list of strict-order bit masks (``_below``); the cover walk
+(``cover_rows``) and both extremes are read off them.  The quotient
+always has a unique bottom class, the one containing (lam, 0, ..., 0),
+and a unique top class, whose representative spreads each epsilon
+coordinate as evenly as possible across the k parts
+(``minimal_element``, ``maximal_element``).
+
+At k = 2 each cover edge carries a kind: a first kind where one part
+surrenders a whole (permuted) fundamental-weight chunk to the other, a
+second kind where the two new parts mix the old parts' coordinates after
+a sorting change of frame, and an explicit ``UNCLASSIFIED`` fallback for
+anything else.  ``_decide`` is the one place the rule is decided.  A
+poset decides each cover once, row by row as readers ask (``_decided``);
+off k = 2 every decision is unclassified.  ``covers_of`` and
+``cover_edges`` build edge and witness objects from the decisions,
+``classify_cover`` wraps the rule for one pair of tuples, and the text
+writers read the kinds alone.
+
 ``json_chunks`` and ``dot_chunks`` yield the poset JSON file (the bytes
-``json.dumps(to_json(), sort_keys=True, indent=2)`` gives, each class
-entry and each distinct part one concatenation, the part laid out once)
-and the Graphviz file in pieces, which a writer streams without holding
-either file whole, formatting each class index and stat value once per
-call; ``json_text`` and ``to_dot`` join them.
+of ``json.dumps(to_json(), sort_keys=True, indent=2)`` plus a newline)
+and the Graphviz file in pieces, for a writer to stream.  No JSON layout
+is spelled out by hand: ``_layout`` runs json.dumps on a skeleton whose
+fields to fill are a sentinel, and returns a %-template, filled per item
+or split around the arrays that stream.  The covers file of
+:mod:`weyl_order.cli` is laid out the same way.
 """
 
 from __future__ import annotations
@@ -98,11 +57,20 @@ from .tuples import (OrderVerdict, WeightTuple, _column_stats,
 from .weights import Permutation, Weight, _omega_text
 
 
+# Counts are computed exactly up to _COUNT_CAP, the largest integer of
+# 4300 digits, CPython's default limit for int-to-str conversion; a larger
+# count is reported as at least 10**4300, with no more of it computed.
+_COUNT_DIGITS = 4300
+_COUNT_CAP = 10**_COUNT_DIGITS - 1
+
+
 class GuardExceeded(RuntimeError):
     """Raised before an enumeration that would exceed the tuple budget."""
 
     def __init__(self, estimate: int, guard: int):
-        super().__init__(f"would enumerate {estimate} tuples (guard {guard})")
+        count = (estimate if estimate <= _COUNT_CAP
+                 else f"at least 10**{_COUNT_DIGITS}")
+        super().__init__(f"would enumerate {count} tuples (guard {guard})")
         self.estimate = estimate
         self.guard = guard
 
@@ -131,6 +99,23 @@ def count_tuples(lam: Weight, k: int) -> int:
     return out
 
 
+def _capped_count(omega: tuple[int, ...], k: int, cap: int) -> int:
+    """count_tuples's product for a dominant lam's omega and k >= 1 when
+    it is at most cap, else the first running value past cap.  Coordinate
+    m contributes C(n, t), n = m + k - 1, t = min(m, k - 1), built step by
+    step as C(n, j + 1) = C(n, j) * (n - j) / (j + 1): each running value
+    is the product so far times a binomial, so it is exact, and it grows,
+    since j < t <= n / 2; a value past cap is no larger than the count."""
+    out = 1
+    for m in omega:
+        n = m + k - 1
+        for j in range(min(m, k - 1)):
+            out = out * (n - j) // (j + 1)
+            if out > cap:
+                return out
+    return out
+
+
 def compositions(total: int, k: int):
     """All k-part compositions of total into nonnegative integers, in
     lexicographic order: stars and bars, the k - 1 bars placed among
@@ -141,9 +126,11 @@ def compositions(total: int, k: int):
 
 
 def _check_fiber(lam: Weight, k: int, guard: int) -> None:
-    """Reject a non-dominant lam, a k below 1, or a fiber whose ordered
-    tuple count exceeds guard, before any work on it starts."""
-    estimate = count_tuples(lam, k)
+    """Reject a non-dominant lam, a k below 1, or a fiber of more than
+    guard ordered tuples, before any work on it starts.  The count stops
+    past max(guard, _COUNT_CAP): it is exact wherever it prints in full."""
+    _check_lam_k(lam, k)
+    estimate = _capped_count(lam.omega, k, max(guard, _COUNT_CAP))
     if estimate > guard:
         raise GuardExceeded(estimate, guard)
 
@@ -223,24 +210,44 @@ class EquivClass:
 
 # -- JSON text, laid out as json.dumps(..., sort_keys=True, indent=2) -------
 
+_SLOT = "\0"  # a skeleton's field to fill; json.dumps writes it "\u0000"
+
+
+def _layout(skeleton, indent: int) -> str:
+    """skeleton as json.dumps(skeleton, sort_keys=True, indent=2) lays it
+    out, with every line after the first indent spaces further in, as a
+    %-template: each _SLOT field is a %s slot, in text order (an object's
+    fields in sorted key order), and every other % is doubled.  Filled
+    with the JSON texts of values laid out for their slots' lines, it is
+    the text json.dumps gives the filled skeleton nested indent spaces in.
+    No other string of the skeleton may hold _SLOT."""
+    text = json.dumps(skeleton, sort_keys=True, indent=2)
+    return (text.replace("%", "%%").replace("\n", "\n" + " " * indent)
+            .replace(json.dumps(_SLOT), "%s"))
+
+
+def _between(template: str) -> list[str]:
+    """The texts around a template's slots, in order: n + 1 for n slots."""
+    slots = template.replace("%%", "").count("%s")
+    return (template % ((_SLOT,) * slots)).split(_SLOT)
+
+
+def _separator(indent: int) -> str:
+    """The text between two elements of an array indent spaces in."""
+    return _between(_layout([_SLOT, _SLOT], indent))[1]
+
+
 def _json_array_chunks(items, indent: int):
-    """json_array's text in pieces: the opening bracket with the first
-    element, each later element with its comma, then the closing bracket;
-    an array with no element is the one piece []."""
+    """A JSON array whose opening bracket sits indent spaces in, in pieces:
+    the opening bracket with the first element, each later element with
+    its comma, then the closing bracket; an array with no element is the
+    one piece [].  items are the element texts, laid out for indent + 2."""
     inner = "\n" + " " * (indent + 2)
     sep = "[" + inner
     for item in items:
         yield sep + item
         sep = "," + inner
     yield "[]" if sep[0] == "[" else "\n" + " " * indent + "]"
-
-
-def json_array(items, indent: int) -> str:
-    """A JSON array whose opening bracket sits indent spaces in.
-
-    items are the element texts, already laid out for indent + 2.
-    """
-    return "".join(_json_array_chunks(items, indent))
 
 
 @dataclass(frozen=True)
@@ -460,22 +467,22 @@ class TuplePoset:
         format their integers through it, each integer once per call."""
         return list(map(str, range(max(len(self), sum(self.lam.omega) + 1))))
 
-    def _edge_pieces(self, text: Callable[[int], str], head: str, mid: str,
-                     tails: dict[CoverKind, str], sep: str = ""):
+    def _edge_pieces(self, text: Callable[[int], str],
+                     templates: dict[CoverKind, str], sep: str = ""):
         """The text writers' Hasse edges in pieces, edge (a, b) of kind K
-        written head + a + mid + b + tails[K], the indices through text:
-        the one place that skips the classifier off k = 2.  At k = 2 the
-        kinds come straight off the decision list, one piece per edge, and
-        no witness or edge object is built.  At any other k every edge is
-        unclassified, and a nonempty cover row is one piece, one join over
-        its upper indices with sep between edges.  The edges, and at k = 2
-        their decisions, are computed on the call."""
+        written templates[K] % (text(a), text(b)): the one place that skips
+        the classifier off k = 2.  At k = 2 the kinds come straight off the
+        decision list, one piece per edge, and no witness or edge object is
+        built.  At any other k every edge is unclassified, and a nonempty
+        cover row is one piece, one join over its upper indices with sep
+        between edges.  The edges, and at k = 2 their decisions, are
+        computed on the call."""
         if self.k == 2:
             rows = zip(self.cover_rows, self._cover_decisions)
-            return (f"{head}{text(a)}{mid}{text(b)}{tails[decision[0]]}"
+            return (templates[decision[0]] % (text(a), text(b))
                     for a, (highs, row) in enumerate(rows)
                     for b, decision in zip(highs, row))
-        tail = tails[CoverKind.UNCLASSIFIED]
+        head, mid, tail = _between(templates[CoverKind.UNCLASSIFIED])
         rows = ((head + text(a) + mid, highs)
                 for a, highs in enumerate(self.cover_rows) if highs)
         return (low + (tail + sep + low).join(map(text, highs)) + tail
@@ -483,54 +490,38 @@ class TuplePoset:
 
     def json_chunks(self):
         """The poset JSON file in pieces, for a writer to stream: joined,
-        they are the bytes of json.dumps(self.to_json(), sort_keys=True,
-        indent=2) plus a newline, written straight from the classes without
-        the dict tree.  The pieces are the head, one per class entry, the
-        edge pieces of _edge_pieces and the tail.  Each distinct part omega
-        and each integer of the stats and the edges is formatted once; kind
-        values go through json.dumps.  The Hasse edges, and at k = 2 their
-        kinds, are computed on the call, so a writer that calls this before
-        opening its file leaves no half-written file when they raise."""
-        # a part is the object of its omega array (json_array at indent 12)
-        # and its rank as json.dumps lays one out at indent 10, in one
-        # concatenation; a weight has rank >= 1, so the array is never empty
-        @cache
-        def part(omega: tuple[int, ...]) -> str:
-            return ('{\n            "omega": [\n              '
-                    + ",\n              ".join(map(str, omega))
-                    + '\n            ],\n            "rank": ' + str(len(omega))
-                    + "\n          }")
-
+        the bytes of json.dumps(self.to_json(), sort_keys=True, indent=2)
+        plus a newline, written from the classes without the dict tree.
+        A part (slots: its omega), a class entry (its parts, size and
+        stats, each array one slot) and an edge of each kind (its two
+        indices) are each one ``_layout`` template; the file's fields are
+        one more, split around its two arrays.  The Hasse edges, and at
+        k = 2 their kinds, are computed on the call, so a writer that calls
+        this before opening its file leaves no half-written file when they
+        raise."""
+        rank = self.lam.rank
+        part = cache(_layout({"omega": [_SLOT] * rank, "rank": rank}, 10)
+                     .__mod__)
+        # an entry's parts and stats arrays are one slot each, filled with
+        # their elements joined (a slot per element formats slower); their
+        # brackets sit 8 and 6 spaces in, and the parts 10
+        entry = _layout({"rep": {"k": self.k, "parts": [_SLOT]},
+                         "size": _SLOT, "stats": [_SLOT]}, 4)
+        parts_sep, stats_sep = _separator(8), _separator(6)
         text = self._int_texts().__getitem__
-        # a class entry is the object of rep (the object of k and the parts
-        # array), size and the stats array as json.dumps lays one out at
-        # indent 4, in one concatenation; neither array is ever empty
-        head = ('{\n      "rep": {\n        "k": ' + str(self.k)
-                + ',\n        "parts": [\n          ')
-
-        def entry(cls: EquivClass) -> str:
-            return (head + ",\n          ".join(map(part, cls.multisets[0]))
-                    + '\n        ]\n      },\n      "size": ' + str(cls.size)
-                    + ',\n      "stats": [\n        '
-                    + ",\n        ".join(map(text, cls.stat_vector))
-                    + "\n      ]\n    }")
-
-        # an edge is json_array([a, b, kind], 4) spelled out, and edges are
-        # separated as _json_array_chunks separates elements at indent 2
-        edges = self._edge_pieces(text, "[\n      ", ",\n      ",
-                                  {kind: ",\n      " + json.dumps(kind.value)
-                                   + "\n    ]" for kind in CoverKind},
-                                  ",\n    ")
-        # the top-level object's fields in sorted key order, as json.dumps
-        # lays them out at indent 0
-        return itertools.chain(
-            ('{\n  "classes": ',),
-            _json_array_chunks(map(entry, self.classes), 2),
-            (',\n  "hasse": ',),
-            _json_array_chunks(edges, 2),
-            (',\n  "k": ' + str(self.k)
-             + ',\n  "lambda": ' + json_array(map(str, self.lam.omega), 2)
-             + ',\n  "num_classes": ' + str(len(self.classes)) + "\n}\n",))
+        entries = (entry % (parts_sep.join(map(part, cls.multisets[0])),
+                            cls.size,
+                            stats_sep.join(map(text, cls.stat_vector)))
+                   for cls in self.classes)
+        edges = self._edge_pieces(
+            text, {kind: _layout([_SLOT, _SLOT, kind.value], 4)
+                   for kind in CoverKind}, _separator(2))
+        head, mid, tail = _between(_layout(
+            {"classes": _SLOT, "hasse": _SLOT, "k": self.k,
+             "lambda": list(self.lam.omega), "num_classes": len(self)}, 0))
+        return itertools.chain((head,), _json_array_chunks(entries, 2),
+                               (mid,), _json_array_chunks(edges, 2),
+                               (tail + "\n",))
 
     def json_text(self) -> str:
         """The poset JSON file as one string: json_chunks joined."""
@@ -542,10 +533,10 @@ class TuplePoset:
         styled by its kind, and the tail.  The labels, the Hasse edges and
         at k = 2 their kinds are computed on the call, as in json_chunks."""
         labels, text = self.labels, self._int_texts().__getitem__
-        edges = self._edge_pieces(text, "  n", " -> n", {
-            CoverKind.TYPE_I: " [style=solid];\n",
-            CoverKind.TYPE_II: " [style=dashed];\n",
-            CoverKind.UNCLASSIFIED: " [style=dotted];\n"})
+        edges = self._edge_pieces(text, {
+            CoverKind.TYPE_I: "  n%s -> n%s [style=solid];\n",
+            CoverKind.TYPE_II: "  n%s -> n%s [style=dashed];\n",
+            CoverKind.UNCLASSIFIED: "  n%s -> n%s [style=dotted];\n"})
         return itertools.chain(
             ("digraph tuple_poset {\n  rankdir=BT;\n",),
             (f'  n{c} [label="{label}"];\n' for c, label in enumerate(labels)),
@@ -696,9 +687,8 @@ def build_poset(lam: Weight, k: int, guard: int = DEFAULT_GUARD) -> TuplePoset:
     (``_part_window_values``, then ``_sorted_prefix_stats`` with the
     column rule ``_column_stats``), each through a memo local to the
     call: each distinct part's window values are computed once, and each
-    distinct column tuple is sorted and summed once (122 times for the
-    22,146 columns of (6,6,6) at k = 3).  Both memos are dropped when the
-    call returns.  The walk runs in
+    distinct column tuple is sorted and summed once.  Both memos are
+    dropped when the call returns.  The walk runs in
     descending order of the parts' epsilon tuples, so the first multiset
     of each class is its largest member, the representative.  A class's
     size sums k! / prod(mult!) over its multisets, the multiplicities read

@@ -108,6 +108,37 @@ class TestSingleShot:
         assert "error: (1,-1) is not dominant" in err
         assert "part" not in err
 
+    def test_huge_fiber_exits_3_before_any_part(self, tmp_path, capsys,
+                                                monkeypatch):
+        # C(39999, 19999) has over 12,000 digits: the count stops past the
+        # printable cap, and no part of the fiber is listed
+        from weyl_order import posets
+        walked = []
+        monkeypatch.setattr(posets, "_part_multisets",
+                            lambda *a: walked.append(a) or iter(()))
+        for command in ("poset", "covers"):
+            code, out, err = run(capsys, command, "--lambda", "20000",
+                                 "--k", "20000", "--out-dir", str(tmp_path))
+            assert (code, out) == (3, "")
+            assert err == ("guard exceeded: would enumerate at least "
+                           "10**4300 tuples (guard 1000000)\n")
+        assert walked == []
+
+    def test_size_past_the_printable_count_exits_2(self, capsys,
+                                                   monkeypatch):
+        # the exact count would take math.comb most of a minute, and could
+        # not be printed; the capped count stops after about a thousand steps
+        counted = []
+        monkeypatch.setattr(cli, "count_tuples",
+                            lambda *a: counted.append(a) or 0)
+        code, out, err = run(capsys, "size", "--lambda", "1000000",
+                             "--k", "1000000")
+        assert (code, out) == (2, "")
+        assert err == ("error: --lambda 1000000 --k 1000000 give at least "
+                       "10**4300 ordered tuples, past the limit of what "
+                       "size prints\n")
+        assert counted == []
+
     def test_size_k3_has_no_closed_form_line(self, capsys):
         code, out, _ = run(capsys, "size", "--lambda", "2,1", "--k", "3")
         assert code == 0

@@ -29,8 +29,9 @@ from weyl_order import (
     minimal_element,
     poset_size_k2,
 )
-from weyl_order.posets import (_part_box, _part_multisets, _sorting_coset,
-                               compositions, json_array)
+from weyl_order.posets import (_COUNT_CAP, _SLOT, _between, _capped_count,
+                               _layout, _part_box, _part_multisets,
+                               _separator, _sorting_coset, compositions)
 from weyl_order.tuples import _part_window_values, stat_labels, windows
 
 from cover_oracle import classify_cover_by_search, sorting_coset_by_stabilizer
@@ -97,6 +98,39 @@ class TestEnumeration:
         assert e.value.estimate == count_tuples(lam, 5)
         with pytest.raises(GuardExceeded):
             build_poset(Weight((4, 4)), 2, guard=10)
+
+    def test_capped_count_is_exact_up_to_the_cap(self):
+        # every cap up to the count on the small fibers, so some cap equals
+        # each running value; a few caps around the count on the rest
+        for rank in (1, 2, 3):
+            for omega in itertools.product(range(5), repeat=rank):
+                for k in range(1, 7):
+                    count = count_tuples(Weight(omega), k)
+                    caps = (range(count + 2) if count < 500 else
+                            {0, 1, count - 1, count, count + 1, 10**9})
+                    for cap in caps:
+                        got = _capped_count(omega, k, cap)
+                        if count <= cap:
+                            assert got == count, (omega, k, cap)
+                        else:  # stopped early, past cap, not past the count
+                            assert cap < got <= count, (omega, k, cap)
+
+    def test_capped_count_stops_at_a_partial_binomial(self):
+        # C(39999, 19999) has over 12,000 digits; the count stops at the
+        # first partial binomial C(39999, j) past the cap
+        got = _capped_count((20000,), 20000, 10**6)
+        assert got == math.comb(39999, 2) and math.comb(39999, 1) <= 10**6
+        # each step multiplies by at most n = 1999999
+        got = _capped_count((1000000,), 1000000, _COUNT_CAP)
+        assert _COUNT_CAP < got <= _COUNT_CAP * 1999999
+        assert _capped_count((1,) * 5000, 2, _COUNT_CAP) == 2**5000
+
+    def test_guard_message_names_a_count_past_the_cap(self):
+        assert str(GuardExceeded(_COUNT_CAP + 1, 7)) == \
+            "would enumerate at least 10**4300 tuples (guard 7)"
+        assert str(GuardExceeded(6, 5)) == "would enumerate 6 tuples (guard 5)"
+        assert len(str(GuardExceeded(_COUNT_CAP, 5))) == \
+            len("would enumerate  tuples (guard 5)") + 4300
 
 
 class TestExtremes:
@@ -1269,14 +1303,95 @@ class TestJsonText:
         [], [[]], [0, -3, 10**30], [["a", "b"], [], [1, [2, []]]],
     ])
     def test_layout_helpers_match_dumps(self, value):
-        def text(v, indent):
-            if isinstance(v, list):
-                return json_array((text(x, indent + 2) for x in v), indent)
-            return json.dumps(v)
-        assert text(value, 0) == json.dumps(value, indent=2)
+        # every scalar a slot, filled with its JSON text
+        skeleton, leaves = slotted(value)
+        fills = tuple(map(json.dumps, leaves))
+        assert _layout(skeleton, 0) % fills == json.dumps(value, indent=2)
         # nested in an object, the array's bracket sits two spaces in
-        assert '{\n  "a": ' + text(value, 2) + "\n}" == \
-            json.dumps({"a": value}, indent=2)
+        assert _layout({"a": _SLOT}, 0) % (_layout(skeleton, 2) % fills,) \
+            == json.dumps({"a": value}, indent=2)
+
+
+def slotted(value):
+    """value with each scalar replaced by _SLOT, and the scalars in the
+    order json.dumps(..., sort_keys=True) writes them."""
+    if isinstance(value, dict):
+        pairs = [(key, slotted(value[key])) for key in sorted(value)]
+        return ({key: skel for key, (skel, _) in pairs},
+                [x for _, (_, leaves) in pairs for x in leaves])
+    if isinstance(value, list):
+        pairs = list(map(slotted, value))
+        return [skel for skel, _ in pairs], [x for _, ls in pairs for x in ls]
+    return _SLOT, [value]
+
+
+def nested(value, depth):
+    """value nested depth objects deep, where its lines sit 2 * depth
+    spaces in."""
+    for _ in range(depth):
+        value = {"w": value}
+    return value
+
+
+def dumps_around(depth):
+    """json.dumps of a value nested depth objects deep, split around the
+    value's own text."""
+    marker = 10**40 + 7  # an integer no other text of the dump holds
+    return json.dumps(nested(marker, depth), sort_keys=True,
+                      indent=2).split(str(marker))
+
+
+LAYOUT_VALUES = [
+    {"b%": {"x": [1, {"y": "caf\u00e9"}], "empty": {}, "none": []},
+     "a": [[], [[]], "50% \u2603", None, True, -2.5],
+     "%s": "%(k)s %%", "\u00fcber": {"deep": [[{"z": 0}]]}},
+    [{"k": [], "j": {}}, "\u4e2d", 10**30],
+    {"only": {}},
+    "%",
+    [],
+]
+
+
+class TestLayout:
+    """_layout's templates, filled, against json.dumps of the filled
+    object, at the indents the writers use and past them."""
+
+    @pytest.mark.parametrize("indent", [0, 2, 4, 10])
+    @pytest.mark.parametrize("value", LAYOUT_VALUES)
+    def test_filled_template_is_dumps_of_the_filled_object(self, value,
+                                                           indent):
+        skeleton, leaves = slotted(value)
+        template = _layout(skeleton, indent)
+        filled = template % tuple(map(json.dumps, leaves))
+        head, tail = dumps_around(indent // 2)
+        assert head + filled + tail == json.dumps(
+            nested(value, indent // 2), sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("indent", [0, 2, 4, 10])
+    def test_literal_fields_and_nested_templates(self, indent):
+        # fields that are not slots are written as json.dumps writes them,
+        # and a one-slot array takes its elements joined by _separator, each
+        # element another template laid out for its line, as a class entry
+        # takes its parts
+        value = {"rep": {"k": 3, "parts": [{"omega": [1, 0], "rank": 2}] * 2},
+                 "size": 12, "stats": [4, 5]}
+        part = _layout({"omega": [_SLOT] * 2, "rank": 2}, indent + 6)
+        entry = _layout({"rep": {"k": 3, "parts": [_SLOT]}, "size": _SLOT,
+                         "stats": [_SLOT]}, indent)
+        filled = entry % (_separator(indent + 4).join([part % (1, 0)] * 2),
+                          12, _separator(indent + 2).join(["4", "5"]))
+        head, tail = dumps_around(indent // 2)
+        assert head + filled + tail == json.dumps(
+            nested(value, indent // 2), sort_keys=True, indent=2)
+
+    def test_between_splits_around_the_slots_only(self):
+        # a literal %s in a key is doubled, so it is no slot
+        template = _layout({"%s": _SLOT, "b": [_SLOT, "50%"]}, 2)
+        assert _between(template) == ['{\n    "%s": ', ',\n    "b": [\n      ',
+                                      ',\n      "50%"\n    ]\n  }']
+        assert _between(_layout({"a": 1}, 0)) == ['{\n  "a": 1\n}']
+        assert _between("  n%s -> n%s [style=solid];\n") == \
+            ["  n", " -> n", " [style=solid];\n"]
 
 
 def dot_by_lines(poset):

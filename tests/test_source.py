@@ -137,3 +137,23 @@ def test_dimension_report_is_gone():
     from weyl_order import dimensions
     assert [owner.__name__ for owner in (weyl_order, dimensions)
             if hasattr(owner, "DimensionReport")] == []
+
+
+def test_no_string_constant_spells_a_json_field_layout():
+    # every JSON layout of the writers comes from posets._layout, which
+    # runs json.dumps on a skeleton; a string constant holding a newline,
+    # spaces and a quoted key with its ": " would be a hand-spelled copy
+    import re
+    from weyl_order import posets
+    field = re.compile(r'\n *"[^"\n]*": ')
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    found = [f"{path.name}:{node.lineno}" for path in paths
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and field.search(node.value)]
+    assert found == []
+    assert not hasattr(posets, "json_array")
+    # the check sees the layouts it forbids
+    assert field.search('{\n  "classes": ')
+    assert field.search(',\n      "low": ')
