@@ -10,7 +10,10 @@ writers read) and the witness objects built from it (``cover_edges``),
 and the two file writers (``json_chunks`` and ``dot_chunks``, every
 piece read).  Each layer is timed on a poset whose earlier layers are
 already built, so no time holds another layer's: at k = 2 the two cover
-layers add up to what ``cover_edges`` costs on its own.  It also records
+layers add up to what ``cover_edges`` costs on its own.  Under
+``verify`` it records the best in-process times of the ``sweep``
+workload's whole sweep (``run_sweep`` at ``--max-coord 5 --max-k 4``)
+and of its report writer.  It also records
 the tracemalloc peak of the cover walk next to the bytes of the masks it
 walks and, at k = 2, the bytes the decision list keeps, the sizes
 (classes, covers, characters written) and where the numbers come from:
@@ -43,8 +46,9 @@ import time
 import tracemalloc
 from pathlib import Path
 
-from weyl_order import Weight, build_poset
-from weyl_order.cli import positive_int
+from weyl_order import Weight, build_poset, root_system
+from weyl_order.cli import (SweepConfig, _report_chunks, positive_int,
+                            report_payload, run_sweep)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -55,6 +59,8 @@ FIBERS = {
     "poset_k6": ((5, 5), 6),
     "covers_k2": ((2, 2, 2, 2, 2, 2), 2),
 }
+# perfbench's sweep workload, run in process
+SWEEP = {"max_coord": 5, "max_k": 4}
 
 
 # The probe: a fixed loop of the kinds of work the package does (tuple
@@ -136,26 +142,48 @@ def cover_walk_memory(lam: Weight, k: int) -> dict:
     return out
 
 
-def measure_fiber(coords: tuple[int, ...], k: int, repeat: int) -> dict:
-    """repeat passes, each between two probe bursts: per layer the best
-    time, raw and scaled by REF_PROBE_S over the best probe time (a best
-    time is the host's speed at its fastest, for the probe as for the
+def verify_times() -> tuple[dict, dict]:
+    """One in-process pass of the sweep workload: (seconds, sizes).  Each
+    pass starts from empty root-system tables, as a fresh verify call
+    does.  The report writer's pieces are all read, and json.dumps of the
+    same payload, the route it replaces, is timed next to it."""
+    cfg = SweepConfig(**SWEEP)
+    root_system.cache_clear()
+    seconds = {}
+    seconds["run_sweep"], rows = timed(lambda: run_sweep(cfg))
+    payload = report_payload(cfg, rows)
+    seconds["report_chunks"], chars = timed(
+        lambda: sum(map(len, _report_chunks(payload))))
+    seconds["report_json_dumps"], _ = timed(
+        lambda: json.dumps(payload, sort_keys=True, indent=2))
+    return seconds, {"checks": len(rows), "report_chars": chars}
+
+
+def best_times(repeat: int, one_pass) -> dict:
+    """repeat calls of one_pass, which returns (seconds, sizes), each
+    between two probe bursts: the sizes and, per layer, the best time,
+    raw and scaled by REF_PROBE_S over the best probe time (a best time
+    is the host's speed at its fastest, for the probe as for the
     layers)."""
-    lam = Weight(coords)
     best: dict = {}
     probes = []
     for _ in range(repeat):
         probes += probe_burst()
-        seconds, sizes = layer_times(lam, k)
+        seconds, sizes = one_pass()
         probes += probe_burst()
         for name, s in seconds.items():
             best[name] = min(s, best.get(name, s))
     probe = min(probes)
-    return {"lambda": list(coords), "k": k, **sizes,
-            "probe_s": round(probe, 9),
+    return {**sizes, "probe_s": round(probe, 9),
             "seconds_min": {name: round(s, 6) for name, s in best.items()},
             "seconds_scaled_min": {name: round(s * REF_PROBE_S / probe, 6)
-                                   for name, s in best.items()},
+                                   for name, s in best.items()}}
+
+
+def measure_fiber(coords: tuple[int, ...], k: int, repeat: int) -> dict:
+    lam = Weight(coords)
+    return {"lambda": list(coords), "k": k,
+            **best_times(repeat, lambda: layer_times(lam, k)),
             **cover_walk_memory(lam, k)}
 
 
@@ -201,9 +229,12 @@ def main(argv=None) -> int:
     for name, (coords, k) in FIBERS.items():
         fibers[name] = measure_fiber(coords, k, args.repeat)
         print(name, json.dumps(fibers[name]["seconds_scaled_min"]))
+    verify = {**SWEEP, **best_times(args.repeat, verify_times)}
+    print("verify", json.dumps(verify["seconds_scaled_min"]))
     payload = {"label": args.label, "repeat": args.repeat,
                "ref_probe_s": REF_PROBE_S,
-               "provenance": provenance(), "fibers": fibers}
+               "provenance": provenance(), "fibers": fibers,
+               "verify": verify}
     out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out}")
     return 0

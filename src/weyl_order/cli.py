@@ -40,10 +40,9 @@ from .tuples import WeightTuple
 from .weights import Weight
 
 
-# Work bounds of the commands no tuple guard covers.  max builds k parts,
-# about 9 us each, and holds them all; dim builds the positive coroots of
-# its system, about n^2 of them at rank n, in time growing about as n^3
-# (a fresh dim --type C32 takes about 0.35 s, C64 2 s).
+# Work bounds of the commands no tuple guard covers.  max builds k parts
+# and holds them all; dim builds the positive coroots of its system, about
+# n^2 of them at rank n, in time growing about as n^3.
 MAX_K = 10_000
 MAX_DIM_RANK = 32
 
@@ -269,6 +268,61 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> list[dict]:
     return [next(rows[it[3:6]]) for it in items]
 
 
+def report_payload(cfg: SweepConfig, results: list[dict]) -> dict:
+    """The content of verify_report.json: the sweep's config, its counts,
+    the skipped items' names and the rows."""
+    return {
+        "config": {"families": list(cfg.families), "max_coord": cfg.max_coord,
+                   "max_k": cfg.max_k, "guard": cfg.guard,
+                   "corrupt": cfg.corrupt},
+        "num_checks": len(results),
+        "num_violations": sum(len(r["violations"]) for r in results),
+        "skipped": [r["item"] for r in results if r["skipped"]],
+        "items": results,
+    }
+
+
+# the JSON text of a string, as json.dumps writes it under ensure_ascii
+_quote = json.encoder.encode_basestring_ascii
+_JSON_BOOL = {b: json.dumps(b) for b in (False, True)}
+
+
+@functools.cache
+def _item_layout(keys: tuple[str, ...]) -> str:
+    """The ``_layout`` template at indent 4 of a report row with these
+    keys: one slot per key, in sorted key order."""
+    return _layout(dict.fromkeys(sorted(keys), _SLOT), 4)
+
+
+def _item_text(row: dict) -> str:
+    """One element of the report's items array: its key set's template
+    filled with the fields' JSON texts in sorted key order (item, a
+    skipped row's note, ok, skipped, violations).  A row with any other
+    key set leaves the template's slot count unmatched and raises."""
+    violations = row["violations"]
+    texts = [_quote(row["item"]), _JSON_BOOL[row["ok"]],
+             _JSON_BOOL[row["skipped"]],
+             # most rows have none; _json_array_chunks writes [] for them too
+             "".join(_json_array_chunks(map(_quote, violations), 6))
+             if violations else "[]"]
+    if "note" in row:
+        texts.insert(1, _quote(row["note"]))
+    return _item_layout(tuple(row)) % tuple(texts)
+
+
+def _report_chunks(payload: dict):
+    """verify_report.json in pieces, for a writer to stream: joined, the
+    bytes json.dumps(payload, sort_keys=True, indent=2) gives, plus a
+    newline.  The file's fields are one ``_layout`` template whose two
+    slots, the items and skipped arrays, split it in three."""
+    head, mid, tail = _between(_layout(
+        {**payload, "items": _SLOT, "skipped": _SLOT}, 0))
+    return itertools.chain(
+        (head,), _json_array_chunks(map(_item_text, payload["items"]), 2),
+        (mid,), _json_array_chunks(map(_quote, payload["skipped"]), 2),
+        (tail + "\n",))
+
+
 def cmd_verify(args) -> int:
     cfg = SweepConfig(families=args.families,
                       max_coord=args.max_coord, max_k=args.max_k,
@@ -278,17 +332,8 @@ def cmd_verify(args) -> int:
     results = run_sweep(cfg, args.jobs)
 
     violations = [v for r in results for v in r["violations"]]
-    skipped = [r["item"] for r in results if r["skipped"]]
-    payload = {
-        "config": {"families": list(cfg.families), "max_coord": cfg.max_coord,
-                   "max_k": cfg.max_k, "guard": cfg.guard,
-                   "corrupt": cfg.corrupt},
-        "num_checks": len(results),
-        "num_violations": len(violations),
-        "skipped": skipped,
-        "items": results,
-    }
-    _write_json(out_dir / "verify_report.json", payload)
+    payload = report_payload(cfg, results)
+    _write_text(out_dir / "verify_report.json", _report_chunks(payload))
     table = io.StringIO()
     w = csv.writer(table)
     w.writerow(["item", "ok", "skipped"])
@@ -296,7 +341,7 @@ def cmd_verify(args) -> int:
         w.writerow([r["item"], r["ok"], r["skipped"]])
     _write_text(out_dir / "verify_report.csv", table.getvalue(), newline="")
     print(f"{len(results)} checks, {len(violations)} violations, "
-          f"{len(skipped)} skipped")
+          f"{len(payload['skipped'])} skipped")
     for v in violations[:20]:
         print(f"  VIOLATION: {v}")
     return 1 if violations else 0
@@ -309,7 +354,10 @@ def cmd_poset(args) -> int:
     guard = _guard_from(args)
     out_dir = Path(args.out_dir)
     stem = f"poset_lam{_slug(lam)}_k{args.k}"
-    _make_out_dir(out_dir / f"{stem}.json")  # before the poset, not after
+    # the guard before the directory, the directory before the poset: a
+    # rejected call creates nothing, an unwritable one builds nothing
+    _check_fiber(lam, args.k, guard)
+    _make_out_dir(out_dir / f"{stem}.json")
     poset = build_poset(lam, args.k, guard)
     # the chunk calls compute the edges, kinds and labels, so whatever can
     # raise does so before a file is opened
@@ -365,8 +413,9 @@ def cmd_covers(args) -> int:
     lam = parse_weight(args.lam)
     guard = _guard_from(args)
     path = Path(args.out_dir) / f"covers_lam{_slug(lam)}_k{args.k}.json"
-    if args.json:
-        _make_out_dir(path)  # before the poset and the cover lines
+    if args.json:  # as in cmd_poset, and before any cover line prints
+        _check_fiber(lam, args.k, guard)
+        _make_out_dir(path)
     poset = build_poset(lam, args.k, guard)
     edges = poset.cover_edges
     texts = [None if e.witness is None else e.witness.describe()

@@ -25,9 +25,11 @@ that reads a part's window values, off its omega prefix sums;
 ``build_poset`` hands ``_sorted_prefix_stats`` a memo of the column
 rule keyed by the column tuple, so over one call each distinct column
 is sorted and summed once; the memo is the caller's, dropped when its
-call returns, and this module keeps none.  The module holds no second
-route: the window-by-window values, the subset-minimum statistic and
-the part reorderings and projections live in the tests as references.
+call returns, and this module keeps none.  Without a memo the same rule
+runs inline, one expression over all columns, and a test holds the two
+equal.  The module holds no other route: the window-by-window values,
+the subset-minimum statistic and the part reorderings and projections
+live in the tests as references.
 """
 
 from __future__ import annotations
@@ -85,10 +87,14 @@ def _column_stats(column) -> tuple[int, ...]:
     return tuple(accumulate(sorted(column)))
 
 
-def _sorted_prefix_stats(rows, column_stats=_column_stats) -> tuple[int, ...]:
+def _sorted_prefix_stats(rows, column_stats=None) -> tuple[int, ...]:
     """The stat vector of per-part rows of column values: each column
-    (a tuple, one value per part) scored by column_stats, the column rule
-    or a caller's memo of it, and the scores joined."""
+    (a tuple, one value per part) scored by column_stats, a caller's memo
+    of the column rule, and the scores joined.  With no memo the column
+    rule runs inline, with no Python call per column."""
+    if column_stats is None:
+        return tuple(chain.from_iterable(
+            map(accumulate, map(sorted, zip(*rows)))))
     return tuple(chain.from_iterable(map(column_stats, zip(*rows))))
 
 

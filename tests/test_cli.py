@@ -157,8 +157,8 @@ def covers_payload(lam, k):
 
 
 class TestJsonFiles:
-    """The poset and covers files are the bytes json.dumps(sort_keys=True,
-    indent=2) gives, plus a newline."""
+    """The poset, covers and verify report files are the bytes
+    json.dumps(sort_keys=True, indent=2) gives, plus a newline."""
 
     @staticmethod
     def dumps(payload):
@@ -211,6 +211,56 @@ class TestJsonFiles:
                                      ("low", "high", "kind", "witness")))
                  for rec in records)
         assert "".join(cli._covers_chunks(Weight((2, 0)), 2, texts)) == want
+
+    @pytest.mark.parametrize("argv,code", [
+        ((), 0),
+        (("--selftest-corrupt",), 1),
+        (("--guard", "40"), 0),
+    ])
+    def test_verify_report_matches_dumps(self, tmp_path, capsys, argv, code):
+        # a clean sweep, one with violations, one with skipped rows and
+        # their notes; the payload rebuilt from the rows run_sweep returns
+        grid = ("--families", "A,C,B,D", "--max-coord", "3", "--max-k", "3")
+        assert run(capsys, "verify", *grid, *argv,
+                   "--out-dir", str(tmp_path))[0] == code
+        cfg = SweepConfig(max_coord=3, max_k=3,
+                          guard=40 if "--guard" in argv else cli.DEFAULT_GUARD,
+                          corrupt="--selftest-corrupt" in argv)
+        rows = cli.run_sweep(cfg)
+        violations = [v for r in rows for v in r["violations"]]
+        skipped = [r["item"] for r in rows if r["skipped"]]
+        assert bool(violations) == (code == 1)
+        assert bool(skipped) == ("--guard" in argv)
+        assert all("note" in r for r in rows if r["skipped"])
+        want = self.dumps({
+            "config": {"families": ["A", "C", "B", "D"], "max_coord": 3,
+                       "max_k": 3, "guard": cfg.guard,
+                       "corrupt": cfg.corrupt},
+            "num_checks": len(rows),
+            "num_violations": len(violations),
+            "skipped": skipped,
+            "items": rows,
+        })
+        assert (tmp_path / "verify_report.json").read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("skipped", [[], ["a\"b%s", "\u00e9\x00\t"]])
+    def test_verify_report_writer_escapes_as_dumps_does(self, skipped):
+        odd = ['q"uote', "back\\slash", "tab\t", "\u00e9\u2603", "nul\x00",
+               "100%", "%s %% %(x)s", ""]
+        rows = [{"item": odd[i], "ok": not odd[i + 1], "skipped": False,
+                 "violations": odd[i:i + 3]} for i in range(len(odd) - 2)]
+        rows += [{"item": text, "ok": True, "skipped": True,
+                  "violations": [], "note": odd[-1 - i]}
+                 for i, text in enumerate(odd)]
+        rows.append({"item": "%", "ok": False, "skipped": False,
+                     "violations": []})
+        payload = {"config": {"families": ["A"], "max_coord": 1, "max_k": 2,
+                              "guard": 7, "corrupt": True},
+                   "num_checks": len(rows), "num_violations": 3,
+                   "skipped": skipped, "items": rows}
+        assert "".join(cli._report_chunks(payload)) == self.dumps(payload)
+        payload["items"] = []
+        assert "".join(cli._report_chunks(payload)) == self.dumps(payload)
 
     def test_output_bytes_are_pinned(self, tmp_path, capsys):
         assert run(capsys, "poset", "--lambda", "2,1", "--k", "3", "--dot",
@@ -585,6 +635,20 @@ class TestFailureModes:
         assert code == 3
         assert "guard exceeded" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("poset", "--lambda", "20000", "--k", "20000"),
+        ("poset", "--lambda", "4,4", "--k", "2", "--guard", "10", "--dot"),
+        ("covers", "--lambda", "20000", "--k", "20000", "--json"),
+        ("covers", "--lambda", "4,4", "--k", "2", "--guard", "10", "--json"),
+    ])
+    def test_guard_rejected_call_creates_no_out_dir(self, tmp_path, capsys,
+                                                    argv):
+        out_dir = tmp_path / "x" / "y"
+        code, out, err = run(capsys, *argv, "--out-dir", str(out_dir))
+        assert (code, out) == (3, "")
+        assert err.startswith("guard exceeded: ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_guard_env_var(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("WEYL_ORDER_GUARD", "10")
         code, *_ = run(capsys, "poset", "--lambda", "4,4", "--k", "2",
@@ -916,6 +980,21 @@ class TestBenchLayersScript:
         assert [name for name, fiber in fibers.items()
                 if "cover_decisions_bytes" in fiber] == ["covers_k2"]
         assert fibers["covers_k2"]["cover_decisions_bytes"] > 0
+        # the sweep workload in process, scaled by the same probe
+        verify = payload["verify"]
+        assert (verify["max_coord"], verify["max_k"]) == (5, 4)
+        assert set(verify["seconds_min"]) == {
+            "run_sweep", "report_chunks", "report_json_dumps"}
+        assert all(s > 0 for s in verify["seconds_min"].values())
+        factor = script.REF_PROBE_S / verify["probe_s"]
+        assert verify["seconds_scaled_min"] == {
+            name: pytest.approx(s * factor, rel=1e-3, abs=2e-6)
+            for name, s in verify["seconds_min"].items()}
+        cfg = SweepConfig(max_coord=5, max_k=4)
+        assert verify["checks"] == len(sweep_items(cfg)) == 1264
+        rows = cli.run_sweep(cfg)
+        assert verify["report_chars"] == len(json.dumps(
+            cli.report_payload(cfg, rows), sort_keys=True, indent=2)) + 1
         assert "wrote" in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv,needle", [

@@ -349,6 +349,24 @@ class TestBuildPoset:
         assert build_poset(Weight(lam), k) == first
         assert len(scored) == 122
 
+    @pytest.mark.parametrize("k,count", [(2, 562), (3, 1537), (4, 2491)])
+    def test_inline_and_memo_stat_routes_agree(self, k, count):
+        # the inline column rule (no memo) against _column_stats, plain and
+        # through the per-call memo build_poset hands in
+        from weyl_order.posets import _PerCall
+        from weyl_order.tuples import _column_stats, _sorted_prefix_stats
+        memo = _PerCall(_column_stats).__getitem__
+        seen = 0
+        for rank in (1, 2, 3):
+            for lam in itertools.product(range(4), repeat=rank):
+                for ms in _part_multisets(lam, k):
+                    rows = list(map(_part_window_values, ms))
+                    inline = _sorted_prefix_stats(rows)
+                    assert inline == _sorted_prefix_stats(rows, _column_stats)
+                    assert inline == _sorted_prefix_stats(rows, memo), ms
+                    seen += 1
+        assert seen == count
+
     def test_build_orders_no_parts(self, monkeypatch):
         # the walk never calls the ordered-tuple route and builds no
         # WeightTuple: a representative is built when first read, from the
