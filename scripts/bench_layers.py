@@ -6,11 +6,13 @@ fiber of its grid) it records the best of ``--repeat`` wall times of
 ``build_poset``, the strict order (``TuplePoset._below``), the cover walk
 (``cover_rows``), at k = 2 the covers classified by kind alone (every
 row of the decision list, ``_cover_decisions``, which all the poset
-writers read) and the witness objects built from it (``cover_edges``),
-and the two file writers (``json_chunks`` and ``dot_chunks``, every
-piece read).  Each layer is timed on a poset whose earlier layers are
-already built, so no time holds another layer's: at k = 2 the two cover
-layers add up to what ``cover_edges`` costs on its own.  Under
+writers read), the ``covers`` command's output read off it
+(``covers_text``: the stdout lines and the JSON record texts, labels
+included) and the witness objects built from it (``cover_edges``), and
+the two file writers (``json_chunks`` and ``dot_chunks``, every piece
+read).  Each layer is timed on a poset whose earlier layers are already
+built, so no time holds another layer's: at k = 2 ``cover_decisions``
+and ``cover_edges`` add up to what ``cover_edges`` costs on its own.  Under
 ``verify`` it records the best in-process times of the ``sweep``
 workload's whole sweep (``run_sweep`` at ``--max-coord 5 --max-k 4``)
 and of its report writer.  It also records
@@ -47,8 +49,8 @@ import tracemalloc
 from pathlib import Path
 
 from weyl_order import Weight, build_poset, root_system
-from weyl_order.cli import (SweepConfig, _report_chunks, positive_int,
-                            report_payload, run_sweep)
+from weyl_order.cli import (SweepConfig, _covers_text, _report_chunks,
+                            positive_int, report_payload, run_sweep)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -103,6 +105,13 @@ def timed(fn):
     return time.perf_counter() - t0, out
 
 
+def covers_text(poset) -> int:
+    """The covers command's stdout and JSON records, every record read:
+    the characters built."""
+    out, records = _covers_text(poset, True)
+    return len(out) + sum(map(len, records))
+
+
 def layer_times(lam: Weight, k: int) -> tuple[dict, dict]:
     """One pass over the layers of a fresh poset: (seconds, sizes)."""
     seconds, sizes = {}, {}
@@ -111,6 +120,7 @@ def layer_times(lam: Weight, k: int) -> tuple[dict, dict]:
     seconds["cover_rows"], rows = timed(lambda: poset.cover_rows)
     if k == 2:
         seconds["cover_decisions"], _ = timed(lambda: poset._cover_decisions)
+        seconds["covers_text"], _ = timed(lambda: covers_text(poset))
         seconds["cover_edges"], _ = timed(lambda: poset.cover_edges)
     seconds["json_chunks"], sizes["json_chars"] = timed(
         lambda: sum(map(len, poset.json_chunks())))

@@ -31,13 +31,14 @@ from .dimensions import (verify_coroot_inequalities_k2, verify_max_dim,
                          verify_monotone_k2, weyl_dim)
 from .posets import (_COUNT_CAP, _COUNT_DIGITS, _SLOT, DEFAULT_GUARD,
                      CoverKind, GuardExceeded, _between, _check_fiber,
-                     _json_array_chunks, _layout, build_poset, count_tuples,
-                     maximal_element, minimal_element, poset_size_k2)
+                     _json_array_chunks, _layout, _witness_text, build_poset,
+                     count_tuples, maximal_element, minimal_element,
+                     poset_size_k2)
 from .roots import (FAMILIES, base_rank, check_admissible,
                     coroot_table_report, expected_table_report, iota,
                     parse_system_name, root_system, spin_nodes)
 from .tuples import WeightTuple
-from .weights import Weight
+from .weights import Weight, _cycle_text
 
 
 # Work bounds of the commands no tuple guard covers.  max builds k parts
@@ -137,6 +138,10 @@ def _write_text(path: Path, text, newline: str | None = None):
 
 def _write_json(path: Path, payload: dict):
     _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+# the JSON text of a string, as json.dumps writes it under ensure_ascii
+_quote = json.encoder.encode_basestring_ascii
 
 
 # -- verify sweep ------------------------------------------------------------
@@ -282,8 +287,6 @@ def report_payload(cfg: SweepConfig, results: list[dict]) -> dict:
     }
 
 
-# the JSON text of a string, as json.dumps writes it under ensure_ascii
-_quote = json.encoder.encode_basestring_ascii
 _JSON_BOOL = {b: json.dumps(b) for b in (False, True)}
 
 
@@ -409,6 +412,44 @@ def _covers_chunks(lam: Weight, k: int, records):
                            (tail + "\n",))
 
 
+def _covers_text(poset, with_json: bool):
+    """The covers command's output, read off the poset's cover rows and
+    decision list: the stdout text, one line per Hasse edge in (low,
+    high) order, and with_json the covers file's record texts, lazily,
+    else None.  A witness is worded once per edge by ``_witness_text``,
+    from the decision's fields, and the text serves its line and its
+    record; a sorter's cycle notation is computed once per image tuple.
+    No edge or witness object is built.  Off k = 2 every edge is
+    unclassified, and its witness is null."""
+    labels = poset.labels
+    cycles: dict[tuple[int, ...], str] = {}
+    edges = []
+    for a, (highs, row) in enumerate(zip(poset.cover_rows,
+                                          poset._cover_decisions)):
+        for b, (kind, images, _, index, reading, mix) in zip(highs, row):
+            text = None
+            if images is not None:
+                sigma = cycles.get(images)
+                if sigma is None:
+                    sigma = cycles[images] = _cycle_text(images)
+                text = _witness_text(sigma, index, reading, mix)
+            edges.append((a, b, kind, text))
+    # each kind's tag formatted once: an Enum value is a property read
+    tags = {kind: f" [{kind.value}]" for kind in CoverKind}
+    out = "".join(f"{labels[a]} -> {labels[b]}{tags[kind]}\n" if text is None
+                  else f"{labels[a]} -> {labels[b]}{tags[kind]} ({text})\n"
+                  for a, b, kind, text in edges)
+    if not with_json:
+        return out, None
+    # each label quoted once per class, each kind once, a witness's text
+    # once per cover
+    quoted = list(map(_quote, labels))
+    kinds = {kind: _quote(kind.value) for kind in CoverKind}
+    return out, (_cover_record(quoted[a], quoted[b], kinds[kind],
+                               "null" if text is None else _quote(text))
+                 for a, b, kind, text in edges)
+
+
 def cmd_covers(args) -> int:
     lam = parse_weight(args.lam)
     guard = _guard_from(args)
@@ -417,22 +458,9 @@ def cmd_covers(args) -> int:
         _check_fiber(lam, args.k, guard)
         _make_out_dir(path)
     poset = build_poset(lam, args.k, guard)
-    edges = poset.cover_edges
-    texts = [None if e.witness is None else e.witness.describe()
-             for e in edges]
-    labels = poset.labels
-    sys.stdout.write("".join(
-        f"{labels[e.low]} -> {labels[e.high]} [{e.kind.value}]"
-        + ("\n" if text is None else f" ({text})\n")
-        for e, text in zip(edges, texts)))
-    if args.json:
-        # each label quoted once per class, each kind once, a witness's text
-        # once per cover
-        quoted = list(map(json.dumps, labels))
-        kinds = {kind: json.dumps(kind.value) for kind in CoverKind}
-        records = (_cover_record(quoted[e.low], quoted[e.high], kinds[e.kind],
-                                 json.dumps(text))
-                   for e, text in zip(edges, texts))
+    out, records = _covers_text(poset, args.json)
+    sys.stdout.write(out)
+    if records is not None:
         _write_text(path, _covers_chunks(lam, args.k, records))
     return 0
 

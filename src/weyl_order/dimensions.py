@@ -1,36 +1,15 @@
 """Dimension products over positive coroots, and their monotonicity.
 
-``weyl_dim`` evaluates the classical product formula in exact integer
-arithmetic: shift by the all-ones weight, take the product of pairings
-against every positive coroot, divide by the same product at the shift
-alone, cached as ``RootSystem.rho_product``.  ``tensor_dim`` multiplies
-part dimensions of an embedded tuple.
-
-For k = 2 the module also builds a per-coroot ledger comparing two
-tuples X below Y in the window order.  Each coroot contributes the
-two-factor product of its shifted pairings against the parts.  Interval
-(height-one) coroots always move weakly upward along the order; a
-height-two coroot can move down on its own, but the four-factor product
-with its window partner recovers the inequality.  ``four_factor_rebalance``
-is the exact integer fact behind that recovery step.  ``pair_ledger``
-reads two exact per-system tables: ``RootSystem.ledger_plan`` (row
-labels, flags and grouped-row indices) and ``RootSystem.part_brackets``
-(each part's shifted pairings against every coroot, filled on a miss);
-``grand_product_identity`` reads the same bracket table and the cached
-``RootSystem.rho_product``.  ``pair_ledger`` and the two ``*_k2``
-verifiers refuse any other k through one check.
-
-The three verifiers work on per-class integers and return their
-violations, a list of dicts, empty when the claim holds.
-``member_dims`` gives each class's dimension products, one per part
-multiset, read from ``RootSystem.part_dims``; a k = 2 class has one.
-The ledger verifier computes each class's two-factor vector once,
-compares integers per cover edge, and checks each representative
-through ``grand_product_identity``, the one route for that identity.
-Class labels (``TuplePoset.labels``, formatted once per poset) and any
-``WeightTuple`` are read only to word a violation, so a clean check
-formats no text.  ``verify_max_dim`` reads the closed-form top's class
-off the poset, where it is cached.
+All arithmetic is exact, on integers.  ``weyl_dim`` is the product
+formula; ``tensor_dim`` and ``member_dims`` multiply part dimensions
+read from ``RootSystem.part_dims``.  At k = 2, ``pair_ledger`` compares
+two tuples coroot by coroot (the row layout is ``_ledger_rows``'s, the
+brackets are ``RootSystem.part_brackets``'), and
+``four_factor_rebalance`` is the integer fact behind its grouped rows.
+The three verifiers return their violations, a list of dicts, empty when
+the claim holds; they read class labels or build a ``WeightTuple`` only
+to word a violation.  Every k = 2 function refuses any other k through
+``_require_k2``.
 """
 
 from __future__ import annotations
@@ -62,12 +41,8 @@ def weyl_dim(w: EmbeddedWeight) -> int:
 
 
 def tensor_dim(rs: RootSystem, x: WeightTuple) -> int:
-    """Product of the part dimensions after embedding into rs.
-
-    Part dimensions come from rs.part_dims, keyed by omega tuple, and
-    weyl_dim fills a miss.  A wrong-rank part never hits, so iota still
-    rejects it.
-    """
+    """Product of the part dimensions after embedding into rs; a
+    wrong-rank part raises in iota."""
     return math.prod(_part_dim(rs, p.omega) for p in x.parts)
 
 
@@ -82,12 +57,8 @@ def _part_dim(rs: RootSystem, omega: tuple[int, ...]) -> int:
 # -- exact rebalancing facts ------------------------------------------------
 
 def rebalance_gain(x: int, y: int) -> int:
-    """(x+1)(y-1) - xy = y - x - 1.
-
-    Nonnegative whenever 0 < x < y, zero exactly when y = x + 1: pushing
-    an unbalanced positive pair toward the middle never shrinks the
-    product.
-    """
+    """(x+1)(y-1) - xy = y - x - 1: nonnegative whenever 0 < x < y,
+    zero exactly when y = x + 1."""
     return (x + 1) * (y - 1) - x * y
 
 
@@ -99,13 +70,9 @@ class RebalanceVerdict(enum.Enum):
 
 
 def four_factor_rebalance(a: int, b: int, c: int, d: int) -> RebalanceVerdict:
-    """Exact verdict on a*b*c*d <= (a+1)(b-1)(c-1)(d+1).
-
-    Applicable to positive integers with a < b < d, a < c < d and
-    b - a >= d - c + 2; outside that premise the verdict is
-    NOT_APPLICABLE.  Within it the comparison is evaluated literally,
-    FAILS being reported if the inequality ever loses.
-    """
+    """Exact verdict on a*b*c*d <= (a+1)(b-1)(c-1)(d+1) for positive
+    integers with a < b < d, a < c < d and b - a >= d - c + 2;
+    NOT_APPLICABLE outside that premise."""
     if min(a, b, c, d) < 1:
         return RebalanceVerdict.NOT_APPLICABLE
     if not (a < b < d and a < c < d and b - a >= d - c + 2):
@@ -131,12 +98,8 @@ def _require_k2(name: str, *ks: int) -> None:
 @dataclass(frozen=True)
 class LedgerRow:
     """One inequality row comparing a low tuple against a high one.
-
-    guaranteed: the row is asserted by the monotonicity argument.
-    in_product: the row is a factor of the grand product decomposition
-    (guaranteed solo rows plus grouped rows); partnered coroots appear
-    solo only informationally.
-    """
+    guaranteed: the monotonicity argument asserts low <= high.
+    in_product: the row is a factor of the grand product."""
 
     label: str
     low: int
@@ -150,11 +113,8 @@ class LedgerRow:
 
 
 def _brackets(rs: RootSystem, p: Weight) -> tuple[int, ...]:
-    """bracket(iota(p, rs), h) for every coroot h, in coroot order.
-
-    Read from rs.part_brackets, keyed by omega tuple; a miss embeds the
-    part, so a wrong-rank part still raises in iota.
-    """
+    """bracket(iota(p, rs), h) for every coroot h, in coroot order,
+    through rs.part_brackets; a wrong-rank part raises in iota."""
     table = rs.part_brackets
     vec = table.get(p.omega)
     if vec is None:
@@ -182,23 +142,15 @@ def _ledger_rows(rs: RootSystem, lo, hi):
 
 
 def pair_ledger(rs: RootSystem, low: WeightTuple, high: WeightTuple) -> list[LedgerRow]:
-    """All ledger rows for a k = 2 pair, in coroot order then grouped rows.
-
-    Labels and flags come from rs.ledger_plan, brackets from
-    rs.part_brackets, the layout from _ledger_rows.
-    """
+    """All ledger rows for a k = 2 pair, in _ledger_rows's layout."""
     _require_k2("pair_ledger", low.k, high.k)
     return [LedgerRow(*row) for row in
             _ledger_rows(rs, _two_factor(rs, low), _two_factor(rs, high))]
 
 
 def grand_product_identity(rs: RootSystem, x: WeightTuple) -> tuple[int, int]:
-    """(product of all two-factor brackets, tensor_dim times rho-product squared).
-
-    The two sides agree exactly; returned unreduced so callers can assert it.
-    Brackets come from rs.part_brackets and the rho product from
-    rs.rho_product.
-    """
+    """(product of all brackets of x's parts, tensor_dim times the rho
+    product to the k-th power): equal, returned unreduced."""
     total = 1
     for p in x.parts:
         total *= math.prod(_brackets(rs, p))
@@ -209,11 +161,7 @@ def grand_product_identity(rs: RootSystem, x: WeightTuple) -> tuple[int, int]:
 
 def member_dims(poset: TuplePoset, rs: RootSystem) -> list[list[int]]:
     """Per class, the dimension product of each part multiset, in the
-    class's multiset order: the representative first.
-
-    Part dimensions are read from rs.part_dims by omega tuple, the table
-    tensor_dim reads.
-    """
+    class's multiset order: the representative first."""
     table = rs.part_dims
     out = []
     for cls in poset.classes:
@@ -228,12 +176,9 @@ def member_dims(poset: TuplePoset, rs: RootSystem) -> list[list[int]]:
 
 
 def verify_monotone_k2(poset: TuplePoset, rs: RootSystem) -> list[dict]:
-    """Strictly smaller class in the window order means strictly smaller dim.
-
-    Checked on cover edges; every strict pair is a chain of covers, so
-    that is enough.  A k = 2 class is one part multiset, so its one
-    product is the class's dimension.
-    """
+    """Strictly smaller class in the window order means strictly smaller
+    dimension, checked on cover edges: every strict pair is a chain of
+    covers.  A k = 2 class is one part multiset, so one product."""
     _require_k2("verify_monotone_k2", poset.k)
     members = member_dims(poset, rs)
     violations = []
@@ -249,13 +194,9 @@ def verify_monotone_k2(poset: TuplePoset, rs: RootSystem) -> list[dict]:
 
 def verify_coroot_inequalities_k2(poset: TuplePoset,
                                   rs: RootSystem) -> list[dict]:
-    """Ledger rows across every cover edge of the k = 2 quotient.
-
-    Guaranteed rows must not lose; grand_product_identity must hold for
-    every representative.  Each class's two-factor vector is computed
-    once; every edge then compares integers on the guaranteed rows of
-    _ledger_rows, pair_ledger's layout.
-    """
+    """Across every cover edge of the k = 2 quotient no guaranteed ledger
+    row loses, and grand_product_identity holds for every representative;
+    each class's two-factor vector is computed once."""
     _require_k2("verify_coroot_inequalities_k2", poset.k)
     vecs = []
     violations = []
@@ -279,13 +220,8 @@ def verify_coroot_inequalities_k2(poset: TuplePoset,
 
 def verify_max_dim(poset: TuplePoset, rs: RootSystem) -> list[dict]:
     """The top class's representative holds the strict dimension maximum
-    of the whole fiber.
-
-    Every part multiset is checked, not only class representatives:
-    outside type A, members of one class can differ in dimension at
-    k >= 3.  The closed-form top's class is read from the poset, looked
-    up once per poset rather than once per root system.
-    """
+    of the whole fiber.  Every part multiset is checked: outside type A,
+    members of one class can differ in dimension at k >= 3."""
     top = poset.top_index
     violations = []
     if poset.closed_form_top_index != top:

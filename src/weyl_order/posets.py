@@ -23,8 +23,9 @@ At k = 2 each cover edge carries a kind: a first kind where one part
 surrenders a whole (permuted) fundamental-weight chunk to the other, a
 second kind where the two new parts mix the old parts' coordinates after
 a sorting change of frame, and an explicit ``UNCLASSIFIED`` fallback for
-anything else.  ``_decide`` is the one place the rule is decided.  A
-poset decides each cover once, row by row as readers ask (``_decided``);
+anything else.  ``_decide`` is the one place the rule is decided; it
+reads the chunk shape off packed integers (``_raised``).  A poset
+decides each cover once, row by row as readers ask (``_decided``);
 off k = 2 every decision is unclassified.  ``covers_of`` and
 ``cover_edges`` build edge and witness objects from the decisions,
 ``classify_cover`` wraps the rule for one pair of tuples, and the text
@@ -346,13 +347,31 @@ class TuplePoset:
         return [None] * len(self.classes)
 
     @cached_property
-    def _class_parts(self) -> list[tuple[Weight, ...]]:
-        """Each class's parts, its first multiset's omegas through the
-        classes' shared ``Weight`` cache: built on the first k = 2 cover
-        decision, so the rule reads a tuple per upper class, not a cache
-        lookup per part."""
-        return [tuple(map(cls.weight, cls.multisets[0]))
-                for cls in self.classes]
+    def _uppers(self) -> list[tuple | None]:
+        """Per class, its frames (see ``_frames``) once a k = 2 cover
+        decision has read them, else None: a class's parts are read and
+        packed on first need, so a reader of one cover row fills the
+        entries of that row's classes alone."""
+        return [None] * len(self.classes)
+
+    @cached_property
+    def _width(self) -> int:
+        """The field width of the poset's packed tuples: every epsilon
+        coordinate of a part lies in 0 .. |lam|."""
+        return _field_width(sum(self.lam.omega))
+
+    @cached_property
+    def _fields(self) -> tuple:
+        """The layout of the poset's packed tuples (``_field_layout``)."""
+        return _field_layout(self.lam.rank + 1, self._width)
+
+    def _upper(self, b: int) -> tuple:
+        """Class b's frames, its first multiset's parts through the
+        classes' shared ``Weight`` cache, filled into _uppers."""
+        cls = self.classes[b]
+        frames = self._uppers[b] = _frames(*map(cls.weight, cls.multisets[0]),
+                                           self._width)
+        return frames
 
     def _decisions(self, a: int) -> tuple[tuple, ...]:
         """Cover row a's decisions, decided into the list on first read."""
@@ -743,13 +762,21 @@ class CoverWitness:
     mix: tuple[int, ...] | None = None  # per-coordinate source part, second kind
 
     def describe(self) -> str:
-        bits = [f"sigma={self.sigma.cycle_notation()}"]
-        if self.index is not None:
-            bits.append(f"i={self.index}")
-            bits.append(f"reading={self.reading}")
-        if self.mix is not None:
-            bits.append("mix=" + "".join(str(s) for s in self.mix))
-        return ", ".join(bits)
+        return _witness_text(self.sigma.cycle_notation(), self.index,
+                             self.reading, self.mix)
+
+
+def _witness_text(cycles: str, index: int | None, reading: str | None,
+                  mix: tuple[int, ...] | None) -> str:
+    """A witness's text from its fields, sigma given by its cycle
+    notation: the one place a witness is worded, for ``describe`` and for
+    the covers command, which reads the fields off the decision list."""
+    text = "sigma=" + cycles
+    if index is not None:
+        text += f", i={index}, reading={reading}"
+    if mix is not None:
+        text += ", mix=" + "".join(map(str, mix))
+    return text
 
 
 @dataclass(frozen=True)
@@ -760,6 +787,21 @@ class CoverEdge:
     witness: CoverWitness | None = None
 
 
+def _inverse(images) -> list[int]:
+    q = [0] * len(images)
+    for p, t in enumerate(images):
+        q[t] = p
+    return q
+
+
+def _first_sorter(values: tuple[int, ...]) -> tuple[tuple[int, ...], list[int]]:
+    """The image-lex first sorter of values and its inverse: each slot
+    goes to the lowest free target slot of its value, so the inverse is
+    the stable descending argsort (order[t], the slot sent to t)."""
+    order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
+    return tuple(_inverse(order)), order
+
+
 def _sorting_coset(values: tuple[int, ...]):
     """Every permutation arranging values weakly decreasing, as image
     tuples, lazily, in image-lex order (identity first when values are
@@ -767,9 +809,7 @@ def _sorting_coset(values: tuple[int, ...]):
 
     A sorter sends each slot to a slot holding the same value in the
     sorted vector; ties admit several, a coset of the stabilizer.  The
-    image-lex first sorter gives each slot the lowest free target slot of
-    its value: it is the stable descending argsort, inverted, and it is
-    yielded without a walk.
+    image-lex first sorter is ``_first_sorter``'s, yielded without a walk.
     Only when a caller asks for a second sorter does the walk start: each
     value keeps its list of target slots, and slot by slot the unused
     ones are tried in increasing order, so the sorters come out in
@@ -778,13 +818,11 @@ def _sorting_coset(values: tuple[int, ...]):
     stop at the first sorter, so none is built ahead; each call returns a
     fresh iterator.
     """
-    n = len(values)
-    order = sorted(range(n), key=values.__getitem__, reverse=True)  # stable
-    images = [0] * n
-    for slot, p in enumerate(order):
-        images[p] = slot
-    yield tuple(images)
+    first, order = _first_sorter(values)
+    yield first
 
+    n = len(values)
+    images = [0] * n
     targets: dict[int, list[int]] = {}
     for slot, p in enumerate(order):
         targets.setdefault(values[p], []).append(slot)
@@ -806,74 +844,152 @@ def _sorting_coset(values: tuple[int, ...]):
     yield from walk
 
 
-def _inverse(images: tuple[int, ...]) -> list[int]:
-    q = [0] * len(images)
-    for p, t in enumerate(images):
-        q[t] = p
-    return q
-
-
 def _steps(xs) -> list[int]:
     """Consecutive differences xs[t] - xs[t + 1]: the omega coordinates
     of a padded epsilon vector laid out in some frame."""
     return list(map(sub, xs, xs[1:]))
 
 
-def _prefix_masks(slots) -> list[int]:
-    """masks[i]: the bit mask of the first i slots, for i = 0 .. len."""
+def _prefix_masks(bits) -> list[int]:
+    """masks[i]: the OR of the first i of bits, for i = 0 .. len."""
     masks = [mask := 0]
-    for p in slots:
-        mask |= 1 << p
+    for bit in bits:
+        mask |= bit
         masks.append(mask)
     return masks
 
 
+# A packed tuple is one integer holding value s of a padded epsilon tuple
+# in field s, the width bits from s * width up; the first-kind chunk test
+# reads a whole chunk off one subtraction of packed tuples.
+
+def _field_width(span: int) -> int:
+    """The field width for packed tuples whose values lie in 0 .. span:
+    the least multiple of 8 with span < 2**(width - 1), so each chunk
+    entry e1[s] - f[s], in -span .. span, fits a field with its offset."""
+    return 8 * (span.bit_length() // 8 + 1)
+
+
+def _pack(values, width: int) -> int:
+    """values as one packed integer, value s in field s; exact for any
+    width whose fields hold the values."""
+    packed = 0
+    for v in reversed(values):
+        packed = packed << width | v
+    return packed
+
+
+def _field_layout(slots: int, width: int) -> tuple:
+    """The packed layout of slots fields of width bits: (bits, OFF,
+    OFF - LOW, outside), bits[s] the low bit of field s, LOW every low
+    bit, OFF the value 2**(width - 1) in every field, outside every bit
+    not in LOW (a negative integer)."""
+    bits = [1 << width * s for s in range(slots)]
+    low = sum(bits)
+    off = low << width - 1
+    return bits, off, off - low, ~low
+
+
+def _raised(top: int, packed_f: int, fields: tuple) -> int:
+    """The slots raised by the chunk e1 - f, as a packed mask, when the
+    chunk takes two values a step apart, else 0; top is E1 + OFF and
+    packed_f is F, both in the layout fields.
+
+    A padded tuple ends in 0, so such a chunk takes the values 0/1 or
+    -1/0, and its raised slots hold the larger one.  D = top - F holds
+    e1[s] - f[s] + OFF in field s with no borrow, since |e1[s] - f[s]| <
+    2**(width - 1).  The chunk is 0/1 exactly when X = D ^ OFF has no bit
+    outside LOW (a field below OFF keeps its top bit), and X is then the
+    raised mask.  It is -1/0 exactly when Y = D - (OFF - LOW), whose field
+    digits are the chunk plus 1, has none either: those digits lie in
+    -2**(width - 1) < c <= 2**(width - 1), a full set of residues, so the
+    digits are unique, and one outside 0/1 sets a bit outside LOW or makes
+    Y negative.  Y is then the raised mask.  The all-zero chunk gives X =
+    0, so it is rejected without reaching Y."""
+    _, off, shift, outside = fields
+    d = top - packed_f
+    raised = d ^ off
+    if raised & outside:
+        raised = d - shift
+        if raised & outside:
+            return 0
+    return raised
+
+
+def _frames(h1: Weight, h2: Weight, width: int) -> tuple:
+    """The frames of the pair of parts (h1, h2), one per orientation:
+    (mu1, mu2, f, F), f the padded epsilon tuple of mu1 and F it packed;
+    one frame when the two tuples are equal."""
+    f1, f2 = h1.eps_padded(), h2.eps_padded()
+    first = (h1, h2, f1, _pack(f1, width))
+    return (first,) if f1 == f2 else (first, (h2, h1, f2, _pack(f2, width)))
+
+
 class _Sorter:
     """One sorter of a lower pair's delta and what the classifier reads
-    off it: its images, its inverse q, ``sort``, which lays a padded
-    vector x out in the sorted frame (slot t holds x[q[t]]), the prefix
-    masks of both readings (``inverse_masks[i]`` the slots {q[t] : t < i},
-    ``forward_masks[i]`` the slots {sigma(t) : t < i}), and the
+    off it, each part built on first need: its images and inverse q at
+    once; ``masks``, when a first-kind candidate reaches it, the prefix
+    masks of both readings in the packed layout (``inverse[i]`` the slots
+    {q[t] : t < i}, ``forward[i]`` the slots {sigma(t) : t < i}); and
+    ``frame``, for a second-kind test, ``sort``, which lays a padded
+    vector x out in the sorted frame (slot t holds x[q[t]]), with the
     sorted-frame omega vectors s1 and s2 of e1 and e2.  A decision keeps
     only the images, so a sorter lives as long as its lower pair."""
 
-    __slots__ = ("images", "q", "sort", "inverse_masks", "forward_masks",
-                 "s1", "s2")
+    __slots__ = ("images", "q", "masks", "frame")
 
-    def __init__(self, images: tuple[int, ...], e1, e2):
-        self.images = images
-        self.q = q = _inverse(images)
-        self.sort = sort = itemgetter(*q)  # q has >= 2 slots: a tuple out
-        self.inverse_masks = _prefix_masks(q)
-        self.forward_masks = _prefix_masks(images)
-        self.s1, self.s2 = _steps(sort(e1)), _steps(sort(e2))
+    def __init__(self, images: tuple[int, ...], q: list[int]):
+        self.images, self.q = images, q
+        self.masks = self.frame = None
+
+    def build_masks(self, bits: list[int]) -> tuple[list[int], list[int]]:
+        self.masks = (_prefix_masks(map(bits.__getitem__, self.q)),
+                      _prefix_masks(map(bits.__getitem__, self.images)))
+        return self.masks
+
+    def build_frame(self, e1, e2) -> tuple:
+        sort = itemgetter(*self.q)  # q has >= 2 slots: a tuple out
+        self.frame = sort, _steps(sort(e1)), _steps(sort(e2))
+        return self.frame
 
 
 class _LowerPair:
     """What a k = 2 lower class gives every cover above it: its parts'
     padded epsilon tuples in canonical order (e1 >= e2), delta = e1 - e2,
-    the bit of each slot, the sorters of delta walked so far and the live
-    walk that yields the rest.  One is built per cover row, or per
+    the packed layout (``fields``, see ``_field_layout``) and top = E1 + OFF,
+    and the sorters of delta: walked holds those built so far, the first
+    one (``_first_sorter``) at once, and fresh the walk that yields the
+    rest, started when a second sorter is asked for.  Built from the
+    class's frames (``_frames``), one per cover row or per
     ``classify_cover`` call, and dropped with it."""
 
-    __slots__ = ("e1", "e2", "delta", "bits", "walked", "fresh")
+    __slots__ = ("e1", "e2", "delta", "fields", "top", "walked", "fresh")
 
-    def __init__(self, x: tuple[int, ...], y: tuple[int, ...]):
-        self.e1, self.e2 = (x, y) if x >= y else (y, x)
-        self.delta = tuple(map(sub, self.e1, self.e2))
-        self.bits = [1 << p for p in range(len(x))]
-        self.walked: list[_Sorter] = []
-        self.fresh = _sorting_coset(self.delta)
+    def __init__(self, frames: tuple, fields: tuple):
+        (_, _, x, packed), (_, _, y, _) = frames[0], frames[-1]
+        if x < y:
+            x, y, packed = y, x, frames[-1][3]
+        self.e1, self.e2 = x, y
+        self.delta = tuple(map(sub, x, y))
+        self.fields = fields
+        self.top = packed + fields[1]
+        self.walked = [_Sorter(*_first_sorter(self.delta))]
+        self.fresh = None
 
-    def sorters(self):
-        """Every sorter of delta in image-lex order, each built once: the
-        walked ones, then the walk resumed.  Callers iterate one at a
-        time; an abandoned loop leaves the walk where it stopped."""
-        yield from self.walked
-        for images in self.fresh:
-            sorter = _Sorter(images, self.e1, self.e2)
-            self.walked.append(sorter)
-            yield sorter
+    def sorter(self, t: int) -> _Sorter | None:
+        """Sorter t of delta in image-lex order, or None past the last,
+        for t up to len(walked): each is built once, and the walk resumes
+        where it stopped."""
+        walked = self.walked
+        if t == len(walked):
+            if self.fresh is None:
+                self.fresh = _sorting_coset(self.delta)
+                next(self.fresh)  # the first sorter, walked already
+            images = next(self.fresh, None)
+            if images is None:
+                return None
+            walked.append(_Sorter(images, _inverse(images)))
+        return walked[t]
 
 
 # A decision is a plain tuple: the kind, then the witness fields with the
@@ -882,60 +998,64 @@ class _LowerPair:
 _UNCLASSIFIED = (CoverKind.UNCLASSIFIED, None, None, None, None, None)
 
 
-def _decide(pair: _LowerPair, h1: Weight, h2: Weight) -> tuple:
+def _decide(pair: _LowerPair, frames: tuple) -> tuple:
     """The k = 2 cover rule, the one place it is decided: the cover from
-    the lower pair to the upper pair (h1, h2) of part Weights.
+    the lower pair to the upper pair of the given frames (``_frames``).
 
     sigma ranges over the sorters of delta in image-lex order, and the
-    upper pair (f1 for mu1) over both orientations.  With q = sigma^-1,
-    slot t of the sorted frame holds x[q[t]], and its omega coordinate t
-    is x[q[t]] - x[q[t + 1]].
+    upper pair (f for mu1) over its frames.  With q = sigma^-1, slot t of
+    the sorted frame holds x[q[t]], and its omega coordinate t is
+    x[q[t]] - x[q[t + 1]].
 
-    First kind: part 1 hands part 2 the chunk e1 - f1 and keeps f1 - e2.
-    The chunk must take two values a step apart; i counts its raised
-    slots.  It is rho * omega_i, positive at i on both sides in the
-    sorted frame, when the raised slots are {q[t] : t < i} (rho =
-    sigma^-1, "inverse") or {sigma(t) : t < i} (rho = sigma, "forward"),
-    tried in that order: the raised set is one bit mask, compared with
-    the sorter's prefix masks.  Second kind: in the sorted frame mu1
-    picks each omega coordinate from one of the two lower parts, part 1
-    wherever it fits.  First-kind witnesses take precedence over the
-    whole coset.
+    First kind: part 1 hands part 2 the chunk e1 - f and keeps f - e2.
+    The chunk must take two values a step apart (``_raised``, on packed
+    tuples); i counts its raised slots.  It is rho * omega_i, positive at
+    i on both sides in the sorted frame, when the raised slots are
+    {q[t] : t < i} (rho = sigma^-1, "inverse") or {sigma(t) : t < i}
+    (rho = sigma, "forward"), tried in that order: the raised mask is
+    compared with the sorter's prefix masks.  The chunk is positive at i
+    when q[i - 1] is raised and q[i] is not, which an inverse match
+    implies and a forward match is checked for.  Second kind: in the
+    sorted frame mu1 picks each omega coordinate from one of the two
+    lower parts, part 1 wherever it fits.  First-kind witnesses take
+    precedence over the whole coset.
     """
-    e1, e2 = pair.e1, pair.e2
-    f1, f2 = h1.eps_padded(), h2.eps_padded()
-    frames = [(h1, h2, f1)]
-    if f1 != f2:
-        frames.append((h2, h1, f2))
+    e2, top, fields = pair.e2, pair.top, pair.fields
     chunks = []
-    for mu1, mu2, f in frames:
-        chunk = list(map(sub, e1, f))
-        top = max(chunk)
-        if top - min(chunk) == 1:  # two values a step apart
-            raised = sum(itertools.compress(pair.bits, map(top.__eq__, chunk)))
-            chunks.append((chunk, f, raised, chunk.count(top), mu1, mu2))
-    if chunks:
-        for sorter in pair.sorters():
-            q = sorter.q
-            for chunk, f, raised, i, mu1, mu2 in chunks:
-                a, b = q[i - 1], q[i]
-                if chunk[a] <= chunk[b] or f[a] - e2[a] <= f[b] - e2[b]:
-                    continue
-                if raised == sorter.inverse_masks[i]:
-                    return (CoverKind.TYPE_I, sorter.images, (mu1, mu2), i,
-                            "inverse", None)
-                if raised == sorter.forward_masks[i]:
-                    return (CoverKind.TYPE_I, sorter.images, (mu1, mu2), i,
-                            "forward", None)
-    for sorter in pair.sorters():
-        for mu1, mu2, f in frames:
-            c = _steps(sorter.sort(f))
-            from1 = list(map(eq, c, sorter.s1))
-            if all(map(or_, from1, map(eq, c, sorter.s2))):
+    for frame in frames:
+        raised = _raised(top, frame[3], fields)
+        if raised:
+            chunks.append((raised, raised.bit_count(), frame))
+    t, sorter = 0, pair.walked[0]
+    while chunks and sorter is not None:
+        q = sorter.q
+        inverse, forward = sorter.masks or sorter.build_masks(fields[0])
+        for raised, i, (mu1, mu2, f, _) in chunks:
+            a, b = q[i - 1], q[i]
+            if raised == inverse[i]:
+                reading = "inverse"
+            elif raised == forward[i] and q[a] < i <= q[b]:
+                reading = "forward"
+            else:
+                continue
+            if f[a] - e2[a] > f[b] - e2[b]:
+                return (CoverKind.TYPE_I, sorter.images, (mu1, mu2), i,
+                        reading, None)
+        t += 1
+        sorter = pair.sorter(t)
+    t, sorter = 0, pair.walked[0]
+    while sorter is not None:
+        sort, s1, s2 = sorter.frame or sorter.build_frame(pair.e1, e2)
+        for mu1, mu2, f, _ in frames:
+            c = _steps(sort(f))
+            from1 = list(map(eq, c, s1))
+            if all(map(or_, from1, map(eq, c, s2))):
                 # 1 where part 1's coordinate fits, else 2
                 mix = tuple(map(sub, itertools.repeat(2), from1))
                 return (CoverKind.TYPE_II, sorter.images, (mu1, mu2), None,
                         None, mix)
+        t += 1
+        sorter = pair.sorter(t)
     return _UNCLASSIFIED
 
 
@@ -956,27 +1076,28 @@ def _decide_row(poset: TuplePoset, a: int) -> tuple[tuple, ...]:
     """The decisions of class a's cover row in poset.
 
     Off k = 2 every edge is unclassified.  At k = 2 a nonempty row gets
-    one local ``_LowerPair``, and the parts come from the poset's
-    ``_class_parts``, so no representative ``WeightTuple`` is built and
-    each part's padded epsilon tuple is computed once."""
+    one local ``_LowerPair``, and each class's frames are read off the
+    poset's ``_uppers``, filled on first need, so no representative
+    ``WeightTuple`` is built and each part's padded epsilon tuple is
+    computed and packed once."""
     row = poset.cover_rows[a]
     if poset.k != 2 or not row:
         return (_UNCLASSIFIED,) * len(row)
-    parts = poset._class_parts
-    w1, w2 = parts[a]
-    pair = _LowerPair(w1.eps_padded(), w2.eps_padded())
-    return tuple([_decide(pair, *parts[b]) for b in row])
+    uppers, upper = poset._uppers, poset._upper
+    pair = _LowerPair(uppers[a] or upper(a), poset._fields)
+    return tuple([_decide(pair, uppers[b] or upper(b)) for b in row])
 
 
 def classify_cover(low: WeightTuple, high: WeightTuple) -> tuple[CoverKind, CoverWitness | None]:
     """Classify a k = 2 cover between class representatives.
 
     The rule is ``_decide``'s (see there): everything is read off padded
-    epsilon int tuples, cached on each part ``Weight``, and the lower pair
-    is taken in canonical order (e1 >= e2).  This wraps it for one pair of
-    tuples and builds the witness; tuples longer than 2 fall through to
-    UNCLASSIFIED.  Each call builds its own ``_LowerPair`` and keeps
-    nothing, so no call leaves state on either tuple.
+    epsilon int tuples, cached on each part ``Weight``, packed with a
+    field width that holds every coordinate of the four parts, and the
+    lower pair is taken in canonical order (e1 >= e2).  This wraps it for
+    one pair of tuples and builds the witness; tuples longer than 2 fall
+    through to UNCLASSIFIED.  Each call builds its own ``_LowerPair`` and
+    keeps nothing, so no call leaves state on either tuple.
     ``TuplePoset.cover_edges`` and the poset writers do not call this:
     they read one decision list, built row by row from the classes.
     """
@@ -984,8 +1105,12 @@ def classify_cover(low: WeightTuple, high: WeightTuple) -> tuple[CoverKind, Cove
         return CoverKind.UNCLASSIFIED, None
     if low.rank != high.rank:
         raise ValueError(f"rank mismatch: {low.rank} vs {high.rank}")
-    pair = _LowerPair(*(p.eps_padded() for p in low.parts))
-    kind, *witness = _decide(pair, *high.parts)
+    # dominant parts: a padded epsilon tuple peaks at its first slot
+    width = _field_width(max(p.eps_padded()[0]
+                             for p in low.parts + high.parts))
+    pair = _LowerPair(_frames(*low.parts, width),
+                      _field_layout(low.rank + 1, width))
+    kind, *witness = _decide(pair, _frames(*high.parts, width))
     return kind, _witness({}, *witness)
 
 

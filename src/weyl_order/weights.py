@@ -55,25 +55,24 @@ class Weight:
 
     @cached_property
     def is_dominant(self) -> bool:
-        # cached like _eps_padded: a part shared by many tuples is checked
-        # once per Weight object
+        # cached: a part shared by many tuples is checked once per Weight
+        # object
         return all(c >= 0 for c in self.omega)
 
     def eps(self) -> tuple[int, ...]:
         """Epsilon coordinates (partial sums), unpadded."""
         return tuple(accumulate(reversed(self.omega)))[::-1]
 
-    @cached_property
-    def _eps_padded(self) -> tuple[int, ...]:
-        # computed on first use and kept on the object (frozen dataclasses
-        # leave __dict__ writable); not a field, so equality, hashing and
-        # repr still read omega alone
-        return self.eps() + (0,)
-
     def eps_padded(self) -> tuple[int, ...]:
         """Epsilon coordinates with a trailing zero, computed once per
         Weight object."""
-        return self._eps_padded
+        # kept on the object as _eps_padded (frozen dataclasses leave
+        # __dict__ writable), read without a cached_property's lock; not a
+        # field, so equality, hashing and repr still read omega alone
+        padded = self.__dict__.get("_eps_padded")
+        if padded is None:
+            padded = self.__dict__["_eps_padded"] = self.eps() + (0,)
+        return padded
 
     @classmethod
     def zero(cls, rank: int) -> "Weight":
@@ -150,24 +149,30 @@ class Permutation:
 
     @cached_property
     def _cycle_notation(self) -> str:
-        # cached like Weight._eps_padded: the classifier hands one
+        # cached like Weight.is_dominant: the classifier hands one
         # Permutation to every witness that reads the same sorter, so the
         # cycles are walked once per object; not a field
-        seen, cycles = set(), []
-        for start in range(self.degree):
-            if start in seen:
-                continue
-            cur, cyc = start, [start]
-            seen.add(start)
-            while self.images[cur] != start:
-                cur = self.images[cur]
-                seen.add(cur)
-                cyc.append(cur)
-            if len(cyc) > 1:
-                cycles.append("(" + " ".join(str(c + 1) for c in cyc) + ")")
-        return "".join(cycles) or "id"
+        return _cycle_text(self.images)
 
     def cycle_notation(self) -> str:
         """The cycles of length >= 2, 1-based, or "id"; computed once per
         Permutation object."""
         return self._cycle_notation
+
+
+def _cycle_text(images: tuple[int, ...]) -> str:
+    """The cycle notation of the permutation with these images: its
+    cycles of length >= 2, 1-based, or "id"."""
+    seen, cycles = set(), []
+    for start in range(len(images)):
+        if start in seen:
+            continue
+        cur, cyc = start, [start]
+        seen.add(start)
+        while images[cur] != start:
+            cur = images[cur]
+            seen.add(cur)
+            cyc.append(cur)
+        if len(cyc) > 1:
+            cycles.append("(" + " ".join(str(c + 1) for c in cyc) + ")")
+    return "".join(cycles) or "id"

@@ -199,6 +199,38 @@ class TestJsonFiles:
         assert self.covers_file(capsys, tmp_path, (2, 2), 3) == \
             self.dumps(payload)
 
+    @pytest.mark.parametrize("lam, k", [((2,) * 6, 2), ((2, 2, 2, 2), 2),
+                                        ((3, 0, 2), 2), ((2, 2), 3)])
+    def test_covers_output_matches_the_edge_route(self, tmp_path, capsys,
+                                                  lam, k):
+        # the reference route: edge and witness objects, each witness
+        # worded by describe, each string quoted by json.dumps
+        poset = build_poset(Weight(lam), k)
+        labels = poset.labels
+        edges = [(labels[e.low], labels[e.high], e.kind.value,
+                  e.witness.describe() if e.witness else None)
+                 for e in poset.cover_edges]
+        lines = "".join(f"{low} -> {high} [{kind}]"
+                        + ("" if text is None else f" ({text})") + "\n"
+                        for low, high, kind, text in edges)
+        records = [dict(zip(("low", "high", "kind", "witness"), edge))
+                   for edge in edges]
+        code, out, err = run(capsys, "covers", "--lambda",
+                             ",".join(map(str, lam)), "--k", str(k), "--json",
+                             "--out-dir", str(tmp_path))
+        assert (code, err) == (0, "")
+        assert out == lines
+        slug = "-".join(map(str, lam))
+        assert (tmp_path / f"covers_lam{slug}_k{k}.json").read_text() == \
+            self.dumps({"lambda": list(lam), "k": k, "covers": records})
+        witnesses = {text for *_, text in edges}
+        if k == 2:
+            assert None not in witnesses
+        else:  # all unclassified: no witness text, a null in the file
+            assert witnesses == {None} and edges
+            assert all(line.endswith("[unclassified]")
+                       for line in out.splitlines())
+
     def test_covers_writer_escapes_as_dumps_does(self):
         records = [{"low": 'a"b', "high": "back\\slash", "kind": "tab\t",
                     "witness": None},
@@ -322,8 +354,12 @@ class TestJsonFiles:
         assert built == Counter()
         dot = (tmp_path / "poset_lam2-2-2-2_k2.dot").read_text()
         assert "[style=solid]" in dot and "[style=dashed]" in dot
-        # the count sees them where they are built: covers prints witnesses
+        # covers words its witnesses off the decision list too, with and
+        # without --json; the count sees them where they are built
         assert run(capsys, "covers", *argv)[0] == 0
+        assert run(capsys, "covers", *argv, "--json")[0] == 0
+        assert built == Counter()
+        assert build_poset(Weight((2, 2, 2, 2)), 2).cover_edges
         assert set(built) == {"CoverEdge", "CoverWitness", "Permutation"}
 
     def test_rank_six_k2_output_bytes_are_pinned(self, tmp_path, capsys):
@@ -752,7 +788,7 @@ class TestFailureModes:
                                                             monkeypatch):
         import weyl_order.posets as posets
 
-        def refuse(pair, h1, h2):
+        def refuse(pair, frames):
             raise ValueError("no classification")
         monkeypatch.setattr(posets, "_decide", refuse)
         code, _, err = run(capsys, "poset", "--lambda", "2,1", "--k", "2",
@@ -958,7 +994,7 @@ class TestBenchLayersScript:
         layers = {"build_poset", "_below", "cover_rows", "json_chunks",
                   "dot_chunks"}
         for name, fiber in fibers.items():
-            want = layers | {"cover_decisions", "cover_edges"} \
+            want = layers | {"cover_decisions", "covers_text", "cover_edges"} \
                 if fiber["k"] == 2 else layers
             assert set(fiber["seconds_min"]) == want, name
             assert all(s >= 0 for s in fiber["seconds_min"].values())

@@ -30,7 +30,8 @@ from weyl_order import (
     poset_size_k2,
 )
 from weyl_order.posets import (_COUNT_CAP, _SLOT, _between, _capped_count,
-                               _layout, _part_box, _part_multisets,
+                               _field_layout, _field_width, _layout, _pack,
+                               _part_box, _part_multisets, _raised,
                                _separator, _sorting_coset, compositions)
 from weyl_order.tuples import _part_window_values, stat_labels, windows
 
@@ -724,21 +725,26 @@ class TestCoverClassification:
 
     def test_one_sorter_drawn_per_rank_six_cover(self, monkeypatch):
         import weyl_order.posets as posets
-        drawn = []
-        real = posets._sorting_coset
+        drawn, walks = [], []
+        real_first, real_walk = posets._first_sorter, posets._sorting_coset
 
         def counting(values):
-            for images in real(values):
-                drawn.append(images)
-                yield images
-        monkeypatch.setattr(posets, "_sorting_coset", counting)
+            drawn.append(values)
+            return real_first(values)
+
+        def walking(values):
+            walks.append(values)
+            return real_walk(values)
+        monkeypatch.setattr(posets, "_first_sorter", counting)
+        monkeypatch.setattr(posets, "_sorting_coset", walking)
         poset = build_poset(Weight((2,) * 6), 2)
         edges = poset.cover_edges
         lows = {e.low for e in edges}
         assert (len(edges), len(lows)) == (1362, 364)
         # the covers of one lower class share its walked sorters, and the
-        # first sorter witnesses every cover here: one draw per class
-        assert len(drawn) == len(lows)
+        # first sorter witnesses every cover here: one draw per class, and
+        # no walk for a later sorter is started
+        assert len(drawn) == len(lows) and walks == []
 
     def test_lazy_sorters_match_stabilizer_coset(self):
         # every vector of length <= 5 over {0, 1, 2}, then the all-tie
@@ -854,9 +860,9 @@ class TestPerClassCoverData:
         b = poset.class_of(T((1, 0, 2, 2), (1, 2, 0, 0)))
         ups = [h for low, h in poset.hasse_edges if low == a]
         assert ups
-        pair = posets._LowerPair(*(p.eps_padded() for p in reps[a].parts))
+        pair = posets._LowerPair(poset._upper(a), poset._fields)
         for high in ups + [b] + ups + [b]:
-            kind, *witness = posets._decide(pair, *reps[high].parts)
+            kind, *witness = posets._decide(pair, poset._upper(high))
             assert (kind, posets._witness({}, *witness)) == \
                 classify_cover_by_search(reps[a], reps[high]), high
         first11 = list(real(pair.delta))[:11]
@@ -934,6 +940,143 @@ class TestPerClassCoverData:
         # a fresh permutation per witness words every one the same
         assert texts == [dataclasses.replace(w, sigma=Permutation(w.sigma.images))
                          .describe() for w in witnesses]
+
+
+class TestPackedRule:
+    """The k = 2 rule decides the chunk shape on packed tuples
+    (``posets._raised``): the test as a pure function at its edges, and
+    the decision list against the search oracle, field by field."""
+
+    @staticmethod
+    def raised_by_values(e1, f, bits):
+        # the rule on value tuples: the slots holding the larger of two
+        # values a step apart, as a packed mask, else 0
+        chunk = [x - y for x, y in zip(e1, f)]
+        top = max(chunk)
+        if top - min(chunk) != 1:
+            return 0
+        return sum(bit for bit, c in zip(bits, chunk) if c == top)
+
+    @pytest.mark.parametrize("span, width", [
+        (1, 8), (127, 8), (128, 16), (2**15 - 1, 16), (2**15, 24),
+        (2**63 - 1, 64), (2**63, 72)])
+    def test_chunk_test_at_the_field_width_steps(self, span, width):
+        # every padded vector of length 4 over the extreme values 0 .. span,
+        # so chunk entries reach -span, -2, 2 and span next to valid ones
+        assert _field_width(span) == width
+        fields = _field_layout(4, width)
+        bits, off = fields[0], fields[1]
+        values = sorted({v for v in (0, 1, 2, span - 1, span) if v >= 0})
+        vectors = [v + (0,) for v in itertools.product(values, repeat=3)]
+        passed = 0
+        for e1 in vectors:
+            top = _pack(e1, width) + off
+            for f in vectors:
+                want = self.raised_by_values(e1, f, bits)
+                assert _raised(top, _pack(f, width), fields) == want, (e1, f)
+                passed += want != 0
+        assert passed > 0
+
+    @pytest.mark.parametrize("chunk, raised", [
+        ((1, 1, 0, 0), (0, 1)), ((0, 1, 0, 0), (1,)),
+        ((-1, 0, -1, 0), (1, 3)), ((-1, -1, -1, 0), (3,)),
+        ((0, 0, 0, 0), None),
+        # an entry of -2 or +2 next to valid ones, borrowing or carrying
+        # into the next field
+        ((1, 2, 1, 0), None), ((2, 1, 0, 0), None), ((0, -2, 0, 0), None),
+        ((-1, -2, -1, 0), None), ((1, -1, 0, 0), None),
+        ((-2, 0, -1, 0), None), ((0, 1, 2, 0), None), ((-1, 1, 0, 0), None)])
+    @pytest.mark.parametrize("width", [8, 16])
+    def test_chunk_shapes(self, chunk, raised, width):
+        f = (4, 3, 2, 0)
+        e1 = tuple(map(sum, zip(f, chunk)))
+        fields = _field_layout(4, width)
+        want = 0 if raised is None else sum(fields[0][s] for s in raised)
+        assert _raised(_pack(e1, width) + fields[1], _pack(f, width),
+                       fields) == want
+
+    @pytest.mark.parametrize("lam", [(64, 63), (64, 64), (32, 96)])
+    def test_classify_cover_across_a_field_width_step(self, lam):
+        # |lam| 127 packs 8-bit fields, 128 16-bit ones; low tuples whose
+        # first part sits near the edges of the box, high ones next to
+        # them, against the search
+        def split(first):
+            return T(first, tuple(m - c for m, c in zip(lam, first)))
+        edges = [sorted({0, 1, m // 2, m - 1, m}) for m in lam]
+        kinds = Counter()
+        for a1, a2 in itertools.product(*edges):
+            low = split((a1, a2))
+            for b1, b2 in itertools.product(range(a1 - 1, a1 + 2),
+                                            range(a2 - 1, a2 + 2)):
+                if 0 <= b1 <= lam[0] and 0 <= b2 <= lam[1]:
+                    high = split((b1, b2))
+                    got = TestCoverClassification.fields(
+                        classify_cover(low, high))
+                    assert got == TestCoverClassification.fields(
+                        classify_cover_by_search(low, high)), (low, high)
+                    kinds[got[0]] += 1
+        assert kinds[CoverKind.TYPE_I] and kinds[CoverKind.TYPE_II]
+
+    @staticmethod
+    def search_decision(low, high):
+        kind, w = classify_cover_by_search(low, high)
+        if w is None:
+            return (kind, None, None, None, None, None)
+        return (kind, w.sigma.images, w.orientation, w.index, w.reading,
+                w.mix)
+
+    def test_decisions_match_search_on_a_grid(self):
+        # every nonzero k = 2 fiber of rank 1 with coordinates <= 8, rank 2
+        # <= 4 and rank 3 <= 2, then (2,2,2,2) and (1,)*7
+        fibers = [c for n, top in ((1, 8), (2, 4), (3, 2))
+                  for c in itertools.product(range(top + 1), repeat=n)
+                  if any(c)]
+        fibers += [(2, 2, 2, 2), (1,) * 7]
+        checked = Counter()
+        for coords in fibers:
+            poset = build_poset(Weight(coords), 2)
+            reps = [cls.rep for cls in poset.classes]
+            for a, (row, decisions) in enumerate(zip(poset.cover_rows,
+                                                     poset._cover_decisions)):
+                for b, decision in zip(row, decisions):
+                    assert decision == self.search_decision(reps[a], reps[b]), \
+                        (coords, a, b)
+                    checked[decision[0]] += 1
+        assert len(fibers) == 60
+        assert checked[CoverKind.UNCLASSIFIED] == 0
+        assert checked[CoverKind.TYPE_I] and checked[CoverKind.TYPE_II]
+
+    def test_the_eleventh_sorter_decides_on_packed_tuples(self):
+        # the incomparable pair of (2,2,2,2) whose 11th sorter witnesses,
+        # decided off the poset's own frames
+        import weyl_order.posets as posets
+        low, high = T((0, 1, 2, 1), (2, 1, 0, 1)), T((1, 0, 2, 2), (1, 2, 0, 0))
+        poset = build_poset(Weight((2, 2, 2, 2)), 2)
+        a, b = poset.class_of(low), poset.class_of(high)
+        pair = posets._LowerPair(poset._upper(a), poset._fields)
+        decision = posets._decide(pair, poset._upper(b))
+        assert decision == self.search_decision(low, high)
+        assert decision[1] == (4, 1, 0, 2, 3) and decision[3:5] == (2, "forward")
+        assert len(pair.walked) == 11
+
+    @pytest.mark.parametrize("pick", ["bottom", "longest", "last"])
+    def test_one_row_fills_its_own_classes(self, pick):
+        # a fresh poset packs the frames of a row's classes alone: the
+        # lower class and the classes covering it
+        poset = build_poset(Weight((2,) * 6), 2)
+        rows = poset.cover_rows
+        c = {"bottom": poset.bottom_index,
+             "longest": max(range(len(poset)), key=lambda a: len(rows[a])),
+             "last": max(a for a, row in enumerate(rows) if row)}[pick]
+        assert covers_of(poset, c)
+        filled = [b for b, frames in enumerate(poset._uppers)
+                  if frames is not None]
+        assert filled == sorted({c, *rows[c]})
+        # reading every row fills every class once, and changes no decision
+        before = [entry for entry in poset._uppers]
+        poset._cover_decisions
+        assert all(poset._uppers)
+        assert all(poset._uppers[b] is before[b] for b in filled)
 
 
 class TestDecisionList:
@@ -1185,9 +1328,9 @@ class TestSharedOrder:
         calls = []
         real = posets._decide
 
-        def counting(pair, h1, h2):
-            calls.append((pair.e1, pair.e2, h1, h2))
-            return real(pair, h1, h2)
+        def counting(pair, frames):
+            calls.append((pair.e1, pair.e2, *frames[0][:2]))
+            return real(pair, frames)
         monkeypatch.setattr(posets, "_decide", counting)
         poset = build_poset(Weight((3, 2)), 2)
         for c in range(len(poset)):
@@ -1204,9 +1347,9 @@ class TestSharedOrder:
         calls = []
         real = posets._decide
 
-        def counting(pair, h1, h2):
-            calls.append(h1)
-            return real(pair, h1, h2)
+        def counting(pair, frames):
+            calls.append(frames[0][0])
+            return real(pair, frames)
         monkeypatch.setattr(posets, "_decide", counting)
         poset = build_poset(Weight((2,) * 6), 2)
         c = max(range(len(poset)), key=lambda a: len(poset.cover_rows[a]))
