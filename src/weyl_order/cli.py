@@ -30,10 +30,10 @@ from pathlib import Path
 from .dimensions import (verify_coroot_inequalities_k2, verify_max_dim,
                          verify_monotone_k2, weyl_dim)
 from .posets import (_COUNT_CAP, _COUNT_DIGITS, _SLOT, DEFAULT_GUARD,
-                     CoverKind, GuardExceeded, _between, _check_fiber,
-                     _json_array_chunks, _layout, _witness_text, build_poset,
-                     count_tuples, maximal_element, minimal_element,
-                     poset_size_k2)
+                     CoverKind, GuardExceeded, _check_fiber, _file_chunks,
+                     _json_array_chunks, _layout, _PerCall, _witness_text,
+                     build_poset, count_tuples, maximal_element,
+                     minimal_element, poset_size_k2)
 from .roots import (FAMILIES, base_rank, check_admissible,
                     coroot_table_report, expected_table_report, iota,
                     parse_system_name, root_system, spin_nodes)
@@ -316,14 +316,9 @@ def _item_text(row: dict) -> str:
 def _report_chunks(payload: dict):
     """verify_report.json in pieces, for a writer to stream: joined, the
     bytes json.dumps(payload, sort_keys=True, indent=2) gives, plus a
-    newline.  The file's fields are one ``_layout`` template whose two
-    slots, the items and skipped arrays, split it in three."""
-    head, mid, tail = _between(_layout(
-        {**payload, "items": _SLOT, "skipped": _SLOT}, 0))
-    return itertools.chain(
-        (head,), _json_array_chunks(map(_item_text, payload["items"]), 2),
-        (mid,), _json_array_chunks(map(_quote, payload["skipped"]), 2),
-        (tail + "\n",))
+    newline (``_file_chunks``, its items and skipped arrays streamed)."""
+    return _file_chunks(payload, items=map(_item_text, payload["items"]),
+                        skipped=map(_quote, payload["skipped"]))
 
 
 def cmd_verify(args) -> int:
@@ -399,22 +394,9 @@ def _cover_record(low: str, high: str, kind: str, witness: str) -> str:
     return _RECORD % (high, kind, low, witness)
 
 
-def _covers_chunks(lam: Weight, k: int, records):
-    """The covers file in pieces around its record texts, for a writer to
-    stream: joined, the bytes json.dumps(..., sort_keys=True, indent=2)
-    gives the object of records (key "covers"), k and lam's omega list
-    (key "lambda"), plus a newline.  The file's fields are one ``_layout``
-    template whose one slot, the covers array, splits it into head and
-    tail."""
-    head, tail = _between(_layout(
-        {"covers": _SLOT, "k": k, "lambda": list(lam.omega)}, 0))
-    return itertools.chain((head,), _json_array_chunks(records, 2),
-                           (tail + "\n",))
-
-
 def _covers_text(poset, with_json: bool):
     """The covers command's output, read off the poset's cover rows and
-    decision list: the stdout text, one line per Hasse edge in (low,
+    decision table: the stdout text, one line per Hasse edge in (low,
     high) order, and with_json the covers file's record texts, lazily,
     else None.  A witness is worded once per edge by ``_witness_text``,
     from the decision's fields, and the text serves its line and its
@@ -422,17 +404,13 @@ def _covers_text(poset, with_json: bool):
     No edge or witness object is built.  Off k = 2 every edge is
     unclassified, and its witness is null."""
     labels = poset.labels
-    cycles: dict[tuple[int, ...], str] = {}
+    cycles = _PerCall(_cycle_text)
     edges = []
     for a, (highs, row) in enumerate(zip(poset.cover_rows,
                                           poset._cover_decisions)):
         for b, (kind, images, _, index, reading, mix) in zip(highs, row):
-            text = None
-            if images is not None:
-                sigma = cycles.get(images)
-                if sigma is None:
-                    sigma = cycles[images] = _cycle_text(images)
-                text = _witness_text(sigma, index, reading, mix)
+            text = (None if images is None else
+                    _witness_text(cycles[images], index, reading, mix))
             edges.append((a, b, kind, text))
     # each kind's tag formatted once: an Enum value is a property read
     tags = {kind: f" [{kind.value}]" for kind in CoverKind}
@@ -461,7 +439,8 @@ def cmd_covers(args) -> int:
     out, records = _covers_text(poset, args.json)
     sys.stdout.write(out)
     if records is not None:
-        _write_text(path, _covers_chunks(lam, args.k, records))
+        fields = {"k": args.k, "lambda": list(lam.omega)}
+        _write_text(path, _file_chunks(fields, covers=records))
     return 0
 
 

@@ -25,9 +25,10 @@ second kind where the two new parts mix the old parts' coordinates after
 a sorting change of frame, and an explicit ``UNCLASSIFIED`` fallback for
 anything else.  ``_decide`` is the one place the rule is decided; it
 reads the chunk shape off packed integers (``_raised``).  A poset
-decides each cover once, row by row as readers ask (``_decided``);
-off k = 2 every decision is unclassified.  ``covers_of`` and
-``cover_edges`` build edge and witness objects from the decisions,
+decides each cover once, row by row as readers ask: ``_decided`` is a
+``_PerCall`` of ``_decide_row``, as ``_uppers`` is of the classes'
+packed frames; off k = 2 every decision is unclassified.  ``covers_of``
+and ``cover_edges`` build edge and witness objects from the decisions,
 ``classify_cover`` wraps the rule for one pair of tuples, and the text
 writers read the kinds alone.
 
@@ -36,8 +37,9 @@ of ``json.dumps(to_json(), sort_keys=True, indent=2)`` plus a newline)
 and the Graphviz file in pieces, for a writer to stream.  No JSON layout
 is spelled out by hand: ``_layout`` runs json.dumps on a skeleton whose
 fields to fill are a sentinel, and returns a %-template, filled per item
-or split around the arrays that stream.  The covers file of
-:mod:`weyl_order.cli` is laid out the same way.
+or split around the arrays that stream.  ``_file_chunks`` streams every
+JSON file this way: the poset file, and the covers file and the verify
+report of :mod:`weyl_order.cli`.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property, partial, reduce
 from operator import and_, attrgetter, eq, itemgetter, or_, sub
 from typing import Callable
 
@@ -242,13 +244,28 @@ def _json_array_chunks(items, indent: int):
     """A JSON array whose opening bracket sits indent spaces in, in pieces:
     the opening bracket with the first element, each later element with
     its comma, then the closing bracket; an array with no element is the
-    one piece [].  items are the element texts, laid out for indent + 2."""
-    inner = "\n" + " " * (indent + 2)
-    sep = "[" + inner
+    one piece [].  items are the element texts, laid out for indent + 2;
+    the texts around them are ``_layout``'s."""
+    head, sep, tail = _between(_layout([_SLOT, _SLOT], indent))
     for item in items:
-        yield sep + item
-        sep = "," + inner
-    yield "[]" if sep[0] == "[" else "\n" + " " * indent + "]"
+        yield head + item
+        head = sep
+    yield tail if head is sep else _layout([], indent)
+
+
+def _file_chunks(fields: dict, **arrays):
+    """A JSON file in pieces, for a writer to stream: joined, the bytes
+    json.dumps({**fields, **arrays}, sort_keys=True, indent=2) gives, plus
+    a newline, where each array is given as an iterable of its element
+    texts laid out for indent 4.  The file's fields are one ``_layout``
+    template whose slots, the arrays in sorted key order, split it; the
+    template is built on the call, the elements as a writer reads them."""
+    texts = _between(_layout({**fields, **dict.fromkeys(arrays, _SLOT)}, 0))
+    texts[-1] += "\n"
+    pieces = [(texts[0],)]
+    for name, text in zip(sorted(arrays), texts[1:]):
+        pieces += _json_array_chunks(arrays[name], 2), (text,)
+    return itertools.chain.from_iterable(pieces)
 
 
 @dataclass(frozen=True)
@@ -338,61 +355,45 @@ class TuplePoset:
                      for b in row)
 
     @cached_property
-    def _decided(self) -> list[tuple[tuple, ...] | None]:
-        """Per cover row, each edge's decision (see ``_decide``) once a
-        reader has asked for that row, else None: the one list that
-        covers_of, cover_edges and the text writers read, so every Hasse
-        edge is decided once, and a reader of one row decides that row
-        alone."""
-        return [None] * len(self.classes)
+    def _packing(self) -> tuple[int, tuple]:
+        """The field width of the poset's packed tuples, from |lam|, which
+        bounds every epsilon coordinate of a part, and their layout
+        (``_field_layout``)."""
+        width = _field_width(sum(self.lam.omega))
+        return width, _field_layout(self.lam.rank + 1, width)
 
     @cached_property
-    def _uppers(self) -> list[tuple | None]:
-        """Per class, its frames (see ``_frames``) once a k = 2 cover
-        decision has read them, else None: a class's parts are read and
-        packed on first need, so a reader of one cover row fills the
-        entries of that row's classes alone."""
-        return [None] * len(self.classes)
+    def _uppers(self) -> _PerCall:
+        """Per class, its frames (``_frames``), its first multiset's parts
+        read through the classes' shared ``Weight`` cache and packed on
+        first lookup: a reader of one cover row fills its row's classes
+        alone.  The table holds the classes, not the poset."""
+        classes, width = self.classes, self._packing[0]
+        return _PerCall(lambda b: _frames(
+            *map(classes[b].weight, classes[b].multisets[0]), width))
 
     @cached_property
-    def _width(self) -> int:
-        """The field width of the poset's packed tuples: every epsilon
-        coordinate of a part lies in 0 .. |lam|."""
-        return _field_width(sum(self.lam.omega))
-
-    @cached_property
-    def _fields(self) -> tuple:
-        """The layout of the poset's packed tuples (``_field_layout``)."""
-        return _field_layout(self.lam.rank + 1, self._width)
-
-    def _upper(self, b: int) -> tuple:
-        """Class b's frames, its first multiset's parts through the
-        classes' shared ``Weight`` cache, filled into _uppers."""
-        cls = self.classes[b]
-        frames = self._uppers[b] = _frames(*map(cls.weight, cls.multisets[0]),
-                                           self._width)
-        return frames
-
-    def _decisions(self, a: int) -> tuple[tuple, ...]:
-        """Cover row a's decisions, decided into the list on first read."""
-        row = self._decided[a]
-        if row is None:
-            row = self._decided[a] = _decide_row(self, a)
-        return row
+    def _decided(self) -> _PerCall:
+        """Per cover row, its edges' decisions (``_decide_row``), decided
+        on first lookup: the one table that covers_of, cover_edges and the
+        text writers read, so every Hasse edge is decided once, and a
+        reader of one row decides that row alone."""
+        return _PerCall(partial(_decide_row, self.k, self.cover_rows,
+                                self._uppers, self._packing[1]))
 
     @property
     def _cover_decisions(self) -> list[tuple[tuple, ...]]:
         """Every cover row's decisions, each row decided once."""
-        return list(map(self._decisions, range(len(self.classes))))
+        return list(map(self._decided.__getitem__, range(len(self.classes))))
 
     def _cover_row(self, a: int) -> list[CoverEdge]:
         """Class a's cover edges in increasing high, each with its kind and
-        witness read off the decision list; the witnesses share one
+        witness read off the decision table; the witnesses share one
         Permutation per sorter."""
-        sigmas: dict = {}
-        return [CoverEdge(a, b, kind, _witness(sigmas, *witness))
+        sigma = _PerCall(Permutation).__getitem__
+        return [CoverEdge(a, b, kind, _witness(sigma, *witness))
                 for b, (kind, *witness) in zip(self.cover_rows[a],
-                                               self._decisions(a))]
+                                               self._decided[a])]
 
     @cached_property
     def cover_edges(self) -> tuple[CoverEdge, ...]:
@@ -491,7 +492,7 @@ class TuplePoset:
         """The text writers' Hasse edges in pieces, edge (a, b) of kind K
         written templates[K] % (text(a), text(b)): the one place that skips
         the classifier off k = 2.  At k = 2 the kinds come straight off the
-        decision list, one piece per edge, and no witness or edge object is
+        decision table, one piece per edge, and no witness or edge object is
         built.  At any other k every edge is unclassified, and a nonempty
         cover row is one piece, one join over its upper indices with sep
         between edges.  The edges, and at k = 2 their decisions, are
@@ -513,8 +514,8 @@ class TuplePoset:
         plus a newline, written from the classes without the dict tree.
         A part (slots: its omega), a class entry (its parts, size and
         stats, each array one slot) and an edge of each kind (its two
-        indices) are each one ``_layout`` template; the file's fields are
-        one more, split around its two arrays.  The Hasse edges, and at
+        indices) are each one ``_layout`` template; ``_file_chunks`` lays
+        the file out around its two arrays.  The Hasse edges, and at
         k = 2 their kinds, are computed on the call, so a writer that calls
         this before opening its file leaves no half-written file when they
         raise."""
@@ -535,12 +536,9 @@ class TuplePoset:
         edges = self._edge_pieces(
             text, {kind: _layout([_SLOT, _SLOT, kind.value], 4)
                    for kind in CoverKind}, _separator(2))
-        head, mid, tail = _between(_layout(
-            {"classes": _SLOT, "hasse": _SLOT, "k": self.k,
-             "lambda": list(self.lam.omega), "num_classes": len(self)}, 0))
-        return itertools.chain((head,), _json_array_chunks(entries, 2),
-                               (mid,), _json_array_chunks(edges, 2),
-                               (tail + "\n",))
+        return _file_chunks({"k": self.k, "lambda": list(self.lam.omega),
+                             "num_classes": len(self)},
+                            classes=entries, hasse=edges)
 
     def json_text(self) -> str:
         """The poset JSON file as one string: json_chunks joined."""
@@ -686,8 +684,10 @@ def _orderings(ms: Multiset, k_orderings: int) -> int:
 
 class _PerCall(dict):
     """fn's values by argument, each computed on its first lookup: a hit
-    is a plain dict lookup, cheaper than a cache wrapper.  A caller builds
-    one per call and drops it with the call."""
+    is a plain dict lookup, cheaper than a cache wrapper.  Its owner, a
+    call or a poset, drops it with itself, so no value outlives what it
+    was computed for; fn must not hold its owner, or the two form a
+    reference cycle."""
 
     def __init__(self, fn):
         self.fn = fn
@@ -770,7 +770,7 @@ def _witness_text(cycles: str, index: int | None, reading: str | None,
                   mix: tuple[int, ...] | None) -> str:
     """A witness's text from its fields, sigma given by its cycle
     notation: the one place a witness is worded, for ``describe`` and for
-    the covers command, which reads the fields off the decision list."""
+    the covers command, which reads the fields off the decision table."""
     text = "sigma=" + cycles
     if index is not None:
         text += f", i={index}, reading={reading}"
@@ -1059,33 +1059,31 @@ def _decide(pair: _LowerPair, frames: tuple) -> tuple:
     return _UNCLASSIFIED
 
 
-def _witness(sigmas: dict, images: tuple[int, ...] | None, orientation,
-             index, reading, mix) -> CoverWitness | None:
-    """A decision's witness.  Its sigma is the Permutation of the images,
-    built on first need into sigmas, which the caller keeps for one lower
-    class: its witnesses share one Permutation per sorter."""
+def _witness(sigma: Callable[[tuple[int, ...]], Permutation],
+             images: tuple[int, ...] | None, orientation, index, reading,
+             mix) -> CoverWitness | None:
+    """A decision's witness, its sigma read as sigma(images): the caller
+    passes Permutation, or a memo of it kept for one lower class, whose
+    witnesses then share one Permutation per sorter."""
     if images is None:
         return None
-    sigma = sigmas.get(images)
-    if sigma is None:
-        sigma = sigmas[images] = Permutation(images)
-    return CoverWitness(sigma, orientation, index, reading, mix)
+    return CoverWitness(sigma(images), orientation, index, reading, mix)
 
 
-def _decide_row(poset: TuplePoset, a: int) -> tuple[tuple, ...]:
-    """The decisions of class a's cover row in poset.
+def _decide_row(k: int, rows: tuple[tuple[int, ...], ...], uppers: _PerCall,
+                fields: tuple, a: int) -> tuple[tuple, ...]:
+    """The decisions of class a's cover row, rows[a], at k.
 
     Off k = 2 every edge is unclassified.  At k = 2 a nonempty row gets
     one local ``_LowerPair``, and each class's frames are read off the
-    poset's ``_uppers``, filled on first need, so no representative
-    ``WeightTuple`` is built and each part's padded epsilon tuple is
-    computed and packed once."""
-    row = poset.cover_rows[a]
-    if poset.k != 2 or not row:
+    table uppers (a poset's ``_uppers``), packed in the layout fields, so
+    no representative ``WeightTuple`` is built and each part's padded
+    epsilon tuple is computed and packed once."""
+    row = rows[a]
+    if k != 2 or not row:
         return (_UNCLASSIFIED,) * len(row)
-    uppers, upper = poset._uppers, poset._upper
-    pair = _LowerPair(uppers[a] or upper(a), poset._fields)
-    return tuple([_decide(pair, uppers[b] or upper(b)) for b in row])
+    pair = _LowerPair(uppers[a], fields)
+    return tuple([_decide(pair, uppers[b]) for b in row])
 
 
 def classify_cover(low: WeightTuple, high: WeightTuple) -> tuple[CoverKind, CoverWitness | None]:
@@ -1096,22 +1094,27 @@ def classify_cover(low: WeightTuple, high: WeightTuple) -> tuple[CoverKind, Cove
     field width that holds every coordinate of the four parts, and the
     lower pair is taken in canonical order (e1 >= e2).  This wraps it for
     one pair of tuples and builds the witness; tuples longer than 2 fall
-    through to UNCLASSIFIED.  Each call builds its own ``_LowerPair`` and
-    keeps nothing, so no call leaves state on either tuple.
-    ``TuplePoset.cover_edges`` and the poset writers do not call this:
-    they read one decision list, built row by row from the classes.
+    through to UNCLASSIFIED.  Two pairs of another rank or part sum raise
+    ValueError, as ``compare`` does.  Each call builds its own
+    ``_LowerPair`` and keeps nothing, so no call leaves state on either
+    tuple.  ``TuplePoset.cover_edges`` and the poset writers do not call
+    this: they read one decision table, built row by row from the classes.
     """
     if low.k != 2 or high.k != 2:
         return CoverKind.UNCLASSIFIED, None
     if low.rank != high.rank:
         raise ValueError(f"rank mismatch: {low.rank} vs {high.rank}")
+    # summed here: reading lam would leave it cached on the tuples
+    low_sum, high_sum = (x.parts[0] + x.parts[1] for x in (low, high))
+    if low_sum != high_sum:
+        raise ValueError(f"part sums differ: {low_sum} vs {high_sum}")
     # dominant parts: a padded epsilon tuple peaks at its first slot
     width = _field_width(max(p.eps_padded()[0]
                              for p in low.parts + high.parts))
     pair = _LowerPair(_frames(*low.parts, width),
                       _field_layout(low.rank + 1, width))
     kind, *witness = _decide(pair, _frames(*high.parts, width))
-    return kind, _witness({}, *witness)
+    return kind, _witness(Permutation, *witness)
 
 
 def covers_of(poset: TuplePoset, index: int) -> list[CoverEdge]:

@@ -238,11 +238,12 @@ class TestJsonFiles:
                     "witness": "\x00"}]
         want = self.dumps({"lambda": [2, 0], "k": 2, "covers": records})
         # the route covers --json takes: each field's text through
-        # json.dumps, each record one _cover_record, the file _covers_chunks
+        # json.dumps, each record one _cover_record, the file _file_chunks
         texts = (cli._cover_record(*(json.dumps(rec[key]) for key in
                                      ("low", "high", "kind", "witness")))
                  for rec in records)
-        assert "".join(cli._covers_chunks(Weight((2, 0)), 2, texts)) == want
+        assert "".join(cli._file_chunks({"k": 2, "lambda": [2, 0]},
+                                        covers=texts)) == want
 
     @pytest.mark.parametrize("argv,code", [
         ((), 0),

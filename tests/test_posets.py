@@ -1,8 +1,10 @@
 import dataclasses
+import gc
 import itertools
 import json
 import math
 import re
+import weakref
 from collections import Counter
 from hashlib import sha256
 
@@ -631,6 +633,12 @@ class TestCoverClassification:
         with pytest.raises(ValueError, match="rank mismatch"):
             classify_cover(T((1, 0), (0, 0)), T((1,), (0,)))
 
+    def test_part_sum_mismatch_raises(self):
+        low, high = T((1, 0), (0, 0)), T((5, 5), (3, 0))
+        with pytest.raises(ValueError, match=re.escape(
+                f"part sums differ: {low.lam} vs {high.lam}")):
+            classify_cover(low, high)
+
     def test_top_has_no_covers(self):
         poset = build_poset(Weight((2, 1)), 2)
         assert covers_of(poset, poset.top_index) == []
@@ -860,10 +868,10 @@ class TestPerClassCoverData:
         b = poset.class_of(T((1, 0, 2, 2), (1, 2, 0, 0)))
         ups = [h for low, h in poset.hasse_edges if low == a]
         assert ups
-        pair = posets._LowerPair(poset._upper(a), poset._fields)
+        pair = posets._LowerPair(poset._uppers[a], poset._packing[1])
         for high in ups + [b] + ups + [b]:
-            kind, *witness = posets._decide(pair, poset._upper(high))
-            assert (kind, posets._witness({}, *witness)) == \
+            kind, *witness = posets._decide(pair, poset._uppers[high])
+            assert (kind, posets._witness(posets.Permutation, *witness)) == \
                 classify_cover_by_search(reps[a], reps[high]), high
         first11 = list(real(pair.delta))[:11]
         assert [s.images for s in pair.walked] == first11
@@ -889,6 +897,30 @@ class TestPerClassCoverData:
             before = dict(reps[low].__dict__)
             assert classify_cover(reps[low], reps[high])[1] is not None
             assert reps[low].__dict__ == before
+
+    @pytest.mark.parametrize("coords, k", [((2, 2, 2, 2), 2), ((2, 1, 1), 3)])
+    def test_a_used_poset_is_freed_by_reference_counting(self, coords, k):
+        # a table the poset owns must not hold the poset (a bound method or
+        # a partial of self would): the cycle would outlive a del until the
+        # cycle collector ran, which is off here
+        from weyl_order.cli import _covers_text
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            poset = build_poset(Weight(coords), k)
+            covers_of(poset, poset.bottom_index)
+            poset._cover_decisions
+            poset.cover_edges
+            poset.json_text()
+            poset.to_dot()
+            out, records = _covers_text(poset, True)
+            assert out and list(records)
+            alive = weakref.ref(poset)
+            del poset
+            assert alive() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     @staticmethod
     def classify(poset, pairs):
@@ -1053,8 +1085,8 @@ class TestPackedRule:
         low, high = T((0, 1, 2, 1), (2, 1, 0, 1)), T((1, 0, 2, 2), (1, 2, 0, 0))
         poset = build_poset(Weight((2, 2, 2, 2)), 2)
         a, b = poset.class_of(low), poset.class_of(high)
-        pair = posets._LowerPair(poset._upper(a), poset._fields)
-        decision = posets._decide(pair, poset._upper(b))
+        pair = posets._LowerPair(poset._uppers[a], poset._packing[1])
+        decision = posets._decide(pair, poset._uppers[b])
         assert decision == self.search_decision(low, high)
         assert decision[1] == (4, 1, 0, 2, 3) and decision[3:5] == (2, "forward")
         assert len(pair.walked) == 11
@@ -1069,13 +1101,12 @@ class TestPackedRule:
              "longest": max(range(len(poset)), key=lambda a: len(rows[a])),
              "last": max(a for a, row in enumerate(rows) if row)}[pick]
         assert covers_of(poset, c)
-        filled = [b for b, frames in enumerate(poset._uppers)
-                  if frames is not None]
+        filled = sorted(poset._uppers)
         assert filled == sorted({c, *rows[c]})
         # reading every row fills every class once, and changes no decision
-        before = [entry for entry in poset._uppers]
+        before = dict(poset._uppers)
         poset._cover_decisions
-        assert all(poset._uppers)
+        assert sorted(poset._uppers) == list(range(len(poset)))
         assert all(poset._uppers[b] is before[b] for b in filled)
 
 
