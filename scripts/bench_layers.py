@@ -7,13 +7,13 @@ fiber of its grid) it records the best of ``--repeat`` wall times of
 (``cover_rows``), at k = 2 the covers classified by kind alone (every
 row of the decision list, ``_cover_decisions``, which all the poset
 writers read), the ``covers`` command's output read off it
-(``covers_text``: the stdout lines and the JSON record texts, labels
-included) and the witness objects built from it (``cover_edges``), and
-the two file writers (``json_chunks`` and ``dot_chunks``, every piece
-read).  Each layer is timed on a poset whose earlier layers are already
-built, so no time holds another layer's: at k = 2 ``cover_decisions``
-and ``cover_edges`` add up to what ``cover_edges`` costs on its own.  Under
-``verify`` it records the best in-process times of the ``sweep``
+(``TuplePoset.covers_text``: the stdout lines and the covers JSON
+file, labels included) and the witness objects built from it
+(``cover_edges``), and the two file writers (``json_chunks`` and
+``dot_chunks``, every piece read).  Each layer is timed on a poset whose
+earlier layers are already built, so no time holds another layer's: at
+k = 2 ``cover_decisions`` and ``cover_edges`` add up to what
+``cover_edges`` costs on its own.  Under ``verify`` it records the best in-process times of the ``sweep``
 workload's whole sweep (``run_sweep`` at ``--max-coord 5 --max-k 4``)
 and of its report writer.  It also records
 the tracemalloc peak of the cover walk next to the bytes of the masks it
@@ -49,8 +49,8 @@ import tracemalloc
 from pathlib import Path
 
 from weyl_order import Weight, build_poset, root_system
-from weyl_order.cli import (SweepConfig, _covers_text, _report_chunks,
-                            positive_int, report_payload, run_sweep)
+from weyl_order.cli import (SweepConfig, _report_chunks, positive_int,
+                            report_payload, run_sweep)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -106,10 +106,10 @@ def timed(fn):
 
 
 def covers_text(poset) -> int:
-    """The covers command's stdout and JSON records, every record read:
-    the characters built."""
-    out, records = _covers_text(poset, True)
-    return len(out) + sum(map(len, records))
+    """The covers command's stdout and JSON file, every piece read: the
+    characters built."""
+    out, chunks = poset.covers_text(True)
+    return len(out) + sum(map(len, chunks))
 
 
 def layer_times(lam: Weight, k: int) -> tuple[dict, dict]:

@@ -30,15 +30,15 @@ from pathlib import Path
 from .dimensions import (verify_coroot_inequalities_k2, verify_max_dim,
                          verify_monotone_k2, weyl_dim)
 from .posets import (_COUNT_CAP, _COUNT_DIGITS, _SLOT, DEFAULT_GUARD,
-                     CoverKind, GuardExceeded, _check_fiber, _file_chunks,
-                     _json_array_chunks, _layout, _PerCall, _witness_text,
-                     build_poset, count_tuples, maximal_element,
-                     minimal_element, poset_size_k2)
+                     GuardExceeded, _check_fiber, _file_chunks,
+                     _json_array_chunks, _layout, _quote, build_poset,
+                     count_tuples, maximal_element, minimal_element,
+                     poset_size_k2)
 from .roots import (FAMILIES, base_rank, check_admissible,
                     coroot_table_report, expected_table_report, iota,
                     parse_system_name, root_system, spin_nodes)
 from .tuples import WeightTuple
-from .weights import Weight, _cycle_text
+from .weights import Weight
 
 
 # Work bounds of the commands no tuple guard covers.  max builds k parts
@@ -134,14 +134,6 @@ def _write_text(path: Path, text, newline: str | None = None):
                 fh.write("".join(block))
     except OSError as e:
         raise _unwritable(path, e) from None
-
-
-def _write_json(path: Path, payload: dict):
-    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-# the JSON text of a string, as json.dumps writes it under ensure_ascii
-_quote = json.encoder.encode_basestring_ascii
 
 
 # -- verify sweep ------------------------------------------------------------
@@ -377,55 +369,11 @@ def cmd_max(args) -> int:
     print(f"bottom {bottom}")
     print(f"top    {top}")
     if args.json:
-        _write_json(Path(args.out_dir) / f"max_lam{_slug(lam)}_k{args.k}.json",
-                    {"lambda": list(lam.omega), "k": args.k,
-                     "bottom": bottom.to_json(),
-                     "top": top.to_json()})
+        _write_text(Path(args.out_dir) / f"max_lam{_slug(lam)}_k{args.k}.json",
+                    _file_chunks({"lambda": list(lam.omega), "k": args.k,
+                                  "bottom": bottom.to_json(),
+                                  "top": top.to_json()}))
     return 0
-
-
-# a covers record laid out at indent 4, its slots in sorted key order
-_RECORD = _layout(dict.fromkeys(("high", "kind", "low", "witness"), _SLOT), 4)
-
-
-def _cover_record(low: str, high: str, kind: str, witness: str) -> str:
-    """One record of the covers file from its fields' JSON texts: the
-    ``_layout`` template of the four-field object, filled."""
-    return _RECORD % (high, kind, low, witness)
-
-
-def _covers_text(poset, with_json: bool):
-    """The covers command's output, read off the poset's cover rows and
-    decision table: the stdout text, one line per Hasse edge in (low,
-    high) order, and with_json the covers file's record texts, lazily,
-    else None.  A witness is worded once per edge by ``_witness_text``,
-    from the decision's fields, and the text serves its line and its
-    record; a sorter's cycle notation is computed once per image tuple.
-    No edge or witness object is built.  Off k = 2 every edge is
-    unclassified, and its witness is null."""
-    labels = poset.labels
-    cycles = _PerCall(_cycle_text)
-    edges = []
-    for a, (highs, row) in enumerate(zip(poset.cover_rows,
-                                          poset._cover_decisions)):
-        for b, (kind, images, _, index, reading, mix) in zip(highs, row):
-            text = (None if images is None else
-                    _witness_text(cycles[images], index, reading, mix))
-            edges.append((a, b, kind, text))
-    # each kind's tag formatted once: an Enum value is a property read
-    tags = {kind: f" [{kind.value}]" for kind in CoverKind}
-    out = "".join(f"{labels[a]} -> {labels[b]}{tags[kind]}\n" if text is None
-                  else f"{labels[a]} -> {labels[b]}{tags[kind]} ({text})\n"
-                  for a, b, kind, text in edges)
-    if not with_json:
-        return out, None
-    # each label quoted once per class, each kind once, a witness's text
-    # once per cover
-    quoted = list(map(_quote, labels))
-    kinds = {kind: _quote(kind.value) for kind in CoverKind}
-    return out, (_cover_record(quoted[a], quoted[b], kinds[kind],
-                               "null" if text is None else _quote(text))
-                 for a, b, kind, text in edges)
 
 
 def cmd_covers(args) -> int:
@@ -435,12 +383,10 @@ def cmd_covers(args) -> int:
     if args.json:  # as in cmd_poset, and before any cover line prints
         _check_fiber(lam, args.k, guard)
         _make_out_dir(path)
-    poset = build_poset(lam, args.k, guard)
-    out, records = _covers_text(poset, args.json)
+    out, chunks = build_poset(lam, args.k, guard).covers_text(args.json)
     sys.stdout.write(out)
-    if records is not None:
-        fields = {"k": args.k, "lambda": list(lam.omega)}
-        _write_text(path, _file_chunks(fields, covers=records))
+    if chunks is not None:
+        _write_text(path, chunks)
     return 0
 
 
@@ -454,9 +400,9 @@ def cmd_dim(args) -> int:
     total = math.prod(dims)
     print(f"{' * '.join(str(d) for d in dims)} = {total}")
     if args.json:
-        _write_json(Path(args.out_dir) / f"dim_{rs.name}.json",
-                    {"system": rs.name, "tuple": tup.to_json(),
-                     "part_dims": dims, "dim": total})
+        _write_text(Path(args.out_dir) / f"dim_{rs.name}.json",
+                    _file_chunks({"system": rs.name, "tuple": tup.to_json(),
+                                  "part_dims": dims, "dim": total}))
     return 0
 
 

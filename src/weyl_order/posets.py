@@ -8,8 +8,7 @@ into classes of equal stat vector (:mod:`weyl_order.tuples`) without
 ordering any parts: it walks the multisets of parts as omega integer
 tuples (``_part_multisets``, over the sorted box of ``_part_box``) and
 scores each through memos local to the call.  A class holds integers
-only; its representative ``WeightTuple`` is built when first read, from
-one shared ``Weight`` per distinct part.
+only; its representative ``WeightTuple`` is built when first read.
 
 A ``TuplePoset`` holds the coordinatewise order of the stat vectors as
 one list of strict-order bit masks (``_below``); the cover walk
@@ -29,17 +28,19 @@ decides each cover once, row by row as readers ask: ``_decided`` is a
 ``_PerCall`` of ``_decide_row``, as ``_uppers`` is of the classes'
 packed frames; off k = 2 every decision is unclassified.  ``covers_of``
 and ``cover_edges`` build edge and witness objects from the decisions,
-``classify_cover`` wraps the rule for one pair of tuples, and the text
-writers read the kinds alone.
+``classify_cover`` wraps the rule for one pair of tuples, the poset
+writers read the kinds alone, and ``covers_text`` words the witnesses
+straight from the decisions' fields.
 
 ``json_chunks`` and ``dot_chunks`` yield the poset JSON file (the bytes
 of ``json.dumps(to_json(), sort_keys=True, indent=2)`` plus a newline)
-and the Graphviz file in pieces, for a writer to stream.  No JSON layout
-is spelled out by hand: ``_layout`` runs json.dumps on a skeleton whose
-fields to fill are a sentinel, and returns a %-template, filled per item
-or split around the arrays that stream.  ``_file_chunks`` streams every
-JSON file this way: the poset file, and the covers file and the verify
-report of :mod:`weyl_order.cli`.
+and the Graphviz file in pieces, for a writer to stream; ``covers_text``
+gives the covers command's lines and file.  No JSON layout is spelled
+out by hand: ``_layout`` runs json.dumps on a skeleton whose fields to
+fill are a sentinel, and returns a %-template, filled per item or split
+around the arrays that stream.  ``_file_chunks`` streams every
+JSON file this way: the poset and covers files, and the verify report
+and the other JSON files of :mod:`weyl_order.cli`.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import enum
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property, partial, reduce
 from operator import and_, attrgetter, eq, itemgetter, or_, sub
 from typing import Callable
@@ -57,7 +58,7 @@ from typing import Callable
 from .tuples import (OrderVerdict, WeightTuple, _column_stats,
                      _part_window_values, _sorted_prefix_stats,
                      _verdict_from_vectors)
-from .weights import Permutation, Weight, _omega_text
+from .weights import Permutation, Weight, _cycle_text, _omega_text
 
 
 # Counts are computed exactly up to _COUNT_CAP, the largest integer of
@@ -190,30 +191,29 @@ class EquivClass:
     tuples weakly decreasing in epsilon-lex order, the multisets in
     descending order of their parts' epsilon tuples.  size counts ordered
     tuples, the sum over the multisets of k! / prod(mult!).  rep, the first
-    multiset as a ``WeightTuple``, is built on first read, its parts
-    through weight, which is not compared, hashed or shown: the classes of
-    a poset share one cache, so one ``Weight`` per distinct part.
+    multiset as a ``WeightTuple``, is built on first read and kept.
     """
 
     stat_vector: tuple[int, ...]
     size: int
     multisets: tuple[Multiset, ...]
-    weight: Callable[[tuple[int, ...]], Weight] = field(
-        default=Weight, compare=False, repr=False)
 
     @cached_property
     def rep(self) -> WeightTuple:
-        return WeightTuple(tuple(map(self.weight, self.multisets[0])))
+        return WeightTuple(tuple(map(Weight, self.multisets[0])))
 
     def __reduce__(self):
-        # pickled from the compared fields: the poset's shared cache stays
-        # behind, and the representative is rebuilt when read
+        # pickled from the fields: a representative read stays behind, and
+        # is rebuilt when read
         return EquivClass, (self.stat_vector, self.size, self.multisets)
 
 
 # -- JSON text, laid out as json.dumps(..., sort_keys=True, indent=2) -------
 
 _SLOT = "\0"  # a skeleton's field to fill; json.dumps writes it "\u0000"
+
+# the JSON text of a string, as json.dumps writes it under ensure_ascii
+_quote = json.encoder.encode_basestring_ascii
 
 
 def _layout(skeleton, indent: int) -> str:
@@ -364,13 +364,13 @@ class TuplePoset:
 
     @cached_property
     def _uppers(self) -> _PerCall:
-        """Per class, its frames (``_frames``), its first multiset's parts
-        read through the classes' shared ``Weight`` cache and packed on
-        first lookup: a reader of one cover row fills its row's classes
-        alone.  The table holds the classes, not the poset."""
+        """Per class, its frames (``_frames``), built from its first
+        multiset's parts and packed on first lookup, once per poset: a
+        reader of one cover row fills its row's classes alone.  The table
+        holds the classes, not the poset."""
         classes, width = self.classes, self._packing[0]
         return _PerCall(lambda b: _frames(
-            *map(classes[b].weight, classes[b].multisets[0]), width))
+            *map(Weight, classes[b].multisets[0]), width))
 
     @cached_property
     def _decided(self) -> _PerCall:
@@ -388,10 +388,8 @@ class TuplePoset:
 
     def _cover_row(self, a: int) -> list[CoverEdge]:
         """Class a's cover edges in increasing high, each with its kind and
-        witness read off the decision table; the witnesses share one
-        Permutation per sorter."""
-        sigma = _PerCall(Permutation).__getitem__
-        return [CoverEdge(a, b, kind, _witness(sigma, *witness))
+        witness read off the decision table."""
+        return [CoverEdge(a, b, kind, _witness(*witness))
                 for b, (kind, *witness) in zip(self.cover_rows[a],
                                                self._decided[a])]
 
@@ -564,6 +562,46 @@ class TuplePoset:
         """The Graphviz file as one string: dot_chunks joined."""
         return "".join(self.dot_chunks())
 
+    def covers_text(self, with_json: bool):
+        """The covers command's output, read off the cover rows and the
+        decision table: the stdout text, one line per Hasse edge in (low,
+        high) order, and with_json the covers JSON file in pieces
+        (``_file_chunks``, its records laid out lazily), else None.  A
+        witness is worded once per edge by ``_witness_text``, from the
+        decision's fields, and the text serves its line and its record; a
+        sorter's cycle notation is computed once per image tuple.  No edge
+        or witness object is built.  Off k = 2 every edge is unclassified,
+        and its witness is null.  The edges are decided on the call, so
+        whatever can raise does so before a file is opened."""
+        labels = self.labels
+        cycles = _PerCall(_cycle_text)
+        edges = []
+        for a, (highs, row) in enumerate(zip(self.cover_rows,
+                                              self._cover_decisions)):
+            for b, (kind, images, _, index, reading, mix) in zip(highs, row):
+                text = (None if images is None else
+                        _witness_text(cycles[images], index, reading, mix))
+                edges.append((a, b, kind, text))
+        # each kind's tag formatted once: an Enum value is a property read
+        tags = {kind: f" [{kind.value}]" for kind in CoverKind}
+        out = "".join(
+            f"{labels[a]} -> {labels[b]}{tags[kind]}\n" if text is None
+            else f"{labels[a]} -> {labels[b]}{tags[kind]} ({text})\n"
+            for a, b, kind, text in edges)
+        if not with_json:
+            return out, None
+        # a record's slots in sorted key order; each label quoted once per
+        # class, each kind once, a witness's text once per cover
+        record = _layout(dict.fromkeys(("high", "kind", "low", "witness"),
+                                       _SLOT), 4)
+        quoted = list(map(_quote, labels))
+        kinds = {kind: _quote(kind.value) for kind in CoverKind}
+        records = (record % (quoted[b], kinds[kind], quoted[a],
+                             "null" if text is None else _quote(text))
+                   for a, b, kind, text in edges)
+        return out, _file_chunks({"k": self.k, "lambda": list(self.lam.omega)},
+                                 covers=records)
+
 
 def _part_box(lam: tuple[int, ...]):
     """The box of omega tuples <= lam, every one a dominant part: the
@@ -712,9 +750,8 @@ def build_poset(lam: Weight, k: int, guard: int = DEFAULT_GUARD) -> TuplePoset:
     of each class is its largest member, the representative.  A class's
     size sums k! / prod(mult!) over its multisets, the multiplicities read
     as run lengths of equal adjacent parts, in one ``map`` per class.  No
-    ``WeightTuple`` is built:
-    the classes share one ``Weight`` cache, from which a representative
-    read later takes its parts.  The guard still counts ordered tuples.
+    ``Weight`` or ``WeightTuple`` is built.  The guard still counts
+    ordered tuples.
     """
     _check_fiber(lam, k, guard)
     window_values = _PerCall(_part_window_values).__getitem__
@@ -724,13 +761,12 @@ def build_poset(lam: Weight, k: int, guard: int = DEFAULT_GUARD) -> TuplePoset:
         sv = _sorted_prefix_stats(map(window_values, ms), column_stats)
         by_stats.setdefault(sv, []).append(ms)
     k_orderings = itertools.repeat(math.factorial(k))  # k! per multiset
-    weight = cache(Weight)
     classes = []
     for sv in sorted(by_stats):
         multisets = tuple(by_stats[sv])
         size = sum(map(_orderings, multisets, k_orderings))
         # positional: keywords cost about a quarter of the init
-        classes.append(EquivClass(sv, size, multisets, weight))
+        classes.append(EquivClass(sv, size, multisets))
     return TuplePoset(lam=lam, k=k, classes=tuple(classes))
 
 
@@ -770,7 +806,8 @@ def _witness_text(cycles: str, index: int | None, reading: str | None,
                   mix: tuple[int, ...] | None) -> str:
     """A witness's text from its fields, sigma given by its cycle
     notation: the one place a witness is worded, for ``describe`` and for
-    the covers command, which reads the fields off the decision table."""
+    ``TuplePoset.covers_text``, which reads the fields off the decision
+    table."""
     text = "sigma=" + cycles
     if index is not None:
         text += f", i={index}, reading={reading}"
@@ -1059,15 +1096,13 @@ def _decide(pair: _LowerPair, frames: tuple) -> tuple:
     return _UNCLASSIFIED
 
 
-def _witness(sigma: Callable[[tuple[int, ...]], Permutation],
-             images: tuple[int, ...] | None, orientation, index, reading,
+def _witness(images: tuple[int, ...] | None, orientation, index, reading,
              mix) -> CoverWitness | None:
-    """A decision's witness, its sigma read as sigma(images): the caller
-    passes Permutation, or a memo of it kept for one lower class, whose
-    witnesses then share one Permutation per sorter."""
+    """A decision's witness, sigma built from the sorter's images, or None
+    for an unclassified edge."""
     if images is None:
         return None
-    return CoverWitness(sigma(images), orientation, index, reading, mix)
+    return CoverWitness(Permutation(images), orientation, index, reading, mix)
 
 
 def _decide_row(k: int, rows: tuple[tuple[int, ...], ...], uppers: _PerCall,
@@ -1089,12 +1124,12 @@ def _decide_row(k: int, rows: tuple[tuple[int, ...], ...], uppers: _PerCall,
 def classify_cover(low: WeightTuple, high: WeightTuple) -> tuple[CoverKind, CoverWitness | None]:
     """Classify a k = 2 cover between class representatives.
 
-    The rule is ``_decide``'s (see there): everything is read off padded
-    epsilon int tuples, cached on each part ``Weight``, packed with a
-    field width that holds every coordinate of the four parts, and the
-    lower pair is taken in canonical order (e1 >= e2).  This wraps it for
-    one pair of tuples and builds the witness; tuples longer than 2 fall
-    through to UNCLASSIFIED.  Two pairs of another rank or part sum raise
+    The rule is ``_decide``'s (see there): everything is read off the
+    parts' padded epsilon int tuples, packed with a field width that holds
+    every coordinate of the four parts, and the lower pair is taken in
+    canonical order (e1 >= e2).  This wraps it for one pair of tuples and
+    builds the witness; tuples longer than 2 fall through to
+    UNCLASSIFIED.  Two pairs of another rank or part sum raise
     ValueError, as ``compare`` does.  Each call builds its own
     ``_LowerPair`` and keeps nothing, so no call leaves state on either
     tuple.  ``TuplePoset.cover_edges`` and the poset writers do not call
@@ -1108,13 +1143,13 @@ def classify_cover(low: WeightTuple, high: WeightTuple) -> tuple[CoverKind, Cove
     low_sum, high_sum = (x.parts[0] + x.parts[1] for x in (low, high))
     if low_sum != high_sum:
         raise ValueError(f"part sums differ: {low_sum} vs {high_sum}")
-    # dominant parts: a padded epsilon tuple peaks at its first slot
-    width = _field_width(max(p.eps_padded()[0]
-                             for p in low.parts + high.parts))
+    # dominant parts: a padded epsilon tuple peaks at its first slot, the
+    # omega sum
+    width = _field_width(max(sum(p.omega) for p in low.parts + high.parts))
     pair = _LowerPair(_frames(*low.parts, width),
                       _field_layout(low.rank + 1, width))
     kind, *witness = _decide(pair, _frames(*high.parts, width))
-    return kind, _witness(Permutation, *witness)
+    return kind, _witness(*witness)
 
 
 def covers_of(poset: TuplePoset, index: int) -> list[CoverEdge]:

@@ -15,13 +15,11 @@ convention: pad the epsilon vector with a trailing zero, let S_{n+1}
 permute it, and read weights modulo the all-ones vector (the sl_{n+1}
 weight lattice).  Omega coordinates are consecutive differences of the
 padded vector, so the uniform shift never matters.  A ``Weight`` caches
-its padded epsilon tuple and its dominance on first use; neither cache
-is a field, and a ``Weight`` pickles from omega alone.  A ``Permutation``
-is the sorting witness the classifier reports: it is validated, and it
-prints in cycle notation, which it computes on first use and caches the
-same way, since the classifier shares one witness permutation per sorter
-of a lower class; equality, hashing, repr and pickling still read the
-images alone.
+its dominance on first use; the cache is not a field, and a ``Weight``
+pickles from omega alone.  A ``Permutation`` is the sorting witness the
+classifier reports: it is validated, and it prints in cycle notation
+(``_cycle_text``).  Equality, hashing, repr and pickling of both read
+the coordinates or images alone.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ class Weight:
 
     def __reduce__(self):
         # pickled through the constructor from omega alone, so a cached
-        # padded epsilon tuple or dominance never travels with the object
+        # dominance never travels with the object
         return Weight, (self.omega,)
 
     @cached_property
@@ -64,15 +62,8 @@ class Weight:
         return tuple(accumulate(reversed(self.omega)))[::-1]
 
     def eps_padded(self) -> tuple[int, ...]:
-        """Epsilon coordinates with a trailing zero, computed once per
-        Weight object."""
-        # kept on the object as _eps_padded (frozen dataclasses leave
-        # __dict__ writable), read without a cached_property's lock; not a
-        # field, so equality, hashing and repr still read omega alone
-        padded = self.__dict__.get("_eps_padded")
-        if padded is None:
-            padded = self.__dict__["_eps_padded"] = self.eps() + (0,)
-        return padded
+        """Epsilon coordinates with a trailing zero."""
+        return self.eps() + (0,)
 
     @classmethod
     def zero(cls, rank: int) -> "Weight":
@@ -142,22 +133,9 @@ class Permutation:
     def __call__(self, i: int) -> int:
         return self.images[i]
 
-    def __reduce__(self):
-        # pickled through the constructor from images alone, so a cached
-        # cycle notation never travels with the object
-        return Permutation, (self.images,)
-
-    @cached_property
-    def _cycle_notation(self) -> str:
-        # cached like Weight.is_dominant: the classifier hands one
-        # Permutation to every witness that reads the same sorter, so the
-        # cycles are walked once per object; not a field
-        return _cycle_text(self.images)
-
     def cycle_notation(self) -> str:
-        """The cycles of length >= 2, 1-based, or "id"; computed once per
-        Permutation object."""
-        return self._cycle_notation
+        """The cycles of length >= 2, 1-based, or "id"."""
+        return _cycle_text(self.images)
 
 
 def _cycle_text(images: tuple[int, ...]) -> str:

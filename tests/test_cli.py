@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import weyl_order.dimensions as dimensions
-from weyl_order import Weight, base_rank, build_poset, cli, root_system
+from weyl_order import (Weight, base_rank, build_poset, cli,
+                        maximal_element, minimal_element, root_system)
 from weyl_order.cli import SweepConfig, sweep_items
 
 
@@ -157,7 +158,7 @@ def covers_payload(lam, k):
 
 
 class TestJsonFiles:
-    """The poset, covers and verify report files are the bytes
+    """The poset, covers, max, dim and verify report files are the bytes
     json.dumps(sort_keys=True, indent=2) gives, plus a newline."""
 
     @staticmethod
@@ -231,19 +232,31 @@ class TestJsonFiles:
             assert all(line.endswith("[unclassified]")
                        for line in out.splitlines())
 
-    def test_covers_writer_escapes_as_dumps_does(self):
-        records = [{"low": 'a"b', "high": "back\\slash", "kind": "tab\t",
-                    "witness": None},
-                   {"low": "\u00e9\u2603", "high": "", "kind": "\n",
-                    "witness": "\x00"}]
-        want = self.dumps({"lambda": [2, 0], "k": 2, "covers": records})
-        # the route covers --json takes: each field's text through
-        # json.dumps, each record one _cover_record, the file _file_chunks
-        texts = (cli._cover_record(*(json.dumps(rec[key]) for key in
-                                     ("low", "high", "kind", "witness")))
-                 for rec in records)
-        assert "".join(cli._file_chunks({"k": 2, "lambda": [2, 0]},
-                                        covers=texts)) == want
+    def test_covers_writer_escapes_as_dumps_does(self, monkeypatch):
+        # the route covers --json takes, TuplePoset.covers_text, with odd
+        # labels put on the poset and odd witness texts worded in place of
+        # _witness_text's: the file quotes them as json.dumps does
+        from weyl_order import posets
+        odd = ['a"b', "back\\slash", "tab\t", "\u00e9\u2603", "", "\n",
+               "nul\x00", "100%", "%s %% %(x)s"]
+        worded = []
+        monkeypatch.setattr(posets, "_witness_text", lambda *fields: (
+            worded.append(odd[-1 - len(worded)]) or worded[-1]))
+        poset = build_poset(Weight((2, 2)), 2)
+        labels = poset.__dict__["labels"] = tuple(odd[:len(poset)])
+        out, chunks = poset.covers_text(True)
+        edges = poset.cover_edges
+        # 5 labels and 6 witness texts: every odd string is written
+        assert len(worded) == len(edges) == 6
+        assert set(labels) | set(worded) == set(odd)
+        records = [{"low": labels[e.low], "high": labels[e.high],
+                    "kind": e.kind.value, "witness": text}
+                   for e, text in zip(edges, worded)]
+        assert "".join(chunks) == self.dumps(
+            {"lambda": [2, 2], "k": 2, "covers": records})
+        assert out == "".join(
+            f"{r['low']} -> {r['high']} [{r['kind']}] ({r['witness']})\n"
+            for r in records)
 
     @pytest.mark.parametrize("argv,code", [
         ((), 0),
@@ -325,20 +338,26 @@ class TestJsonFiles:
 
     def test_covers_builds_record_texts_only_with_json(
             self, tmp_path, capsys, monkeypatch):
-        built = []
-        real = cli._cover_record
+        # the record texts are quoted only for --json: each label once per
+        # class, each kind once and each witness text once per cover
+        from weyl_order import posets
+        quoted = []
+        real = posets._quote
 
-        def counting(*fields):
-            built.append(fields)
-            return real(*fields)
-        monkeypatch.setattr(cli, "_cover_record", counting)
+        def counting(text):
+            quoted.append(text)
+            return real(text)
+        monkeypatch.setattr(posets, "_quote", counting)
         argv = ["--lambda", "2,2,2,2,2,2", "--k", "2", "--out-dir", str(tmp_path)]
         code, plain, _ = run(capsys, "covers", *argv)
-        assert (code, len(built)) == (0, 0)
+        assert (code, len(quoted)) == (0, 0)
         assert list(tmp_path.iterdir()) == []
         code, with_json, _ = run(capsys, "covers", *argv, "--json")
-        assert (code, len(built)) == (0, 1362)
+        assert (code, len(quoted)) == (0, 365 + 3 + 1362)
         assert with_json == plain and len(plain.splitlines()) == 1362
+        payload = json.loads(
+            (tmp_path / "covers_lam2-2-2-2-2-2_k2.json").read_text())
+        assert len(payload["covers"]) == 1362
 
     def test_poset_dot_at_k2_builds_no_witness_edge_or_tuple(
             self, tmp_path, capsys, monkeypatch):
@@ -381,6 +400,43 @@ class TestJsonFiles:
             "poset_lam2-2-2-2-2-2_k2.dot":
                 "0085f3ec76c3756d92af2822ac8b5d6266d72295211116e0691ee90eaa0cafd6",
         }
+
+    @pytest.mark.parametrize("lam, k, digests", [
+        # the poset_k3 and poset_k6 benchmark fibers, pinned absolutely:
+        # the other file tests compare against to_json, which moves with
+        # the classes
+        ("6,6,6", 3,
+         ("c4c28602c9c9fef92828565161f2f994c57de0a32f5ecf86cfa9b58617732cd7",
+          "0637cf08e5b7aed4004ff33384c40649d43219ec1b98ddad6b3bff43c53a7250")),
+        ("5,5", 6,
+         ("c07e690b67cbc2c900e9be0fea5afa10c9f65d44989f9e20d973faff5d4c48fe",
+          "c94bd7238c282dbf4429788d66c62a99157727d04f2664ac2f75a1dd8746db15")),
+    ])
+    def test_poset_k3_and_k6_output_bytes_are_pinned(self, tmp_path, capsys,
+                                                     lam, k, digests):
+        assert run(capsys, "poset", "--lambda", lam, "--k", str(k), "--dot",
+                   "--out-dir", str(tmp_path))[0] == 0
+        stem = f"poset_lam{lam.replace(',', '-')}_k{k}"
+        assert tuple(
+            hashlib.sha256((tmp_path / f"{stem}{ext}").read_bytes()).hexdigest()
+            for ext in (".json", ".dot")) == digests
+
+    def test_max_and_dim_files_match_dumps(self, tmp_path, capsys):
+        # both payload shapes, nested objects and arrays, no streamed array
+        assert run(capsys, "max", "--lambda", "3,1,2", "--k", "3", "--json",
+                   "--out-dir", str(tmp_path))[0] == 0
+        assert run(capsys, "dim", "--type", "B3", "--tuple", "2,1/0,1",
+                   "--json", "--out-dir", str(tmp_path))[0] == 0
+        lam = Weight((3, 1, 2))
+        bottom, top = minimal_element(lam, 3), maximal_element(lam, 3)
+        assert (tmp_path / "max_lam3-1-2_k3.json").read_text() == self.dumps(
+            {"lambda": [3, 1, 2], "k": 3, "bottom": bottom.to_json(),
+             "top": top.to_json()})
+        assert (tmp_path / "dim_B3.json").read_text() == self.dumps(
+            {"system": "B3",
+             "tuple": {"k": 2, "parts": [Weight((2, 1)).to_json(),
+                                         Weight((0, 1)).to_json()]},
+             "part_dims": [330, 21], "dim": 6930})
 
 
 class TestStartup:

@@ -1,4 +1,6 @@
 import itertools
+import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,7 @@ from weyl_order import (
 )
 
 import ledger_oracle
+from freudenthal_oracle import freudenthal_dim
 from order_oracle import strict_pairs
 
 
@@ -745,6 +748,69 @@ class TestMonotoneAlongCovers:
             assert dimensions.member_dims(poset, rs) == [
                 [tensor_dim(rs, WeightTuple(tuple(map(Weight, ms))))
                  for ms in cls.multisets] for cls in poset.classes]
+
+
+def parts_changed(low, high):
+    """The fewest parts in which some member multiset of class low and some
+    member multiset of class high differ, counted as a multiset
+    difference."""
+    return min(sum((Counter(x) - Counter(y)).values())
+               for x in low.multisets for y in high.multisets)
+
+
+class TestDimensionAlongK3Covers:
+    """The k = 2 rise in dimension does not extend to k = 3 outside type
+    A: on rank-2 lambda with coordinates <= 7, a few covers fall or tie
+    over C2 and B3, each changing three parts.  A cover fails when some
+    member of its lower class is at least some member of its upper."""
+
+    @pytest.fixture(scope="class")
+    def fibers(self):
+        return {lam: build_poset(Weight(lam), 3)
+                for lam in itertools.product(range(8), repeat=2) if any(lam)}
+
+    def test_the_slice(self, fibers):
+        assert len(fibers) == 63
+        assert sum(len(p.hasse_edges) for p in fibers.values()) == 6302
+        changed = Counter(
+            parts_changed(p.classes[a], p.classes[b])
+            for p in fibers.values() for a, b in p.hasse_edges)
+        assert changed == {2: 5925, 3: 377}
+
+    def test_failing_covers_by_system(self, fibers):
+        found = {}
+        for name in ("A2", "C2", "B3", "D4"):
+            failing = found[name] = []
+            for lam, poset in fibers.items():
+                dims = dimensions.member_dims(poset, root_system(name))
+                for a, b in poset.hasse_edges:
+                    if any(x >= y for x in dims[a] for y in dims[b]):
+                        tie = all(x == y for x in dims[a] for y in dims[b])
+                        failing.append((lam, poset.labels[a], poset.labels[b],
+                                        tie))
+                        # no two-part cover fails
+                        assert parts_changed(poset.classes[a],
+                                             poset.classes[b]) == 3
+        assert found == {
+            "A2": [],
+            "C2": [((5, 6), "(1,5)/(4,0)/(0,1)", "(0,5)/(4,1)/(1,0)", False),
+                   ((5, 7), "(1,6)/(4,0)/(0,1)", "(0,6)/(4,1)/(1,0)", True),
+                   ((6, 7), "(1,6)/(5,0)/(0,1)", "(0,6)/(5,1)/(1,0)", False)],
+            "B3": [((6, 7), "(1,6)/(5,0)/(0,1)", "(0,6)/(5,1)/(1,0)", False)],
+            "D4": [],
+        }
+
+    def test_the_c2_case_at_5_6_against_the_oracle(self, fibers):
+        low, high = T((1, 5), (4, 0), (0, 1)), T((0, 5), (4, 1), (1, 0))
+        assert compare(low, high) is OrderVerdict.LESS
+        poset = fibers[(5, 6)]
+        a, b = poset.class_of(low), poset.class_of(high)
+        assert b in poset.cover_rows[a]
+        assert [len(poset.classes[c].multisets) for c in (a, b)] == [1, 1]
+        rs = root_system("C2")
+        assert [tensor_dim(rs, low), tensor_dim(rs, high)] == [39200, 38220]
+        assert [math.prod(freudenthal_dim("C", 2, p.omega) for p in x.parts)
+                for x in (low, high)] == [39200, 38220]
 
 
 class TestKTwoRule:

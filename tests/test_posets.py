@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import itertools
 import json
@@ -373,7 +372,7 @@ class TestBuildPoset:
     def test_build_orders_no_parts(self, monkeypatch):
         # the walk never calls the ordered-tuple route and builds no
         # WeightTuple: a representative is built when first read, from the
-        # class's first multiset, its parts shared across the poset
+        # class's first multiset, and kept
         import weyl_order.posets as posets
 
         def refuse(*args, **kwargs):
@@ -398,12 +397,10 @@ class TestBuildPoset:
                 list(map(id, again))
             assert reps == [WeightTuple(tuple(map(Weight, cls.multisets[0])))
                             for cls in poset.classes]
-            parts = {p.omega: p for rep in reps for p in rep.parts}
-            assert all(p is parts[p.omega] for rep in reps for p in rep.parts)
 
     def test_a_poset_pickles_without_its_weight_cache(self):
-        # the classes share one Weight cache, which stays behind: a class
-        # pickles from its fields, and its representative is rebuilt on read
+        # a class pickles from its fields alone: a representative read
+        # stays behind, and is rebuilt on read
         import pickle
         poset = build_poset(Weight((2, 2)), 3)
         poset.cover_rows, poset.labels
@@ -778,20 +775,24 @@ class TestCoverClassification:
                 [p.images for p in sorting_coset_by_stabilizer(values)], values
 
     def test_epsilon_vector_computed_once_per_part(self, monkeypatch):
+        # the poset's frame table computes each class's two padded epsilon
+        # vectors once for all the edges that read the class: 365 classes
+        # of two parts each, 730 calls, and none on a second read
         poset = build_poset(Weight((2,) * 6), 2)
-        parts = {id(p) for cls in poset.classes for p in cls.rep.parts}
         calls = []
         real = Weight.eps
 
         def counting(w):
-            calls.append(id(w))
+            calls.append(w.omega)
             return real(w)
         monkeypatch.setattr(Weight, "eps", counting)
         poset.cover_edges
-        # every representative part is one of the 729 shared Weights, and
-        # each computes its padded epsilon vector once for all its edges
-        assert len(calls) == len(set(calls)) == len(parts) == 729
-        assert set(calls) == parts
+        assert Counter(calls) == Counter(
+            p for cls in poset.classes for p in cls.multisets[0])
+        assert len(calls) == 730
+        calls.clear()
+        poset._cover_decisions, covers_of(poset, poset.bottom_index)
+        assert calls == []
 
     def test_dominance_computed_once_per_part(self, monkeypatch):
         lam = Weight((2,) * 6)
@@ -804,12 +805,15 @@ class TestCoverClassification:
             return real(w)
         monkeypatch.setattr(prop, "func", counting)
         poset = build_poset(lam, 2)
-        parts = {id(p) for cls in poset.classes for p in cls.rep.parts}
-        # lam is checked once by the guard, and each of the 729 shared
-        # representative parts once for all the tuples it sits in
-        seen = [id(w) for w in calls]
-        assert len(seen) == len(set(seen)) == len(parts) + 1 == 730
-        assert set(seen) == parts | {id(lam)}
+        # the walk builds no part: only lam is checked, by the guard
+        assert calls == [lam]
+        # each representative's two parts are checked once when it is
+        # built, and never again on a second read
+        parts = [p for cls in poset.classes for p in cls.rep.parts]
+        [cls.rep for cls in poset.classes]
+        seen = [id(w) for w in calls[1:]]
+        assert len(seen) == len(set(seen)) == len(parts) == 730
+        assert set(seen) == set(map(id, parts))
 
     def test_k3_falls_through(self):
         poset = build_poset(Weight((1, 1)), 3)
@@ -821,9 +825,8 @@ class TestCoverClassification:
 class TestPerClassCoverData:
     """What a lower class gives all its covers (e1, e2, delta, the sorters
     walked and the live walk) is built once per cover row and dropped with
-    it, and the witnesses of one lower class share one Permutation per
-    sorter; these pin that fast path against the search oracle and
-    against call order."""
+    it; these pin that fast path against the search oracle and against
+    call order."""
 
     @staticmethod
     def assert_matches_search(poset):
@@ -871,7 +874,7 @@ class TestPerClassCoverData:
         pair = posets._LowerPair(poset._uppers[a], poset._packing[1])
         for high in ups + [b] + ups + [b]:
             kind, *witness = posets._decide(pair, poset._uppers[high])
-            assert (kind, posets._witness(posets.Permutation, *witness)) == \
+            assert (kind, posets._witness(*witness)) == \
                 classify_cover_by_search(reps[a], reps[high]), high
         first11 = list(real(pair.delta))[:11]
         assert [s.images for s in pair.walked] == first11
@@ -903,7 +906,6 @@ class TestPerClassCoverData:
         # a table the poset owns must not hold the poset (a bound method or
         # a partial of self would): the cycle would outlive a del until the
         # cycle collector ran, which is off here
-        from weyl_order.cli import _covers_text
         enabled = gc.isenabled()
         gc.disable()
         try:
@@ -913,8 +915,8 @@ class TestPerClassCoverData:
             poset.cover_edges
             poset.json_text()
             poset.to_dot()
-            out, records = _covers_text(poset, True)
-            assert out and list(records)
+            out, chunks = poset.covers_text(True)
+            assert out and list(chunks)
             alive = weakref.ref(poset)
             del poset
             assert alive() is None
@@ -944,34 +946,6 @@ class TestPerClassCoverData:
         backwards = self.classify(fresh, fresh.hasse_edges[::-1])
         assert [(e.kind, e.witness) for e in poset.cover_edges] == \
             [backwards[edge] for edge in poset.hasse_edges]
-
-    def test_covers_of_a_class_share_one_permutation_per_sorter(self):
-        poset = build_poset(Weight((2,) * 6), 2)
-        sigma = {}
-        for e in poset.cover_edges:
-            assert sigma.setdefault((e.low, e.witness.sigma.images),
-                                    e.witness.sigma) is e.witness.sigma
-        # the first sorter witnesses every cover: one object per class
-        assert len(sigma) == len({id(s) for s in sigma.values()}) == 364
-
-    def test_cycle_walk_runs_once_per_shared_permutation(self, monkeypatch):
-        from weyl_order import Permutation
-        poset = build_poset(Weight((2,) * 6), 2)
-        witnesses = [e.witness for e in poset.cover_edges]
-        prop = Permutation.__dict__["_cycle_notation"]
-        real = prop.func
-        walked = []
-
-        def counting(p):
-            walked.append(id(p))
-            return real(p)
-        monkeypatch.setattr(prop, "func", counting)
-        texts = [w.describe() for w in witnesses]
-        assert len(walked) == len(set(walked)) == \
-            len({id(w.sigma) for w in witnesses}) == 364
-        # a fresh permutation per witness words every one the same
-        assert texts == [dataclasses.replace(w, sigma=Permutation(w.sigma.images))
-                         .describe() for w in witnesses]
 
 
 class TestPackedRule:

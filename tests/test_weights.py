@@ -77,14 +77,13 @@ class TestWeightBasics:
             assert read.to_json() == fresh.to_json()
 
     def test_caches_are_kept_outside_the_fields(self):
-        # the padded epsilon tuple and dominance are cached outside the
-        # fields: equality, hash, repr and pickling read omega alone, as for
-        # Permutation's cached cycle notation
+        # dominance, the one cache, is kept outside the fields, and the
+        # padded epsilon tuple is computed on each call: equality, hash,
+        # repr and pickling read omega alone
         read, fresh = Weight((2, 0, 1)), Weight((2, 0, 1))
         assert read.eps_padded() == (3, 1, 1, 0) and read.is_dominant
-        assert {"_eps_padded", "is_dominant"} <= read.__dict__.keys()
-        assert "_eps_padded" not in fresh.__dict__
-        assert "is_dominant" not in fresh.__dict__
+        assert read.__dict__ == {"omega": (2, 0, 1), "is_dominant": True}
+        assert fresh.__dict__ == {"omega": (2, 0, 1)}
         assert [f.name for f in dataclasses.fields(Weight)] == ["omega"]
         assert read == fresh and hash(read) == hash(fresh)
         assert repr(read) == repr(fresh) == "Weight(omega=(2, 0, 1))"
@@ -136,19 +135,18 @@ class TestPermutation:
         assert transposition(2, 4).cycle_notation() == "(2 3)"
         assert Permutation((1, 2, 0)).cycle_notation() == "(1 2 3)"
 
-    def test_cycle_notation_is_cached_outside_the_fields(self):
-        # the cache is not a field: equality, hash, repr and pickling read
-        # the images alone, as for Weight's cached epsilon tuple
+    def test_equality_hash_repr_and_pickling_read_the_images_alone(self):
+        # a Permutation keeps nothing but its images: the cycle notation is
+        # walked on each call, as for Weight's padded epsilon tuple
         walked, fresh = Permutation((1, 2, 0, 4, 3)), Permutation((1, 2, 0, 4, 3))
         assert walked.cycle_notation() == "(1 2 3)(4 5)"
-        assert "_cycle_notation" in walked.__dict__
-        assert "_cycle_notation" not in fresh.__dict__
+        assert walked.__dict__ == fresh.__dict__ == {"images": (1, 2, 0, 4, 3)}
         assert [f.name for f in dataclasses.fields(Permutation)] == ["images"]
         assert walked == fresh and hash(walked) == hash(fresh)
         assert repr(walked) == repr(fresh) == "Permutation(images=(1, 2, 0, 4, 3))"
         assert pickle.dumps(walked) == pickle.dumps(fresh)
         back = pickle.loads(pickle.dumps(walked))
-        assert back == walked and "_cycle_notation" not in back.__dict__
+        assert back == walked and back.__dict__ == {"images": (1, 2, 0, 4, 3)}
         assert back.cycle_notation() == walked.cycle_notation()
 
     def test_transposition_bounds(self):
