@@ -4,15 +4,17 @@
 For the fiber of each ``perfbench`` workload (for ``sweep``, the largest
 fiber of its grid) it records the best of ``--repeat`` wall times of
 ``build_poset``, the strict order (``TuplePoset._below``), the cover walk
-(``cover_rows``), at k = 2 the covers classified by kind alone (every
-row of the decision list, ``_cover_decisions``, which all the poset
-writers read), the ``covers`` command's output read off it
+(``cover_rows``), at k = 2 the class frames (``frames``: every entry of
+``TuplePoset._uppers`` filled) and then the covers classified by kind
+alone (``decisions``: every row of the decision list,
+``_cover_decisions``, which all the poset writers read), the ``covers``
+command's output read off it
 (``TuplePoset.covers_text``: the stdout lines and the covers JSON
 file, labels included) and the witness objects built from it
 (``cover_edges``), and the two file writers (``json_chunks`` and
 ``dot_chunks``, every piece read).  Each layer is timed on a poset whose
 earlier layers are already built, so no time holds another layer's: at
-k = 2 ``cover_decisions`` and ``cover_edges`` add up to what
+k = 2 ``frames``, ``decisions`` and ``cover_edges`` add up to what
 ``cover_edges`` costs on its own.  Under ``verify`` it records the best in-process times of the ``sweep``
 workload's whole sweep (``run_sweep`` at ``--max-coord 5 --max-k 4``)
 and of its report writer.  It also records
@@ -119,7 +121,9 @@ def layer_times(lam: Weight, k: int) -> tuple[dict, dict]:
     seconds["_below"], _ = timed(lambda: poset._below)
     seconds["cover_rows"], rows = timed(lambda: poset.cover_rows)
     if k == 2:
-        seconds["cover_decisions"], _ = timed(lambda: poset._cover_decisions)
+        seconds["frames"], _ = timed(
+            lambda: list(map(poset._uppers.__getitem__, range(len(poset)))))
+        seconds["decisions"], _ = timed(lambda: poset._cover_decisions)
         seconds["covers_text"], _ = timed(lambda: covers_text(poset))
         seconds["cover_edges"], _ = timed(lambda: poset.cover_edges)
     seconds["json_chunks"], sizes["json_chars"] = timed(

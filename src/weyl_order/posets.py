@@ -23,14 +23,18 @@ surrenders a whole (permuted) fundamental-weight chunk to the other, a
 second kind where the two new parts mix the old parts' coordinates after
 a sorting change of frame, and an explicit ``UNCLASSIFIED`` fallback for
 anything else.  ``_decide`` is the one place the rule is decided; it
-reads the chunk shape off packed integers (``_raised``).  A poset
-decides each cover once, row by row as readers ask: ``_decided`` is a
-``_PerCall`` of ``_decide_row``, as ``_uppers`` is of the classes'
-packed frames; off k = 2 every decision is unclassified.  ``covers_of``
-and ``cover_edges`` build edge and witness objects from the decisions,
-``classify_cover`` wraps the rule for one pair of tuples, the poset
-writers read the kinds alone, and ``covers_text`` words the witnesses
-straight from the decisions' fields.
+tests the chunk shape (``_raised``) and the coordinate mix (``_mixed``)
+on packed integers.  A poset decides each cover once, row by row as
+readers ask: ``_decided`` is a ``_PerCall`` of ``_decide_row``, as
+``_uppers`` is of the classes' packed frames, which are filled from the
+omega integers of each class's first multiset; off k = 2 every decision
+is unclassified.  No ``Weight`` is built to decide: a decision holds
+omega and image tuples.  ``covers_of`` and ``cover_edges`` build edge
+and witness objects from the decisions (``_witness``, where the
+orientation's ``Weight``s are built), ``classify_cover`` wraps the rule
+for one pair of tuples, the poset writers read the kinds alone, and
+``covers_text`` words the witnesses straight from the decisions'
+fields.
 
 ``json_chunks`` and ``dot_chunks`` yield the poset JSON file (the bytes
 of ``json.dumps(to_json(), sort_keys=True, indent=2)`` plus a newline)
@@ -52,7 +56,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property, partial, reduce
-from operator import and_, attrgetter, eq, itemgetter, or_, sub
+from operator import and_, attrgetter, itemgetter, or_, sub
 from typing import Callable
 
 from .tuples import (OrderVerdict, WeightTuple, _column_stats,
@@ -364,13 +368,13 @@ class TuplePoset:
 
     @cached_property
     def _uppers(self) -> _PerCall:
-        """Per class, its frames (``_frames``), built from its first
-        multiset's parts and packed on first lookup, once per poset: a
-        reader of one cover row fills its row's classes alone.  The table
-        holds the classes, not the poset."""
+        """Per class, its frames (``_frames``), filled from its first
+        multiset's omega tuples and packed on first lookup, once per
+        poset, with no ``Weight`` built: a reader of one cover row fills
+        its row's classes alone.  The table holds the classes, not the
+        poset."""
         classes, width = self.classes, self._packing[0]
-        return _PerCall(lambda b: _frames(
-            *map(Weight, classes[b].multisets[0]), width))
+        return _PerCall(lambda b: _frames(*classes[b].multisets[0], width))
 
     @cached_property
     def _decided(self) -> _PerCall:
@@ -386,18 +390,22 @@ class TuplePoset:
         """Every cover row's decisions, each row decided once."""
         return list(map(self._decided.__getitem__, range(len(self.classes))))
 
-    def _cover_row(self, a: int) -> list[CoverEdge]:
+    def _cover_row(self, a: int, weight=Weight) -> list[CoverEdge]:
         """Class a's cover edges in increasing high, each with its kind and
-        witness read off the decision table."""
-        return [CoverEdge(a, b, kind, _witness(*witness))
+        witness read off the decision table, the orientation's Weights
+        built by weight (``_witness``)."""
+        return [CoverEdge(a, b, kind, _witness(*witness, weight))
                 for b, (kind, *witness) in zip(self.cover_rows[a],
                                                self._decided[a])]
 
     @cached_property
     def cover_edges(self) -> tuple[CoverEdge, ...]:
-        """The Hasse edges in (low, high) order: the cover rows joined."""
+        """The Hasse edges in (low, high) order: the cover rows joined,
+        with one Weight per distinct part, shared by its witnesses and
+        dropped from the memo when the call returns."""
+        weight = _PerCall(Weight).__getitem__
         return tuple(itertools.chain.from_iterable(
-            map(self._cover_row, range(len(self)))))
+            self._cover_row(a, weight) for a in range(len(self))))
 
     def transitive_ok(self) -> bool:
         """The down-closure of the cover rows must equal the strict order.
@@ -881,12 +889,6 @@ def _sorting_coset(values: tuple[int, ...]):
     yield from walk
 
 
-def _steps(xs) -> list[int]:
-    """Consecutive differences xs[t] - xs[t + 1]: the omega coordinates
-    of a padded epsilon vector laid out in some frame."""
-    return list(map(sub, xs, xs[1:]))
-
-
 def _prefix_masks(bits) -> list[int]:
     """masks[i]: the OR of the first i of bits, for i = 0 .. len."""
     masks = [mask := 0]
@@ -898,7 +900,8 @@ def _prefix_masks(bits) -> list[int]:
 
 # A packed tuple is one integer holding value s of a padded epsilon tuple
 # in field s, the width bits from s * width up; the first-kind chunk test
-# reads a whole chunk off one subtraction of packed tuples.
+# reads a whole chunk off one subtraction of packed tuples, and the
+# second-kind test compares neighbouring fields with one shift and XOR.
 
 def _field_width(span: int) -> int:
     """The field width for packed tuples whose values lie in 0 .. span:
@@ -908,8 +911,11 @@ def _field_width(span: int) -> int:
 
 
 def _pack(values, width: int) -> int:
-    """values as one packed integer, value s in field s; exact for any
-    width whose fields hold the values."""
+    """values, each in 0 .. 2**width - 1, as one packed integer, value s
+    in field s: at width 8 the bytes of values read as one little-endian
+    integer, at wider widths a shift-and-OR loop."""
+    if width == 8:
+        return int.from_bytes(bytes(values), "little")
     packed = 0
     for v in reversed(values):
         packed = packed << width | v
@@ -918,13 +924,13 @@ def _pack(values, width: int) -> int:
 
 def _field_layout(slots: int, width: int) -> tuple:
     """The packed layout of slots fields of width bits: (bits, OFF,
-    OFF - LOW, outside), bits[s] the low bit of field s, LOW every low
-    bit, OFF the value 2**(width - 1) in every field, outside every bit
-    not in LOW (a negative integer)."""
+    OFF - LOW, outside, width), bits[s] the low bit of field s, LOW every
+    low bit, OFF the value 2**(width - 1) in every field, outside every
+    bit not in LOW (a negative integer)."""
     bits = [1 << width * s for s in range(slots)]
     low = sum(bits)
     off = low << width - 1
-    return bits, off, off - low, ~low
+    return bits, off, off - low, ~low, width
 
 
 def _raised(top: int, packed_f: int, fields: tuple) -> int:
@@ -943,7 +949,7 @@ def _raised(top: int, packed_f: int, fields: tuple) -> int:
     digits are unique, and one outside 0/1 sets a bit outside LOW or makes
     Y negative.  Y is then the raised mask.  The all-zero chunk gives X =
     0, so it is rejected without reaching Y."""
-    _, off, shift, outside = fields
+    _, off, shift, outside, _ = fields
     d = top - packed_f
     raised = d ^ off
     if raised & outside:
@@ -953,54 +959,109 @@ def _raised(top: int, packed_f: int, fields: tuple) -> int:
     return raised
 
 
-def _frames(h1: Weight, h2: Weight, width: int) -> tuple:
-    """The frames of the pair of parts (h1, h2), one per orientation:
-    (mu1, mu2, f, F), f the padded epsilon tuple of mu1 and F it packed;
-    one frame when the two tuples are equal."""
-    f1, f2 = h1.eps_padded(), h2.eps_padded()
-    first = (h1, h2, f1, _pack(f1, width))
-    return (first,) if f1 == f2 else (first, (h2, h1, f2, _pack(f2, width)))
+def _mixing(e1, e2, q: list[int], fields: tuple) -> tuple:
+    """What the second-kind test (``_mixed``) reads for the lower pair
+    (e1, e2) in the sorted frame of the sorter with inverse q, packed in
+    the layout fields: (sort, width, U0, V0, OFF - LOW, HIGH).
+
+    sort lays a vector out in the sorted frame, U0 is sort(e1) packed plus
+    OFF and V0 is OFF minus sort(e2) packed, so that for a packed sorted
+    frame H of f the fields of U0 - H and H + V0 are e1 - f and f - e2
+    plus OFF, each in 1 .. 2**width - 1, with no borrow.  HIGH is the top
+    bit of each field 0 .. n - 1, the fields that the n steps of a padded
+    tuple of n + 1 slots compare: OFF without its last field."""
+    _, off, shift, _, width = fields
+    sort = itemgetter(*q)  # q has >= 2 slots: a tuple out
+    return (sort, width, _pack(sort(e1), width) + off,
+            off - _pack(sort(e2), width), shift, off >> width)
+
+
+def _mixed(f, mixing: tuple) -> tuple[int, ...] | None:
+    """The second-kind test of the upper padded tuple f against the lower
+    pair of mixing (``_mixing``): the mix, 1 at each omega coordinate t of
+    the sorted frame where f's step equals e1's and 2 where it equals only
+    e2's, or None when some step equals neither.
+
+    With h = sort(e1) - sort(f), f's step t equals e1's exactly when h[t]
+    = h[t + 1], and equals e2's exactly when sort(f) - sort(e2) does the
+    same.  U = U0 - H and V = H + V0 hold those two vectors plus OFF, so X
+    = U ^ (U >> width) is zero in field t exactly when f's step t equals
+    e1's, and likewise Y from V for e2.  A field's low bits plus OFF - LOW
+    carry into its top bit exactly when they are not all zero, so
+    ((X & (OFF - LOW)) + (OFF - LOW) | X) & HIGH has the top bit of each
+    compared field that is not zero; the test passes when no field is set
+    in both masks.  X's mask plus HIGH holds 2**(width - 1) or 2**width
+    for each compared field, so shifted right by width - 1 it holds the
+    mix, one value per field, read off the fields' low bytes."""
+    sort, width, u0, v0, shift, high = mixing
+    h = _pack(sort(f), width)
+    u, v = u0 - h, h + v0
+    x, y = u ^ u >> width, v ^ v >> width
+    x = ((x & shift) + shift | x) & high
+    if x & ((y & shift) + shift | y):
+        return None
+    mix = (x + high) >> (width - 1)
+    return tuple(mix.to_bytes(high.bit_length() // 8, "little")[::width // 8])
+
+
+def _padded(omega: tuple[int, ...]) -> tuple[int, ...]:
+    """The padded epsilon tuple of the weight with these omega
+    coordinates: their reversed running sums, reversed, after a 0 (the
+    route ``Weight.eps_padded`` takes by way of ``Weight.eps``)."""
+    return tuple(itertools.accumulate(reversed(omega), initial=0))[::-1]
+
+
+def _frames(o1: tuple[int, ...], o2: tuple[int, ...], width: int) -> tuple:
+    """The frames of the pair of parts with omega tuples (o1, o2), one per
+    orientation: (mu1, mu2, f, F), mu1 and mu2 omega tuples, f the padded
+    epsilon tuple of mu1 (``_padded``) and F it packed (``_pack``); one
+    frame when the two parts are equal.  No ``Weight`` is built."""
+    f1 = _padded(o1)
+    first = (o1, o2, f1, _pack(f1, width))
+    if o1 == o2:
+        return (first,)
+    f2 = _padded(o2)
+    return first, (o2, o1, f2, _pack(f2, width))
 
 
 class _Sorter:
-    """One sorter of a lower pair's delta and what the classifier reads
-    off it, each part built on first need: its images and inverse q at
-    once; ``masks``, when a first-kind candidate reaches it, the prefix
-    masks of both readings in the packed layout (``inverse[i]`` the slots
-    {q[t] : t < i}, ``forward[i]`` the slots {sigma(t) : t < i}); and
-    ``frame``, for a second-kind test, ``sort``, which lays a padded
-    vector x out in the sorted frame (slot t holds x[q[t]]), with the
-    sorted-frame omega vectors s1 and s2 of e1 and e2.  A decision keeps
-    only the images, so a sorter lives as long as its lower pair."""
+    """One sorter of a lower pair's delta and its first-kind prefix masks
+    in the packed layout, each built on first need: its images and inverse
+    q at once; ``inverse``, when a first-kind candidate reaches it, the
+    masks of the slots {q[t] : t < i}; ``forward``, only when the inverse
+    reading fails and the forward one could still hold, the masks of
+    {sigma(t) : t < i}.  A decision keeps only the images, so a sorter
+    lives as long as its lower pair."""
 
-    __slots__ = ("images", "q", "masks", "frame")
+    __slots__ = ("images", "q", "inverse", "forward")
 
     def __init__(self, images: tuple[int, ...], q: list[int]):
         self.images, self.q = images, q
-        self.masks = self.frame = None
+        self.inverse = self.forward = None
 
-    def build_masks(self, bits: list[int]) -> tuple[list[int], list[int]]:
-        self.masks = (_prefix_masks(map(bits.__getitem__, self.q)),
-                      _prefix_masks(map(bits.__getitem__, self.images)))
-        return self.masks
+    def build_inverse(self, bits: list[int]) -> list[int]:
+        self.inverse = _prefix_masks(map(bits.__getitem__, self.q))
+        return self.inverse
 
-    def build_frame(self, e1, e2) -> tuple:
-        sort = itemgetter(*self.q)  # q has >= 2 slots: a tuple out
-        self.frame = sort, _steps(sort(e1)), _steps(sort(e2))
-        return self.frame
+    def build_forward(self, bits: list[int]) -> list[int]:
+        self.forward = _prefix_masks(map(bits.__getitem__, self.images))
+        return self.forward
 
 
 class _LowerPair:
     """What a k = 2 lower class gives every cover above it: its parts'
     padded epsilon tuples in canonical order (e1 >= e2), delta = e1 - e2,
-    the packed layout (``fields``, see ``_field_layout``) and top = E1 + OFF,
-    and the sorters of delta: walked holds those built so far, the first
-    one (``_first_sorter``) at once, and fresh the walk that yields the
-    rest, started when a second sorter is asked for.  Built from the
+    the packed layout (``fields``, see ``_field_layout``) and top = E1 +
+    OFF, the sorters of delta, and ``mixing``, what the second-kind test
+    reads (``_mixing``, in the first sorter's frame), built when a cover
+    first reaches that test.  walked holds the sorters built so far, the
+    first one (``_first_sorter``) at once, and fresh the walk that yields
+    the rest, started when a second sorter is asked for.  Built from the
     class's frames (``_frames``), one per cover row or per
     ``classify_cover`` call, and dropped with it."""
 
-    __slots__ = ("e1", "e2", "delta", "fields", "top", "walked", "fresh")
+    __slots__ = ("e1", "e2", "delta", "fields", "top", "walked", "fresh",
+                 "mixing")
 
     def __init__(self, frames: tuple, fields: tuple):
         (_, _, x, packed), (_, _, y, _) = frames[0], frames[-1]
@@ -1011,7 +1072,7 @@ class _LowerPair:
         self.fields = fields
         self.top = packed + fields[1]
         self.walked = [_Sorter(*_first_sorter(self.delta))]
-        self.fresh = None
+        self.fresh = self.mixing = None
 
     def sorter(self, t: int) -> _Sorter | None:
         """Sorter t of delta in image-lex order, or None past the last,
@@ -1030,8 +1091,9 @@ class _LowerPair:
 
 
 # A decision is a plain tuple: the kind, then the witness fields with the
-# sorter's image tuple in place of its Permutation (images, orientation,
-# index, reading, mix), all None for an unclassified edge.
+# sorter's image tuple in place of its Permutation and the orientation's
+# omega tuples in place of its Weights (images, orientation, index,
+# reading, mix), all None for an unclassified edge.
 _UNCLASSIFIED = (CoverKind.UNCLASSIFIED, None, None, None, None, None)
 
 
@@ -1052,12 +1114,21 @@ def _decide(pair: _LowerPair, frames: tuple) -> tuple:
     (rho = sigma, "forward"), tried in that order: the raised mask is
     compared with the sorter's prefix masks.  The chunk is positive at i
     when q[i - 1] is raised and q[i] is not, which an inverse match
-    implies and a forward match is checked for.  Second kind: in the
-    sorted frame mu1 picks each omega coordinate from one of the two
-    lower parts, part 1 wherever it fits.  First-kind witnesses take
-    precedence over the whole coset.
+    implies and a forward match is checked for, before the forward masks
+    are built.  First-kind witnesses take precedence over the whole coset.
+
+    Second kind: in the sorted frame mu1 picks each omega coordinate from
+    one of the two lower parts, part 1 wherever it fits (``_mixed``, on
+    packed tuples).  Whether it can, and the mix, are the same for every
+    sorter: a step t with delta[q[t]] = delta[q[t + 1]] fits either part
+    only when h = e1 - f takes equal values on the two slots, so h is
+    constant on each set of slots where delta takes one value, and every
+    other step compares those constants, whose slot sets every sorter
+    lays out in the same order.  So the first sorter decides it: its
+    witness when a frame fits, else no sorter's.
     """
     e2, top, fields = pair.e2, pair.top, pair.fields
+    bits = fields[0]
     chunks = []
     for frame in frames:
         raised = _raised(top, frame[3], fields)
@@ -1066,12 +1137,13 @@ def _decide(pair: _LowerPair, frames: tuple) -> tuple:
     t, sorter = 0, pair.walked[0]
     while chunks and sorter is not None:
         q = sorter.q
-        inverse, forward = sorter.masks or sorter.build_masks(fields[0])
+        inverse = sorter.inverse or sorter.build_inverse(bits)
         for raised, i, (mu1, mu2, f, _) in chunks:
             a, b = q[i - 1], q[i]
             if raised == inverse[i]:
                 reading = "inverse"
-            elif raised == forward[i] and q[a] < i <= q[b]:
+            elif q[a] < i <= q[b] and raised == (
+                    sorter.forward or sorter.build_forward(bits))[i]:
                 reading = "forward"
             else:
                 continue
@@ -1080,29 +1152,26 @@ def _decide(pair: _LowerPair, frames: tuple) -> tuple:
                         reading, None)
         t += 1
         sorter = pair.sorter(t)
-    t, sorter = 0, pair.walked[0]
-    while sorter is not None:
-        sort, s1, s2 = sorter.frame or sorter.build_frame(pair.e1, e2)
-        for mu1, mu2, f, _ in frames:
-            c = _steps(sort(f))
-            from1 = list(map(eq, c, s1))
-            if all(map(or_, from1, map(eq, c, s2))):
-                # 1 where part 1's coordinate fits, else 2
-                mix = tuple(map(sub, itertools.repeat(2), from1))
-                return (CoverKind.TYPE_II, sorter.images, (mu1, mu2), None,
-                        None, mix)
-        t += 1
-        sorter = pair.sorter(t)
+    first = pair.walked[0]
+    if pair.mixing is None:
+        pair.mixing = _mixing(pair.e1, e2, first.q, fields)
+    for mu1, mu2, f, _ in frames:
+        mix = _mixed(f, pair.mixing)
+        if mix is not None:
+            return (CoverKind.TYPE_II, first.images, (mu1, mu2), None, None,
+                    mix)
     return _UNCLASSIFIED
 
 
 def _witness(images: tuple[int, ...] | None, orientation, index, reading,
-             mix) -> CoverWitness | None:
-    """A decision's witness, sigma built from the sorter's images, or None
-    for an unclassified edge."""
+             mix, weight=Weight) -> CoverWitness | None:
+    """A decision's witness, sigma built from the sorter's images and the
+    orientation's ``Weight``s by weight from its omega tuples, or None for
+    an unclassified edge."""
     if images is None:
         return None
-    return CoverWitness(Permutation(images), orientation, index, reading, mix)
+    return CoverWitness(Permutation(images), tuple(map(weight, orientation)),
+                        index, reading, mix)
 
 
 def _decide_row(k: int, rows: tuple[tuple[int, ...], ...], uppers: _PerCall,
@@ -1146,9 +1215,10 @@ def classify_cover(low: WeightTuple, high: WeightTuple) -> tuple[CoverKind, Cove
     # dominant parts: a padded epsilon tuple peaks at its first slot, the
     # omega sum
     width = _field_width(max(sum(p.omega) for p in low.parts + high.parts))
-    pair = _LowerPair(_frames(*low.parts, width),
-                      _field_layout(low.rank + 1, width))
-    kind, *witness = _decide(pair, _frames(*high.parts, width))
+    low_frames, high_frames = (
+        _frames(*(p.omega for p in x.parts), width) for x in (low, high))
+    pair = _LowerPair(low_frames, _field_layout(low.rank + 1, width))
+    kind, *witness = _decide(pair, high_frames)
     return kind, _witness(*witness)
 
 

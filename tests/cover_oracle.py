@@ -8,6 +8,8 @@ the witness type with the package, so the two routes must agree on every
 field.  The sorter coset is built here the eager way too: every
 stabilizer arrangement composed with the stable sorting permutation, then
 sorted by images, where the package walks the sorters lazily.
+``mix_by_steps`` keeps the package's former tuple form of the second-kind
+test, which now runs on packed integers.
 """
 
 import itertools
@@ -38,6 +40,25 @@ def sorting_coset_by_stabilizer(values):
                 stab_images[src] = dst
         coset.add(compose(Permutation(tuple(stab_images)), sigma))
     return sorted(coset, key=lambda p: p.images)
+
+
+def _steps(xs):
+    """Consecutive differences xs[t] - xs[t + 1]: the omega coordinates
+    of a padded epsilon vector laid out in some frame."""
+    return [x - y for x, y in zip(xs, xs[1:])]
+
+
+def mix_by_steps(e1, e2, f, q):
+    """The second-kind test on value tuples: lay e1, e2 and f out in the
+    sorted frame of the sorter with inverse q (slot t holds x[q[t]]), take
+    their steps, and give the mix (1 where f's step equals e1's, else 2
+    where it equals e2's), or None when some step of f equals neither."""
+    def sort(xs):
+        return [xs[t] for t in q]
+    c, s1, s2 = _steps(sort(f)), _steps(sort(e1)), _steps(sort(e2))
+    if all(x in (y, z) for x, y, z in zip(c, s1, s2)):
+        return tuple(1 if x == y else 2 for x, y in zip(c, s1))
+    return None
 
 
 def _fundamental_chunk_witness(lam1, lam2, mu1, mu2, sigma):

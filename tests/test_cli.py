@@ -1051,8 +1051,8 @@ class TestBenchLayersScript:
         layers = {"build_poset", "_below", "cover_rows", "json_chunks",
                   "dot_chunks"}
         for name, fiber in fibers.items():
-            want = layers | {"cover_decisions", "covers_text", "cover_edges"} \
-                if fiber["k"] == 2 else layers
+            want = layers | {"frames", "decisions", "covers_text",
+                             "cover_edges"} if fiber["k"] == 2 else layers
             assert set(fiber["seconds_min"]) == want, name
             assert all(s >= 0 for s in fiber["seconds_min"].values())
             # the best times, scaled by the reference over the best probe

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import re
+from operator import sub
 import weakref
 from collections import Counter
 from hashlib import sha256
@@ -31,12 +32,14 @@ from weyl_order import (
     poset_size_k2,
 )
 from weyl_order.posets import (_COUNT_CAP, _SLOT, _between, _capped_count,
-                               _field_layout, _field_width, _layout, _pack,
+                               _field_layout, _field_width, _frames,
+                               _inverse, _layout, _mixed, _mixing, _pack,
                                _part_box, _part_multisets, _raised,
                                _separator, _sorting_coset, compositions)
 from weyl_order.tuples import _part_window_values, stat_labels, windows
 
-from cover_oracle import classify_cover_by_search, sorting_coset_by_stabilizer
+from cover_oracle import (classify_cover_by_search, mix_by_steps,
+                          sorting_coset_by_stabilizer)
 from fiber_oracle import (classes_by_enumeration, compositions_by_recursion,
                           members, part_multisets_by_scan,
                           stat_vector_by_windows, tuple_sort_key)
@@ -775,21 +778,23 @@ class TestCoverClassification:
                 [p.images for p in sorting_coset_by_stabilizer(values)], values
 
     def test_epsilon_vector_computed_once_per_part(self, monkeypatch):
-        # the poset's frame table computes each class's two padded epsilon
-        # vectors once for all the edges that read the class: 365 classes
-        # of two parts each, 730 calls, and none on a second read
+        # the poset's frame table builds each class's frames, the padded
+        # epsilon vectors of its two parts, once for all the edges that
+        # read the class, from its first multiset's omega tuples: 365
+        # classes, 365 calls, and none on a second read
+        import weyl_order.posets as posets
         poset = build_poset(Weight((2,) * 6), 2)
         calls = []
-        real = Weight.eps
+        real = posets._frames
 
-        def counting(w):
-            calls.append(w.omega)
-            return real(w)
-        monkeypatch.setattr(Weight, "eps", counting)
+        def counting(o1, o2, width):
+            calls.append((o1, o2))
+            return real(o1, o2, width)
+        monkeypatch.setattr(posets, "_frames", counting)
         poset.cover_edges
-        assert Counter(calls) == Counter(
-            p for cls in poset.classes for p in cls.multisets[0])
-        assert len(calls) == 730
+        assert Counter(calls) == Counter(cls.multisets[0]
+                                         for cls in poset.classes)
+        assert len(calls) == 365
         calls.clear()
         poset._cover_decisions, covers_of(poset, poset.bottom_index)
         assert calls == []
@@ -883,7 +888,8 @@ class TestPerClassCoverData:
 
     def test_no_cover_data_outlives_its_row(self):
         # a decision holds its sorter's image tuple, not the sorter, and
-        # classify_cover leaves nothing on the lower representative
+        # its orientation's omega tuples, not Weights; classify_cover
+        # leaves nothing on the lower representative
         poset = build_poset(Weight((2, 2, 2, 2)), 2)
         decisions = [d for row in poset._cover_decisions for d in row]
         assert len(decisions) == len(poset.hasse_edges)
@@ -892,14 +898,41 @@ class TestPerClassCoverData:
             assert images is None or (
                 type(images) is tuple
                 and all(type(t) is int for t in images)), images
-            assert orientation is None or all(
-                type(w) is Weight for w in orientation)
+            # the orientation as two omega int tuples: its Weights are
+            # built by _witness alone
+            assert orientation is None or (
+                len(orientation) == 2 and all(
+                    type(o) is tuple and all(type(c) is int for c in o)
+                    for o in orientation)), orientation
         assert {d[1] is None for d in decisions} == {False}
         reps = [cls.rep for cls in poset.classes]
         for low, high in poset.hasse_edges:
             before = dict(reps[low].__dict__)
             assert classify_cover(reps[low], reps[high])[1] is not None
             assert reps[low].__dict__ == before
+
+    def test_decisions_build_no_weight(self, monkeypatch):
+        # a fresh poset's decisions, and the covers and poset files read
+        # off them, construct no Weight: the frames come from omega tuples
+        # and a decision holds omega tuples.  The witness objects are what
+        # build Weights, one per distinct part that cover_edges reads
+        poset = build_poset(Weight((2,) * 6), 2)
+        built = []
+        real = Weight.__post_init__
+
+        def counting(w):
+            built.append(w.omega)
+            real(w)
+        monkeypatch.setattr(Weight, "__post_init__", counting)
+        poset._cover_decisions
+        out, chunks = poset.covers_text(True)
+        assert out and list(chunks)
+        poset.json_text(), poset.to_dot()
+        assert built == []
+        edges = poset.cover_edges
+        assert len(edges) == 1362
+        parts = {w.omega for e in edges for w in e.witness.orientation}
+        assert sorted(built) == sorted(parts)
 
     @pytest.mark.parametrize("coords, k", [((2, 2, 2, 2), 2), ((2, 1, 1), 3)])
     def test_a_used_poset_is_freed_by_reference_counting(self, coords, k):
@@ -949,9 +982,12 @@ class TestPerClassCoverData:
 
 
 class TestPackedRule:
-    """The k = 2 rule decides the chunk shape on packed tuples
-    (``posets._raised``): the test as a pure function at its edges, and
-    the decision list against the search oracle, field by field."""
+    """The k = 2 rule decides on packed tuples: the chunk shape
+    (``posets._raised``) and the coordinate mix (``posets._mixed``) as
+    pure functions at their edges, the mix against the tuple test of
+    ``tests/cover_oracle.py``, the frames filled from omega tuples
+    against the ``Weight`` route, and the decision list against the
+    search oracle, field by field."""
 
     @staticmethod
     def raised_by_values(e1, f, bits):
@@ -1024,12 +1060,139 @@ class TestPackedRule:
         assert kinds[CoverKind.TYPE_I] and kinds[CoverKind.TYPE_II]
 
     @staticmethod
+    def frames_by_weights(h1, h2, width):
+        # the frames as the Weight route builds them: the two parts'
+        # Weight.eps_padded, packed by shifts, one frame for equal parts
+        def pack(values):
+            return sum(v << width * s for s, v in enumerate(values))
+        f1, f2 = h1.eps_padded(), h2.eps_padded()
+        first = (h1, h2, f1, pack(f1))
+        return (first,) if f1 == f2 else (first, (h2, h1, f2, pack(f2)))
+
+    @pytest.mark.parametrize("coords, width", [
+        ((9,), 8), ((3, 4), 8), ((2, 1, 2), 8), ((2, 2, 2, 2), 8),
+        ((1,) * 5, 8), ((2,) * 6, 8),
+        # |lam| 127 packs 8-bit fields, 128 16-bit ones
+        ((127,), 8), ((64, 63), 8), ((1, 63, 63), 8),
+        ((128,), 16), ((64, 64), 16), ((1, 63, 64), 16)])
+    def test_frames_match_the_weight_route(self, coords, width):
+        # every class's frames, filled from omega tuples, against the
+        # frames of its first multiset's parts as Weights
+        poset = build_poset(Weight(coords), 2)
+        assert poset._packing[0] == width
+        lengths = Counter()
+        for b, cls in enumerate(poset.classes):
+            frames = poset._uppers[b]
+            parts = tuple(map(Weight, cls.multisets[0]))
+            assert [(Weight(mu1), Weight(mu2), f, packed)
+                    for mu1, mu2, f, packed in frames] == \
+                list(self.frames_by_weights(*parts, width)), (coords, b)
+            for mu1, _, f, packed in frames:
+                assert packed == _pack(Weight(mu1).eps_padded(), width)
+            lengths[len(frames)] += 1
+        # one frame exactly for the split into two equal parts
+        even = all(c % 2 == 0 for c in coords)
+        assert lengths[1] == even and lengths[2] == len(poset) - even
+
+    @pytest.mark.parametrize("width", [8, 16])
+    def test_packed_mix_test_matches_the_steps(self, width):
+        # e1, e2 and f over every padded vector of length 2 .. 4 with values
+        # 0 .. 2, then of length 3 with values at the field's edges, and
+        # every sorter of delta = e1 - e2: the packed test, which reads the
+        # first sorter's frame, against the tuple test under each sorter
+        span = 2 ** (width - 1) - 1
+        grids = [(n, range(3)) for n in (1, 2, 3)] + [(2, (0, 1, span - 1,
+                                                             span))]
+        counts = Counter()
+        for n, values in grids:
+            vectors = [v + (0,) for v in itertools.product(values, repeat=n)]
+            fields = _field_layout(n + 1, width)
+            for e1, e2 in itertools.product(vectors, repeat=2):
+                sorters = [_inverse(images) for images in
+                           _sorting_coset(tuple(map(sub, e1, e2)))]
+                mixing = _mixing(e1, e2, sorters[0], fields)
+                for f in vectors:
+                    want = mix_by_steps(e1, e2, f, sorters[0])
+                    assert _mixed(f, mixing) == want, (e1, e2, f)
+                    for q in sorters[1:]:
+                        assert mix_by_steps(e1, e2, f, q) == want, (e1, e2, f)
+                    if want is None:
+                        counts["fails"] += 1
+                        continue
+                    counts[want] += 1
+                    steps = [f[x] - f[y] for x, y in zip(sorters[0],
+                                                         sorters[0][1:])]
+                    counts["negative steps"] += min(steps) < 0
+                    counts["many sorters"] += len(sorters) > 1
+        assert counts["fails"] and counts["negative steps"]
+        assert counts["many sorters"]
+        assert counts[(1, 2, 1)] and counts[(2, 1, 2)]
+
+    def test_forward_masks_built_only_when_the_inverse_reading_fails(
+            self, monkeypatch):
+        # no cover of these fibers reads forward, and none builds the
+        # forward masks; the incomparable pair of (2,2,2,2) whose 11th
+        # sorter witnesses in the forward reading builds them
+        import weyl_order.posets as posets
+        built = []
+        real = posets._Sorter.build_forward
+
+        def counting(sorter, bits):
+            built.append(sorter.images)
+            return real(sorter, bits)
+        monkeypatch.setattr(posets._Sorter, "build_forward", counting)
+        for coords in [(2,) * 6, (1,) * 7, (2, 2, 2, 2), (4, 4, 4)]:
+            build_poset(Weight(coords), 2)._cover_decisions
+        assert built == []
+        kind, w = classify_cover(T((0, 1, 2, 1), (2, 1, 0, 1)),
+                                 T((1, 0, 2, 2), (1, 2, 0, 0)))
+        assert w.reading == "forward" and w.sigma.images in built
+
+    def test_second_kind_takes_the_first_fitting_frame(self):
+        # every ordered pair of k = 2 splittings of small lam, upper pairs
+        # with one frame (equal parts) and with two: a decision not of the
+        # first kind is of the second exactly when some frame passes the
+        # tuple test under the first sorter, and then it holds the first
+        # such frame's orientation and mix
+        import weyl_order.posets as posets
+        seen = Counter()
+        for lam in [(2,), (4,), (2, 2), (3, 1), (2, 0, 2), (1, 2, 1)]:
+            width = _field_width(sum(lam))
+            fields = _field_layout(len(lam) + 1, width)
+            splits = [(p, tuple(m - c for m, c in zip(lam, p)))
+                      for p in itertools.product(*(range(m + 1) for m in lam))]
+            for low in splits:
+                pair = posets._LowerPair(_frames(*low, width), fields)
+                first = pair.walked[0]
+                for high in splits:
+                    frames = _frames(*high, width)
+                    kind, images, orientation, _, _, mix = posets._decide(
+                        pair, frames)
+                    seen[len(frames), kind] += 1
+                    if kind is CoverKind.TYPE_I:
+                        continue
+                    fits = [((mu1, mu2), m) for mu1, mu2, f, _ in frames
+                            if (m := mix_by_steps(pair.e1, pair.e2, f,
+                                                  first.q)) is not None]
+                    if fits:
+                        assert (kind, images, (orientation, mix)) == \
+                            (CoverKind.TYPE_II, first.images, fits[0])
+                    else:
+                        assert kind is CoverKind.UNCLASSIFIED
+        for length in (1, 2):
+            assert seen[length, CoverKind.TYPE_II]
+            assert seen[length, CoverKind.UNCLASSIFIED]
+        assert seen[2, CoverKind.TYPE_I]
+
+    @staticmethod
     def search_decision(low, high):
+        # the oracle's answer as a decision holds it: the sorter's images
+        # and the orientation's omega tuples
         kind, w = classify_cover_by_search(low, high)
         if w is None:
             return (kind, None, None, None, None, None)
-        return (kind, w.sigma.images, w.orientation, w.index, w.reading,
-                w.mix)
+        return (kind, w.sigma.images, tuple(p.omega for p in w.orientation),
+                w.index, w.reading, w.mix)
 
     def test_decisions_match_search_on_a_grid(self):
         # every nonzero k = 2 fiber of rank 1 with coordinates <= 8, rank 2
