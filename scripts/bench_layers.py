@@ -2,7 +2,8 @@
 """Time the poset layers on the benchmark fibers and write BENCH_<label>.json.
 
 For the fiber of each ``perfbench`` workload (for ``sweep``, the largest
-fiber of its grid) it records the best of ``--repeat`` wall times of
+fiber of its grid), and for (1,)*7 at k = 2, which no workload runs (its
+entry reads ``"perfbench": false``), it records the best of ``--repeat`` wall times of
 ``build_poset``, the strict order (``TuplePoset._below``), the cover walk
 (``cover_rows``), at k = 2 the class frames (``frames``: every entry of
 ``TuplePoset._uppers`` filled) and then the covers classified by kind
@@ -62,6 +63,12 @@ FIBERS = {
     "poset_k3": ((6, 6, 6), 3),
     "poset_k6": ((5, 5), 6),
     "covers_k2": ((2, 2, 2, 2, 2, 2), 2),
+}
+# fibers timed next to them that no perfbench workload runs: every one of
+# the 167 covers of (1,)*7 is of the second kind, the other end of the
+# k = 2 decision pass from (2,)*6
+OTHER_FIBERS = {
+    "ones_k2": ((1,) * 7, 2),
 }
 # perfbench's sweep workload, run in process
 SWEEP = {"max_coord": 5, "max_k": 4}
@@ -240,8 +247,9 @@ def main(argv=None) -> int:
         ap.error(f"--out-dir {str(args.out_dir)!r}: {out.name} is a directory")
 
     fibers = {}
-    for name, (coords, k) in FIBERS.items():
-        fibers[name] = measure_fiber(coords, k, args.repeat)
+    for name, (coords, k) in {**FIBERS, **OTHER_FIBERS}.items():
+        fibers[name] = {**measure_fiber(coords, k, args.repeat),
+                        "perfbench": name in FIBERS}
         print(name, json.dumps(fibers[name]["seconds_scaled_min"]))
     verify = {**SWEEP, **best_times(args.repeat, verify_times)}
     print("verify", json.dumps(verify["seconds_scaled_min"]))

@@ -24,7 +24,11 @@ second kind where the two new parts mix the old parts' coordinates after
 a sorting change of frame, and an explicit ``UNCLASSIFIED`` fallback for
 anything else.  ``_decide`` is the one place the rule is decided; it
 tests the chunk shape (``_raised``) and the coordinate mix (``_mixed``)
-on packed integers.  A poset decides each cover once, row by row as
+on packed integers.  No sorter coset is walked: the first kind holds
+only at a gap of at least 2 in the sorted difference of the lower parts,
+where the first sorter decides the inverse reading and the forward
+reading's sorter is built (``_forward_sorter``), and the first sorter
+decides the second kind.  A poset decides each cover once, row by row as
 readers ask: ``_decided`` is a ``_PerCall`` of ``_decide_row``, as
 ``_uppers`` is of the classes' packed frames, which are filled from the
 omega integers of each class's first multiset; off k = 2 every decision
@@ -796,6 +800,10 @@ class CoverKind(enum.Enum):
     TYPE_II = "type_two"
     UNCLASSIFIED = "unclassified"
 
+    # members are singletons and compare by identity; Enum's own __hash__
+    # is Python code, run on every lookup of a table keyed by kind
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class CoverWitness:
@@ -845,57 +853,6 @@ def _first_sorter(values: tuple[int, ...]) -> tuple[tuple[int, ...], list[int]]:
     the stable descending argsort (order[t], the slot sent to t)."""
     order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
     return tuple(_inverse(order)), order
-
-
-def _sorting_coset(values: tuple[int, ...]):
-    """Every permutation arranging values weakly decreasing, as image
-    tuples, lazily, in image-lex order (identity first when values are
-    already sorted).
-
-    A sorter sends each slot to a slot holding the same value in the
-    sorted vector; ties admit several, a coset of the stabilizer.  The
-    image-lex first sorter is ``_first_sorter``'s, yielded without a walk.
-    Only when a caller asks for a second sorter does the walk start: each
-    value keeps its list of target slots, and slot by slot the unused
-    ones are tried in increasing order, so the sorters come out in
-    image-lex order and runs replay deterministically; the walk's own
-    first answer is that sorter again and is skipped.  Callers usually
-    stop at the first sorter, so none is built ahead; each call returns a
-    fresh iterator.
-    """
-    first, order = _first_sorter(values)
-    yield first
-
-    n = len(values)
-    images = [0] * n
-    targets: dict[int, list[int]] = {}
-    for slot, p in enumerate(order):
-        targets.setdefault(values[p], []).append(slot)
-    choices = [targets[v] for v in values]
-    used = [False] * n
-
-    def extend(p: int):
-        if p == n:
-            yield tuple(images)
-            return
-        for slot in choices[p]:
-            if not used[slot]:
-                used[slot] = True
-                images[p] = slot
-                yield from extend(p + 1)
-                used[slot] = False
-    walk = extend(0)
-    next(walk)
-    yield from walk
-
-
-def _prefix_masks(bits) -> list[int]:
-    """masks[i]: the OR of the first i of bits, for i = 0 .. len."""
-    masks = [mask := 0]
-    for bit in bits:
-        mask |= bit
-        masks.append(mask)
-    return masks
 
 
 # A packed tuple is one integer holding value s of a padded epsilon tuple
@@ -1024,44 +981,20 @@ def _frames(o1: tuple[int, ...], o2: tuple[int, ...], width: int) -> tuple:
     return first, (o2, o1, f2, _pack(f2, width))
 
 
-class _Sorter:
-    """One sorter of a lower pair's delta and its first-kind prefix masks
-    in the packed layout, each built on first need: its images and inverse
-    q at once; ``inverse``, when a first-kind candidate reaches it, the
-    masks of the slots {q[t] : t < i}; ``forward``, only when the inverse
-    reading fails and the forward one could still hold, the masks of
-    {sigma(t) : t < i}.  A decision keeps only the images, so a sorter
-    lives as long as its lower pair."""
-
-    __slots__ = ("images", "q", "inverse", "forward")
-
-    def __init__(self, images: tuple[int, ...], q: list[int]):
-        self.images, self.q = images, q
-        self.inverse = self.forward = None
-
-    def build_inverse(self, bits: list[int]) -> list[int]:
-        self.inverse = _prefix_masks(map(bits.__getitem__, self.q))
-        return self.inverse
-
-    def build_forward(self, bits: list[int]) -> list[int]:
-        self.forward = _prefix_masks(map(bits.__getitem__, self.images))
-        return self.forward
-
-
 class _LowerPair:
     """What a k = 2 lower class gives every cover above it: its parts'
     padded epsilon tuples in canonical order (e1 >= e2), delta = e1 - e2,
     the packed layout (``fields``, see ``_field_layout``) and top = E1 +
-    OFF, the sorters of delta, and ``mixing``, what the second-kind test
+    OFF; the first sorter of delta (``_first_sorter``), its images and
+    inverse q; ``gaps``, the first-kind masks (``build_gaps``), built when
+    a chunk first reaches them; and ``mixing``, what the second-kind test
     reads (``_mixing``, in the first sorter's frame), built when a cover
-    first reaches that test.  walked holds the sorters built so far, the
-    first one (``_first_sorter``) at once, and fresh the walk that yields
-    the rest, started when a second sorter is asked for.  Built from the
-    class's frames (``_frames``), one per cover row or per
-    ``classify_cover`` call, and dropped with it."""
+    first reaches that test.  Built from the class's frames (``_frames``),
+    one per cover row or per ``classify_cover`` call, and dropped with
+    it."""
 
-    __slots__ = ("e1", "e2", "delta", "fields", "top", "walked", "fresh",
-                 "mixing")
+    __slots__ = ("e1", "e2", "delta", "fields", "top", "images", "q",
+                 "gaps", "mixing")
 
     def __init__(self, frames: tuple, fields: tuple):
         (_, _, x, packed), (_, _, y, _) = frames[0], frames[-1]
@@ -1071,23 +1004,60 @@ class _LowerPair:
         self.delta = tuple(map(sub, x, y))
         self.fields = fields
         self.top = packed + fields[1]
-        self.walked = [_Sorter(*_first_sorter(self.delta))]
-        self.fresh = self.mixing = None
+        self.images, self.q = _first_sorter(self.delta)
+        self.gaps = self.mixing = None
 
-    def sorter(self, t: int) -> _Sorter | None:
-        """Sorter t of delta in image-lex order, or None past the last,
-        for t up to len(walked): each is built once, and the walk resumes
-        where it stopped."""
-        walked = self.walked
-        if t == len(walked):
-            if self.fresh is None:
-                self.fresh = _sorting_coset(self.delta)
-                next(self.fresh)  # the first sorter, walked already
-            images = next(self.fresh, None)
-            if images is None:
-                return None
-            walked.append(_Sorter(images, _inverse(images)))
-        return walked[t]
+    def build_gaps(self) -> list[int | None]:
+        """gaps[i], for i = 1 .. n: the packed mask of the slots {q[t] :
+        t < i} when delta sorted descending drops by at least 2 from
+        position i - 1 to position i (the gap at i), else None; gaps[0] is
+        None."""
+        delta, q, bits = self.delta, self.q, self.fields[0]
+        self.gaps = gaps = [None]
+        mask = 0
+        for a, b in zip(q, q[1:]):
+            mask |= bits[a]
+            gaps.append(mask if delta[a] - delta[b] >= 2 else None)
+        return gaps
+
+
+def _forward_sorter(pair: _LowerPair, raised: int,
+                    i: int) -> tuple[int, ...] | None:
+    """The image-lex first sorter sigma of the lower pair's delta at which
+    the chunk with raised slots R (the packed mask raised) reads forward
+    at i, as images, or None when no sorter does: {sigma(t) : t < i} = R,
+    the slot sent to position i - 1 is in R and the one sent to position
+    i is not.  The caller has found the gap at i (``_LowerPair.build_gaps``).
+
+    A sorter sends the slots holding each value of delta onto that value's
+    tie block of positions, each block on its own, so the image-lex first
+    such sigma is the first one on every block: there the slots below i go
+    onto the block's positions in R and the other slots onto the rest,
+    each in increasing order (no sigma exists unless every block has as
+    many slots below i as positions in R).  The gap puts position i - 1
+    last in its block and position i first in the next.  Position i - 1
+    goes to the largest slot in R that may take it, and position i to the
+    smallest slot outside R that may take it; the other slots of their
+    groups keep increasing order.  Any other choice gives an earlier slot
+    a larger image."""
+    delta, q = pair.delta, pair.q
+    n = len(q)
+    inside = [bool(raised & bit) for bit in pair.fields[0]]
+    last = max((s for s in range(n) if delta[s] == delta[q[i - 1]]
+                and (s < i) == inside[i - 1] and inside[s]), default=None)
+    first = min((s for s in range(n) if delta[s] == delta[q[i]]
+                 and (s < i) == inside[i] and not inside[s]), default=None)
+    if last is None or first is None:
+        return None
+    slots = sorted(range(n), key=lambda s: (
+        -delta[s], s >= i, (s == last) - (s == first), s))
+    positions = sorted(range(n), key=lambda p: (-delta[q[p]], not inside[p], p))
+    images = [0] * n
+    for s, p in zip(slots, positions):
+        if inside[p] != (s < i):
+            return None
+        images[s] = p
+    return tuple(images)
 
 
 # A decision is a plain tuple: the kind, then the witness fields with the
@@ -1102,20 +1072,30 @@ def _decide(pair: _LowerPair, frames: tuple) -> tuple:
     the lower pair to the upper pair of the given frames (``_frames``).
 
     sigma ranges over the sorters of delta in image-lex order, and the
-    upper pair (f for mu1) over its frames.  With q = sigma^-1, slot t of
-    the sorted frame holds x[q[t]], and its omega coordinate t is
-    x[q[t]] - x[q[t + 1]].
+    upper pair (f for mu1) over its frames; the witness is the first one
+    in that order, sorter-major.  With q = sigma^-1, slot t of the sorted
+    frame holds x[q[t]], and its omega coordinate t is x[q[t]] -
+    x[q[t + 1]].
 
-    First kind: part 1 hands part 2 the chunk e1 - f and keeps f - e2.
+    First kind: part 1 hands part 2 the chunk c = e1 - f and keeps f - e2.
     The chunk must take two values a step apart (``_raised``, on packed
-    tuples); i counts its raised slots.  It is rho * omega_i, positive at
-    i on both sides in the sorted frame, when the raised slots are
-    {q[t] : t < i} (rho = sigma^-1, "inverse") or {sigma(t) : t < i}
-    (rho = sigma, "forward"), tried in that order: the raised mask is
-    compared with the sorter's prefix masks.  The chunk is positive at i
-    when q[i - 1] is raised and q[i] is not, which an inverse match
-    implies and a forward match is checked for, before the forward masks
-    are built.  First-kind witnesses take precedence over the whole coset.
+    tuples); R is its raised slots and i counts them.  It is rho *
+    omega_i, positive at i on both sides in the sorted frame, when R =
+    {q[t] : t < i} (rho = sigma^-1, "inverse") or R = {sigma(t) : t < i}
+    (rho = sigma, "forward"), inverse first, with a = q[i - 1] in R and b
+    = q[i] not, which the inverse reading implies, and f[a] - e2[a] >
+    f[b] - e2[b].  As f - e2 = delta - c and c is one higher on R than off
+    it, that last test reads ranked[i - 1] - ranked[i] >= 2, ranked being
+    delta sorted descending: the gap at i, the same for every sorter.  So
+    a chunk without the gap is never first kind.  With it, the slots that
+    any sorter sends below position i are those where delta is at least
+    ranked[i - 1], so the inverse reading holds at every sorter or at
+    none, and the first sorter decides it (``_LowerPair.build_gaps``).
+    The forward reading's first sorter is built, not searched
+    (``_forward_sorter``).  Among the chunks the witness has the least
+    sorter images, then the first frame, then the inverse reading, as a
+    walk over the sorters would meet them, so a witness at the first
+    sorter ends the search.
 
     Second kind: in the sorted frame mu1 picks each omega coordinate from
     one of the two lower parts, part 1 wherever it fits (``_mixed``, on
@@ -1127,38 +1107,32 @@ def _decide(pair: _LowerPair, frames: tuple) -> tuple:
     lays out in the same order.  So the first sorter decides it: its
     witness when a frame fits, else no sorter's.
     """
-    e2, top, fields = pair.e2, pair.top, pair.fields
-    bits = fields[0]
-    chunks = []
-    for frame in frames:
-        raised = _raised(top, frame[3], fields)
-        if raised:
-            chunks.append((raised, raised.bit_count(), frame))
-    t, sorter = 0, pair.walked[0]
-    while chunks and sorter is not None:
-        q = sorter.q
-        inverse = sorter.inverse or sorter.build_inverse(bits)
-        for raised, i, (mu1, mu2, f, _) in chunks:
-            a, b = q[i - 1], q[i]
-            if raised == inverse[i]:
-                reading = "inverse"
-            elif q[a] < i <= q[b] and raised == (
-                    sorter.forward or sorter.build_forward(bits))[i]:
-                reading = "forward"
-            else:
-                continue
-            if f[a] - e2[a] > f[b] - e2[b]:
-                return (CoverKind.TYPE_I, sorter.images, (mu1, mu2), i,
-                        reading, None)
-        t += 1
-        sorter = pair.sorter(t)
-    first = pair.walked[0]
+    top, fields = pair.top, pair.fields
+    found = None
+    for mu1, mu2, _, packed in frames:
+        raised = _raised(top, packed, fields)
+        if not raised:
+            continue
+        i = raised.bit_count()
+        mask = (pair.gaps or pair.build_gaps())[i]
+        if mask is None:
+            continue
+        if raised == mask:
+            return (CoverKind.TYPE_I, pair.images, (mu1, mu2), i, "inverse",
+                    None)
+        images = _forward_sorter(pair, raised, i)
+        if images is not None and (found is None or images < found[1]):
+            found = (CoverKind.TYPE_I, images, (mu1, mu2), i, "forward", None)
+            if images == pair.images:
+                return found
+    if found is not None:
+        return found
     if pair.mixing is None:
-        pair.mixing = _mixing(pair.e1, e2, first.q, fields)
+        pair.mixing = _mixing(pair.e1, pair.e2, pair.q, fields)
     for mu1, mu2, f, _ in frames:
         mix = _mixed(f, pair.mixing)
         if mix is not None:
-            return (CoverKind.TYPE_II, first.images, (mu1, mu2), None, None,
+            return (CoverKind.TYPE_II, pair.images, (mu1, mu2), None, None,
                     mix)
     return _UNCLASSIFIED
 

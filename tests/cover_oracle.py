@@ -5,11 +5,13 @@ weights.  This fixture keeps the search those formulas stand for: the
 first kind tries every fundamental index i with both readings, the
 second kind walks all 2^n coordinate mixes in product order.  It shares
 the witness type with the package, so the two routes must agree on every
-field.  The sorter coset is built here the eager way too: every
-stabilizer arrangement composed with the stable sorting permutation, then
-sorted by images, where the package walks the sorters lazily.
-``mix_by_steps`` keeps the package's former tuple form of the second-kind
-test, which now runs on packed integers.
+field.  The sorter coset is built here the eager way: every stabilizer
+arrangement composed with the stable sorting permutation, then sorted by
+images, where the package keeps only the first sorter.
+``first_kind_by_sorters`` keeps the sorter-major first-kind walk in
+tuple form, which the package replaces with the gap rule and a built
+forward sorter; ``mix_by_steps`` keeps the tuple form of the second-kind
+test, which the package runs on packed integers.
 """
 
 import itertools
@@ -58,6 +60,39 @@ def mix_by_steps(e1, e2, f, q):
     c, s1, s2 = _steps(sort(f)), _steps(sort(e1)), _steps(sort(e2))
     if all(x in (y, z) for x, y, z in zip(c, s1, s2)):
         return tuple(1 if x == y else 2 for x, y in zip(c, s1))
+    return None
+
+
+def first_kind_by_sorters(e1, e2, frames, coset):
+    """The first-kind decision by the sorter-major walk, on value tuples:
+    for each sorter of coset (``sorting_coset_by_stabilizer`` of e1 - e2,
+    e1 >= e2 the lower pair's padded epsilon tuples), then each frame
+    (mu1, mu2, f) of the upper pair, f mu1's padded epsilon tuple, the
+    chunk c = e1 - f must take two values a step apart; with R its raised
+    slots, i = |R| and q the sorter's inverse, it reads "inverse" when R =
+    {q[t] : t < i}, else "forward" when R = {sigma(t) : t < i} with a =
+    q[i - 1] in R and b = q[i] not, and it witnesses when f[a] - e2[a] >
+    f[b] - e2[b].  Gives (images, (mu1, mu2), i, reading) of the first
+    witness, or None.  The package decides the same from the gap in
+    sorted e1 - e2 and builds the forward sorter instead."""
+    for sigma in coset:
+        images = sigma.images
+        q = inverse(sigma).images
+        for mu1, mu2, f in frames:
+            c = [x - y for x, y in zip(e1, f)]
+            if max(c) - min(c) != 1:
+                continue
+            raised = {s for s, v in enumerate(c) if v == max(c)}
+            i = len(raised)
+            a, b = q[i - 1], q[i]
+            if raised == set(q[:i]):
+                reading = "inverse"
+            elif a in raised and b not in raised and raised == set(images[:i]):
+                reading = "forward"
+            else:
+                continue
+            if f[a] - e2[a] > f[b] - e2[b]:
+                return images, (mu1, mu2), i, reading
     return None
 
 

@@ -1047,7 +1047,11 @@ class TestBenchLayersScript:
             "src_lines"}
         assert payload["provenance"]["src_lines"] > 0
         fibers = payload["fibers"]
-        assert set(fibers) == set(script.FIBERS)
+        assert set(fibers) == set(script.FIBERS) | set(script.OTHER_FIBERS)
+        assert {name for name, fiber in fibers.items()
+                if fiber["perfbench"]} == set(script.FIBERS)
+        assert (fibers["ones_k2"]["lambda"], fibers["ones_k2"]["k"]) == \
+            ([1] * 7, 2)
         layers = {"build_poset", "_below", "cover_rows", "json_chunks",
                   "dot_chunks"}
         for name, fiber in fibers.items():
@@ -1071,7 +1075,7 @@ class TestBenchLayersScript:
         assert 0 < k3["cover_rows_peak_bytes"] < k3["below_bytes"]
         # the bytes the decision list keeps, at k = 2 only
         assert [name for name, fiber in fibers.items()
-                if "cover_decisions_bytes" in fiber] == ["covers_k2"]
+                if "cover_decisions_bytes" in fiber] == ["covers_k2", "ones_k2"]
         assert fibers["covers_k2"]["cover_decisions_bytes"] > 0
         # the sweep workload in process, scaled by the same probe
         verify = payload["verify"]

@@ -3,7 +3,9 @@ import itertools
 import json
 import math
 import re
+import sys
 from operator import sub
+from types import SimpleNamespace
 import weakref
 from collections import Counter
 from hashlib import sha256
@@ -18,6 +20,7 @@ from weyl_order import (
     EquivClass,
     GuardExceeded,
     OrderVerdict,
+    Permutation,
     TuplePoset,
     Weight,
     WeightTuple,
@@ -32,14 +35,14 @@ from weyl_order import (
     poset_size_k2,
 )
 from weyl_order.posets import (_COUNT_CAP, _SLOT, _between, _capped_count,
-                               _field_layout, _field_width, _frames,
-                               _inverse, _layout, _mixed, _mixing, _pack,
-                               _part_box, _part_multisets, _raised,
-                               _separator, _sorting_coset, compositions)
+                               _field_layout, _field_width, _first_sorter,
+                               _frames, _inverse, _layout, _mixed, _mixing,
+                               _pack, _part_box, _part_multisets, _raised,
+                               _separator, compositions)
 from weyl_order.tuples import _part_window_values, stat_labels, windows
 
-from cover_oracle import (classify_cover_by_search, mix_by_steps,
-                          sorting_coset_by_stabilizer)
+from cover_oracle import (classify_cover_by_search, first_kind_by_sorters,
+                          mix_by_steps, sorting_coset_by_stabilizer)
 from fiber_oracle import (classes_by_enumeration, compositions_by_recursion,
                           members, part_multisets_by_scan,
                           stat_vector_by_windows, tuple_sort_key)
@@ -727,55 +730,46 @@ class TestCoverClassification:
         assert w.sigma.images == (4, 1, 0, 2, 3)
         assert (w.index, w.reading) == (2, "forward")
         assert w.orientation == (Weight((1, 0, 2, 2)), Weight((1, 2, 0, 0)))
-        sorters = list(_sorting_coset((0, 2, 2, 0, 0)))
+        sorters = [p.images for p in
+                   sorting_coset_by_stabilizer((0, 2, 2, 0, 0))]
         assert len(sorters) == 12 and sorters.index(w.sigma.images) == 10
         assert sorters[0] != w.sigma.images
 
     def test_one_sorter_drawn_per_rank_six_cover(self, monkeypatch):
         import weyl_order.posets as posets
-        drawn, walks = [], []
-        real_first, real_walk = posets._first_sorter, posets._sorting_coset
+        drawn, built = [], []
+        real_first, real_forward = posets._first_sorter, posets._forward_sorter
 
         def counting(values):
             drawn.append(values)
             return real_first(values)
 
-        def walking(values):
-            walks.append(values)
-            return real_walk(values)
+        def building(pair, raised, i):
+            built.append((pair.delta, raised, i))
+            return real_forward(pair, raised, i)
         monkeypatch.setattr(posets, "_first_sorter", counting)
-        monkeypatch.setattr(posets, "_sorting_coset", walking)
+        monkeypatch.setattr(posets, "_forward_sorter", building)
         poset = build_poset(Weight((2,) * 6), 2)
         edges = poset.cover_edges
         lows = {e.low for e in edges}
         assert (len(edges), len(lows)) == (1362, 364)
-        # the covers of one lower class share its walked sorters, and the
-        # first sorter witnesses every cover here: one draw per class, and
-        # no walk for a later sorter is started
-        assert len(drawn) == len(lows) and walks == []
-
-    def test_lazy_sorters_match_stabilizer_coset(self):
-        # every vector of length <= 5 over {0, 1, 2}, then the all-tie
-        # vector of length 7 (7! sorters, the rank-6 zero difference)
-        vectors = [v for n in range(1, 6)
-                   for v in itertools.product(range(3), repeat=n)]
-        for values in vectors + [(0,) * 7]:
-            assert list(_sorting_coset(values)) == \
-                [p.images for p in sorting_coset_by_stabilizer(values)], values
+        # the covers of one lower class share its first sorter, which
+        # witnesses every cover here: one draw per class, and no later
+        # sorter is built
+        assert len(drawn) == len(lows) and built == []
+        assert {e.witness.sigma.images for e in edges} <= {
+            real_first(values)[0] for values in drawn}
 
     @given(st.lists(st.integers(0, 2), min_size=1, max_size=8))
     @settings(max_examples=200, deadline=None)
     def test_first_sorter_is_the_stable_sorting_permutation(self, values):
-        # three values over up to 8 slots: ties on almost every draw
+        # three values over up to 8 slots: ties on almost every draw; the
+        # first sorter heads the stabilizer coset, and q is its inverse
         values = tuple(values)
-        assert next(_sorting_coset(values)) == sorting_permutation(values).images
-
-    def test_walk_neither_repeats_nor_drops_the_first_sorter(self):
-        # the first sorter skips the walk, which then skips its own first
-        # answer; every length-6 vector over {0, 1, 2} (20,160 sorters)
-        for values in itertools.product(range(3), repeat=6):
-            assert list(_sorting_coset(values)) == \
-                [p.images for p in sorting_coset_by_stabilizer(values)], values
+        images, q = _first_sorter(values)
+        assert images == sorting_permutation(values).images
+        assert images == sorting_coset_by_stabilizer(values)[0].images
+        assert tuple(q) == inverse(Permutation(images)).images
 
     def test_epsilon_vector_computed_once_per_part(self, monkeypatch):
         # the poset's frame table builds each class's frames, the padded
@@ -828,10 +822,10 @@ class TestCoverClassification:
 
 
 class TestPerClassCoverData:
-    """What a lower class gives all its covers (e1, e2, delta, the sorters
-    walked and the live walk) is built once per cover row and dropped with
-    it; these pin that fast path against the search oracle and against
-    call order."""
+    """What a lower class gives all its covers (e1, e2, delta, its first
+    sorter and the masks and mix data built from it) is built once per
+    cover row and dropped with it; these pin that fast path against the
+    search oracle and against call order."""
 
     @staticmethod
     def assert_matches_search(poset):
@@ -858,18 +852,17 @@ class TestPerClassCoverData:
     def test_a_late_sorter_extends_the_kept_ones(self, monkeypatch):
         # the incomparable pair of (2,2,2,2) whose 11th sorter witnesses,
         # decided between covers of its lower class on one local lower
-        # pair: the one walk resumes past the kept first sorter, and the
-        # covers still read the first
+        # pair: the late sorter is built for that decision alone, and the
+        # pair keeps only its first sorter, which the covers still read
         import weyl_order.posets as posets
-        walks, drawn = [], []
-        real = posets._sorting_coset
+        built = []
+        real = posets._forward_sorter
 
-        def counting(values):
-            walks.append(values)
-            for images in real(values):
-                drawn.append(images)
-                yield images
-        monkeypatch.setattr(posets, "_sorting_coset", counting)
+        def counting(pair, raised, i):
+            images = real(pair, raised, i)
+            built.append(images)
+            return images
+        monkeypatch.setattr(posets, "_forward_sorter", counting)
         poset = build_poset(Weight((2, 2, 2, 2)), 2)
         reps = [cls.rep for cls in poset.classes]
         a = poset.class_of(T((0, 1, 2, 1), (2, 1, 0, 1)))
@@ -877,14 +870,15 @@ class TestPerClassCoverData:
         ups = [h for low, h in poset.hasse_edges if low == a]
         assert ups
         pair = posets._LowerPair(poset._uppers[a], poset._packing[1])
+        first = pair.images
         for high in ups + [b] + ups + [b]:
             kind, *witness = posets._decide(pair, poset._uppers[high])
             assert (kind, posets._witness(*witness)) == \
                 classify_cover_by_search(reps[a], reps[high]), high
-        first11 = list(real(pair.delta))[:11]
-        assert [s.images for s in pair.walked] == first11
-        # one walk, each sorter drawn once: no restart past the kept ones
-        assert walks == [pair.delta] and drawn == first11
+        sorters = [p.images for p in sorting_coset_by_stabilizer(pair.delta)]
+        assert pair.images == first == sorters[0]
+        # one build per decision of the pair, the 11th sorter each time
+        assert built == [sorters[10]] * 2
 
     def test_no_cover_data_outlives_its_row(self):
         # a decision holds its sorter's image tuple, not the sorter, and
@@ -1108,8 +1102,8 @@ class TestPackedRule:
             vectors = [v + (0,) for v in itertools.product(values, repeat=n)]
             fields = _field_layout(n + 1, width)
             for e1, e2 in itertools.product(vectors, repeat=2):
-                sorters = [_inverse(images) for images in
-                           _sorting_coset(tuple(map(sub, e1, e2)))]
+                sorters = [_inverse(p.images) for p in
+                           sorting_coset_by_stabilizer(tuple(map(sub, e1, e2)))]
                 mixing = _mixing(e1, e2, sorters[0], fields)
                 for f in vectors:
                     want = mix_by_steps(e1, e2, f, sorters[0])
@@ -1128,25 +1122,139 @@ class TestPackedRule:
         assert counts["many sorters"]
         assert counts[(1, 2, 1)] and counts[(2, 1, 2)]
 
-    def test_forward_masks_built_only_when_the_inverse_reading_fails(
+    def test_forward_sorters_built_only_when_the_inverse_reading_fails(
             self, monkeypatch):
-        # no cover of these fibers reads forward, and none builds the
-        # forward masks; the incomparable pair of (2,2,2,2) whose 11th
-        # sorter witnesses in the forward reading builds them
+        # no cover of these fibers reads forward, and none builds a
+        # forward sorter; the incomparable pair of (2,2,2,2) whose 11th
+        # sorter witnesses in the forward reading builds it
         import weyl_order.posets as posets
         built = []
-        real = posets._Sorter.build_forward
+        real = posets._forward_sorter
 
-        def counting(sorter, bits):
-            built.append(sorter.images)
-            return real(sorter, bits)
-        monkeypatch.setattr(posets._Sorter, "build_forward", counting)
+        def counting(pair, raised, i):
+            images = real(pair, raised, i)
+            built.append(images)
+            return images
+        monkeypatch.setattr(posets, "_forward_sorter", counting)
         for coords in [(2,) * 6, (1,) * 7, (2, 2, 2, 2), (4, 4, 4)]:
             build_poset(Weight(coords), 2)._cover_decisions
         assert built == []
         kind, w = classify_cover(T((0, 1, 2, 1), (2, 1, 0, 1)),
                                  T((1, 0, 2, 2), (1, 2, 0, 0)))
         assert w.reading == "forward" and w.sigma.images in built
+
+    @pytest.mark.parametrize("coords, forward", [
+        ((2, 2, 2, 2), 1), ((0, 2, 2, 2, 2), 6), ((2, 0, 2, 2, 2), 2),
+        ((2, 2, 2, 0, 2), 2)])
+    def test_first_kind_matches_the_sorter_walk_on_every_pair(self, coords,
+                                                                forward):
+        # every ordered pair of distinct classes, 1640 a fiber, covers or
+        # not: the decision's first kind against the sorter-major walk over
+        # the stabilizer coset.  The 73 first-kind covers read inverse at
+        # the first sorter; the forward decisions, 11 over the four fibers,
+        # fall on pairs that are not covers, each at a later sorter
+        import weyl_order.posets as posets
+        poset = build_poset(Weight(coords), 2)
+        fields = poset._packing[1]
+
+        def padded(part):
+            return Weight(part).eps_padded()
+        seen = Counter()
+        for a, low in enumerate(poset.classes):
+            e1, e2 = sorted(map(padded, low.multisets[0]), reverse=True)
+            coset = sorting_coset_by_stabilizer(tuple(map(sub, e1, e2)))
+            pair = posets._LowerPair(poset._uppers[a], fields)
+            for b, high in enumerate(poset.classes):
+                if a == b:
+                    continue
+                h1, h2 = high.multisets[0]
+                frames = [(h1, h2, padded(h1))]
+                if h1 != h2:
+                    frames.append((h2, h1, padded(h2)))
+                want = first_kind_by_sorters(e1, e2, frames, coset)
+                kind, images, orientation, i, reading, mix = \
+                    posets._decide(pair, poset._uppers[b])
+                if want is None:
+                    assert kind is not CoverKind.TYPE_I, (a, b)
+                    continue
+                assert (kind, (images, orientation, i, reading), mix) == \
+                    (CoverKind.TYPE_I, want, None), (a, b)
+                seen[reading] += 1
+                seen["first"] += images == coset[0].images
+                seen["covers"] += b in poset.cover_rows[a]
+        assert seen == Counter(inverse=73, first=73, covers=73,
+                               forward=forward)
+
+    def test_forward_sorter_is_the_first_that_reads_forward(self):
+        # every vector of length 2 .. 6 over {0, 1, 3} as delta, every gap
+        # i and every raised set R of i slots: the built sorter against the
+        # first sorter of the coset at which R reads forward at i, or None
+        import weyl_order.posets as posets
+        seen = Counter()
+        for n in range(2, 7):
+            bits = _field_layout(n, 8)[0]
+            for delta in itertools.product((0, 1, 3), repeat=n):
+                images, q = _first_sorter(delta)
+                pair = SimpleNamespace(delta=delta, q=q, fields=(bits,))
+                coset = [p.images for p in sorting_coset_by_stabilizer(delta)]
+                for i in range(1, n):
+                    if delta[q[i - 1]] - delta[q[i]] < 2:
+                        continue
+                    for r in itertools.combinations(range(n), i):
+                        want = next((
+                            sigma for sigma in coset
+                            if set(sigma[:i]) == set(r)
+                            and _inverse(sigma)[i - 1] in r
+                            and _inverse(sigma)[i] not in r), None)
+                        got = posets._forward_sorter(
+                            pair, sum(bits[s] for s in r), i)
+                        assert got == want, (delta, r)
+                        seen[None if want is None else
+                             want == images] += 1
+        assert seen[None] and seen[True] and seen[False]
+
+    def test_no_chunk_of_the_seven_ones_covers_has_the_gap(self):
+        # (1,)*7: every cover is of the second kind, and though many upper
+        # frames give a chunk of the right shape, none has the gap at its i,
+        # so none reaches either reading
+        import weyl_order.posets as posets
+        poset = build_poset(Weight((1,) * 7), 2)
+        fields = poset._packing[1]
+        chunks = 0
+        for a, row in enumerate(poset.cover_rows):
+            if not row:
+                continue
+            pair = posets._LowerPair(poset._uppers[a], fields)
+            gaps = pair.build_gaps()
+            for b in row:
+                for _, _, _, packed in poset._uppers[b]:
+                    raised = _raised(pair.top, packed, fields)
+                    if raised:
+                        chunks += 1
+                        assert gaps[raised.bit_count()] is None, (a, b)
+        kinds = Counter(d[0] for row in poset._cover_decisions for d in row)
+        assert kinds == Counter({CoverKind.TYPE_II: 167})
+        assert chunks == 141
+
+    def test_a_forward_reading_at_the_first_sorter(self):
+        # a pair of (2,2,2,2,2,2) that is not a cover, read forward at the
+        # first sorter of its delta (0,0,2,4,4,2,0), one of 24: the search
+        # stops there
+        import weyl_order.posets as posets
+        poset = build_poset(Weight((2,) * 6), 2)
+        low = poset.class_of(T((1, 0, 0, 1, 2, 2), (1, 2, 2, 1, 0, 0)))
+        high = poset.class_of(T((1, 0, 0, 2, 2, 1), (1, 2, 2, 0, 0, 1)))
+        assert high not in poset.cover_rows[low]
+        pair = posets._LowerPair(poset._uppers[low], poset._packing[1])
+        kind, images, orientation, i, reading, _ = posets._decide(
+            pair, poset._uppers[high])
+        coset = sorting_coset_by_stabilizer(pair.delta)
+        assert (pair.delta, len(coset)) == ((0, 0, 2, 4, 4, 2, 0), 24)
+        assert (kind, images, i, reading) == (
+            CoverKind.TYPE_I, coset[0].images, 2, "forward")
+        frames = [(mu1, mu2, f) for mu1, mu2, f, _ in poset._uppers[high]]
+        assert first_kind_by_sorters(pair.e1, pair.e2, frames, coset) == \
+            (images, orientation, i, reading)
 
     def test_second_kind_takes_the_first_fitting_frame(self):
         # every ordered pair of k = 2 splittings of small lam, upper pairs
@@ -1163,7 +1271,6 @@ class TestPackedRule:
                       for p in itertools.product(*(range(m + 1) for m in lam))]
             for low in splits:
                 pair = posets._LowerPair(_frames(*low, width), fields)
-                first = pair.walked[0]
                 for high in splits:
                     frames = _frames(*high, width)
                     kind, images, orientation, _, _, mix = posets._decide(
@@ -1173,10 +1280,10 @@ class TestPackedRule:
                         continue
                     fits = [((mu1, mu2), m) for mu1, mu2, f, _ in frames
                             if (m := mix_by_steps(pair.e1, pair.e2, f,
-                                                  first.q)) is not None]
+                                                  pair.q)) is not None]
                     if fits:
                         assert (kind, images, (orientation, mix)) == \
-                            (CoverKind.TYPE_II, first.images, fits[0])
+                            (CoverKind.TYPE_II, pair.images, fits[0])
                     else:
                         assert kind is CoverKind.UNCLASSIFIED
         for length in (1, 2):
@@ -1226,7 +1333,13 @@ class TestPackedRule:
         decision = posets._decide(pair, poset._uppers[b])
         assert decision == self.search_decision(low, high)
         assert decision[1] == (4, 1, 0, 2, 3) and decision[3:5] == (2, "forward")
-        assert len(pair.walked) == 11
+        sorters = [p.images for p in sorting_coset_by_stabilizer(pair.delta)]
+        assert sorters.index(decision[1]) == 10
+        # the pair keeps its first sorter alone, whatever sorter decided
+        assert pair.images == sorters[0]
+        assert set(pair.__slots__) == {
+            "e1", "e2", "delta", "fields", "top", "images", "q", "gaps",
+            "mixing"}
 
     @pytest.mark.parametrize("pick", ["bottom", "longest", "last"])
     def test_one_row_fills_its_own_classes(self, pick):
@@ -1564,6 +1677,22 @@ class TestExports:
             kind_hashes((2, 1, 1)), kind_hashes((3, 3, 2))
         # the kind tables hash each kind a fixed number of times
         assert few < many and few_hashes == many_hashes
+
+    def test_kind_lookups_run_no_python_code(self):
+        # members are singletons that compare by identity, so a kind hashes
+        # as an object does, and a table keyed by kind runs no Python frame
+        # (Enum's own __hash__ is a Python function)
+        assert CoverKind.__hash__ is object.__hash__
+        kinds = list(CoverKind)
+        table = {kind: kind.value for kind in kinds}
+        events = []
+        sys.setprofile(lambda frame, event, arg: events.append(event))
+        try:
+            values = list(map(table.__getitem__, kinds))
+        finally:
+            sys.setprofile(None)
+        assert values == ["type_one", "type_two", "unclassified"]
+        assert "call" not in events
 
     def test_to_json_shape(self):
         poset = build_poset(Weight((2, 1)), 2)

@@ -1,7 +1,7 @@
 """The S_{n+1} action algebra and the reference tuple transforms.
 
 The package decides part order and the sorting frame in one place each
-(the order of ``posets._part_multisets``, ``posets._sorting_coset`` and
+(the order of ``posets._part_multisets``, ``posets._first_sorter`` and
 the sort inside ``classify_cover``), and window and stat values in one place
 each (``tuples._part_window_values``, ``tuples._sorted_prefix_stats``).
 This module keeps the second routes those decisions stand for, as plain
