@@ -18,12 +18,19 @@ earlier layers are already built, so no time holds another layer's: at
 k = 2 ``frames``, ``decisions`` and ``cover_edges`` add up to what
 ``cover_edges`` costs on its own.  Under ``verify`` it records the best in-process times of the ``sweep``
 workload's whole sweep (``run_sweep`` at ``--max-coord 5 --max-k 4``)
-and of its report writer.  It also records
+and of its report writer.  Under ``import`` it records the best and
+the median ``import_s`` of ``--repeat`` fresh ``python3 -I`` children,
+each timing ``import weyl_order, weyl_order.cli`` and the four root
+systems of the sweep after the modules ``perfbench``'s child loads
+first, as ``perfbench``'s set-up does.  It also records
 the tracemalloc peak of the cover walk next to the bytes of the masks it
 walks and, at k = 2, the bytes the decision list keeps, the sizes
 (classes, covers, characters written) and where the numbers come from:
-git commit, whether ``src/`` differs from it, Python version, nproc and
-the ``src/`` line count.  Standard library only.
+the git commit of the checkout the timed ``weyl_order`` package was
+imported from, whether the package's files differ from that commit,
+Python version, nproc and the package's line count (``src_lines``).  So
+a parent tree timed through ``PYTHONPATH=<parent>/src`` records its own
+commit and lines.  Standard library only.
 
 The host's speed moves between runs, so a burst of a fixed probe loop
 runs right before and right after each pass.  Per fiber the file holds
@@ -45,17 +52,22 @@ import operator
 import os
 import platform
 import re
+import statistics
 import subprocess
 import sys
 import time
 import tracemalloc
 from pathlib import Path
 
+import weyl_order
 from weyl_order import Weight, build_poset, root_system
 from weyl_order.cli import (SweepConfig, _report_chunks, positive_int,
                             report_payload, run_sweep)
 
 ROOT = Path(__file__).resolve().parents[1]
+# the weyl_order package being timed, which need not be this script's
+# checkout's (PYTHONPATH=<parent>/src times a parent tree)
+PACKAGE = Path(weyl_order.__file__).resolve().parent
 
 # the fibers of perfbench/run.py's workloads, by workload name
 FIBERS = {
@@ -72,6 +84,21 @@ OTHER_FIBERS = {
 }
 # perfbench's sweep workload, run in process
 SWEEP = {"max_coord": 5, "max_k": 4}
+# One import child: it loads what perfbench/child.py imports before the
+# package, then prints the seconds that importing the package and the
+# CLI and building the sweep's root systems take.  argv[1] is the
+# directory to import weyl_order from, argv[2] the systems as a JSON list
+# of [family, rank] pairs.
+IMPORT_CHILD = """
+import inspect, json, statistics, signal, resource, functools, array, collections
+import sys, time
+sys.path.insert(0, sys.argv[1])
+t0 = time.perf_counter()
+import weyl_order, weyl_order.cli
+for family, rank in json.loads(sys.argv[2]):
+    weyl_order.root_system(family, rank)
+print(time.perf_counter() - t0)
+"""
 
 
 # The probe: a fixed loop of the kinds of work the package does (tuple
@@ -180,6 +207,24 @@ def verify_times() -> tuple[dict, dict]:
     return seconds, {"checks": len(rows), "report_chars": chars}
 
 
+def import_times(children: int) -> dict:
+    """The seconds of the package import and the sweep's root systems in
+    children fresh interpreters, one after another: best and median."""
+    cfg = SweepConfig()
+    systems = json.dumps([[family, cfg.ambient_rank(family)]
+                          for family in cfg.families])
+    seconds = []
+    for _ in range(children):
+        done = subprocess.run(
+            [sys.executable, "-I", "-c", IMPORT_CHILD, str(PACKAGE.parent),
+             systems],
+            capture_output=True, text=True, timeout=60, check=True)
+        seconds.append(float(done.stdout))
+    return {"children": children,
+            "import_s_min": round(min(seconds), 6),
+            "import_s_median": round(statistics.median(seconds), 6)}
+
+
 def best_times(repeat: int, one_pass) -> dict:
     """repeat calls of one_pass, which returns (seconds, sizes), each
     between two probe bursts: the sizes and, per layer, the best time,
@@ -209,15 +254,16 @@ def measure_fiber(coords: tuple[int, ...], k: int, repeat: int) -> dict:
 
 
 def git(*args: str) -> str | None:
+    """A git command's output, run in the timed package's directory."""
     try:
-        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
+        return subprocess.run(["git", *args], cwd=PACKAGE, capture_output=True,
                               text=True, timeout=30, check=True).stdout.strip()
     except (OSError, subprocess.SubprocessError):
         return None
 
 
 def provenance() -> dict:
-    status = git("status", "--porcelain", "--", "src")
+    status = git("status", "--porcelain", "--", ".")
     try:
         nproc = len(os.sched_getaffinity(0))
     except AttributeError:
@@ -226,7 +272,7 @@ def provenance() -> dict:
             "src_differs_from_commit": None if status is None else status != "",
             "python": platform.python_version(), "nproc": nproc,
             "src_lines": sum(len(p.read_text().splitlines())
-                             for p in sorted((ROOT / "src").rglob("*.py")))}
+                             for p in sorted(PACKAGE.rglob("*.py")))}
 
 
 def main(argv=None) -> int:
@@ -234,7 +280,8 @@ def main(argv=None) -> int:
     ap.add_argument("--label", type=label_text, required=True,
                     help="names the file BENCH_<label>.json")
     ap.add_argument("--repeat", type=positive_int, default=7,
-                    help="passes per fiber; each time is the best of them")
+                    help="passes per fiber, each time the best of them, "
+                    "and import children")
     ap.add_argument("--out-dir", type=Path, default=ROOT)
     args = ap.parse_args(argv)
     try:  # before the timing, not after
@@ -253,10 +300,12 @@ def main(argv=None) -> int:
         print(name, json.dumps(fibers[name]["seconds_scaled_min"]))
     verify = {**SWEEP, **best_times(args.repeat, verify_times)}
     print("verify", json.dumps(verify["seconds_scaled_min"]))
+    imports = import_times(args.repeat)
+    print("import", json.dumps(imports))
     payload = {"label": args.label, "repeat": args.repeat,
                "ref_probe_s": REF_PROBE_S,
                "provenance": provenance(), "fibers": fibers,
-               "verify": verify}
+               "verify": verify, "import": imports}
     out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out}")
     return 0

@@ -24,7 +24,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .dimensions import (verify_coroot_inequalities_k2, verify_max_dim,
@@ -38,7 +37,7 @@ from .roots import (FAMILIES, base_rank, check_admissible,
                     coroot_table_report, expected_table_report, iota,
                     parse_system_name, root_system, spin_nodes)
 from .tuples import WeightTuple
-from .weights import Weight
+from .weights import Weight, _Value
 
 
 # Work bounds of the commands no tuple guard covers.  max builds k parts
@@ -138,13 +137,17 @@ def _write_text(path: Path, text, newline: str | None = None):
 
 # -- verify sweep ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepConfig:
-    families: tuple[str, ...] = ("A", "C", "B", "D")
-    max_coord: int = 3
-    max_k: int = 3
-    guard: int = DEFAULT_GUARD
-    corrupt: bool = False
+class SweepConfig(_Value):
+    _fields = ("families", "max_coord", "max_k", "guard", "corrupt")
+
+    def __init__(self, families: tuple[str, ...] = ("A", "C", "B", "D"),
+                 max_coord: int = 3, max_k: int = 3,
+                 guard: int = DEFAULT_GUARD, corrupt: bool = False):
+        object.__setattr__(self, "families", families)
+        object.__setattr__(self, "max_coord", max_coord)
+        object.__setattr__(self, "max_k", max_k)
+        object.__setattr__(self, "guard", guard)
+        object.__setattr__(self, "corrupt", corrupt)
 
     def ambient_rank(self, family: str) -> int:
         # base rank 2 throughout the sweep

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 from .posets import TuplePoset
 from .roots import (Coroot, EmbeddedWeight, RootSystem, iota, pairing,
                     rho_value)
 from .tuples import WeightTuple
-from .weights import Weight
+from .weights import Weight, _Value
 
 
 def bracket(w: EmbeddedWeight, h: Coroot) -> int:
@@ -95,17 +94,20 @@ def _require_k2(name: str, *ks: int) -> None:
             raise ValueError(f"{name} is defined for k = 2 only, got k = {k}")
 
 
-@dataclass(frozen=True)
-class LedgerRow:
+class LedgerRow(_Value):
     """One inequality row comparing a low tuple against a high one.
     guaranteed: the monotonicity argument asserts low <= high.
     in_product: the row is a factor of the grand product."""
 
-    label: str
-    low: int
-    high: int
-    guaranteed: bool
-    in_product: bool
+    _fields = ("label", "low", "high", "guaranteed", "in_product")
+
+    def __init__(self, label: str, low: int, high: int, guaranteed: bool,
+                 in_product: bool):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "low", low)
+        object.__setattr__(self, "high", high)
+        object.__setattr__(self, "guaranteed", guaranteed)
+        object.__setattr__(self, "in_product", in_product)
 
     @property
     def ok(self) -> bool:

@@ -58,7 +58,6 @@ import enum
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from functools import cache, cached_property, partial, reduce
 from operator import and_, attrgetter, itemgetter, or_, sub
 from typing import Callable
@@ -66,7 +65,7 @@ from typing import Callable
 from .tuples import (OrderVerdict, WeightTuple, _column_stats,
                      _part_window_values, _sorted_prefix_stats,
                      _verdict_from_vectors)
-from .weights import Permutation, Weight, _cycle_text, _omega_text
+from .weights import Permutation, Weight, _cycle_text, _omega_text, _Value
 
 
 # Counts are computed exactly up to _COUNT_CAP, the largest integer of
@@ -191,29 +190,28 @@ def maximal_element(lam: Weight, k: int) -> WeightTuple:
 Multiset = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class EquivClass:
+class EquivClass(_Value):
     """One class of the fiber: the tuples sharing stat_vector.
 
     multisets lists the class's part multisets, each a tuple of omega
     tuples weakly decreasing in epsilon-lex order, the multisets in
     descending order of their parts' epsilon tuples.  size counts ordered
     tuples, the sum over the multisets of k! / prod(mult!).  rep, the first
-    multiset as a ``WeightTuple``, is built on first read and kept.
+    multiset as a ``WeightTuple``, is built on first read and kept; it
+    stays behind when the class is pickled, and is rebuilt when read.
     """
 
-    stat_vector: tuple[int, ...]
-    size: int
-    multisets: tuple[Multiset, ...]
+    _fields = ("stat_vector", "size", "multisets")
+
+    def __init__(self, stat_vector: tuple[int, ...], size: int,
+                 multisets: tuple[Multiset, ...]):
+        object.__setattr__(self, "stat_vector", stat_vector)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "multisets", multisets)
 
     @cached_property
     def rep(self) -> WeightTuple:
         return WeightTuple(tuple(map(Weight, self.multisets[0])))
-
-    def __reduce__(self):
-        # pickled from the fields: a representative read stays behind, and
-        # is rebuilt when read
-        return EquivClass, (self.stat_vector, self.size, self.multisets)
 
 
 # -- JSON text, laid out as json.dumps(..., sort_keys=True, indent=2) -------
@@ -276,15 +274,17 @@ def _file_chunks(fields: dict, **arrays):
     return itertools.chain.from_iterable(pieces)
 
 
-@dataclass(frozen=True)
-class TuplePoset:
+class TuplePoset(_Value):
     """The quotient of the fiber over lam at k: classes lists its classes
     in lex order of stat vectors, as build_poset builds them.  The strict
     order, the cover walk and class_of rely on that order."""
 
-    lam: Weight
-    k: int
-    classes: tuple[EquivClass, ...]
+    _fields = ("lam", "k", "classes")
+
+    def __init__(self, lam: Weight, k: int, classes: tuple[EquivClass, ...]):
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "classes", classes)
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -805,13 +805,21 @@ class CoverKind(enum.Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True)
-class CoverWitness:
-    sigma: Permutation
-    orientation: tuple[Weight, Weight]
-    index: int | None = None          # fundamental-weight index, first kind
-    reading: str | None = None        # "inverse" or "forward", first kind
-    mix: tuple[int, ...] | None = None  # per-coordinate source part, second kind
+class CoverWitness(_Value):
+    _fields = ("sigma", "orientation", "index", "reading", "mix")
+
+    def __init__(self, sigma: Permutation,
+                 orientation: tuple[Weight, Weight],
+                 index: int | None = None, reading: str | None = None,
+                 mix: tuple[int, ...] | None = None):
+        # first kind: index, the fundamental-weight index, and reading,
+        # "inverse" or "forward"; second kind: mix, per coordinate the
+        # source part
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "orientation", orientation)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "reading", reading)
+        object.__setattr__(self, "mix", mix)
 
     def describe(self) -> str:
         return _witness_text(self.sigma.cycle_notation(), self.index,
@@ -832,12 +840,15 @@ def _witness_text(cycles: str, index: int | None, reading: str | None,
     return text
 
 
-@dataclass(frozen=True)
-class CoverEdge:
-    low: int
-    high: int
-    kind: CoverKind
-    witness: CoverWitness | None = None
+class CoverEdge(_Value):
+    _fields = ("low", "high", "kind", "witness")
+
+    def __init__(self, low: int, high: int, kind: CoverKind,
+                 witness: CoverWitness | None = None):
+        object.__setattr__(self, "low", low)
+        object.__setattr__(self, "high", high)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "witness", witness)
 
 
 def _inverse(images) -> list[int]:

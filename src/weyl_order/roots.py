@@ -21,19 +21,21 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .weights import Weight
+from .weights import Weight, _Value
 
 FAMILIES = ("A", "B", "C", "D")
 _MIN_RANK = {"A": 1, "B": 2, "C": 1, "D": 3}
 _SPIN_NODES = {"A": 0, "B": 1, "C": 0, "D": 2}
 
 
-@dataclass(frozen=True)
-class Coroot:
-    coeffs: tuple[int, ...]
+class Coroot(_Value):
+    _fields = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[int, ...]):
+        object.__setattr__(self, "coeffs", coeffs)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(map(operator.index, self.coeffs)))
@@ -74,11 +76,13 @@ class Coroot:
         return "+".join(terms) or "0"
 
 
-@dataclass(frozen=True)
-class RootSystem:
-    family: str
-    rank: int
-    coroots: tuple[Coroot, ...]
+class RootSystem(_Value):
+    _fields = ("family", "rank", "coroots")
+
+    def __init__(self, family: str, rank: int, coroots: tuple[Coroot, ...]):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "coroots", coroots)
 
     @property
     def name(self) -> str:
@@ -339,12 +343,15 @@ def check_admissible(w: Weight, family: str, rank: int):
                          f"{family}{rank} (expected base rank {base})")
 
 
-@dataclass(frozen=True)
-class EmbeddedWeight:
+class EmbeddedWeight(_Value):
     """Weight of a root system, coordinates over all fundamental weights."""
 
-    system: RootSystem
-    coords: tuple[int, ...]
+    _fields = ("system", "coords")
+
+    def __init__(self, system: RootSystem, coords: tuple[int, ...]):
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "coords", coords)
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.coords) != self.system.rank:

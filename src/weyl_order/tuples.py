@@ -35,12 +35,11 @@ live in the tests as references.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate, chain
 
 from .roots import RootSystem, base_rank, iota, pairing
-from .weights import Weight
+from .weights import Weight, _Value
 
 
 class OrderVerdict(enum.Enum):
@@ -98,9 +97,12 @@ def _sorted_prefix_stats(rows, column_stats=None) -> tuple[int, ...]:
     return tuple(chain.from_iterable(map(column_stats, zip(*rows))))
 
 
-@dataclass(frozen=True)
-class WeightTuple:
-    parts: tuple[Weight, ...]
+class WeightTuple(_Value):
+    _fields = ("parts",)
+
+    def __init__(self, parts: tuple[Weight, ...]):
+        object.__setattr__(self, "parts", parts)
+        self.__post_init__()
 
     def __post_init__(self):
         # plain loops, one check at a time: no generator, set or list is

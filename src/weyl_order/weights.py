@@ -20,22 +20,76 @@ pickles from omega alone.  A ``Permutation`` is the sorting witness the
 classifier reports: it is validated, and it prints in cycle notation
 (``_cycle_text``).  Equality, hashing, repr and pickling of both read
 the coordinates or images alone.
+
+``_Value`` is the base of every value class of the package, here and in
+the other modules.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from typing import Iterable
 
 
-@dataclass(frozen=True)
-class Weight:
+class _Value:
+    """An immutable value with named fields: what a frozen dataclass is,
+    written out, so that importing the package generates no code.
+
+    A subclass lists its fields in constructor order in ``_fields`` and
+    writes its own ``__init__``, which stores each field with
+    ``object.__setattr__`` and then calls the class's validating
+    ``__post_init__``, if it has one.  Two values are equal when they are
+    of one class and their field tuples are equal, and a value hashes as
+    its field tuple; its repr names each field, and it pickles through
+    its constructor from the fields.  A ``cached_property`` keeps its
+    value in the instance ``__dict__``, outside the fields, so no cached
+    value reaches any of these.  Assigning or deleting an attribute
+    raises ``AttributeError``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the field tuple, read by one attrgetter built once per class; a
+        # one-field class's getter returns the bare value, so it is wrapped
+        get = operator.attrgetter(*cls._fields)
+        cls._values = staticmethod(
+            get if len(cls._fields) > 1 else lambda self: (get(self),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self._fields, self._values(self)))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Weight(_Value):
     """Lattice element with omega-basis coordinates."""
 
-    omega: tuple[int, ...]
+    _fields = ("omega",)
+
+    def __init__(self, omega: tuple[int, ...]):
+        object.__setattr__(self, "omega", omega)
+        self.__post_init__()
 
     def __post_init__(self):
         if not self.omega:
@@ -45,11 +99,6 @@ class Weight:
     @property
     def rank(self) -> int:
         return len(self.omega)
-
-    def __reduce__(self):
-        # pickled through the constructor from omega alone, so a cached
-        # dominance never travels with the object
-        return Weight, (self.omega,)
 
     @cached_property
     def is_dominant(self) -> bool:
@@ -115,11 +164,14 @@ def _omega_text(omega: tuple[int, ...]) -> str:
     return "(" + ",".join(map(str, omega)) + ")"
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(_Value):
     """Permutation of {0, ..., m-1} stored as the image tuple."""
 
-    images: tuple[int, ...]
+    _fields = ("images",)
+
+    def __init__(self, images: tuple[int, ...]):
+        object.__setattr__(self, "images", images)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "images", tuple(self.images))

@@ -450,6 +450,17 @@ class TestStartup:
                               capture_output=True, text=True, check=True)
         assert done.stdout.split() == ["False", "False"]
 
+    def test_importing_the_cli_loads_no_dataclasses(self):
+        # the value classes are written by hand: no dataclasses, and so no
+        # inspect, is imported with the package
+        src = Path(cli.__file__).resolve().parents[1]
+        probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                 "import weyl_order.cli; "
+                 "print('dataclasses' in sys.modules, 'inspect' in sys.modules)")
+        done = subprocess.run([sys.executable, "-I", "-c", probe, str(src)],
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.split() == ["False", "False"]
+
 
 class TestVerify:
     ARGS = ("verify", "--families", "A", "--max-coord", "1", "--max-k", "2")
@@ -1092,7 +1103,44 @@ class TestBenchLayersScript:
         rows = cli.run_sweep(cfg)
         assert verify["report_chars"] == len(json.dumps(
             cli.report_payload(cfg, rows), sort_keys=True, indent=2)) + 1
+        # one fresh interpreter per pass times the package import
+        imports = payload["import"]
+        assert imports["children"] == 1
+        assert 0 < imports["import_s_min"] == imports["import_s_median"]
         assert "wrote" in capsys.readouterr().out
+
+    def test_provenance_reads_the_checkout_of_the_timed_package(
+            self, tmp_path, monkeypatch):
+        # a package imported from another checkout, as a parent tree timed
+        # through PYTHONPATH=<parent>/src is, records that checkout's
+        # commit, status and line count, not the script's
+        script = self.script()
+        import weyl_order
+        assert script.PACKAGE == Path(weyl_order.__file__).resolve().parent
+        package = tmp_path / "src" / "weyl_order"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("a = 1\nb = 2\n")
+
+        def git(*args):
+            subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                            *args], cwd=tmp_path, check=True,
+                           capture_output=True)
+        try:
+            git("init", "-q")
+            git("add", "src")
+            git("commit", "-q", "-m", "one")
+        except (OSError, subprocess.CalledProcessError):
+            pytest.skip("no usable git")
+        head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tmp_path,
+                              capture_output=True, text=True).stdout.strip()
+        monkeypatch.setattr(script, "PACKAGE", package)
+        found = script.provenance()
+        assert (found["git_commit"], found["src_differs_from_commit"],
+                found["src_lines"]) == (head, False, 2)
+        (package / "more.py").write_text("c = 3\n")
+        found = script.provenance()
+        assert (found["git_commit"], found["src_differs_from_commit"],
+                found["src_lines"]) == (head, True, 3)
 
     @pytest.mark.parametrize("argv,needle", [
         (("--label", "a/b"), "--label"),
