@@ -19,8 +19,8 @@ from collections import Counter
 from pathlib import Path
 
 from weyl_order import Weight, build_poset
-from weyl_order.cli import (SweepConfig, at_least_two, family_list,
-                            positive_int, run_sweep)
+from weyl_order.cli import (SweepConfig, at_least_two, check_sweep_size,
+                            family_list, positive_int, run_sweep)
 
 
 def cover_histogram(max_coord: int) -> dict:
@@ -46,6 +46,12 @@ def main(argv=None) -> int:
     ap.add_argument("--jobs", type=positive_int, default=1)
     ap.add_argument("--out-dir", type=Path, default=Path("sweep_out"))
     args = ap.parse_args(argv)
+    cfg = SweepConfig(families=args.families,
+                      max_coord=args.max_coord, max_k=args.max_k)
+    try:  # before --out-dir is made
+        check_sweep_size(cfg)
+    except ValueError as e:
+        ap.error(str(e))
     try:  # before the sweep, not after
         args.out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as e:
@@ -54,8 +60,6 @@ def main(argv=None) -> int:
     out = args.out_dir / "desk_sweep.json"
     if out.is_dir():
         ap.error(f"--out-dir {str(args.out_dir)!r}: {out.name} is a directory")
-    cfg = SweepConfig(families=args.families,
-                      max_coord=args.max_coord, max_k=args.max_k)
 
     t0 = time.perf_counter()
     results = run_sweep(cfg, args.jobs)

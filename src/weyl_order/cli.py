@@ -10,7 +10,8 @@ guard exceeded.  The tuple budget of poset, covers and verify can also
 be set through the WEYL_ORDER_GUARD environment variable; an explicit
 --guard wins over it.  max and dim, which no guard covers, take fixed
 limits instead (MAX_K, MAX_DIM_RANK), checked before any part or coroot
-is built; past one, the command exits 2.
+is built, and verify bounds its count of checks (MAX_SWEEP_CHECKS)
+before it builds its worklist; past one, the command exits 2.
 """
 
 from __future__ import annotations
@@ -42,9 +43,11 @@ from .weights import Weight, _Value
 
 # Work bounds of the commands no tuple guard covers.  max builds k parts
 # and holds them all; dim builds the positive coroots of its system, about
-# n^2 of them at rank n, in time growing about as n^3.
+# n^2 of them at rank n, in time growing about as n^3; verify holds its
+# whole worklist of checks, one 7-tuple each, before it runs one.
 MAX_K = 10_000
 MAX_DIM_RANK = 32
+MAX_SWEEP_CHECKS = 10**5
 
 
 def check_bound(name: str, value: int, limit: int) -> None:
@@ -143,11 +146,8 @@ class SweepConfig(_Value):
     def __init__(self, families: tuple[str, ...] = ("A", "C", "B", "D"),
                  max_coord: int = 3, max_k: int = 3,
                  guard: int = DEFAULT_GUARD, corrupt: bool = False):
-        object.__setattr__(self, "families", families)
-        object.__setattr__(self, "max_coord", max_coord)
-        object.__setattr__(self, "max_k", max_k)
-        object.__setattr__(self, "guard", guard)
-        object.__setattr__(self, "corrupt", corrupt)
+        vars(self).update(families=families, max_coord=max_coord,
+                          max_k=max_k, guard=guard, corrupt=corrupt)
 
     def ambient_rank(self, family: str) -> int:
         # base rank 2 throughout the sweep
@@ -175,6 +175,22 @@ def sweep_items(cfg: SweepConfig) -> list[tuple]:
                 items.append(("extremes", fam, rank, lam, k, cfg.guard, cfg.corrupt))
                 items.append(("max_dim", fam, rank, lam, k, cfg.guard, cfg.corrupt))
     return items
+
+
+def sweep_check_count(cfg: SweepConfig) -> int:
+    """len(sweep_items(cfg)), counted without building the list: per
+    family a table check, and per lambda three k = 2 checks plus two for
+    each k from 2 to max_k."""
+    lams = (cfg.max_coord + 1) ** 2 - 1
+    return len(cfg.families) * (1 + lams * (2 * cfg.max_k + 1))
+
+
+def check_sweep_size(cfg: SweepConfig) -> None:
+    """Raise ValueError, naming --max-coord and --max-k, when the sweep
+    of cfg has more than MAX_SWEEP_CHECKS checks."""
+    count = sweep_check_count(cfg)
+    check_bound(f"the sweep of --max-coord {cfg.max_coord} and --max-k "
+                f"{cfg.max_k} ({count} checks)", count, MAX_SWEEP_CHECKS)
 
 
 def run_sweep_item(item: tuple, poset) -> dict:
@@ -320,6 +336,7 @@ def cmd_verify(args) -> int:
     cfg = SweepConfig(families=args.families,
                       max_coord=args.max_coord, max_k=args.max_k,
                       guard=_guard_from(args), corrupt=args.selftest_corrupt)
+    check_sweep_size(cfg)
     out_dir = Path(args.out_dir)
     _make_out_dir(out_dir / "verify_report.json")  # before the sweep, not after
     results = run_sweep(cfg, args.jobs)

@@ -103,11 +103,8 @@ class LedgerRow(_Value):
 
     def __init__(self, label: str, low: int, high: int, guaranteed: bool,
                  in_product: bool):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "low", low)
-        object.__setattr__(self, "high", high)
-        object.__setattr__(self, "guaranteed", guaranteed)
-        object.__setattr__(self, "in_product", in_product)
+        vars(self).update(label=label, low=low, high=high,
+                          guaranteed=guaranteed, in_product=in_product)
 
     @property
     def ok(self) -> bool:

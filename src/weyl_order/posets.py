@@ -205,9 +205,8 @@ class EquivClass(_Value):
 
     def __init__(self, stat_vector: tuple[int, ...], size: int,
                  multisets: tuple[Multiset, ...]):
-        object.__setattr__(self, "stat_vector", stat_vector)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "multisets", multisets)
+        vars(self).update(stat_vector=stat_vector, size=size,
+                          multisets=multisets)
 
     @cached_property
     def rep(self) -> WeightTuple:
@@ -282,9 +281,7 @@ class TuplePoset(_Value):
     _fields = ("lam", "k", "classes")
 
     def __init__(self, lam: Weight, k: int, classes: tuple[EquivClass, ...]):
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "classes", classes)
+        vars(self).update(lam=lam, k=k, classes=classes)
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -815,11 +812,8 @@ class CoverWitness(_Value):
         # first kind: index, the fundamental-weight index, and reading,
         # "inverse" or "forward"; second kind: mix, per coordinate the
         # source part
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "orientation", orientation)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "reading", reading)
-        object.__setattr__(self, "mix", mix)
+        vars(self).update(sigma=sigma, orientation=orientation, index=index,
+                          reading=reading, mix=mix)
 
     def describe(self) -> str:
         return _witness_text(self.sigma.cycle_notation(), self.index,
@@ -845,10 +839,7 @@ class CoverEdge(_Value):
 
     def __init__(self, low: int, high: int, kind: CoverKind,
                  witness: CoverWitness | None = None):
-        object.__setattr__(self, "low", low)
-        object.__setattr__(self, "high", high)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "witness", witness)
+        vars(self).update(low=low, high=high, kind=kind, witness=witness)
 
 
 def _inverse(images) -> list[int]:

@@ -34,11 +34,7 @@ class Coroot(_Value):
     _fields = ("coeffs",)
 
     def __init__(self, coeffs: tuple[int, ...]):
-        object.__setattr__(self, "coeffs", coeffs)
-        self.__post_init__()
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(map(operator.index, self.coeffs)))
+        vars(self).update(coeffs=tuple(map(operator.index, coeffs)))
 
     @property
     def height(self) -> int:
@@ -80,9 +76,7 @@ class RootSystem(_Value):
     _fields = ("family", "rank", "coroots")
 
     def __init__(self, family: str, rank: int, coroots: tuple[Coroot, ...]):
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "coroots", coroots)
+        vars(self).update(family=family, rank=rank, coroots=coroots)
 
     @property
     def name(self) -> str:
@@ -349,14 +343,10 @@ class EmbeddedWeight(_Value):
     _fields = ("system", "coords")
 
     def __init__(self, system: RootSystem, coords: tuple[int, ...]):
-        object.__setattr__(self, "system", system)
-        object.__setattr__(self, "coords", coords)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if len(self.coords) != self.system.rank:
+        coords = tuple(map(operator.index, coords))
+        if len(coords) != system.rank:
             raise ValueError("coordinate length disagrees with rank")
-        object.__setattr__(self, "coords", tuple(map(operator.index, self.coords)))
+        vars(self).update(system=system, coords=coords)
 
     @property
     def is_dominant(self) -> bool:

@@ -25,11 +25,10 @@ that reads a part's window values, off its omega prefix sums;
 ``build_poset`` hands ``_sorted_prefix_stats`` a memo of the column
 rule keyed by the column tuple, so over one call each distinct column
 is sorted and summed once; the memo is the caller's, dropped when its
-call returns, and this module keeps none.  Without a memo the same rule
-runs inline, one expression over all columns, and a test holds the two
-equal.  The module holds no other route: the window-by-window values,
-the subset-minimum statistic and the part reorderings and projections
-live in the tests as references.
+call returns, and this module keeps none.  Without a memo the rule
+itself scores each column.  The module holds no other route: the
+window-by-window values, the subset-minimum statistic and the part
+reorderings and projections live in the tests as references.
 """
 
 from __future__ import annotations
@@ -86,14 +85,10 @@ def _column_stats(column) -> tuple[int, ...]:
     return tuple(accumulate(sorted(column)))
 
 
-def _sorted_prefix_stats(rows, column_stats=None) -> tuple[int, ...]:
+def _sorted_prefix_stats(rows, column_stats=_column_stats) -> tuple[int, ...]:
     """The stat vector of per-part rows of column values: each column
-    (a tuple, one value per part) scored by column_stats, a caller's memo
-    of the column rule, and the scores joined.  With no memo the column
-    rule runs inline, with no Python call per column."""
-    if column_stats is None:
-        return tuple(chain.from_iterable(
-            map(accumulate, map(sorted, zip(*rows)))))
+    (a tuple, one value per part) scored by column_stats, the column rule
+    or a caller's memo of it, and the scores joined."""
     return tuple(chain.from_iterable(map(column_stats, zip(*rows))))
 
 
@@ -101,13 +96,9 @@ class WeightTuple(_Value):
     _fields = ("parts",)
 
     def __init__(self, parts: tuple[Weight, ...]):
-        object.__setattr__(self, "parts", parts)
-        self.__post_init__()
-
-    def __post_init__(self):
         # plain loops, one check at a time: no generator, set or list is
         # built for a valid tuple
-        parts = tuple(self.parts)
+        parts = tuple(parts)
         if not parts:
             raise ValueError("a weight tuple needs at least one part")
         for p in parts:
@@ -121,7 +112,7 @@ class WeightTuple(_Value):
         for p in parts:
             if not p.is_dominant:
                 raise ValueError(f"non-dominant part {p}")
-        object.__setattr__(self, "parts", parts)
+        vars(self).update(parts=parts)
 
     @property
     def k(self) -> int:

@@ -8,7 +8,9 @@ A weight is stored by its coordinates over the fundamental weights
 with inverse a_i = b_i - b_{i+1} (b_{n+1} = 0).  A weight is dominant
 when every omega coordinate is non-negative.  Coordinates are integers:
 each one is coerced with ``operator.index``, so a float or a string
-raises ``TypeError`` instead of being truncated.
+raises ``TypeError`` instead of being truncated, and the rank check
+reads the coerced tuple, so an empty iterable of any kind raises
+``ValueError``.
 
 The cover classifier of :mod:`weyl_order.posets` works in the extended
 convention: pad the epsilon vector with a trailing zero, let S_{n+1}
@@ -22,7 +24,8 @@ classifier reports: it is validated, and it prints in cycle notation
 the coordinates or images alone.
 
 ``_Value`` is the base of every value class of the package, here and in
-the other modules.
+the other modules: each class's one constructor coerces, checks and
+stores its fields.
 """
 
 from __future__ import annotations
@@ -38,15 +41,16 @@ class _Value:
     written out, so that importing the package generates no code.
 
     A subclass lists its fields in constructor order in ``_fields`` and
-    writes its own ``__init__``, which stores each field with
-    ``object.__setattr__`` and then calls the class's validating
-    ``__post_init__``, if it has one.  Two values are equal when they are
-    of one class and their field tuples are equal, and a value hashes as
-    its field tuple; its repr names each field, and it pickles through
-    its constructor from the fields.  A ``cached_property`` keeps its
-    value in the instance ``__dict__``, outside the fields, so no cached
-    value reaches any of these.  Assigning or deleting an attribute
-    raises ``AttributeError``.
+    writes one ``__init__``, which coerces its arguments, checks the
+    coerced values and then stores every field in one write of the
+    instance ``__dict__`` (``vars(self).update``).  Two values are equal
+    when they are of one class and their field tuples are equal, and a
+    value hashes as its field tuple; its repr names each field, and it
+    pickles through its constructor from the fields, so an unpickled
+    value is checked again.  A ``cached_property`` keeps its value in the
+    same ``__dict__``, outside the fields, so no cached value reaches any
+    of these.  Assigning or deleting an attribute raises
+    ``AttributeError``.
     """
 
     _fields: tuple[str, ...] = ()
@@ -88,13 +92,10 @@ class Weight(_Value):
     _fields = ("omega",)
 
     def __init__(self, omega: tuple[int, ...]):
-        object.__setattr__(self, "omega", omega)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if not self.omega:
+        omega = tuple(map(operator.index, omega))
+        if not omega:
             raise ValueError("weight needs rank >= 1")
-        object.__setattr__(self, "omega", tuple(map(operator.index, self.omega)))
+        vars(self).update(omega=omega)
 
     @property
     def rank(self) -> int:
@@ -170,13 +171,10 @@ class Permutation(_Value):
     _fields = ("images",)
 
     def __init__(self, images: tuple[int, ...]):
-        object.__setattr__(self, "images", images)
-        self.__post_init__()
-
-    def __post_init__(self):
-        object.__setattr__(self, "images", tuple(self.images))
-        if sorted(self.images) != list(range(len(self.images))):
-            raise ValueError(f"not a permutation: {self.images}")
+        images = tuple(images)
+        if sorted(images) != list(range(len(images))):
+            raise ValueError(f"not a permutation: {images}")
+        vars(self).update(images=images)
 
     @property
     def degree(self) -> int:

@@ -39,9 +39,9 @@ class TestSingleShot:
         # and the cover rows: no representative is built
         from weyl_order import WeightTuple
 
-        def refuse(self):
+        def refuse(self, parts):
             raise AssertionError("the poset command built a WeightTuple")
-        monkeypatch.setattr(WeightTuple, "__post_init__", refuse)
+        monkeypatch.setattr(WeightTuple, "__init__", refuse)
         code, out, _ = run(capsys, "poset", "--lambda", "2,2,1", "--k", "3",
                            "--out-dir", str(tmp_path), "--dot")
         assert code == 0
@@ -882,6 +882,43 @@ class TestFailureModes:
         assert (tmp_path / "verify_report.csv").read_bytes().startswith(
             b"item,ok,skipped\r\n")
 
+    @pytest.mark.parametrize("max_coord,max_k", [
+        (1, 2), (1, 5), (2, 3), (5, 4), (3, 7)])
+    @pytest.mark.parametrize("families", [("A",), ("A", "C", "B", "D")])
+    def test_sweep_check_count_is_the_worklist_length(self, families,
+                                                      max_coord, max_k):
+        cfg = SweepConfig(families=families, max_coord=max_coord, max_k=max_k)
+        assert cli.sweep_check_count(cfg) == len(sweep_items(cfg))
+
+    def test_sweep_check_count_past_the_limit(self):
+        # counted from the flags alone: no worklist is built
+        assert cli.sweep_check_count(SweepConfig(max_coord=5, max_k=4)) == 1264
+        big = SweepConfig(max_coord=3, max_k=10**8)
+        assert cli.sweep_check_count(big) == 4 * (1 + 15 * (2 * 10**8 + 1))
+        with pytest.raises(ValueError, match=r"^the sweep of --max-coord 3 "
+                           r"and --max-k 100000000 \(12000000064 checks\) is "
+                           rf"over the limit of {cli.MAX_SWEEP_CHECKS}$"):
+            cli.check_sweep_size(big)
+        small = SweepConfig(families=("A",), max_coord=1, max_k=2)
+        assert cli.sweep_check_count(small) == 16
+        assert cli.check_sweep_size(small) is None
+
+    @pytest.mark.parametrize("max_k", ["100000000", "4"])
+    def test_verify_past_its_check_limit_exits_2_before_the_sweep(
+            self, tmp_path, capsys, monkeypatch, max_k):
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify built its worklist past the limit")
+        monkeypatch.setattr(cli, "sweep_items", refuse)
+        if max_k == "4":  # a limit below the benchmark's 1264 checks
+            monkeypatch.setattr(cli, "MAX_SWEEP_CHECKS", 1263)
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "verify", "--max-coord", "5",
+                             "--max-k", max_k, "--out-dir", str(out_dir))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: the sweep of --max-coord 5 and "
+                              f"--max-k {max_k} (")
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("under_file", [False, True])
     def test_verify_checks_out_dir_before_the_sweep(self, tmp_path, capsys,
                                                     monkeypatch, under_file):
@@ -985,6 +1022,22 @@ class TestDeskSweepScript:
         out = capsys.readouterr()
         assert "--out-dir" in out.err
         assert out.out == ""
+
+    def test_past_the_check_limit_exits_2_before_the_out_dir(
+            self, tmp_path, capsys, monkeypatch):
+        script = self.script()
+
+        def refuse(*args):
+            raise AssertionError("the desk sweep ran past the check limit")
+        monkeypatch.setattr(script, "run_sweep", refuse)
+        out_dir = tmp_path / "d"
+        with pytest.raises(SystemExit) as exc:
+            script.main(["--max-coord", "3", "--max-k", "100000000",
+                         "--out-dir", str(out_dir)])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert "--max-coord 3 and --max-k 100000000" in out.err
+        assert out.out == "" and not out_dir.exists()
 
 
 class TestPosetSizeTableScript:

@@ -359,8 +359,8 @@ class TestBuildPoset:
 
     @pytest.mark.parametrize("k,count", [(2, 562), (3, 1537), (4, 2491)])
     def test_inline_and_memo_stat_routes_agree(self, k, count):
-        # the inline column rule (no memo) against _column_stats, plain and
-        # through the per-call memo build_poset hands in
+        # the column rule called on each column (no memo) against the
+        # per-call memo of it that build_poset hands in
         from weyl_order.posets import _PerCall
         from weyl_order.tuples import _column_stats, _sorted_prefix_stats
         memo = _PerCall(_column_stats).__getitem__
@@ -369,9 +369,8 @@ class TestBuildPoset:
             for lam in itertools.product(range(4), repeat=rank):
                 for ms in _part_multisets(lam, k):
                     rows = list(map(_part_window_values, ms))
-                    inline = _sorted_prefix_stats(rows)
-                    assert inline == _sorted_prefix_stats(rows, _column_stats)
-                    assert inline == _sorted_prefix_stats(rows, memo), ms
+                    plain = _sorted_prefix_stats(rows)
+                    assert plain == _sorted_prefix_stats(rows, memo), ms
                     seen += 1
         assert seen == count
 
@@ -387,12 +386,12 @@ class TestBuildPoset:
         monkeypatch.setattr(WeightTuple, "stat_vector",
                             property(lambda self: refuse()))
         built = []
-        check = WeightTuple.__post_init__
+        check = WeightTuple.__init__
 
-        def counting(self):
+        def counting(self, parts):
             built.append(self)
-            check(self)
-        monkeypatch.setattr(WeightTuple, "__post_init__", counting)
+            check(self, parts)
+        monkeypatch.setattr(WeightTuple, "__init__", counting)
         for coords, k in [((2, 1), 2), ((5, 5), 6), ((2, 2, 2), 3), ((0, 0), 1)]:
             built.clear()
             poset = build_poset(Weight(coords), k)
@@ -912,12 +911,12 @@ class TestPerClassCoverData:
         # build Weights, one per distinct part that cover_edges reads
         poset = build_poset(Weight((2,) * 6), 2)
         built = []
-        real = Weight.__post_init__
+        real = Weight.__init__
 
-        def counting(w):
+        def counting(w, omega):
+            real(w, omega)
             built.append(w.omega)
-            real(w)
-        monkeypatch.setattr(Weight, "__post_init__", counting)
+        monkeypatch.setattr(Weight, "__init__", counting)
         poset._cover_decisions
         out, chunks = poset.covers_text(True)
         assert out and list(chunks)

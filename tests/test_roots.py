@@ -197,6 +197,13 @@ class TestEmbedding:
             with pytest.raises(TypeError):
                 EmbeddedWeight(C2, bad)
 
+    def test_coordinate_length_is_read_off_the_coerced_tuple(self):
+        C2 = root_system("C2")
+        assert EmbeddedWeight(C2, iter([1, 2])) == EmbeddedWeight(C2, (1, 2))
+        for short in ((1,), iter([1]), iter([1, 2, 3])):
+            with pytest.raises(ValueError, match="^coordinate length "):
+                EmbeddedWeight(C2, short)
+
     def test_dominance_flag(self):
         B3 = root_system("B3")
         assert iota(Weight((2, 0)), B3).is_dominant

@@ -120,7 +120,7 @@ def test_posets_keeps_no_module_level_cache():
 
 def test_library_builds_objects_only_through_their_constructors():
     # no object.__new__ or other __new__ route: every Weight, WeightTuple
-    # and the rest goes through its validating __init__ / __post_init__
+    # and the rest goes through its validating __init__
     paths = sorted(SRC.glob("*.py"))
     assert paths
     found = [f"{path.name}:{node.lineno}" for path in paths
@@ -129,6 +129,38 @@ def test_library_builds_objects_only_through_their_constructors():
              or (isinstance(node, ast.Name) and node.id == "__new__")
              or (isinstance(node, ast.FunctionDef) and node.name == "__new__")]
     assert found == []
+
+
+def test_value_classes_store_their_fields_once():
+    # each value class's one __init__ coerces, checks and stores its
+    # fields in one write of the instance dict: no validating hook runs
+    # after it, and no field is stored through object.__setattr__
+    from weyl_order import cli
+    from weyl_order.weights import _Value
+
+    def is_hook(node):
+        return ((isinstance(node, ast.FunctionDef)
+                 and node.name == "__post_init__")
+                or (isinstance(node, ast.Attribute)
+                    and node.attr == "__post_init__")
+                or (isinstance(node, ast.Call)
+                    and ast.unparse(node.func) == "object.__setattr__"))
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    found = [f"{path.name}:{node.lineno}" for path in paths
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if is_hook(node)]
+    assert found == []
+    # the check sees a hook defined, a hook called and a field set past
+    # the class's own __setattr__
+    sample = ast.parse("def __post_init__(self): pass\n"
+                       "self.__post_init__()\n"
+                       "object.__setattr__(self, 'x', 1)\n")
+    assert sum(map(is_hook, ast.walk(sample))) == 3
+    classes = _Value.__subclasses__()
+    assert cli.SweepConfig in classes and len(classes) == 12
+    assert [cls.__name__ for cls in classes
+            if "__init__" not in vars(cls)] == []
 
 
 def test_dimension_report_is_gone():

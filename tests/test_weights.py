@@ -53,6 +53,14 @@ class TestWeightBasics:
         with pytest.raises(ValueError):
             Weight(())
 
+    def test_checks_read_the_coerced_coordinates(self):
+        # the rank check reads the tuple the coordinates were coerced to,
+        # whatever iterable gave them
+        for empty in ((), [], iter([]), (c for c in ())):
+            with pytest.raises(ValueError, match="^weight needs rank >= 1$"):
+                Weight(empty)
+        assert Weight(iter([2, 0, 1])) == Weight((2, 0, 1))
+
     def test_arithmetic(self):
         a, b = Weight((2, 1)), Weight((0, 3))
         assert (a + b).omega == (2, 4)
