@@ -8,6 +8,8 @@ the table reports the built count alone; the k = 3 column is a
 convenient place to look for patterns.  ``--rank``, ``--max-coord`` and
 ``--max-k`` follow the rules of ``weyl-order verify``: the first two
 must be positive and ``--max-k`` at least 2, or the call exits with 2.
+It also exits with 2, before building any fiber, when the grid's largest
+fiber holds more ordered tuples than ``build_poset``'s default guard.
 
 Example:
     python scripts/poset_size_table.py --rank 2 --max-coord 4 --max-k 3
@@ -20,8 +22,10 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from weyl_order import Weight, build_poset, count_tuples, poset_size_k2
+from weyl_order import (DEFAULT_GUARD, Weight, build_poset, count_tuples,
+                        poset_size_k2)
 from weyl_order.cli import at_least_two, positive_int
+from weyl_order.posets import _capped_count
 
 
 @dataclass(frozen=True)
@@ -50,6 +54,19 @@ def main(argv=None) -> int:
     ap.add_argument("--max-k", type=at_least_two, default=3)
     ap.add_argument("--out", type=Path, default=None, help="optional CSV path")
     args = ap.parse_args(argv)
+    # the largest fiber of the grid is lambda = (max_coord,) * rank at
+    # max_k, since counts grow in each coordinate and in k.  Each
+    # coordinate gives the same factor, at least 2, so the product passes
+    # the guard within 20 factors, however large the rank
+    factor = _capped_count((args.max_coord,), args.max_k, DEFAULT_GUARD)
+    count = 1
+    for _ in range(args.rank):
+        count *= factor
+        if count > DEFAULT_GUARD:
+            ap.error(f"--rank {args.rank}, --max-coord {args.max_coord} and "
+                     f"--max-k {args.max_k} give a fiber of more than "
+                     f"{DEFAULT_GUARD} ordered tuples, the guard of "
+                     "build_poset")
     if args.out is not None:
         try:  # before the table is built, not after
             args.out.parent.mkdir(parents=True, exist_ok=True)

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Desk sweep: run the full verify worklist and histogram the cover kinds.
+"""Desk sweep: run the full verify sweep and histogram the cover kinds.
 
 Runs the same checks as ``weyl-order verify`` (closed-form class counts,
 closed-form extremes, dimension monotonicity, coroot ledgers, unique

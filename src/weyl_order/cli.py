@@ -11,7 +11,7 @@ be set through the WEYL_ORDER_GUARD environment variable; an explicit
 --guard wins over it.  max and dim, which no guard covers, take fixed
 limits instead (MAX_K, MAX_DIM_RANK), checked before any part or coroot
 is built, and verify bounds its count of checks (MAX_SWEEP_CHECKS)
-before it builds its worklist; past one, the command exits 2.
+before it lists its fibers; past one, the command exits 2.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .weights import Weight, _Value
 # Work bounds of the commands no tuple guard covers.  max builds k parts
 # and holds them all; dim builds the positive coroots of its system, about
 # n^2 of them at rank n, in time growing about as n^3; verify holds its
-# whole worklist of checks, one 7-tuple each, before it runs one.
+# fiber list, and every check's row until the report is written.
 MAX_K = 10_000
 MAX_DIM_RANK = 32
 MAX_SWEEP_CHECKS = 10**5
@@ -154,33 +154,25 @@ class SweepConfig(_Value):
         return 2 + spin_nodes(family)
 
 
-def _sweep_lams(max_coord: int) -> list[tuple[int, ...]]:
-    return [(a, b) for a in range(max_coord + 1) for b in range(max_coord + 1)
-            if (a, b) != (0, 0)]
+def sweep_fibers(cfg: SweepConfig) -> list[tuple]:
+    """The sweep's fibers (lambda, k), in report order: every nonzero
+    lambda (a, b) with coordinates up to max_coord, at each k from 2 to
+    max_k.  Each entry is picklable."""
+    coords = range(cfg.max_coord + 1)
+    return [((a, b), k) for a in coords for b in coords if (a, b) != (0, 0)
+            for k in range(2, cfg.max_k + 1)]
 
 
-def sweep_items(cfg: SweepConfig) -> list[tuple]:
-    """Flat, deterministic worklist; each entry is picklable."""
-    items = []
-    for fam in cfg.families:
-        items.append(("table", fam, cfg.ambient_rank(fam), None, None,
-                      cfg.guard, cfg.corrupt))
-    for fam in cfg.families:
-        rank = cfg.ambient_rank(fam)
-        for lam in _sweep_lams(cfg.max_coord):
-            items.append(("size_k2", fam, rank, lam, 2, cfg.guard, cfg.corrupt))
-            items.append(("monotone_k2", fam, rank, lam, 2, cfg.guard, cfg.corrupt))
-            items.append(("ledger_k2", fam, rank, lam, 2, cfg.guard, cfg.corrupt))
-            for k in range(2, cfg.max_k + 1):
-                items.append(("extremes", fam, rank, lam, k, cfg.guard, cfg.corrupt))
-                items.append(("max_dim", fam, rank, lam, k, cfg.guard, cfg.corrupt))
-    return items
+def fiber_checks(k: int) -> tuple[str, ...]:
+    """The kinds of check run on a fiber at k, per family, in report order."""
+    k2 = ("size_k2", "monotone_k2", "ledger_k2") if k == 2 else ()
+    return k2 + ("extremes", "max_dim")
 
 
 def sweep_check_count(cfg: SweepConfig) -> int:
-    """len(sweep_items(cfg)), counted without building the list: per
-    family a table check, and per lambda three k = 2 checks plus two for
-    each k from 2 to max_k."""
+    """len(run_sweep(cfg)), counted without listing a fiber: per family a
+    table check, and per lambda three k = 2 checks plus two for each k
+    from 2 to max_k."""
     lams = (cfg.max_coord + 1) ** 2 - 1
     return len(cfg.families) * (1 + lams * (2 * cfg.max_k + 1))
 
@@ -193,12 +185,15 @@ def check_sweep_size(cfg: SweepConfig) -> None:
                 f"{cfg.max_k} ({count} checks)", count, MAX_SWEEP_CHECKS)
 
 
-def run_sweep_item(item: tuple, poset) -> dict:
+def run_sweep_item(item: tuple, poset, corrupt: bool = False) -> dict:
     """Execute one verify check; never raises, reports instead.
 
-    poset() returns the fiber's shared poset or raises GuardExceeded.
+    item is (kind, family, rank, lambda, k); a table check has no lambda
+    or k, reads no poset, and with corrupt finds a planted coroot missing
+    from the table (the --selftest-corrupt self-test).  poset() returns
+    the fiber's shared poset or raises GuardExceeded.
     """
-    kind, fam, rank, lam_omega, k, guard, corrupt = item
+    kind, fam, rank, lam_omega, k = item
     name = f"{kind}:{fam}{rank}"
     if lam_omega is not None:
         name += f":lam={','.join(str(c) for c in lam_omega)}:k={k}"
@@ -210,14 +205,11 @@ def run_sweep_item(item: tuple, poset) -> dict:
 
     try:
         if kind == "table":
+            # each call builds a fresh report, its lists sorted
             got = coroot_table_report(fam, rank)
             if corrupt:
-                got = dict(got)
-                got["missing_from_table"] = list(got["missing_from_table"])
                 got["missing_from_table"].append(tuple([1] * rank))
-            want = expected_table_report(fam, rank)
-            if (sorted(got["extra_in_table"]) != sorted(want["extra_in_table"])
-                    or sorted(got["missing_from_table"]) != sorted(want["missing_from_table"])):
+            if got != expected_table_report(fam, rank):
                 fail(f"coroot table report for {fam}{rank} deviates from the "
                      f"documented discrepancy: {got}")
             return out
@@ -250,15 +242,18 @@ def run_sweep_item(item: tuple, poset) -> dict:
     return out
 
 
-def run_fiber(items: list[tuple]) -> list[dict]:
-    """Run the checks of one fiber (same lambda, k and guard) on one poset.
+def run_fiber(cfg: SweepConfig, fiber: tuple) -> list[list[dict]]:
+    """Run the checks of one fiber (lambda, k) on one poset: per family of
+    cfg, the rows of fiber_checks(k).
 
     The poset is built on first use.  Over the guard, each check's call
     raises GuardExceeded again, before any tuple is enumerated.
     """
-    _, _, _, lam_omega, k, guard, _ = items[0]
-    poset = functools.cache(lambda: build_poset(Weight(lam_omega), k, guard))
-    return [run_sweep_item(it, poset) for it in items]
+    lam, k = fiber
+    poset = functools.cache(lambda: build_poset(Weight(lam), k, cfg.guard))
+    return [[run_sweep_item((kind, fam, cfg.ambient_rank(fam), lam, k), poset)
+             for kind in fiber_checks(k)]
+            for fam in cfg.families]
 
 
 def pool_size(jobs: int, cpus: int | None, tasks: int) -> int:
@@ -267,21 +262,24 @@ def pool_size(jobs: int, cpus: int | None, tasks: int) -> int:
 
 
 def run_sweep(cfg: SweepConfig, jobs: int = 1) -> list[dict]:
-    """Run the worklist fiber by fiber; rows come back in worklist order."""
-    items = sweep_items(cfg)
-    groups: dict[tuple, list[tuple]] = {}
-    for it in items:
-        groups.setdefault(it[3:6], []).append(it)  # (lambda, k, guard)
-    workers = pool_size(jobs, os.cpu_count(), len(groups))
+    """Run the sweep: the table checks in this process, then the fibers,
+    each on its own poset.  The rows come back as the report lists them,
+    the table rows first, then per family every fiber's rows."""
+    rows = [run_sweep_item(("table", fam, cfg.ambient_rank(fam), None, None),
+                           None, cfg.corrupt) for fam in cfg.families]
+    fibers = sweep_fibers(cfg)
+    run = functools.partial(run_fiber, cfg)
+    workers = pool_size(jobs, os.cpu_count(), len(fibers))
     if workers > 1:
         # imported here: a serial run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(run_fiber, groups.values()))
+            done = list(pool.map(run, fibers))
     else:
-        done = [run_fiber(g) for g in groups.values()]
-    rows = {fiber: iter(r) for fiber, r in zip(groups, done)}
-    return [next(rows[it[3:6]]) for it in items]
+        done = list(map(run, fibers))
+    for per_fiber in zip(*done):  # one family's rows, fiber by fiber
+        rows += itertools.chain(*per_fiber)
+    return rows
 
 
 def report_payload(cfg: SweepConfig, results: list[dict]) -> dict:

@@ -7,7 +7,9 @@ two tuples coroot by coroot (the row layout is ``_ledger_rows``'s, the
 brackets are ``RootSystem.part_brackets``'), and
 ``four_factor_rebalance`` is the integer fact behind its grouped rows.
 The three verifiers return their violations, a list of dicts, empty when
-the claim holds; they read class labels or build a ``WeightTuple`` only
+the claim holds; they read class labels only to word a violation.
+``verify_coroot_inequalities_k2`` reads every class's representative
+``WeightTuple`` (``EquivClass.rep``); ``verify_max_dim`` builds one only
 to word a violation.  Every k = 2 function refuses any other k through
 ``_require_k2``.
 """

@@ -185,30 +185,22 @@ def cartan_matrix(family: str, rank: int) -> list[list[int]]:
 
 
 def _positive_roots_from_cartan(a: list[list[int]]) -> set[tuple[int, ...]]:
-    """Positive roots as simple-root coefficient vectors, by string closure."""
+    """Positive roots as simple-root coefficient vectors: the simple roots
+    closed under the simple reflections s_i(c) = c - <c, h_i> alpha_i,
+    keeping the nonnegative results.  Every positive root is reached: one
+    of height above 1 pairs positively with some h_i, and s_i takes it to
+    a lower positive root."""
     rank = len(a)
-    roots = {tuple(1 if t == i else 0 for t in range(rank)) for i in range(rank)}
-    frontier = set(roots)
+    roots = {tuple(int(t == i) for t in range(rank)) for i in range(rank)}
+    frontier = list(roots)
     while frontier:
-        new = set()
-        for c in frontier:
-            for i in range(rank):
-                pair = sum(a[i][j] * c[j] for j in range(rank))
-                down = 0
-                probe = list(c)
-                while True:
-                    probe[i] -= 1
-                    if probe[i] < 0 or tuple(probe) not in roots:
-                        break
-                    down += 1
-                if down - pair > 0:
-                    up = list(c)
-                    up[i] += 1
-                    cand = tuple(up)
-                    if cand not in roots:
-                        new.add(cand)
-        roots |= new
-        frontier = new
+        c = frontier.pop()
+        for i in range(rank):
+            pair = sum(a[i][j] * c[j] for j in range(rank))
+            image = c[:i] + (c[i] - pair,) + c[i + 1:]
+            if image[i] >= 0 and image not in roots:  # only c[i] moved
+                roots.add(image)
+                frontier.append(image)
     return roots
 
 

@@ -12,7 +12,7 @@ import pytest
 import weyl_order.dimensions as dimensions
 from weyl_order import (Weight, base_rank, build_poset, cli,
                         maximal_element, minimal_element, root_system)
-from weyl_order.cli import SweepConfig, sweep_items
+from weyl_order.cli import SweepConfig, fiber_checks, sweep_fibers
 
 
 def run(capsys, *argv):
@@ -542,14 +542,13 @@ class TestVerify:
         cfg = SweepConfig(max_coord=2, max_k=3)
         rows = cli.run_sweep(cfg)
         assert rows and all(r["ok"] for r in rows)
-        fibers = {(it[3], it[4]) for it in sweep_items(cfg) if it[3] is not None}
-        assert set(calls) == {(name, lam, k) for lam, k in fibers
+        assert set(calls) == {(name, lam, k) for lam, k in sweep_fibers(cfg)
                               for name in ("minimal_element", "maximal_element")}
         assert set(calls.values()) == {1}
 
     def test_extremes_row_reports_a_cover_walk_off_the_order(self):
         poset = build_poset(Weight((2, 2)), 3)
-        item = ("extremes", "A", 2, (2, 2), 3, 10**6, False)
+        item = ("extremes", "A", 2, (2, 2), 3)
         assert cli.run_sweep_item(item, lambda: poset)["violations"] == []
         rows = poset.cover_rows
         poset.__dict__["cover_rows"] = (rows[0][1:],) + rows[1:]
@@ -558,7 +557,7 @@ class TestVerify:
 
     def test_unknown_check_kind_is_a_failed_row(self):
         poset = build_poset(Weight((2, 1)), 2)
-        item = ("no_such_check", "C", 2, (2, 1), 2, 10**6, False)
+        item = ("no_such_check", "C", 2, (2, 1), 2)
         row = cli.run_sweep_item(item, lambda: poset)
         assert row == {"item": "no_such_check:C2:lam=2,1:k=2", "ok": False,
                        "skipped": False,
@@ -567,15 +566,16 @@ class TestVerify:
 
     def test_only_the_verifier_rows_look_up_a_root_system(self, monkeypatch):
         # size_k2 and extremes read the poset alone; the rows run fiber by
-        # fiber, so the calls come in another order than the worklist's
+        # fiber, so the calls come in another order than the report's
         calls = []
         monkeypatch.setattr(cli, "root_system",
                             lambda *a: calls.append(a) or root_system(*a))
         cfg = SweepConfig(families=("A", "C"), max_coord=2, max_k=3)
         rows = cli.run_sweep(cfg)
         assert all(r["ok"] for r in rows)
-        verifiers = [(it[1], it[2]) for it in sweep_items(cfg)
-                     if it[0] in ("monotone_k2", "ledger_k2", "max_dim")]
+        verifiers = [(fam, cfg.ambient_rank(fam)) for fam in cfg.families
+                     for _, k in sweep_fibers(cfg) for kind in fiber_checks(k)
+                     if kind in ("monotone_k2", "ledger_k2", "max_dim")]
         assert Counter(calls) == Counter(verifiers)
 
     def test_each_part_dimension_is_computed_once(self, monkeypatch):
@@ -616,17 +616,49 @@ class TestVerify:
             return real(lam, k, guard)
         monkeypatch.setattr(cli, "build_poset", counting)
         cfg = SweepConfig(max_coord=2, max_k=3)
-        items = sweep_items(cfg)
-        assert len(cli.run_sweep(cfg)) == len(items)
-        fibers = {(it[3], it[4]) for it in items if it[3] is not None}
-        assert set(built) == fibers
+        assert len(cli.run_sweep(cfg)) == cli.sweep_check_count(cfg)
+        assert set(built) == set(sweep_fibers(cfg))
         assert set(built.values()) == {1}
 
+    def test_run_fiber_is_handed_fibers_only(self, monkeypatch):
+        # the table checks run once per family in this process, outside
+        # any fiber, and no check item carries the guard or corrupt
+        handed, inside, in_fiber, outside = [], [], [], []
+        real_fiber, real_check = cli.run_fiber, cli.run_sweep_item
+
+        def fiber(cfg, fib):
+            handed.append(fib)
+            inside.append(fib)
+            try:
+                return real_fiber(cfg, fib)
+            finally:
+                inside.pop()
+
+        def check(item, *args):
+            (in_fiber if inside else outside).append(item)
+            return real_check(item, *args)
+        monkeypatch.setattr(cli, "run_fiber", fiber)
+        monkeypatch.setattr(cli, "run_sweep_item", check)
+        cfg = SweepConfig(families=("A", "C"), max_coord=1, max_k=3,
+                          guard=3, corrupt=True)
+        rows = cli.run_sweep(cfg)
+        assert handed == sweep_fibers(cfg)
+        assert outside == [("table", "A", 2, None, None),
+                           ("table", "C", 2, None, None)]
+        assert {item[0] for item in in_fiber} == {
+            "size_k2", "monotone_k2", "ledger_k2", "extremes", "max_dim"}
+        assert {len(item) for item in in_fiber} == {5}
+        assert len(rows) == len(outside) + len(in_fiber)
+        assert [r["item"] for r in rows[:2]] == ["table:A2", "table:C2"]
+
     def test_large_k_fiber_checks_report_no_violation(self):
-        items = [(kind, fam, rank, (1, 0), 1000, 10**6, False)
-                 for fam, rank in (("A", 2), ("C", 2))
-                 for kind in ("extremes", "max_dim")]
-        assert [r["violations"] for r in cli.run_fiber(items)] == [[]] * 4
+        cfg = SweepConfig(families=("A", "C"))
+        rows = cli.run_fiber(cfg, ((1, 0), 1000))
+        assert [[r["item"] for r in fam_rows] for fam_rows in rows] == [
+            [f"{kind}:{fam}2:lam=1,0:k=1000" for kind in ("extremes", "max_dim")]
+            for fam in "AC"]
+        assert [r["violations"] for fam_rows in rows for r in fam_rows] == \
+            [[]] * 4
 
     def test_ambient_systems_have_base_rank_two(self):
         cfg = SweepConfig()
@@ -635,11 +667,17 @@ class TestVerify:
             assert base_rank(root_system(fam, cfg.ambient_rank(fam))) == 2
 
     def test_grouped_rows_match_items_run_alone(self):
-        # reference route: each item in a group of its own, on a fresh poset
+        # reference route: each row's check run alone, on a fresh poset
         cfg = SweepConfig(families=("A", "C"), max_coord=2, max_k=3,
                           guard=3, corrupt=True)
-        items = sweep_items(cfg)
-        alone = [cli.run_fiber([it])[0] for it in items]
+        alone = [cli.run_sweep_item(("table", fam, cfg.ambient_rank(fam),
+                                     None, None), None, cfg.corrupt)
+                 for fam in cfg.families]
+        alone += [cli.run_sweep_item(
+            (kind, fam, cfg.ambient_rank(fam), lam, k),
+            lambda: build_poset(Weight(lam), k, cfg.guard))
+            for fam in cfg.families for lam, k in sweep_fibers(cfg)
+            for kind in fiber_checks(k)]
         grouped = cli.run_sweep(cfg)
         assert grouped == alone
         assert any(r["skipped"] for r in alone)
@@ -888,10 +926,14 @@ class TestFailureModes:
     def test_sweep_check_count_is_the_worklist_length(self, families,
                                                       max_coord, max_k):
         cfg = SweepConfig(families=families, max_coord=max_coord, max_k=max_k)
-        assert cli.sweep_check_count(cfg) == len(sweep_items(cfg))
+        count = cli.sweep_check_count(cfg)
+        assert count == len(families) * (1 + sum(
+            len(fiber_checks(k)) for _, k in sweep_fibers(cfg)))
+        if max_coord <= 2:  # small enough to run
+            assert count == len(cli.run_sweep(cfg))
 
     def test_sweep_check_count_past_the_limit(self):
-        # counted from the flags alone: no worklist is built
+        # counted from the flags alone: no fiber is listed
         assert cli.sweep_check_count(SweepConfig(max_coord=5, max_k=4)) == 1264
         big = SweepConfig(max_coord=3, max_k=10**8)
         assert cli.sweep_check_count(big) == 4 * (1 + 15 * (2 * 10**8 + 1))
@@ -907,8 +949,8 @@ class TestFailureModes:
     def test_verify_past_its_check_limit_exits_2_before_the_sweep(
             self, tmp_path, capsys, monkeypatch, max_k):
         def refuse(*args, **kwargs):
-            raise AssertionError("verify built its worklist past the limit")
-        monkeypatch.setattr(cli, "sweep_items", refuse)
+            raise AssertionError("verify listed its fibers past the limit")
+        monkeypatch.setattr(cli, "sweep_fibers", refuse)
         if max_k == "4":  # a limit below the benchmark's 1264 checks
             monkeypatch.setattr(cli, "MAX_SWEEP_CHECKS", 1263)
         out_dir = tmp_path / "out"
@@ -1083,6 +1125,49 @@ class TestPosetSizeTableScript:
         assert "--out" in out.err
         assert out.out == ""
 
+    @pytest.mark.parametrize("rank,max_coord,max_k", [
+        ("1", "30", "10"), ("1", "15", "10"), ("20", "1", "2"),
+        ("1000", "1", "2")])
+    def test_grid_past_the_guard_exits_2_before_any_fiber(
+            self, tmp_path, capsys, monkeypatch, rank, max_coord, max_k):
+        # (15,) at k = 10 has C(24, 9) = 1307504 ordered tuples, and
+        # (1,) * 20 at k = 2 has 2**20; each is the largest of its grid.
+        # The check multiplies per-coordinate factors, so a rank of 1000
+        # builds no long weight
+        script = self.script()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a fiber was built past the guard")
+        monkeypatch.setattr(script, "build_poset", refuse)
+        monkeypatch.setattr(script, "count_tuples", refuse)
+        out = tmp_path / "d" / "t.csv"
+        with pytest.raises(SystemExit) as exc:
+            script.main(["--rank", rank, "--max-coord", max_coord,
+                         "--max-k", max_k, "--out", str(out)])
+        assert exc.value.code == 2
+        got = capsys.readouterr()
+        assert got.out == "" and not out.parent.exists()
+        assert (f"--rank {rank}, --max-coord {max_coord} and --max-k "
+                f"{max_k} give a fiber of more than 1000000 ordered "
+                "tuples") in got.err
+
+    @pytest.mark.parametrize("rank,max_coord,max_k", [
+        ("1", "14", "10"), ("19", "1", "2")])
+    def test_grid_at_the_guard_reaches_the_table(self, monkeypatch, rank,
+                                                 max_coord, max_k):
+        # C(23, 9) = 817190 and 2**19 ordered tuples: within the guard
+        script = self.script()
+
+        class Reached(Exception):
+            pass
+
+        def reached(cfg):
+            raise Reached
+        monkeypatch.setattr(script, "rows_for", reached)
+        with pytest.raises(Reached):
+            script.main(["--rank", rank, "--max-coord", max_coord,
+                         "--max-k", max_k])
+
     def test_small_table(self, tmp_path, capsys):
         out = tmp_path / "table.csv"
         assert self.script().main(["--rank", "1", "--max-coord", "2",
@@ -1152,8 +1237,8 @@ class TestBenchLayersScript:
             name: pytest.approx(s * factor, rel=1e-3, abs=2e-6)
             for name, s in verify["seconds_min"].items()}
         cfg = SweepConfig(max_coord=5, max_k=4)
-        assert verify["checks"] == len(sweep_items(cfg)) == 1264
         rows = cli.run_sweep(cfg)
+        assert verify["checks"] == len(rows) == 1264
         assert verify["report_chars"] == len(json.dumps(
             cli.report_payload(cfg, rows), sort_keys=True, indent=2)) + 1
         # one fresh interpreter per pass times the package import

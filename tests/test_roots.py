@@ -1,7 +1,7 @@
 """Root system data: closed-form tables against two independent routes.
 
-The library generates coroot coefficient vectors by root-string closure
-over the transposed Cartan matrix.  Here they are checked a second way,
+The library generates coroot coefficient vectors over the transposed
+Cartan matrix, closing the simple roots under the simple reflections.  Here they are checked a second way,
 from the coordinate realizations in the recursion oracle: for each
 positive root beta the coroot coefficients are c_i = 2 (omega_i, beta) /
 (beta, beta), which never touches the library's Cartan code.
@@ -59,6 +59,11 @@ def test_generated_coroots_match_realization_route(family, rank):
     ("B", 2, 4), ("B", 3, 9), ("B", 4, 16),
     ("C", 1, 1), ("C", 2, 4), ("C", 3, 9), ("C", 4, 16),
     ("D", 3, 6), ("D", 4, 12), ("D", 5, 20),
+    # through rank 8: n(n+1)/2 in type A, n^2 in B and C, n(n-1) in D
+    ("A", 5, 15), ("A", 6, 21), ("A", 7, 28), ("A", 8, 36),
+    ("B", 5, 25), ("B", 6, 36), ("B", 7, 49), ("B", 8, 64),
+    ("C", 5, 25), ("C", 6, 36), ("C", 7, 49), ("C", 8, 64),
+    ("D", 6, 30), ("D", 7, 42), ("D", 8, 56),
 ])
 def test_coroot_counts(family, rank, count):
     assert len(generated_positive_coroots(family, rank)) == count

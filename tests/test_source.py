@@ -1,7 +1,9 @@
 """Source-level checks on the library: real exceptions, and one public
-route per decision."""
+route per decision; and on the tests and scripts: every name they import
+from the package resolves."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,8 @@ from weyl_order import OrderVerdict, Permutation, Weight, WeightTuple
 from weyl_order import tuples as tuples_mod
 from weyl_order import weights as weights_mod
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "weyl_order"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "weyl_order"
 
 # the second routes kept in tests/weight_actions.py, under their old
 # library names
@@ -189,3 +192,53 @@ def test_no_string_constant_spells_a_json_field_layout():
     # the check sees the layouts it forbids
     assert field.search('{\n  "classes": ')
     assert field.search(',\n      "low": ')
+
+
+def _resolves(module: str, name: str | None = None) -> bool:
+    """Whether module imports and, given a name, has it or a submodule
+    of that name."""
+    try:
+        owner = importlib.import_module(module)
+        if name is not None and not hasattr(owner, name):
+            importlib.import_module(f"{module}.{name}")
+    except ModuleNotFoundError:
+        return False
+    return True
+
+
+def stale_imports(source: str, filename: str) -> list[str]:
+    """The package modules and names a file imports that do not resolve."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.Import):
+            pairs = [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            pairs = [(node.module, alias.name) for alias in node.names
+                     if alias.name != "*"]
+        else:
+            continue
+        found += [f"{filename}:{node.lineno}: {module}"
+                  + (f".{name}" if name else "")
+                  for module, name in pairs
+                  if module.partition(".")[0] == "weyl_order"
+                  and not _resolves(module, name)]
+    return found
+
+
+def test_tests_and_scripts_import_only_names_that_exist():
+    # a removed name turns a whole test module into a collection error,
+    # which a run that continues past collection errors would not count
+    paths = sorted([*ROOT.glob("tests/*.py"), *ROOT.glob("scripts/*.py")])
+    assert len(paths) > 20
+    found = [line for path in paths
+             for line in stale_imports(path.read_text(), path.name)]
+    assert found == []
+    # the check sees a removed name and a missing module, and passes a
+    # submodule imported by name
+    sample = ("from weyl_order.cli import SweepConfig, sweep_items\n"
+              "from weyl_order import Weight, cli, roots\n"
+              "import weyl_order.no_such_module\n"
+              "import json\n")
+    assert stale_imports(sample, "s.py") == [
+        "s.py:1: weyl_order.cli.sweep_items",
+        "s.py:3: weyl_order.no_such_module"]
