@@ -4,7 +4,7 @@
 For the fiber of each ``perfbench`` workload (for ``sweep``, the largest
 fiber of its grid), and for (1,)*7 at k = 2, which no workload runs (its
 entry reads ``"perfbench": false``), it records the best of ``--repeat`` wall times of
-``build_poset``, the strict order (``TuplePoset._below``), the cover walk
+``build_poset``, the order as down-sets (``TuplePoset._down``), the cover walk
 (``cover_rows``), at k = 2 the class frames (``frames``: every entry of
 ``TuplePoset._uppers`` filled) and then the covers classified by kind
 alone (``decisions``: every row of the decision list,
@@ -152,7 +152,7 @@ def layer_times(lam: Weight, k: int) -> tuple[dict, dict]:
     """One pass over the layers of a fresh poset: (seconds, sizes)."""
     seconds, sizes = {}, {}
     seconds["build_poset"], poset = timed(lambda: build_poset(lam, k))
-    seconds["_below"], _ = timed(lambda: poset._below)
+    seconds["_down"], _ = timed(lambda: poset._down)
     seconds["cover_rows"], rows = timed(lambda: poset.cover_rows)
     if k == 2:
         seconds["frames"], _ = timed(
@@ -175,12 +175,12 @@ def cover_walk_memory(lam: Weight, k: int) -> dict:
     list keeps (tracemalloc current once it is built, with the order and
     the rows built first)."""
     poset = build_poset(lam, k)
-    below_bytes = sum(map(sys.getsizeof, poset._below))
+    down_bytes = sum(map(sys.getsizeof, poset._down))
     tracemalloc.start()
     try:
         poset.cover_rows
         out = {"cover_rows_peak_bytes": tracemalloc.get_traced_memory()[1],
-               "below_bytes": below_bytes}
+               "down_bytes": down_bytes}
         if k == 2:
             tracemalloc.clear_traces()  # count what is allocated from here
             poset._cover_decisions

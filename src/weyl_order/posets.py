@@ -11,8 +11,10 @@ scores each through memos local to the call.  A class holds integers
 only; its representative ``WeightTuple`` is built when first read.
 
 A ``TuplePoset`` holds the coordinatewise order of the stat vectors as
-one list of strict-order bit masks (``_below``); the cover walk
-(``cover_rows``) and both extremes are read off them.  The quotient
+one list of down-set bit masks (``_down``, each class's own bit
+included), built from "at most" masks per stat column, read off the
+column's bytes where its values fit a byte (``_at_most``); the cover
+walk (``cover_rows``) and both extremes are read off them.  The quotient
 always has a unique bottom class, the one containing (lam, 0, ..., 0),
 and a unique top class, whose representative spreads each epsilon
 coordinate as evenly as possible across the k parts
@@ -59,7 +61,7 @@ import itertools
 import json
 import math
 from functools import cache, cached_property, partial, reduce
-from operator import and_, attrgetter, itemgetter, or_, sub
+from operator import and_, attrgetter, itemgetter, lt, or_, sub
 from typing import Callable
 
 from .tuples import (OrderVerdict, WeightTuple, _column_stats,
@@ -273,14 +275,45 @@ def _file_chunks(fields: dict, **arrays):
     return itertools.chain.from_iterable(pieces)
 
 
+def _at_most(column: bytes | tuple[int, ...],
+             values: list[int]) -> dict[int, int]:
+    """Per value v of a stat column, the mask of the classes whose value
+    is at most v, bit c for class c; values are the column's distinct
+    values in increasing order.
+
+    A column given as bytes, one byte per class, is reversed so that
+    class c sits at bit c, and each mask is that string translated to the
+    digits 1 (value <= v) and 0, read in base 2: no Python loop runs per
+    class, and base 2 is exempt from int's digit limit.  A column of
+    values outside range(256) is a tuple, and its classes are walked with
+    a running OR, as ``_pack`` keeps its shift loop past one byte per
+    field."""
+    if isinstance(column, bytes):
+        text = column[::-1]
+        return {v: int(text.translate(b"1" * (v + 1) + b"0" * (255 - v)), 2)
+                for v in values}
+    at_most: dict[int, int] = {}
+    for c, v in enumerate(column):
+        at_most[v] = at_most.get(v, 0) | 1 << c
+    seen = 0
+    for v in values:
+        seen = at_most[v] = seen | at_most[v]
+    return at_most
+
+
 class TuplePoset(_Value):
     """The quotient of the fiber over lam at k: classes lists its classes
-    in lex order of stat vectors, as build_poset builds them.  The strict
-    order, the cover walk and class_of rely on that order."""
+    in strictly increasing lex order of stat vectors, as build_poset
+    builds them, and any other order raises ValueError.  The order, the
+    cover walk and class_of rely on that order."""
 
     _fields = ("lam", "k", "classes")
 
     def __init__(self, lam: Weight, k: int, classes: tuple[EquivClass, ...]):
+        vectors = list(map(attrgetter("stat_vector"), classes))
+        if not all(map(lt, vectors, vectors[1:])):
+            raise ValueError("classes must come in strictly increasing lex "
+                             "order of stat vectors")
         vars(self).update(lam=lam, k=k, classes=classes)
 
     def __len__(self) -> int:
@@ -291,63 +324,62 @@ class TuplePoset(_Value):
                                      self.classes[b].stat_vector)
 
     @cached_property
-    def _below(self) -> list[int]:
-        """The strict order: below[c] has bit d set when class d < class c.
+    def _down(self) -> list[int]:
+        """The order as down-sets: down[c] has bit d set when class d <=
+        class c, c's own bit included.
 
-        Built from "at most" masks, one stat coordinate at a time: walking
-        that coordinate's distinct values upwards with a running OR of
-        their classes gives, per value v, the mask of classes whose value
-        is <= v.  Distinct classes have distinct stat vectors, so the AND
-        of c's masks over all coordinates is c and the classes below it;
-        dropping c's own bit leaves below[c].
+        Per stat coordinate, ``_at_most`` gives each value's "at most"
+        mask; a coordinate whose values all lie in range(256), every one
+        when |lam| < 256, is kept as bytes, a byte per class where a tuple
+        holds a reference.  Distinct classes have distinct stat vectors, so
+        the AND of c's masks over all coordinates is c and the classes
+        below it: one ``reduce`` per class, row by row, so no second list
+        of masks is held while the rows are built.
 
         A coordinate that holds one value over all classes is skipped: its
         one mask is full, so it would clear no bit.  Every l = k coordinate
         is such a column, since it sums the whole window of lam.
 
         Classes are indexed in lex order of stat vectors, a linear
-        extension of the order: every bit of below[c] is < c.
+        extension of the order: every bit of down[c] is <= c.
         """
-        m = len(self.classes)
         columns = []  # per non-constant coordinate, each class's at-most mask
         for column in zip(*(cls.stat_vector for cls in self.classes)):
-            if column.count(column[0]) == m:
+            values = sorted(set(column))
+            if len(values) == 1:
                 continue
-            at_most: dict[int, int] = {}
-            for c, v in enumerate(column):
-                at_most[v] = at_most.get(v, 0) | 1 << c
-            seen = 0
-            for v in sorted(at_most):
-                seen = at_most[v] = seen | at_most[v]
-            columns.append(map(at_most.__getitem__, column))
-        if not columns:  # every coordinate constant: one class
-            return [0] * m
-        return [reduce(and_, masks) ^ 1 << c
-                for c, masks in enumerate(zip(*columns))]
+            if 0 <= values[0] and values[-1] < 256:
+                column = bytes(column)
+            columns.append(map(_at_most(column, values).__getitem__, column))
+        if not columns:  # every coordinate constant: at most one class
+            return [1 << c for c in range(len(self.classes))]
+        return [reduce(and_, masks) for masks in zip(*columns)]
 
     @cached_property
     def cover_rows(self) -> tuple[tuple[int, ...], ...]:
         """Per class a, the classes covering a, in increasing order.
 
-        A cover walk, class c by class c upwards: pop the highest class a
-        left in rest = below[c], append c to a's row, and drop a and
-        below[a] from rest.  Index order is a linear extension (see
-        _below), so a class strictly between a and c would sit in rest
-        above a: it was either popped first, and a dropped as lying below
-        it, or itself dropped as lying below an earlier pop, and then so
-        was a.  Hence every popped a is covered by c, and no cover is ever
-        dropped.  The top bit is read with bit_length, which builds no
-        integer, and rest only shrinks below it, so the cost is a few
-        operations on at most c-bit masks per cover, not one per strict
-        pair.  Rows fill in increasing c, so each comes out sorted.
+        A cover walk, class c by class c upwards: start from rest, down[c]
+        without c's own bit, pop the highest class a left in it, append c
+        to a's row, and drop down[a], which holds a itself, from rest.
+        Index order is a linear extension (see _down), so a class strictly
+        between a and c would sit in rest above a: it was either popped
+        first, and a dropped as lying below it, or itself dropped as lying
+        below an earlier pop, and then so was a.  Hence every popped a is
+        covered by c, and no cover is ever dropped.  The top bit is read
+        with bit_length, which builds no integer, and rest only shrinks
+        below it, so the cost is two operations on at most c-bit masks per
+        cover, not one per strict pair.  Rows fill in increasing c, so each
+        comes out sorted.
         """
-        below = self._below
-        rows = [[] for _ in below]
-        for c, rest in enumerate(below):
+        down = self._down
+        rows = [[] for _ in down]
+        for c, rest in enumerate(down):
+            rest ^= 1 << c
             while rest:
                 a = rest.bit_length() - 1
                 rows[a].append(c)
-                rest ^= rest & below[a] | 1 << a
+                rest ^= rest & down[a]
         for a, row in enumerate(rows):  # one row's list freed at a time
             rows[a] = tuple(row)
         return tuple(rows)
@@ -409,34 +441,39 @@ class TuplePoset(_Value):
             self._cover_row(a, weight) for a in range(len(self))))
 
     def transitive_ok(self) -> bool:
-        """The down-closure of the cover rows must equal the strict order.
+        """The down-closure of the cover rows must equal the order.
 
-        Built in increasing a, down[c] holds the classes reached from c
-        down along covers (an entry c <= a in a's row puts bit a into
-        down[c], which below[c], whose bits are < c, never holds).
+        Built in increasing a, reach[c] gathers the classes reached from c
+        down along covers, and a's own bit is toggled into reach[a] once
+        its row is walked.  An entry c <= a in a's row breaks the equality:
+        c < a puts bit a into reach[c], which down[c], whose bits are <= c,
+        never holds, and c = a sets a's bit before the toggle clears it.
         Reachability is transitive, so equality proves the order transitive
         and checks the cover walk against the masks, at one step per cover.
         """
-        below, rows = self._below, self.cover_rows
-        down = [0] * len(below)
+        down, rows = self._down, self.cover_rows
+        reach = [0] * len(down)
         for a, row in enumerate(rows):
-            reached = 1 << a | down[a]
+            reached = reach[a] | 1 << a
             for c in row:
-                down[c] |= reached
-        return down == below
+                reach[c] |= reached
+            reach[a] ^= 1 << a
+        return reach == down
 
     @cached_property
     def bottom_index(self) -> int:
-        """The unique minimal class: the one with an empty below mask."""
-        mins = [c for c, mask in enumerate(self._below) if mask == 0]
+        """The unique minimal class: the one whose down-set is itself."""
+        mins = [c for c, mask in enumerate(self._down) if mask == 1 << c]
         if len(mins) != 1:
             raise ValueError(f"expected a unique minimal class, found {mins}")
         return mins[0]
 
     @cached_property
     def top_index(self) -> int:
-        """The unique maximal class: the one bit set in no below mask."""
-        has_above = reduce(or_, self._below, 0)
+        """The unique maximal class: the one bit set in no other class's
+        down-set."""
+        has_above = reduce(or_, (mask ^ 1 << c
+                                 for c, mask in enumerate(self._down)), 0)
         maxs = [c for c in range(len(self.classes)) if not has_above >> c & 1]
         if len(maxs) != 1:
             raise ValueError(f"expected a unique maximal class, found {maxs}")

@@ -1,13 +1,14 @@
 """Reference order and Hasse reduction: the pairwise route the masks replace.
 
-``TuplePoset._below`` builds the strict order from per-coordinate "at
-most" masks, ``TuplePoset.cover_rows`` finds the covers by a walk over
-them, and ``TuplePoset.top_index`` reads the maximal classes off the OR
-of all of them.  This fixture keeps the quadratic route those stand for:
-one ``verdict`` per unordered pair of classes, filling both the below
-and the above masks, then every strict pair tested for a class strictly
-between.  ``strict_pairs`` walks every strict pair of the masks, the
-route the sweep checks took before they walked covers.
+``TuplePoset._down`` builds the order as down-sets (each class's own bit
+included) from per-coordinate "at most" masks, ``TuplePoset.cover_rows``
+finds the covers by a walk over them, and ``TuplePoset.top_index`` reads
+the maximal classes off the OR of all of them, own bits cleared.  This
+fixture keeps the quadratic route those stand for: one ``verdict`` per
+unordered pair of classes, filling both the strict below and the strict
+above masks, then every strict pair tested for a class strictly between.
+``strict_pairs`` walks every strict pair of the down-sets, own bits
+cleared, the route the sweep checks took before they walked covers.
 """
 
 from weyl_order import OrderVerdict
@@ -45,7 +46,8 @@ def hasse_edges_pairwise(poset):
 def strict_pairs(poset):
     """Each (a, b) with class a below class b, in (a, b) order; a < b."""
     pairs = []
-    for b, mask in enumerate(poset._below):
+    for b, mask in enumerate(poset._down):
+        mask ^= 1 << b
         while mask:
             low = mask & -mask
             pairs.append((low.bit_length() - 1, b))

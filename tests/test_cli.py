@@ -1201,7 +1201,7 @@ class TestBenchLayersScript:
                 if fiber["perfbench"]} == set(script.FIBERS)
         assert (fibers["ones_k2"]["lambda"], fibers["ones_k2"]["k"]) == \
             ([1] * 7, 2)
-        layers = {"build_poset", "_below", "cover_rows", "json_chunks",
+        layers = {"build_poset", "_down", "cover_rows", "json_chunks",
                   "dot_chunks"}
         for name, fiber in fibers.items():
             want = layers | {"frames", "decisions", "covers_text",
@@ -1221,7 +1221,7 @@ class TestBenchLayersScript:
                 (len(poset.json_text()), len(poset.to_dot()))
         k3 = fibers["poset_k3"]
         assert (k3["classes"], k3["covers"]) == (3675, 27173)
-        assert 0 < k3["cover_rows_peak_bytes"] < k3["below_bytes"]
+        assert 0 < k3["cover_rows_peak_bytes"] < k3["down_bytes"]
         # the bytes the decision list keeps, at k = 2 only
         assert [name for name, fiber in fibers.items()
                 if "cover_decisions_bytes" in fiber] == ["covers_k2", "ones_k2"]

@@ -1513,7 +1513,7 @@ class TestSharedOrder:
         lam = Weight(data.draw(st.tuples(*[st.integers(0, 3)] * rank)))
         poset = build_poset(lam, data.draw(st.sampled_from((2, 3, 4))))
         below, above = strict_masks_pairwise(poset)
-        assert poset._below == below
+        assert poset._down == [mask | 1 << c for c, mask in enumerate(below)]
         assert poset.hasse_edges == hasse_edges_pairwise(poset)
         # the extremes: no class below the bottom, none above the top
         assert [c for c, mask in enumerate(below) if mask == 0] == \
@@ -1521,8 +1521,8 @@ class TestSharedOrder:
         assert [c for c, mask in enumerate(above) if mask == 0] == \
             [poset.top_index]
         # index order is a linear extension, which the cover walk relies on
-        for c, mask in enumerate(poset._below):
-            assert mask < 1 << c
+        for c, mask in enumerate(poset._down):
+            assert mask < 2 << c
         for c, mask in enumerate(above):
             assert mask & ((1 << (c + 1)) - 1) == 0
 
@@ -1531,7 +1531,7 @@ class TestSharedOrder:
         for coords, k in [((2, 1), 1), ((3,), 1), ((0, 0), 3), ((0, 0, 0), 3)]:
             poset = build_poset(Weight(coords), k)
             assert len(poset) == 1
-            assert poset._below == [0]
+            assert poset._down == [1]
             assert poset.bottom_index == poset.top_index == 0
             assert poset.hasse_edges == ()
 
@@ -1546,7 +1546,8 @@ class TestSharedOrder:
             if ell == k:
                 # the k smallest of k parts are all of them: lam's window
                 assert set(column) == {window_sums[i, j]}
-        assert poset._below == strict_masks_pairwise(poset)[0]
+        assert poset._down == [mask | 1 << c for c, mask
+                               in enumerate(strict_masks_pairwise(poset)[0])]
         assert poset.hasse_edges == hasse_edges_pairwise(poset)
 
     def test_incomparable_extremes_raise(self):
@@ -1557,7 +1558,7 @@ class TestSharedOrder:
             EquivClass(stat_vector=sv, size=1, multisets=(((1, 0), (0, 0)),))
             for sv in ((0, 1), (1, 0)))
         poset = TuplePoset(lam=lam, k=2, classes=classes)
-        assert poset._below == [0, 0]
+        assert poset._down == [1, 2]
         with pytest.raises(ValueError, match=r"unique minimal class, found \[0, 1\]"):
             poset.bottom_index
         with pytest.raises(ValueError, match=r"unique maximal class, found \[0, 1\]"):
@@ -1579,7 +1580,7 @@ class TestSharedOrder:
             # out of order
             m = len(poset)
             strays = [(a, b) for a in range(m) for b in range(m)
-                      if a != b and not poset._below[b] >> a & 1]
+                      if a != b and not poset._down[b] >> a & 1]
             assert strays
             for a, b in strays:
                 corrupt(a, rows[a] + (b,))
@@ -1592,7 +1593,7 @@ class TestSharedOrder:
         import sys
         import tracemalloc
         poset = build_poset(Weight((6, 6, 6)), 3)
-        masks = sum(map(sys.getsizeof, poset._below))
+        masks = sum(map(sys.getsizeof, poset._down))
         tracemalloc.start()
         try:
             rows = poset.cover_rows
@@ -1601,6 +1602,78 @@ class TestSharedOrder:
             tracemalloc.stop()
         assert sum(map(len, rows)) == 27173
         assert peak < masks, (peak, masks)
+
+    def test_down_sets_hold_little_more_than_the_masks(self):
+        # the masks are ANDed one class at a time: building the columns up
+        # as whole lists of m masks would hold a second order while the
+        # first is built, about twice the bytes of the masks
+        import tracemalloc
+        poset = build_poset(Weight((6, 6, 6)), 3)
+        tracemalloc.start()
+        try:
+            down = poset._down
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        masks = sum(map(sys.getsizeof, down))
+        assert peak < 1.5 * masks, (peak, masks)
+
+    @staticmethod
+    def hand_built(vectors):
+        """A poset of one class per stat vector, in the order given."""
+        classes = tuple(EquivClass(stat_vector=sv, size=1,
+                                   multisets=(((1, 0), (0, 0)),))
+                        for sv in vectors)
+        return TuplePoset(lam=Weight((1, 0)), k=2, classes=classes)
+
+    def assert_matches_pairwise(self, poset):
+        below = strict_masks_pairwise(poset)[0]
+        assert poset._down == [mask | 1 << c for c, mask in enumerate(below)]
+        assert poset.hasse_edges == hasse_edges_pairwise(poset)
+        assert poset.transitive_ok()
+
+    @pytest.mark.parametrize("vectors", [
+        ((1, 1), (0, 0), (2, 2)),   # (1, 2) would pass for a cover
+        ((0, 1), (0, 1)),           # a repeated vector
+        ((0, 0, 1), (2, 0, 0), (1, 5, 5)),
+    ])
+    def test_classes_out_of_lex_order_raise(self, vectors):
+        with pytest.raises(ValueError, match="strictly increasing lex order"):
+            self.hand_built(vectors)
+
+    def test_wide_columns_take_the_running_or(self, monkeypatch):
+        # a column with a value outside range(256) is walked, not read as
+        # bytes; the byte columns next to it are read as bytes
+        import weyl_order.posets as posets
+        seen = []
+        real = posets._at_most
+
+        def spy(column, values):
+            seen.append(type(column))
+            return real(column, values)
+        monkeypatch.setattr(posets, "_at_most", spy)
+        poset = self.hand_built([(0, 300, -1), (0, 300, 2), (1, 3, 255),
+                                 (1, 256, 0), (2, 256, 255), (3, 1000, -7)])
+        self.assert_matches_pairwise(poset)
+        assert seen == [bytes, tuple, tuple]
+
+    @given(st.sets(st.tuples(st.integers(0, 3), st.integers(254, 258),
+                             st.integers(-2, 2), st.integers(0, 255)),
+                   min_size=1, max_size=24))
+    @settings(max_examples=100, deadline=None)
+    def test_mixed_columns_match_pairwise_route(self, vectors):
+        self.assert_matches_pairwise(self.hand_built(sorted(vectors)))
+
+    @pytest.mark.parametrize("coords, classes", [((300,), 151),
+                                                 ((256, 1), 257)])
+    def test_stat_values_past_a_byte_match_pairwise_route(self, coords,
+                                                          classes):
+        poset = build_poset(Weight(coords), 2)
+        assert len(poset) == classes
+        assert max(map(max, (cls.stat_vector for cls in poset.classes))) > 255
+        self.assert_matches_pairwise(poset)
+        assert poset.bottom_index == poset.closed_form_bottom_index
+        assert poset.top_index == poset.closed_form_top_index
 
     def test_each_cover_is_classified_once(self, monkeypatch):
         # the one decision list serves covers_of, to_json and both writers
