@@ -454,10 +454,11 @@ class TuplePoset(_Value):
         down, rows = self._down, self.cover_rows
         reach = [0] * len(down)
         for a, row in enumerate(rows):
-            reached = reach[a] | 1 << a
+            bit = 1 << a
+            reached = reach[a] | bit
             for c in row:
                 reach[c] |= reached
-            reach[a] ^= 1 << a
+            reach[a] ^= bit
         return reach == down
 
     @cached_property

@@ -1585,6 +1585,10 @@ class TestSharedOrder:
             for a, b in strays:
                 corrupt(a, rows[a] + (b,))
                 assert not poset.transitive_ok(), (coords, k, (a, b))
+            # a class listed as covering itself
+            for a in range(m):
+                corrupt(a, rows[a] + (a,))
+                assert not poset.transitive_ok(), (coords, k, a)
 
     def test_cover_walk_holds_less_than_the_masks(self):
         # with the order built, the walk allocates its rows and one shrinking
