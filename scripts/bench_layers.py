@@ -4,7 +4,9 @@
 For the fiber of each ``perfbench`` workload (for ``sweep``, the largest
 fiber of its grid), and for (1,)*7 at k = 2, which no workload runs (its
 entry reads ``"perfbench": false``), it records the best of ``--repeat`` wall times of
-``build_poset``, the order as down-sets (``TuplePoset._down``), the cover walk
+``build_poset``, its stat step on its own (``stat_step``: every multiset
+of the fiber scored, the multisets walked first and untimed), the order
+as down-sets (``TuplePoset._down``), the cover walk
 (``cover_rows``), at k = 2 the class frames (``frames``: every entry of
 ``TuplePoset._uppers`` filled) and then the covers classified by kind
 alone (``decisions``: every row of the decision list,
@@ -23,7 +25,8 @@ the median ``import_s`` of ``--repeat`` fresh ``python3 -I`` children,
 each timing ``import weyl_order, weyl_order.cli`` and the four root
 systems of the sweep after the modules ``perfbench``'s child loads
 first, as ``perfbench``'s set-up does.  It also records
-the tracemalloc peak of the cover walk next to the bytes of the masks it
+the tracemalloc peak of ``build_poset``, and of the cover walk next to
+the bytes of the masks it
 walks and, at k = 2, the bytes the decision list keeps, the sizes
 (classes, covers, characters written) and where the numbers come from:
 the git commit of the checkout the timed ``weyl_order`` package was
@@ -60,7 +63,7 @@ import tracemalloc
 from pathlib import Path
 
 import weyl_order
-from weyl_order import Weight, build_poset, root_system
+from weyl_order import Weight, build_poset, posets, root_system, tuples
 from weyl_order.cli import (SweepConfig, _report_chunks, positive_int,
                             report_payload, run_sweep)
 
@@ -148,10 +151,30 @@ def covers_text(poset) -> int:
     return len(out) + sum(map(len, chunks))
 
 
+def stat_step(lam: Weight, k: int):
+    """build_poset's stat step on the fiber over lam at k, as a call that
+    scores every multiset, the multisets walked when this returns.  A tree
+    without ``posets._stat_keys`` scored the multisets one at a time
+    through per-call memos of the part window values and of the column
+    rule; its step is timed that way."""
+    multisets = list(posets._part_multisets(lam.omega, k))
+    if hasattr(posets, "_stat_keys"):
+        width = posets._field_width(sum(lam.omega))
+        return lambda: posets._stat_keys(multisets, k, width)
+
+    def memo_route():
+        values = posets._PerCall(tuples._part_window_values).__getitem__
+        column = posets._PerCall(tuples._column_stats).__getitem__
+        return [tuples._sorted_prefix_stats(map(values, ms), column)
+                for ms in multisets]
+    return memo_route
+
+
 def layer_times(lam: Weight, k: int) -> tuple[dict, dict]:
     """One pass over the layers of a fresh poset: (seconds, sizes)."""
     seconds, sizes = {}, {}
     seconds["build_poset"], poset = timed(lambda: build_poset(lam, k))
+    seconds["stat_step"], _ = timed(stat_step(lam, k))
     seconds["_down"], _ = timed(lambda: poset._down)
     seconds["cover_rows"], rows = timed(lambda: poset.cover_rows)
     if k == 2:
@@ -169,17 +192,23 @@ def layer_times(lam: Weight, k: int) -> tuple[dict, dict]:
     return seconds, sizes
 
 
-def cover_walk_memory(lam: Weight, k: int) -> dict:
-    """The tracemalloc peak of cover_rows, with the order built first, and
-    the bytes of the masks it walks; at k = 2 also the bytes the decision
-    list keeps (tracemalloc current once it is built, with the order and
-    the rows built first)."""
-    poset = build_poset(lam, k)
+def layer_memory(lam: Weight, k: int) -> dict:
+    """The tracemalloc peak of build_poset; the tracemalloc peak of
+    cover_rows, with the order built first, and the bytes of the masks it
+    walks; at k = 2 also the bytes the decision list keeps (tracemalloc
+    current once it is built, with the order and the rows built first)."""
+    tracemalloc.start()
+    try:
+        poset = build_poset(lam, k)
+        build_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     down_bytes = sum(map(sys.getsizeof, poset._down))
     tracemalloc.start()
     try:
         poset.cover_rows
-        out = {"cover_rows_peak_bytes": tracemalloc.get_traced_memory()[1],
+        out = {"build_poset_peak_bytes": build_peak,
+               "cover_rows_peak_bytes": tracemalloc.get_traced_memory()[1],
                "down_bytes": down_bytes}
         if k == 2:
             tracemalloc.clear_traces()  # count what is allocated from here
@@ -250,7 +279,7 @@ def measure_fiber(coords: tuple[int, ...], k: int, repeat: int) -> dict:
     lam = Weight(coords)
     return {"lambda": list(coords), "k": k,
             **best_times(repeat, lambda: layer_times(lam, k)),
-            **cover_walk_memory(lam, k)}
+            **layer_memory(lam, k)}
 
 
 def git(*args: str) -> str | None:

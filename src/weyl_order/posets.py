@@ -7,8 +7,11 @@ any work starts (``_check_fiber``).  ``build_poset`` groups the fiber
 into classes of equal stat vector (:mod:`weyl_order.tuples`) without
 ordering any parts: it walks the multisets of parts as omega integer
 tuples (``_part_multisets``, over the sorted box of ``_part_box``) and
-scores each through memos local to the call.  A class holds integers
-only; its representative ``WeightTuple`` is built when first read.
+scores the whole fiber in one pass over packed integers (``_stat_keys``):
+per slot, one integer holds that slot's part of every multiset, and a
+compare-exchange network sorts every window's values across the slots
+at once (``_sort_fields``).  A class holds integers only; its
+representative ``WeightTuple`` is built when first read.
 
 A ``TuplePoset`` holds the coordinatewise order of the stat vectors as
 one list of down-set bit masks (``_down``, each class's own bit
@@ -61,11 +64,10 @@ import itertools
 import json
 import math
 from functools import cache, cached_property, partial, reduce
-from operator import and_, attrgetter, itemgetter, lt, or_, sub
+from operator import and_, attrgetter, itemgetter, lt, mul, or_, sub
 from typing import Callable
 
-from .tuples import (OrderVerdict, WeightTuple, _column_stats,
-                     _part_window_values, _sorted_prefix_stats,
+from .tuples import (OrderVerdict, WeightTuple, _part_window_values,
                      _verdict_from_vectors)
 from .weights import Permutation, Weight, _cycle_text, _omega_text, _Value
 
@@ -201,14 +203,18 @@ class EquivClass(_Value):
     tuples, the sum over the multisets of k! / prod(mult!).  rep, the first
     multiset as a ``WeightTuple``, is built on first read and kept; it
     stays behind when the class is pickled, and is rebuilt when read.
+    stat_vector and multisets are stored as tuples (each multiset as
+    given), so a class built from lists equals and hashes as one built
+    from tuples.
     """
 
     _fields = ("stat_vector", "size", "multisets")
 
     def __init__(self, stat_vector: tuple[int, ...], size: int,
                  multisets: tuple[Multiset, ...]):
-        vars(self).update(stat_vector=stat_vector, size=size,
-                          multisets=multisets)
+        # tuple() hands an exact tuple back as it is, at no copy
+        vars(self).update(stat_vector=tuple(stat_vector), size=size,
+                          multisets=tuple(multisets))
 
     @cached_property
     def rep(self) -> WeightTuple:
@@ -305,11 +311,14 @@ class TuplePoset(_Value):
     """The quotient of the fiber over lam at k: classes lists its classes
     in strictly increasing lex order of stat vectors, as build_poset
     builds them, and any other order raises ValueError.  The order, the
-    cover walk and class_of rely on that order."""
+    cover walk and class_of rely on that order.  classes is stored as a
+    tuple, so a poset built from a list equals and hashes as one built
+    from a tuple."""
 
     _fields = ("lam", "k", "classes")
 
     def __init__(self, lam: Weight, k: int, classes: tuple[EquivClass, ...]):
+        classes = tuple(classes)
         vectors = list(map(attrgetter("stat_vector"), classes))
         if not all(map(lt, vectors, vectors[1:])):
             raise ValueError("classes must come in strictly increasing lex "
@@ -782,38 +791,147 @@ class _PerCall(dict):
         return value
 
 
+# -- stat vectors of a whole fiber, on packed integers -----------------------
+#
+# A stat key is a multiset's stat vector as bytes: coordinate f = w * k +
+# (l - 1), for window w and l = 1 .. k, in field f of width bits, the
+# first field most significant, so keys compare as the vectors do.  A
+# fiber's keys are scored together: per slot s, one integer holds slot s's
+# part of every multiset, the multisets' records one after another, and
+# each field is sorted across the k slot integers at once.
+
+
+def _merge_pairs(k: int) -> list[tuple[int, int]]:
+    """Batcher's merge exchange on k inputs (Knuth, TAOCP 5.2.2, Algorithm
+    M) as compare-exchange pairs (i, i + d), in the order they run: after
+    them, the smaller of two values sits at the lower index.  19 pairs at
+    k = 8 and 41 at k = 12, against 28 and 66 for insertion."""
+    pairs = []
+    t = (k - 1).bit_length()
+    p = 1 << t >> 1
+    while p:
+        q, r, d = 1 << t >> 1, 0, p
+        while True:
+            pairs += [(i, i + d) for i in range(k - d) if i & p == r]
+            if q == p:
+                break
+            d, q, r = q - p, q >> 1, p
+        p >>= 1
+    return pairs
+
+
+def _sort_fields(slots: list[int], width: int, top: int) -> list[int]:
+    """slots, packed integers of equal layout, sorted field by field in
+    place and returned: afterwards field f of slots[0] .. slots[-1] holds
+    the values the slots held in field f, ascending.  Every value must lie
+    below 2**(width - 1), and top holds the top bit of every field.
+
+    A compare-exchange of x and y reads (x | top) - y: its field f is
+    x_f - y_f + 2**(width - 1), in 1 .. 2**width - 1, so no field borrows,
+    and its top bit is set exactly when x_f >= y_f.  Those bits, moved to
+    each field's low bit and multiplied by 2**width - 1, fill the fields
+    where x and y swap, and t = (x ^ y) on them swaps them in two XORs."""
+    ones, shift = (1 << width) - 1, width - 1
+    for i, j in _merge_pairs(len(slots)):
+        x, y = slots[i], slots[j]
+        t = (x ^ y) & ((((x | top) - y) & top) >> shift) * ones
+        slots[i], slots[j] = x ^ t, y ^ t
+    return slots
+
+
+def _part_key(units: list[int], size: int, omega: tuple[int, ...]) -> bytes:
+    """A part's window values packed into the l = 1 field of each window,
+    as size big-endian bytes: the values are linear in omega, so the
+    packed integer is the sum of omega_t times units[t], the packed values
+    of the t-th unit vector."""
+    return sum(map(mul, omega, units)).to_bytes(size, "big")
+
+
+def _stat_keys(multisets: list[Multiset], k: int, width: int) -> list[bytes]:
+    """The stat key of each multiset of k parts, in the multisets' order,
+    with fields of width bits: every stat value must lie below
+    2**(width - 1).
+
+    Each window is one column of the rule of :mod:`weyl_order.tuples`,
+    scored for every multiset at once.  ``_part_window_values`` gives the
+    window values of each unit vector, packed into the l = 1 fields once
+    per call, and each distinct part's key is their sum weighted by its
+    omega (``_part_key``), packed once per call in a memo dropped with it.
+    Per slot s, one integer joins the part keys of slot s of every
+    multiset.  ``_sort_fields`` sorts every field across the k slot
+    integers; then the l-th running sum over the slots holds, in each
+    window's l = 1 field, the sum of the l smallest values, and shifted
+    down by (l - 1) fields it lands in field w * k + (l - 1).  No sum
+    reaches the top bit of a field, so none carries, and the shifted sums
+    fill disjoint fields: their OR, as bytes, is every key, one after
+    another.
+
+    Slots from |lam| on hold the zero part in every multiset, which has
+    at most |lam| other parts and sorts them first: sorted, those slots
+    come first and add nothing, so only the first min(k, |lam|) slots are
+    built and sorted, and their running sums start at l = k - live + 1."""
+    rank = len(multisets[0][0])
+    live = min(k, sum(map(sum, multisets[0])))  # every multiset sums to lam
+    eye = [(0,) * s + (1,) + (0,) * (rank - 1 - s) for s in range(rank)]
+    units = list(map(_part_window_values, eye))
+    fields = len(units[0]) * k
+    size = fields * width // 8
+    places = range(width * (fields - 1), -1, -width * k)  # each l = 1 field
+    units = [sum(map(int.__lshift__, values, places)) for values in units]
+    key = _PerCall(partial(_part_key, units, size)).__getitem__
+    slots = [int.from_bytes(b"".join(map(key, map(itemgetter(s), multisets))),
+                            "big") for s in range(live)]
+    top = int.from_bytes(
+        (b"\x80" + bytes(width // 8 - 1)) * (fields * len(multisets)), "big")
+    packed = total = 0
+    for l, slot in enumerate(_sort_fields(slots, width, top), k - live):
+        total += slot
+        packed |= total >> l * width
+    blob = packed.to_bytes(size * len(multisets), "big")
+    return [blob[i:i + size] for i in range(0, len(blob), size)]
+
+
+def _key_vector(key: bytes, width: int) -> tuple[int, ...]:
+    """The stat vector a stat key packs, read field by field."""
+    step = width // 8
+    return tuple(int.from_bytes(key[i:i + step], "big")
+                 for i in range(0, len(key), step))
+
+
 def build_poset(lam: Weight, k: int, guard: int = DEFAULT_GUARD) -> TuplePoset:
     """Group the fiber over lam into classes, without ordering any parts.
 
-    The multisets come from ``_part_multisets`` (band cut, box step).  A
-    multiset's stat vector comes from the same helpers of
-    :mod:`weyl_order.tuples` that ``WeightTuple.stat_vector`` uses
-    (``_part_window_values``, then ``_sorted_prefix_stats`` with the
-    column rule ``_column_stats``), each through a memo local to the
-    call: each distinct part's window values are computed once, and each
-    distinct column tuple is sorted and summed once.  Both memos are
-    dropped when the call returns.  The walk runs in
-    descending order of the parts' epsilon tuples, so the first multiset
-    of each class is its largest member, the representative.  A class's
-    size sums k! / prod(mult!) over its multisets, the multiplicities read
-    as run lengths of equal adjacent parts, in one ``map`` per class.  No
-    ``Weight`` or ``WeightTuple`` is built.  The guard still counts
-    ordered tuples.
+    The multisets come from ``_part_multisets`` (band cut, box step), and
+    their stat vectors from one pass over the whole fiber on packed
+    integers (``_stat_keys``), whose fields are as wide as the packed
+    tuples of the cover rule (``_field_width`` of |lam|, which bounds
+    every stat value).  The multisets are grouped and the classes sorted
+    by the keys' bytes, which sort as the vectors do, and each class's
+    key is read back as its vector: at width 8, every |lam| below 128, a
+    byte per value.  The walk runs in descending order of the parts'
+    epsilon tuples, so the first multiset of each class is its largest
+    member, the representative.  A class's size sums k! / prod(mult!)
+    over its multisets, the multiplicities read as run lengths of equal
+    adjacent parts, in one ``map`` per class.  No ``Weight`` or
+    ``WeightTuple`` is built.  The guard still counts ordered tuples.
     """
     _check_fiber(lam, k, guard)
-    window_values = _PerCall(_part_window_values).__getitem__
-    column_stats = _PerCall(_column_stats).__getitem__
-    by_stats: dict[tuple[int, ...], list[Multiset]] = {}
-    for ms in _part_multisets(lam.omega, k):
-        sv = _sorted_prefix_stats(map(window_values, ms), column_stats)
-        by_stats.setdefault(sv, []).append(ms)
+    multisets = list(_part_multisets(lam.omega, k))
+    width = _field_width(sum(lam.omega))
+    by_key: dict[bytes, list[Multiset]] = {}
+    for key, ms in zip(_stat_keys(multisets, k, width), multisets):
+        by_key.setdefault(key, []).append(ms)
+    keys = sorted(by_key)
+    # at width 8 a field is a byte, and the vector is the key's bytes
+    vectors = (map(tuple, keys) if width == 8 else
+               map(_key_vector, keys, itertools.repeat(width)))
     k_orderings = itertools.repeat(math.factorial(k))  # k! per multiset
     classes = []
-    for sv in sorted(by_stats):
-        multisets = tuple(by_stats[sv])
-        size = sum(map(_orderings, multisets, k_orderings))
+    for key, sv in zip(keys, vectors):
+        members = tuple(by_key[key])
+        size = sum(map(_orderings, members, k_orderings))
         # positional: keywords cost about a quarter of the init
-        classes.append(EquivClass(sv, size, multisets))
+        classes.append(EquivClass(sv, size, members))
     return TuplePoset(lam=lam, k=k, classes=tuple(classes))
 
 

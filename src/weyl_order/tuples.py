@@ -16,19 +16,19 @@ per-part window value is replaced by the pairing of the embedded part
 against each positive coroot.
 
 Both orders score a tuple by one rule, kept in one place: per column (a
-window or a coroot), sort the parts' values and take running sums
-(``_column_stats``), the columns' sums joined into the vector
-(``_sorted_prefix_stats``).  ``_part_window_values`` is the one place
-that reads a part's window values, off its omega prefix sums;
-``WeightTuple.stat_vector`` and ``build_poset`` both go through it, and
-``coroot_stat_vector`` feeds the coroot pairings to the same sums.
-``build_poset`` hands ``_sorted_prefix_stats`` a memo of the column
-rule keyed by the column tuple, so over one call each distinct column
-is sorted and summed once; the memo is the caller's, dropped when its
-call returns, and this module keeps none.  Without a memo the rule
-itself scores each column.  The module holds no other route: the
-window-by-window values, the subset-minimum statistic and the part
-reorderings and projections live in the tests as references.
+window or a coroot), sort the parts' values and take running sums, the
+columns' sums joined into the vector (``_sorted_prefix_stats``).
+``_part_window_values`` is the one place that reads a part's window
+values, off its omega prefix sums; ``WeightTuple.stat_vector`` goes
+through it, and ``coroot_stat_vector`` feeds the coroot pairings to the
+same sums.  This is the per-tuple reference route.  ``build_poset``
+scores a whole fiber by the same rule on packed integers
+(``posets._stat_keys``): window values are linear in omega, so it reads
+``_part_window_values`` of the unit vectors alone, and a coroot rule,
+linear too, could feed it the same way.  This module keeps no memo.
+The module holds no other route: the window-by-window values, the
+subset-minimum statistic and the part reorderings and projections live
+in the tests as references.
 """
 
 from __future__ import annotations
@@ -79,17 +79,12 @@ def _part_window_values(omega: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(prefix[j] - prefix[i - 1] for i, j in _window_spans(len(omega)))
 
 
-def _column_stats(column) -> tuple[int, ...]:
-    """The column rule: one column's values sorted ascending, then their
-    running sums."""
-    return tuple(accumulate(sorted(column)))
-
-
-def _sorted_prefix_stats(rows, column_stats=_column_stats) -> tuple[int, ...]:
-    """The stat vector of per-part rows of column values: each column
-    (a tuple, one value per part) scored by column_stats, the column rule
-    or a caller's memo of it, and the scores joined."""
-    return tuple(chain.from_iterable(map(column_stats, zip(*rows))))
+def _sorted_prefix_stats(rows) -> tuple[int, ...]:
+    """The stat vector of per-part rows of column values, by the column
+    rule: each column (one value per part) sorted ascending, then its
+    running sums, the columns' sums joined."""
+    return tuple(chain.from_iterable(
+        accumulate(sorted(column)) for column in zip(*rows)))
 
 
 class WeightTuple(_Value):

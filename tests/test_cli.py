@@ -1201,8 +1201,8 @@ class TestBenchLayersScript:
                 if fiber["perfbench"]} == set(script.FIBERS)
         assert (fibers["ones_k2"]["lambda"], fibers["ones_k2"]["k"]) == \
             ([1] * 7, 2)
-        layers = {"build_poset", "_down", "cover_rows", "json_chunks",
-                  "dot_chunks"}
+        layers = {"build_poset", "stat_step", "_down", "cover_rows",
+                  "json_chunks", "dot_chunks"}
         for name, fiber in fibers.items():
             want = layers | {"frames", "decisions", "covers_text",
                              "cover_edges"} if fiber["k"] == 2 else layers
@@ -1222,6 +1222,10 @@ class TestBenchLayersScript:
         k3 = fibers["poset_k3"]
         assert (k3["classes"], k3["covers"]) == (3675, 27173)
         assert 0 < k3["cover_rows_peak_bytes"] < k3["down_bytes"]
+        # build_poset's peak holds at least the classes it returns
+        assert all(fiber["build_poset_peak_bytes"] > 0
+                   for fiber in fibers.values())
+        assert k3["build_poset_peak_bytes"] > 3675 * sys.getsizeof(())
         # the bytes the decision list keeps, at k = 2 only
         assert [name for name, fiber in fibers.items()
                 if "cover_decisions_bytes" in fiber] == ["covers_k2", "ones_k2"]

@@ -36,9 +36,10 @@ from weyl_order import (
 )
 from weyl_order.posets import (_COUNT_CAP, _SLOT, _between, _capped_count,
                                _field_layout, _field_width, _first_sorter,
-                               _frames, _inverse, _layout, _mixed, _mixing,
-                               _pack, _part_box, _part_multisets, _raised,
-                               _separator, compositions)
+                               _frames, _inverse, _layout, _merge_pairs,
+                               _mixed, _mixing, _pack, _part_box,
+                               _part_multisets, _raised, _separator,
+                               _sort_fields, compositions)
 from weyl_order.tuples import _part_window_values, stat_labels, windows
 
 from cover_oracle import (classify_cover_by_search, first_kind_by_sorters,
@@ -331,48 +332,113 @@ class TestBuildPoset:
                             assert cls.stat_vector == want, (coords, k)
                             assert m.stat_vector == want, (coords, k)
 
-    def test_each_distinct_column_is_scored_once_per_call(self, monkeypatch):
-        # (6,6,6) at k = 3: 3691 multisets by 6 windows, but 122 distinct
-        # column tuples; the column rule runs once per distinct column in
-        # each call, and a second call scores them all again, so no memo
-        # outlives its call
+    def test_each_distinct_part_is_packed_once_per_call(self, monkeypatch):
+        # (6,6,6) at k = 3: 3691 multisets of 3 parts, 343 distinct parts;
+        # each part's key is packed once in each call, and a second call
+        # packs them all again, so no memo outlives its call
         import weyl_order.posets as posets
         lam, k = (6, 6, 6), 3
         multisets = list(_part_multisets(lam, k))
-        columns = [column for ms in multisets
-                   for column in zip(*map(_part_window_values, ms))]
-        assert len(columns) == 3691 * 6 == 22146
-        assert len(set(columns)) == 122
-        scored = []
-        real = posets._column_stats
+        parts = {p for ms in multisets for p in ms}
+        assert len(multisets) == 3691 and len(parts) == 343
+        packed = []
+        real = posets._part_key
 
-        def counting(column):
-            scored.append(column)
-            return real(column)
-        monkeypatch.setattr(posets, "_column_stats", counting)
+        def counting(units, size, omega):
+            packed.append(omega)
+            return real(units, size, omega)
+        monkeypatch.setattr(posets, "_part_key", counting)
         first = build_poset(Weight(lam), k)
-        assert len(scored) == len(set(scored)) == 122
-        assert set(scored) == set(columns)
-        scored.clear()
+        assert len(packed) == len(set(packed)) == 343
+        assert set(packed) == parts
+        packed.clear()
         assert build_poset(Weight(lam), k) == first
-        assert len(scored) == 122
+        assert len(packed) == 343
 
-    @pytest.mark.parametrize("k,count", [(2, 562), (3, 1537), (4, 2491)])
-    def test_inline_and_memo_stat_routes_agree(self, k, count):
-        # the column rule called on each column (no memo) against the
-        # per-call memo of it that build_poset hands in
-        from weyl_order.posets import _PerCall
-        from weyl_order.tuples import _column_stats, _sorted_prefix_stats
-        memo = _PerCall(_column_stats).__getitem__
-        seen = 0
-        for rank in (1, 2, 3):
-            for lam in itertools.product(range(4), repeat=rank):
-                for ms in _part_multisets(lam, k):
-                    rows = list(map(_part_window_values, ms))
-                    plain = _sorted_prefix_stats(rows)
-                    assert plain == _sorted_prefix_stats(rows, memo), ms
-                    seen += 1
-        assert seen == count
+    def test_windows_are_read_once_per_coordinate(self, monkeypatch):
+        # the unit vectors' window values are all the bulk pass reads of
+        # the window rule: rank calls of _part_window_values per call
+        import weyl_order.posets as posets
+        read = []
+        real = posets._part_window_values
+
+        def counting(omega):
+            read.append(omega)
+            return real(omega)
+        monkeypatch.setattr(posets, "_part_window_values", counting)
+        build_poset(Weight((2, 2, 2)), 3)
+        assert read == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+    @pytest.mark.parametrize("rank,top,ks", [
+        (1, 8, range(1, 13)), (2, 3, range(5, 13)), (3, 2, range(5, 13))])
+    def test_stat_vectors_at_large_k(self, rank, top, ks):
+        # every member multiset of every class scores its class's vector
+        # by the per-tuple route and by the window-by-window reference,
+        # up to k = 12, where the packed sort runs 41 compare-exchanges
+        for coords in itertools.product(range(top + 1), repeat=rank):
+            for k in ks:
+                for cls in build_poset(Weight(coords), k).classes:
+                    for ms in cls.multisets:
+                        x = WeightTuple(tuple(map(Weight, ms)))
+                        assert x.stat_vector == cls.stat_vector, (coords, k)
+                        assert stat_vector_by_windows(x) == cls.stat_vector
+
+    @pytest.mark.parametrize("lam,k,width", [
+        ((127,), 3, 8), ((128,), 3, 16), ((100, 27), 2, 8), ((100, 28), 2, 16),
+        ((126, 1, 1), 2, 16), ((300,), 3, 16)])
+    def test_stat_vectors_across_the_field_width_step(self, lam, k, width):
+        # |lam| = 127 packs a byte per field, |lam| = 128 two bytes, read
+        # back field by field; the vectors match the per-tuple route, and
+        # the classes come in strictly increasing lex order
+        assert _field_width(sum(lam)) == width
+        poset = build_poset(Weight(lam), k)
+        for cls in poset.classes:
+            for ms in cls.multisets:
+                x = WeightTuple(tuple(map(Weight, ms)))
+                assert x.stat_vector == cls.stat_vector, ms
+        assert len(poset) == len({c.stat_vector for c in poset.classes})
+        if lam == (300,):
+            assert len(poset) == 7651
+            assert max(v for c in poset.classes for v in c.stat_vector) == 300
+
+    @pytest.mark.parametrize("k", range(17))
+    def test_merge_exchange_sorts_every_zero_one_input(self, k):
+        # the 0-1 principle: a comparator network that sorts every 0-1
+        # input sorts every input
+        pairs = _merge_pairs(k)
+        assert all(0 <= i < j < k for i, j in pairs)
+        for bits in itertools.product((0, 1), repeat=min(k, 12)):
+            values = list(bits) + [1] * (k - len(bits))
+            for i, j in pairs:
+                if values[i] > values[j]:
+                    values[i], values[j] = values[j], values[i]
+            assert values == sorted(values), bits
+        if k in (8, 12):
+            assert len(pairs) == {8: 19, 12: 41}[k]
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_packed_compare_exchange_sorts_fields(self, data):
+        # k slot integers of n fields each, the values drawn with many
+        # ties and zeros: each field comes out sorted across the slots
+        width = data.draw(st.sampled_from((8, 16)))
+        k = data.draw(st.integers(1, 12))
+        n = data.draw(st.integers(1, 6))
+        small = st.integers(0, 2)
+        value = st.one_of(small, st.integers(0, 2 ** (width - 1) - 1))
+        rows = data.draw(st.lists(st.lists(value, min_size=n, max_size=n),
+                                  min_size=k, max_size=k))
+        step = width // 8
+
+        def pack(row):
+            return int.from_bytes(b"".join(v.to_bytes(step, "big")
+                                           for v in row), "big")
+        top = pack([2 ** (width - 1)] * n)
+        out = _sort_fields(list(map(pack, rows)), width, top)
+        got = [[x >> width * (n - 1 - f) & (1 << width) - 1 for f in range(n)]
+               for x in out]
+        want = [sorted(column) for column in zip(*rows)]
+        assert [list(column) for column in zip(*got)] == want
 
     def test_build_orders_no_parts(self, monkeypatch):
         # the walk never calls the ordered-tuple route and builds no

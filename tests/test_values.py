@@ -135,3 +135,25 @@ def test_values_of_two_classes_never_compare_equal():
     perm, coroot = Permutation((1, 0)), Coroot((1, 0))
     assert field_tuple(perm) == field_tuple(coroot)
     assert perm.__eq__(coroot) is NotImplemented and perm != coroot
+
+
+def test_sequence_fields_are_stored_as_tuples():
+    # a poset or class built from lists equals and hashes as the one built
+    # from tuples; before, the list was stored, so the two compared
+    # unequal and hash() raised TypeError
+    p = poset((2, 2))
+    listed = TuplePoset(p.lam, p.k, list(p.classes))
+    assert type(listed.classes) is tuple
+    assert listed == p and hash(listed) == hash(p)
+    assert TuplePoset(p.lam, p.k, iter(p.classes)) == p
+    for cls in p.classes:
+        built = EquivClass(list(cls.stat_vector), cls.size,
+                           list(cls.multisets))
+        assert type(built.stat_vector) is type(built.multisets) is tuple
+        assert built == cls and hash(built) == hash(cls)
+        assert built.rep == cls.rep
+    # a tuple field is stored as it is, not copied
+    cls = p.classes[0]
+    again = EquivClass(cls.stat_vector, cls.size, cls.multisets)
+    assert again.stat_vector is cls.stat_vector
+    assert again.multisets is cls.multisets
