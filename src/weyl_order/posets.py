@@ -1021,7 +1021,9 @@ def _first_sorter(values: tuple[int, ...]) -> tuple[tuple[int, ...], list[int]]:
 def _field_width(span: int) -> int:
     """The field width for packed tuples whose values lie in 0 .. span:
     the least multiple of 8 with span < 2**(width - 1), so each chunk
-    entry e1[s] - f[s], in -span .. span, fits a field with its offset."""
+    entry e1[s] - f[s], in -span .. span, fits a field with its offset.
+    ``build_poset`` packs its stat keys at the width of span |lam|, so
+    every field keeps the spare top bit that ``_sort_fields`` reads."""
     return 8 * (span.bit_length() // 8 + 1)
 
 
