@@ -1251,6 +1251,33 @@ class TestBenchLayersScript:
         assert 0 < imports["import_s_min"] == imports["import_s_median"]
         assert "wrote" in capsys.readouterr().out
 
+    def test_stat_step_times_the_memo_route_of_an_older_tree(
+            self, monkeypatch):
+        # a tree without posets._stat_keys scored each multiset through
+        # memos of the window values and of the column rule; the step is
+        # timed that way, and scores what build_poset scores
+        from types import SimpleNamespace
+        from itertools import accumulate, chain
+        from weyl_order import posets, tuples
+        script = self.script()
+        columns = []
+
+        def column_stats(column):
+            columns.append(column)
+            return tuple(accumulate(sorted(column)))
+        monkeypatch.setattr(script, "posets", SimpleNamespace(
+            _part_multisets=posets._part_multisets, _PerCall=posets._PerCall))
+        monkeypatch.setattr(script, "tuples", SimpleNamespace(
+            _part_window_values=tuples._part_window_values,
+            _column_stats=column_stats,
+            _sorted_prefix_stats=lambda rows, column: tuple(
+                chain.from_iterable(map(column, zip(*rows))))))
+        lam = Weight((2, 2))
+        got = script.stat_step(lam, 3)()
+        assert sorted(set(got)) == [c.stat_vector
+                                    for c in build_poset(lam, 3).classes]
+        assert len(columns) == len(set(columns))  # each column scored once
+
     def test_provenance_reads_the_checkout_of_the_timed_package(
             self, tmp_path, monkeypatch):
         # a package imported from another checkout, as a parent tree timed
